@@ -1,4 +1,4 @@
-"""Scalar maximization helpers shared by the capacity bound and the optimizers."""
+"""Scalar maximization helper of the rotation optimizers."""
 
 from __future__ import annotations
 

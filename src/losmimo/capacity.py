@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._search import golden_max
 from .channel import ChannelMatrix
 from .errors import InvalidArgumentError, NoSignalError
+from .geometry import _frozen_copy
 
 _LN2 = math.log(2.0)
 _ZERO_GAIN_RTOL = 1e-12  # gains this far below the top one count as exact zeros
+# root of ln(1 + x) = 2x / (1 + x): r * log2(1 + a / r**2) peaks where a / r**2 = x
+_POLARIZED_PEAK_X = 3.921553634567504
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,9 +48,7 @@ class GainSpectrum:
         top = g[0] if g.size else 0.0
         if np.any(np.diff(g) > 1e-12 * max(top, 1.0)):
             raise InvalidArgumentError("gains must be sorted descending")
-        g = g.copy()
-        g.setflags(write=False)
-        object.__setattr__(self, "gains", g)
+        object.__setattr__(self, "gains", _frozen_copy(g))
 
     @property
     def frobenius_total(self) -> float:
@@ -69,9 +69,7 @@ class PowerAllocation:
             raise InvalidArgumentError("fractions must lie in [0, 1]")
         if abs(p.sum() - 1.0) > 1e-12:
             raise InvalidArgumentError("fractions must sum to 1 within 1e-12")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "fractions", p)
+        object.__setattr__(self, "fractions", _frozen_copy(p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,11 +107,12 @@ def _check_snr(snr_linear: float):
 
 def gain_spectrum(h: ChannelMatrix) -> GainSpectrum:
     """Squared singular values of the channel, descending."""
-    entries = h.entries
-    if not np.all(np.isfinite(entries)):
-        raise InvalidArgumentError("channel entries must be finite")
+    return GainSpectrum(_squared_singular_values(h.entries), n_t=h.n_t, n_r=h.n_r)
+
+
+def _squared_singular_values(entries: np.ndarray) -> np.ndarray:
     s = np.linalg.svd(entries, compute_uv=False)
-    return GainSpectrum(s * s, n_t=h.n_t, n_r=h.n_r)
+    return s * s
 
 
 def waterfilling(spectrum: GainSpectrum, snr_linear: float):
@@ -122,10 +121,17 @@ def waterfilling(spectrum: GainSpectrum, snr_linear: float):
     Returns (PowerAllocation, spectral_efficiency_bpshz).  Water level mu
     satisfies p_i = max(0, mu - 1/(snr*g_i)) with the fractions summing
     to one; gains more than twelve decades below the strongest count as
-    zero so numerical noise never receives power.
+    zero so numerical noise never receives power.  When the SNR is so low
+    that the water level rounds away even for one mode, all power goes to
+    the strongest mode (rank 1 is always feasible).
     """
     _check_snr(snr_linear)
-    g = spectrum.gains
+    fractions, se = _waterfill(spectrum.gains, snr_linear)
+    return PowerAllocation(fractions), se
+
+
+def _waterfill(g: np.ndarray, snr_linear: float):
+    """Body of :func:`waterfilling` on descending gains at a valid SNR."""
     if g.size == 0 or g[0] <= 0:
         raise NoSignalError("all channel gains are zero")
     n_active = int(np.count_nonzero(g > _ZERO_GAIN_RTOL * g[0]))
@@ -136,9 +142,11 @@ def waterfilling(spectrum: GainSpectrum, snr_linear: float):
         if mu - inv[k - 1] > 0:
             fractions[:k] = mu - inv[:k]
             break
+    else:
+        fractions[0] = 1.0
     fractions /= fractions.sum()
     se = float(np.log1p(snr_linear * fractions[:n_active] * g[:n_active]).sum() / _LN2)
-    return PowerAllocation(fractions), se
+    return fractions, se
 
 
 def uniform_rate(spectrum: GainSpectrum, snr_linear: float, rank: int) -> float:
@@ -177,28 +185,16 @@ def polarized_rate(n_t: int, n_r: int, rank, snr_linear: float) -> float:
 def capacity_upper_bound(n_t: int, n_r: int, snr_linear: float) -> float:
     """Best polarized rate over real rank r in [1, min(n_t, n_r)].
 
-    A 64-point grid brackets the maximum and golden-section search refines
-    it; the result is clamped to be at least the best integer rank, so the
-    continuous bound always dominates the achievable envelope.
+    r * log2(1 + a / r**2) with a = snr * n_t * n_r rises while a / r**2
+    exceeds the root x* of ln(1 + x) = 2x / (1 + x) and falls after, so the
+    maximum sits at r* = sqrt(a / x*), clipped to [1, min(n_t, n_r)].
     """
     _check_snr(snr_linear)
     n_min = min(n_t, n_r)
     if not isinstance(n_min, (int, np.integer)) or n_min < 1:
         raise InvalidArgumentError("antenna counts must be positive integers")
-    best_int = max(
-        float(_polarized_value(n_t, n_r, r, snr_linear)) for r in range(1, n_min + 1)
-    )
-    if n_min == 1:
-        return best_int
-    grid = np.linspace(1.0, float(n_min), 64)
-    vals = _polarized_value(n_t, n_r, grid, snr_linear)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    _, refined = golden_max(
-        lambda r: float(_polarized_value(n_t, n_r, r, snr_linear)), lo, hi, tol=1e-9
-    )
-    return max(best_int, float(vals[i]), float(refined))
+    peak = math.sqrt(snr_linear * n_t * n_r / _POLARIZED_PEAK_X)
+    return float(_polarized_value(n_t, n_r, min(max(peak, 1.0), n_min), snr_linear))
 
 
 def capacity_upper_bound_integer(n_t: int, n_r: int, snr_linear: float):
@@ -215,12 +211,17 @@ def capacity_upper_bound_integer(n_t: int, n_r: int, snr_linear: float):
 
 def rate_report(h: ChannelMatrix, snr_linear: float) -> RateReport:
     """Waterfilling result plus the matching upper bound for one channel/SNR."""
-    spectrum = gain_spectrum(h)
-    allocation, se = waterfilling(spectrum, snr_linear)
+    return _rate_report(_squared_singular_values(h.entries), h.n_t, h.n_r, snr_linear)
+
+
+def _rate_report(gains: np.ndarray, n_t: int, n_r: int, snr_linear: float) -> RateReport:
+    """Body of :func:`rate_report` on the descending gains of an n_r x n_t channel."""
+    _check_snr(snr_linear)
+    fractions, se = _waterfill(gains, snr_linear)
     return RateReport(
         snr_linear=float(snr_linear),
         spectral_efficiency_bpshz=se,
-        allocation=allocation,
-        active_rank=int(np.count_nonzero(allocation.fractions > 0)),
-        upper_bound_bpshz=capacity_upper_bound(spectrum.n_t, spectrum.n_r, snr_linear),
+        allocation=PowerAllocation(fractions),
+        active_rank=int(np.count_nonzero(fractions > 0)),
+        upper_bound_bpshz=capacity_upper_bound(n_t, n_r, snr_linear),
     )

@@ -20,7 +20,7 @@ from .errors import (
     InvalidArgumentError,
     NyquistViolationError,
 )
-from .geometry import LinkScene, projected_aperture
+from .geometry import LinkScene, _frozen_copy, projected_aperture
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -49,11 +49,8 @@ class DistanceMatrix:
         e = np.asarray(self.entries, dtype=float)
         if e.ndim != 2:
             raise InvalidArgumentError("distance matrix must be 2-D")
-        if not np.all(np.isfinite(e)) or np.any(e <= 0):
-            raise InvalidArgumentError("distances must be finite and positive")
-        e = e.copy()
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
+        _check_distances(e)
+        object.__setattr__(self, "entries", _frozen_copy(e))
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,9 +69,7 @@ class ChannelMatrix:
             raise InvalidArgumentError("channel entries must be finite")
         if np.abs(np.abs(e) - 1.0).max() > _UNIT_MODULUS_ATOL:
             raise InvalidArgumentError("channel entries must have unit modulus")
-        e = e.copy()
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "entries", _frozen_copy(e))
 
     @property
     def n_r(self) -> int:
@@ -107,80 +102,84 @@ class PhaseProfile:
             raise InvalidArgumentError("profile needs >= 3 matched samples")
         if not (0 <= self.r2_quadratic <= 1 and 0 <= self.r2_linear <= 1):
             raise InvalidArgumentError("r2 values must lie in [0, 1]")
-        for arr, name in ((x, "displacements_m"), (p, "phase_rad")):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "displacements_m", _frozen_copy(x))
+        object.__setattr__(self, "phase_rad", _frozen_copy(p))
 
 
-def _pair_offsets(scene: LinkScene):
-    tx = scene.tx_positions()
-    rx = scene.rx_positions()
+def _check_distances(dist: np.ndarray):
+    if not np.all(np.isfinite(dist)) or np.any(dist <= 0):
+        raise InvalidArgumentError("distances must be finite and positive")
+
+
+def _pair_distances(tx: np.ndarray, rx: np.ndarray):
+    """Offsets rx[n] - tx[m] and their lengths, refusing intersecting arrays."""
     delta = rx[:, None, :] - tx[None, :, :]
-    return delta
-
-
-def distance_matrix(scene: LinkScene) -> DistanceMatrix:
-    """Exact Euclidean distances between every posed rx/tx antenna pair."""
-    delta = _pair_offsets(scene)
     dist = np.sqrt((delta**2).sum(axis=-1))
     if dist.min() <= _MIN_PAIR_DISTANCE_M:
         raise DegenerateGeometryError(
             f"arrays intersect: minimum pair distance {dist.min():.3e} m"
         )
-    return DistanceMatrix(dist)
+    return delta, dist
+
+
+def distance_matrix(scene: LinkScene) -> DistanceMatrix:
+    """Exact Euclidean distances between every posed rx/tx antenna pair."""
+    return DistanceMatrix(_pair_distances(scene.tx_positions(), scene.rx_positions())[1])
 
 
 def channel_matrix(scene: LinkScene, model: WavefrontModel) -> ChannelMatrix:
     """Unit-modulus channel for the scene under the requested wavefront model."""
+    lam = scene.wavelength_m
+    entries = _channel_entries(scene.tx_positions(), scene.rx_positions(), lam, model)
+    return ChannelMatrix(entries, lam, model)
+
+
+def _channel_entries(
+    tx: np.ndarray, rx: np.ndarray, wavelength_m: float, model: WavefrontModel
+) -> np.ndarray:
+    """Body of :func:`channel_matrix` on posed (n, 3) positions.
+
+    Runs every check that the model or the geometry can fail; the
+    wavelength is the caller's to validate.
+    """
     if not isinstance(model, WavefrontModel):
         raise InvalidArgumentError(f"unknown wavefront model {model!r}")
-    lam = scene.wavelength_m
-    k = 2 * np.pi / lam
+    k = 2 * np.pi / wavelength_m
+    delta, dist = _pair_distances(tx, rx)
+    c_t, c_r = tx.mean(axis=0), rx.mean(axis=0)
     if model is WavefrontModel.SPHERICAL:
-        dist = distance_matrix(scene).entries
-        return ChannelMatrix(np.exp(-1j * k * dist), lam, model)
-
-    delta = _pair_offsets(scene)
-    eucl = np.sqrt((delta**2).sum(axis=-1))
-    if eucl.min() <= _MIN_PAIR_DISTANCE_M:
-        raise DegenerateGeometryError(
-            f"arrays intersect: minimum pair distance {eucl.min():.3e} m"
-        )
-
-    if model is WavefrontModel.FRESNEL:
-        sign = scene.link_sign
+        _check_distances(dist)
+        entries = np.exp(-1j * k * dist)
+    elif model is WavefrontModel.FRESNEL:
+        sign = 1.0 if c_r[2] >= c_t[2] else -1.0
         zeta = delta[..., 2] * sign
         if zeta.min() <= 0:
             raise DegenerateGeometryError(
                 "Fresnel expansion needs every pair separated along the link axis"
             )
-        d_axial = (scene.rx_centroid()[2] - scene.tx_centroid()[2]) * sign
+        d_axial = (c_r[2] - c_t[2]) * sign
         transverse = delta[..., 0] ** 2 + delta[..., 1] ** 2
-        dist = zeta + transverse / (2 * d_axial)
-        return ChannelMatrix(np.exp(-1j * k * dist), lam, model)
-
-    # PLANAR: first-order expansion about the centroid axis; the matrix is an
-    # exact outer product, hence rank-1
-    tx = scene.tx_positions()
-    rx = scene.rx_positions()
-    c_t = tx.mean(axis=0)
-    c_r = rx.mean(axis=0)
-    axis = c_r - c_t
-    d_hat = float(np.sqrt((axis**2).sum()))
-    if d_hat <= _MIN_PAIR_DISTANCE_M:
-        raise DegenerateGeometryError("array centroids coincide")
-    u = axis / d_hat
-    proj_r = (rx - c_r) @ u
-    proj_t = (tx - c_t) @ u
-    if (d_hat + proj_r.min()) - proj_t.max() <= 0:
-        raise DegenerateGeometryError(
-            "planar expansion needs every pair separated along the link axis"
+        entries = np.exp(-1j * k * (zeta + transverse / (2 * d_axial)))
+    else:
+        # PLANAR: first-order expansion about the centroid axis; the matrix
+        # is an exact outer product, hence rank-1
+        axis = c_r - c_t
+        d_hat = float(np.sqrt((axis**2).sum()))
+        if d_hat <= _MIN_PAIR_DISTANCE_M:
+            raise DegenerateGeometryError("array centroids coincide")
+        u = axis / d_hat
+        proj_r = (rx - c_r) @ u
+        proj_t = (tx - c_t) @ u
+        if (d_hat + proj_r.min()) - proj_t.max() <= 0:
+            raise DegenerateGeometryError(
+                "planar expansion needs every pair separated along the link axis"
+            )
+        entries = np.exp(-1j * k * d_hat) * np.outer(
+            np.exp(-1j * k * proj_r), np.exp(1j * k * proj_t)
         )
-    entries = np.exp(-1j * k * d_hat) * np.outer(
-        np.exp(-1j * k * proj_r), np.exp(1j * k * proj_t)
-    )
-    return ChannelMatrix(entries, lam, model)
+    if not np.all(np.isfinite(entries)):
+        raise InvalidArgumentError("channel entries must be finite")
+    return entries
 
 
 def validity_from_apertures(

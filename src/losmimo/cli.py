@@ -24,16 +24,20 @@ from .config import load_scene_config
 from .errors import ConfigError, IncompatibleModeError, LosMimoError
 from .geometry import Archetype
 from .optimize import (
+    SweepPoint,
     SweepSpec,
     SweepVariable,
+    _select_fixed_angles,
     aosa_schedule,
     fixed_angle_plan,
     optimize_rotation,
-    select_fixed_angles,
     snr_db_to_linear,
     sweep,
 )
 from . import serialize as ser
+
+# largest grid (or validity map) a command accepts, in points
+_MAX_GRID_POINTS = 1_000_000
 
 
 def _parse_values(text: str, name: str) -> list[float]:
@@ -50,13 +54,22 @@ def _parse_values(text: str, name: str) -> list[float]:
             count = math.floor((stop - start) / step + 1e-9) + 1
             if count < 1:
                 raise ValueError("empty grid (start > stop)")
+            _check_grid_size(count, "grid")
             return [start + i * step for i in range(count)]
         values = [float(p) for p in text.split(",") if p.strip() != ""]
         if not values:
             raise ValueError("no values")
+        _check_grid_size(len(values), "grid")
         return values
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {name} '{text}': {exc}") from exc
+
+
+def _check_grid_size(count: int, what: str):
+    if count > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"{what} has {count} points, more than the limit of {_MAX_GRID_POINTS}"
+        )
 
 
 def _write(out_path, text: str):
@@ -107,12 +120,9 @@ def cmd_capacity(args) -> int:
     return 0
 
 
-_VARIABLES = {v.value: v for v in SweepVariable}
-
-
 def cmd_sweep(args) -> int:
     cfg = load_scene_config(args.config)
-    variable = _VARIABLES[args.var]
+    variable = SweepVariable(args.var)
     grid = _parse_values(args.grid, "--grid")
     if len(grid) > 1 and any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("--grid values must be strictly increasing")
@@ -145,13 +155,8 @@ def cmd_optimize(args) -> int:
             doc = {"angle_rad": angle, "report": ser.rate_report_dict(report)}
             _write(args.out, ser.json_dumps(doc))
         else:
-            row = (
-                f"{ser.fmt(angle)},{ser.fmt(snr_db)},"
-                f"{ser.fmt(report.spectral_efficiency_bpshz)},"
-                f"{ser.fmt(report.upper_bound_bpshz)},{report.active_rank},"
-                f"rotation_rad={angle:.12g}"
-            )
-            _write(args.out, "x_value,snr_db,se_bpshz,ub_bpshz,active_rank,config_descriptor\n" + row + "\n")
+            point = SweepPoint(angle, snr_db, report, f"rotation_rad={angle:.12g}")
+            _write(args.out, ser.sweep_points_csv([point]))
         return 0
 
     if args.snr_grid is None:
@@ -173,15 +178,11 @@ def cmd_optimize(args) -> int:
             _write(args.out, ser.plan_csv(plan))
         return 0
 
-    # angles mode
-    angles = select_fixed_angles(scene, args.k, snr_grid, model)
+    # angles mode: the gaps are measured against the optima the selection used
+    angles, ref_se = _select_fixed_angles(scene, args.k, snr_grid, model)
     plan = fixed_angle_plan(scene, angles, snr_grid, model)
-    worst_gap = 0.0
-    for entry in plan.entries:
-        _, ref = optimize_rotation(scene, snr_db_to_linear(entry.snr_db), model)
-        ref_se = ref.spectral_efficiency_bpshz
-        if ref_se > 0:
-            worst_gap = max(worst_gap, 1.0 - entry.se_bpshz / ref_se)
+    gaps = [1.0 - e.se_bpshz / ref for e, ref in zip(plan.entries, ref_se.tolist()) if ref > 0]
+    worst_gap = max([0.0] + gaps)
     if args.format == "json":
         doc = {
             "angles_rad": angles,
@@ -201,6 +202,7 @@ def cmd_validity(args) -> int:
     dists = _parse_values(args.dist_grid, "--dist-grid")
     if any(f <= 0 for f in freqs) or any(d <= 0 for d in dists):
         raise ConfigError("frequencies and distances must be positive")
+    _check_grid_size(len(freqs) * len(dists), "validity map")
     rows = []
     for f in freqs:
         lam = SPEED_OF_LIGHT_M_S / f
@@ -279,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one variable over a grid")
     p.add_argument("config")
-    p.add_argument("--var", required=True, choices=sorted(_VARIABLES))
+    p.add_argument("--var", required=True, choices=sorted(v.value for v in SweepVariable))
     p.add_argument("--grid", required=True, help="start:step:stop or comma list")
     p.add_argument("--snr-db", help="fixed SNR in dB (non-SNR sweeps)")
     add_io(p)

@@ -45,9 +45,13 @@ def _as_points(positions) -> np.ndarray:
         raise InvalidArgumentError("at least one antenna position is required")
     if not np.all(np.isfinite(pts)):
         raise InvalidArgumentError("positions must be finite")
-    pts = pts.copy()
-    pts.setflags(write=False)
-    return pts
+    return _frozen_copy(pts)
+
+
+def _frozen_copy(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 def recompute_aperture(
@@ -249,12 +253,8 @@ class RigidPose:
             raise InvalidArgumentError("rotation must be orthonormal within 1e-12")
         if abs(np.linalg.det(rot) - 1.0) > _POSE_ATOL:
             raise InvalidArgumentError("rotation must have determinant +1")
-        rot = rot.copy()
-        tr = tr.copy()
-        rot.setflags(write=False)
-        tr.setflags(write=False)
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", tr)
+        object.__setattr__(self, "rotation", _frozen_copy(rot))
+        object.__setattr__(self, "translation", _frozen_copy(tr))
 
     @classmethod
     def identity(cls) -> "RigidPose":
@@ -285,9 +285,12 @@ def rotate_in_link_plane(layout: ArrayLayout, angle_rad: float) -> RigidPose:
         raise InvalidArgumentError("layout must be an ArrayLayout")
     if not np.isfinite(angle_rad):
         raise InvalidArgumentError("angle_rad must be finite")
+    return RigidPose(_link_plane_rotation(angle_rad), np.zeros(3))
+
+
+def _link_plane_rotation(angle_rad: float) -> np.ndarray:
     c, s = math.cos(angle_rad), math.sin(angle_rad)
-    rot = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-    return RigidPose(rot, np.zeros(3))
+    return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,12 +312,7 @@ class LinkScene:
     def __post_init__(self):
         _check_positive(self.separation_m, "separation_m")
         _check_positive(self.wavelength_m, "wavelength_m")
-        axial = abs(self.rx_centroid()[2] - self.tx_centroid()[2])
-        if abs(axial - self.separation_m) > _AXIAL_RTOL * self.separation_m:
-            raise InvalidArgumentError(
-                f"posed centroids are {axial!r} m apart along the link axis, "
-                f"expected separation_m = {self.separation_m!r}"
-            )
+        _check_axial(self.tx_positions(), self.rx_positions(), self.separation_m)
 
     def tx_positions(self) -> np.ndarray:
         return self.tx_pose.apply(self.tx.positions)
@@ -358,10 +356,28 @@ def link_scene(
     anchors = (np.zeros(3), np.array([0.0, 0.0, float(separation_m)]))
     posed = []
     for layout, pose, anchor in ((tx, tx_pose, anchors[0]), (rx, rx_pose, anchors[1])):
-        centroid = layout.positions.mean(axis=0)
-        shift = anchor + pose.translation - pose.rotation @ centroid
+        shift = _pose_shift(layout.positions, pose.rotation, anchor + pose.translation)
         posed.append(RigidPose(pose.rotation, shift))
     return LinkScene(tx, rx, posed[0], posed[1], float(separation_m), float(wavelength_m))
+
+
+def _pose_shift(points: np.ndarray, rotation: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Translation that puts the centroid of the rotated points on ``anchor``."""
+    return anchor - rotation @ points.mean(axis=0)
+
+
+def _posed_points(points: np.ndarray, rotation: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Points turned about their centroid, which lands on ``anchor`` (as in link_scene)."""
+    return points @ rotation.T + _pose_shift(points, rotation, anchor)
+
+
+def _check_axial(tx_points: np.ndarray, rx_points: np.ndarray, separation_m: float):
+    axial = abs(rx_points.mean(axis=0)[2] - tx_points.mean(axis=0)[2])
+    if abs(axial - separation_m) > _AXIAL_RTOL * separation_m:
+        raise InvalidArgumentError(
+            f"posed centroids are {axial!r} m apart along the link axis, "
+            f"expected separation_m = {separation_m!r}"
+        )
 
 
 def transpose_scene(scene: LinkScene) -> LinkScene:

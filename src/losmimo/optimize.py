@@ -19,12 +19,13 @@ from ._search import golden_max
 from .capacity import (
     PowerAllocation,
     RateReport,
+    _check_snr,
+    _rate_report,
+    _squared_singular_values,
+    _waterfill,
     capacity_upper_bound,
-    gain_spectrum,
-    rate_report,
-    waterfilling,
 )
-from .channel import SPEED_OF_LIGHT_M_S, WavefrontModel, channel_matrix
+from .channel import SPEED_OF_LIGHT_M_S, WavefrontModel, _channel_entries
 from .errors import (
     IncompatibleModeError,
     InvalidArgumentError,
@@ -34,16 +35,20 @@ from .errors import (
 from .geometry import (
     Archetype,
     LinkScene,
-    RigidPose,
+    _check_axial,
+    _check_positive,
+    _frozen_copy,
+    _link_plane_rotation,
+    _posed_points,
     build_aosa,
-    link_scene,
-    rotate_in_link_plane,
     scale_layout,
 )
 
 _ROTATION_GRID_POINTS = 65
 _ANGLE_CANDIDATES = 33
 _ANGLE_TOL_RAD = 1e-4
+_LABELS = {"snr": "snr_db", "eta": "eta", "freq": "freq_hz", "rotation": "rotation_rad",
+           "tilt": "tilt_rad", "offset": "offset_m"}
 
 
 class SweepVariable(Enum):
@@ -71,9 +76,7 @@ class SweepSpec:
             raise InvalidArgumentError("sweep grid must be a non-empty finite 1-D array")
         if g.size > 1 and np.any(np.diff(g) <= 0):
             raise InvalidArgumentError("sweep grid must be strictly increasing")
-        g = g.copy()
-        g.setflags(write=False)
-        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "grid", _frozen_copy(g))
 
 
 @dataclass(frozen=True)
@@ -125,40 +128,72 @@ def _require_ula_pair(scene: LinkScene, what: str):
         )
 
 
-def _with_rotation(scene: LinkScene, angle_tx: float, angle_rx: float) -> LinkScene:
-    """Re-pose both arrays from broadside by in-plane rotation angles."""
-    return link_scene(
-        scene.tx,
-        scene.rx,
-        scene.separation_m,
-        scene.wavelength_m,
-        tx_pose=rotate_in_link_plane(scene.tx, angle_tx),
-        rx_pose=rotate_in_link_plane(scene.rx, angle_rx),
-    )
+def _snr_grid(snr_grid_db) -> list[float]:
+    snr_grid_db = [float(s) for s in snr_grid_db]
+    if not snr_grid_db or any(b <= a for a, b in zip(snr_grid_db, snr_grid_db[1:])):
+        raise InvalidArgumentError("snr_grid_db must be non-empty and increasing")
+    return snr_grid_db
 
 
-def _with_eta(scene: LinkScene, eta: float) -> LinkScene:
-    """Rescale both layouts so each broadside aperture hits sqrt(eta*lam*D*N)."""
-    target = math.sqrt(eta * scene.wavelength_m * scene.separation_m * scene.n_min)
-    scaled = []
-    for layout in (scene.tx, scene.rx):
-        if layout.aperture_m <= 0:
-            raise IncompatibleModeError("eta sweep needs layouts with positive aperture")
-        scaled.append(scale_layout(layout, target / layout.aperture_m))
-    return link_scene(
-        scaled[0],
-        scaled[1],
-        scene.separation_m,
-        scene.wavelength_m,
-        tx_pose=RigidPose(scene.tx_pose.rotation, np.zeros(3)),
-        rx_pose=RigidPose(scene.rx_pose.rotation, np.zeros(3)),
-    )
+def _gains(scene: LinkScene, model, rotations=None, rx_offset_m=0.0, layouts=None,
+           wavelength_m=None) -> np.ndarray:
+    """Squared singular values of a variant of ``scene``: the one evaluation path.
+
+    A (tx, rx) pair of ``rotations`` re-poses the layouts (or ``layouts``) as
+    :func:`link_scene` would, rx centroid at (rx_offset_m, 0, D); without it
+    the arrays keep their poses.  ``wavelength_m`` replaces the carrier.
+    """
+    lam = scene.wavelength_m if wavelength_m is None else wavelength_m
+    _check_positive(lam, "wavelength_m")
+    if rotations is None:
+        tx_pts, rx_pts = scene.tx_positions(), scene.rx_positions()
+    else:
+        tx, rx = layouts or (scene.tx, scene.rx)
+        d = scene.separation_m
+        tx_pts = _posed_points(tx.positions, rotations[0], np.zeros(3))
+        rx_pts = _posed_points(rx.positions, rotations[1], np.array([rx_offset_m, 0.0, d]))
+        _check_axial(tx_pts, rx_pts, d)
+    return _squared_singular_values(_channel_entries(tx_pts, rx_pts, lam, model))
 
 
-def _se_of_scene(scene: LinkScene, model: WavefrontModel, snr_linear: float) -> float:
-    spectrum = gain_spectrum(channel_matrix(scene, model))
-    _, se = waterfilling(spectrum, snr_linear)
-    return se
+def _rotated(scene: LinkScene, model, angle_tx: float, angle_rx: float) -> np.ndarray:
+    """Gains with both arrays re-posed from broadside by in-plane angles."""
+    return _gains(scene, model, (_link_plane_rotation(angle_tx), _link_plane_rotation(angle_rx)))
+
+
+def _report(scene: LinkScene, gains: np.ndarray, snr_linear: float) -> RateReport:
+    return _rate_report(gains, scene.tx.element_count, scene.rx.element_count, snr_linear)
+
+
+def _best_rotation(scene: LinkScene, snr_linear: float, model, independent: bool):
+    """Search of :func:`optimize_rotation` on validated inputs: (angle(s), se)."""
+
+    def se(pair):
+        return _waterfill(_rotated(scene, model, *pair), snr_linear)[1]
+
+    # coarse grid of angles (of tx x rx angle pairs when independent), then
+    # golden section within one grid step of the first best point, per angle
+    n = _ANGLE_CANDIDATES if independent else _ROTATION_GRID_POINTS
+    grid = np.linspace(0.0, np.pi / 2, n)
+    pairs = [(a, b) for a in grid for b in grid] if independent else [(a, a) for a in grid]
+    ses = np.array([se(p) for p in pairs])
+    i = int(np.argmax(ses))  # first max: smallest angle wins ties
+    angles, best_se = [float(a) for a in pairs[i]], float(ses[i])
+    for axes, j in (((0,), i // n), ((1,), i % n)) if independent else (((0, 1), i),):
+
+        def f(a, axes=axes):
+            pair = list(angles)
+            for axis in axes:
+                pair[axis] = a
+            return se(pair)
+
+        lo, hi = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, n - 1)])
+        cand, cand_se = golden_max(f, lo, hi, tol=_ANGLE_TOL_RAD)
+        if cand_se > best_se:
+            best_se = float(cand_se)
+            for axis in axes:
+                angles[axis] = float(cand)
+    return (tuple(angles) if independent else angles[0]), best_se
 
 
 def optimize_rotation(
@@ -176,52 +211,24 @@ def optimize_rotation(
     angle (so a flat landscape reports broadside).
     """
     _require_ula_pair(scene, "optimize_rotation")
-    grid = np.linspace(0.0, np.pi / 2, _ROTATION_GRID_POINTS)
+    _check_snr(snr_linear)
+    best, _ = _best_rotation(scene, snr_linear, model, independent)
+    pair = best if independent else (best, best)
+    return best, _report(scene, _rotated(scene, model, *pair), snr_linear)
 
-    if not independent:
-        ses = np.array([_se_of_scene(_with_rotation(scene, a, a), model, snr_linear) for a in grid])
-        i = int(np.argmax(ses))  # first max: smallest angle wins ties
-        best_angle, best_se = float(grid[i]), float(ses[i])
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        cand, cand_se = golden_max(
-            lambda a: _se_of_scene(_with_rotation(scene, a, a), model, snr_linear),
-            float(lo),
-            float(hi),
-            tol=_ANGLE_TOL_RAD,
-        )
-        if cand_se > best_se:
-            best_angle, best_se = float(cand), float(cand_se)
-        return best_angle, rate_report(
-            channel_matrix(_with_rotation(scene, best_angle, best_angle), model),
-            snr_linear,
-        )
 
-    coarse = np.linspace(0.0, np.pi / 2, _ANGLE_CANDIDATES)
-    table = np.array(
-        [
-            [_se_of_scene(_with_rotation(scene, at, ar), model, snr_linear) for ar in coarse]
-            for at in coarse
-        ]
-    )
-    it, ir = np.unravel_index(int(np.argmax(table)), table.shape)
-    angles = [float(coarse[it]), float(coarse[ir])]
-    best_se = float(table[it, ir])
-    for axis, idx in ((0, it), (1, ir)):
-        lo = float(coarse[max(idx - 1, 0)])
-        hi = float(coarse[min(idx + 1, coarse.size - 1)])
-
-        def f(a, axis=axis):
-            pair = list(angles)
-            pair[axis] = a
-            return _se_of_scene(_with_rotation(scene, pair[0], pair[1]), model, snr_linear)
-
-        cand, cand_se = golden_max(f, lo, hi, tol=_ANGLE_TOL_RAD)
-        if cand_se > best_se:
-            angles[axis], best_se = float(cand), float(cand_se)
-    report = rate_report(
-        channel_matrix(_with_rotation(scene, angles[0], angles[1]), model), snr_linear
-    )
-    return (angles[0], angles[1]), report
+def _best_per_snr(candidates, snr_grid_db, n_t: int, n_r: int) -> ArchitecturePlan:
+    """Plan of the (descriptor, gains) candidate with the highest SE at each
+    SNR; the earlier candidate wins ties."""
+    entries = []
+    for snr_db in snr_grid_db:
+        snr = snr_db_to_linear(snr_db)
+        _check_snr(snr)
+        rated = [(d, *_waterfill(gains, snr)) for d, gains in candidates]
+        descriptor, fractions, se = max(rated, key=lambda t: t[2])  # first of equal SEs
+        rank = int(np.count_nonzero(fractions > 0))
+        entries.append(PlanEntry(snr_db, descriptor, se, capacity_upper_bound(n_t, n_r, snr), rank))
+    return ArchitecturePlan(tuple(entries))
 
 
 def fixed_angle_plan(
@@ -231,36 +238,14 @@ def fixed_angle_plan(
     model: WavefrontModel,
 ) -> ArchitecturePlan:
     """Best of a fixed set of rotation angles at each SNR on the grid."""
-    angles = [float(a) for a in angles]
+    angles = sorted(float(a) for a in angles)  # smaller angle wins ties
     if not angles:
         raise InvalidArgumentError("at least one angle is required")
-    snr_grid_db = [float(s) for s in snr_grid_db]
-    if not snr_grid_db or any(b <= a for a, b in zip(snr_grid_db, snr_grid_db[1:])):
-        raise InvalidArgumentError("snr_grid_db must be non-empty and increasing")
-    order = sorted(range(len(angles)), key=lambda i: angles[i])
-    spectra = {
-        i: gain_spectrum(channel_matrix(_with_rotation(scene, angles[i], angles[i]), model))
-        for i in order
-    }
-    n_t, n_r = scene.tx.element_count, scene.rx.element_count
-    entries = []
-    for snr_db in snr_grid_db:
-        snr = snr_db_to_linear(snr_db)
-        best_i, best_se, best_alloc = None, -np.inf, None
-        for i in order:  # ascending angle, strict improvement: smaller angle wins ties
-            alloc, se = waterfilling(spectra[i], snr)
-            if se > best_se:
-                best_i, best_se, best_alloc = i, se, alloc
-        entries.append(
-            PlanEntry(
-                snr_db=snr_db,
-                config_descriptor=f"rotation_rad={angles[best_i]:.12g}",
-                se_bpshz=best_se,
-                ub_bpshz=capacity_upper_bound(n_t, n_r, snr),
-                active_rank=int(np.count_nonzero(best_alloc.fractions > 0)),
-            )
-        )
-    return ArchitecturePlan(tuple(entries))
+    snr_grid_db = _snr_grid(snr_grid_db)
+    if not all(math.isfinite(a) for a in angles):
+        raise InvalidArgumentError("angle_rad must be finite")
+    candidates = [(f"rotation_rad={a:.12g}", _rotated(scene, model, a, a)) for a in angles]
+    return _best_per_snr(candidates, snr_grid_db, scene.tx.element_count, scene.rx.element_count)
 
 
 def select_fixed_angles(
@@ -269,56 +254,43 @@ def select_fixed_angles(
     snr_grid_db,
     model: WavefrontModel,
 ):
-    """Pick k rotation angles minimizing the worst-case SE gap to the optimum.
+    """Pick k <= 33 rotation angles minimizing the worst-case SE gap to the optimum.
 
     Candidates come from a 33-point grid on [0, pi/2]; the search is
     exhaustive for k <= 3 and augments the best triple greedily beyond
     that.  The gap at each SNR is measured against optimize_rotation.
     """
+    return _select_fixed_angles(scene, k, snr_grid_db, model)[0]
+
+
+def _select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model):
+    """:func:`select_fixed_angles` plus the optimal SE at each SNR it measured
+    the gaps against."""
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidArgumentError("k must be a positive integer")
+    if k > _ANGLE_CANDIDATES:
+        raise InvalidArgumentError(f"k must be at most {_ANGLE_CANDIDATES}, got {k}")
     _require_ula_pair(scene, "select_fixed_angles")
-    snr_grid_db = [float(s) for s in snr_grid_db]
-    if not snr_grid_db:
+    snr_lin = [snr_db_to_linear(float(s)) for s in snr_grid_db]
+    if not snr_lin:
         raise InvalidArgumentError("snr_grid_db must be non-empty")
+    for s in snr_lin:
+        _check_snr(s)
     candidates = np.linspace(0.0, np.pi / 2, _ANGLE_CANDIDATES)
-    spectra = [
-        gain_spectrum(channel_matrix(_with_rotation(scene, a, a), model))
-        for a in candidates
-    ]
-    snr_lin = [snr_db_to_linear(s) for s in snr_grid_db]
-    table = np.array(
-        [[waterfilling(sp, s)[1] for s in snr_lin] for sp in spectra]
-    )  # candidate x snr
-    ref = np.array(
-        [optimize_rotation(scene, s, model)[1].spectral_efficiency_bpshz for s in snr_lin]
-    )
+    spectra = [_rotated(scene, model, a, a) for a in candidates]
+    table = np.array([[_waterfill(g, s)[1] for s in snr_lin] for g in spectra])  # candidate x snr
+    ref = np.array([_best_rotation(scene, s, model, False)[1] for s in snr_lin])
 
     def worst_gap(idx_tuple):
         plan = table[list(idx_tuple)].max(axis=0)
         return float((1.0 - plan / ref).max())
 
-    k_core = min(k, 3)
-    best_combo, best_gap = None, np.inf
-    for combo in combinations(range(candidates.size), k_core):
-        gap = worst_gap(combo)
-        if gap < best_gap:
-            best_combo, best_gap = combo, gap
-    chosen = list(best_combo)
-    while len(chosen) < min(k, candidates.size):
-        best_add, best_add_gap = None, np.inf
-        for c in range(candidates.size):
-            if c in chosen:
-                continue
-            gap = worst_gap(tuple(chosen) + (c,))
-            if gap < best_add_gap:
-                best_add, best_add_gap = c, gap
-        chosen.append(best_add)
-    return sorted(float(candidates[c]) for c in chosen[:k])
-
-
-def _divisors(n: int):
-    return [d for d in range(1, n + 1) if n % d == 0]
+    # min() keeps the first of equal gaps, in candidate order
+    chosen = list(min(combinations(range(candidates.size), min(k, 3)), key=worst_gap))
+    while len(chosen) < k:
+        rest = [c for c in range(candidates.size) if c not in chosen]
+        chosen.append(min(rest, key=lambda c: worst_gap(tuple(chosen) + (c,))))
+    return sorted(float(candidates[c]) for c in chosen), ref
 
 
 def aosa_schedule(
@@ -337,39 +309,18 @@ def aosa_schedule(
     """
     if not isinstance(n_total, (int, np.integer)) or n_total < 1:
         raise InvalidArgumentError("n_total must be a positive integer")
-    snr_grid_db = [float(s) for s in snr_grid_db]
-    if not snr_grid_db or any(b <= a for a, b in zip(snr_grid_db, snr_grid_db[1:])):
-        raise InvalidArgumentError("snr_grid_db must be non-empty and increasing")
+    snr_grid_db = _snr_grid(snr_grid_db)
     lam = scene_template.wavelength_m
     dist = scene_template.separation_m
     elem = lam / 4 if element_spacing_m is None else float(element_spacing_m)
-    spectra = {}
-    for r in _divisors(int(n_total)):
+    upright = (np.eye(3), np.eye(3))
+    candidates = []
+    for r in (d for d in range(1, int(n_total) + 1) if n_total % d == 0):
         sub = math.sqrt(lam * dist / r)
-        if n_total == 1:
-            layout = build_aosa(1, 1, sub, min(elem, sub / 2))
-        else:
-            layout = build_aosa(int(n_total), r, sub, elem)
-        scene_r = link_scene(layout, layout, dist, lam)
-        spectra[r] = gain_spectrum(channel_matrix(scene_r, model))
-    entries = []
-    for snr_db in snr_grid_db:
-        snr = snr_db_to_linear(snr_db)
-        best_r, best_se, best_alloc = None, -np.inf, None
-        for r in sorted(spectra):  # ascending r: smaller r wins ties
-            alloc, se = waterfilling(spectra[r], snr)
-            if se > best_se:
-                best_r, best_se, best_alloc = r, se, alloc
-        entries.append(
-            PlanEntry(
-                snr_db=snr_db,
-                config_descriptor=f"aosa_r={best_r}",
-                se_bpshz=best_se,
-                ub_bpshz=capacity_upper_bound(int(n_total), int(n_total), snr),
-                active_rank=int(np.count_nonzero(best_alloc.fractions > 0)),
-            )
-        )
-    return ArchitecturePlan(tuple(entries))
+        layout = build_aosa(int(n_total), r, sub, min(elem, sub / 2) if n_total == 1 else elem)
+        gains = _gains(scene_template, model, upright, layouts=(layout, layout))
+        candidates.append((f"aosa_r={r}", gains))
+    return _best_per_snr(candidates, snr_grid_db, int(n_total), int(n_total))
 
 
 def _beamforming_report(scene: LinkScene, snr_linear: float) -> RateReport:
@@ -387,97 +338,66 @@ def _beamforming_report(scene: LinkScene, snr_linear: float) -> RateReport:
     )
 
 
-def sweep(spec: SweepSpec, map_fn=map):
+def _sweep_gains(scene: LinkScene, model, variable: SweepVariable, x: float) -> np.ndarray:
+    """Gains of the base scene with the swept variable set to x.
+
+    Eta, tilt (rx alone) and offset re-pose the arrays from the scene's
+    rotations with no other offset.
+    """
+    base = (scene.tx_pose.rotation, scene.rx_pose.rotation)
+    if variable is SweepVariable.FREQUENCY_HZ:
+        if x <= 0:
+            raise InvalidArgumentError("frequency must be positive")
+        return _gains(scene, model, wavelength_m=SPEED_OF_LIGHT_M_S / x)
+    if variable is SweepVariable.ETA:
+        if x < 0:
+            raise InvalidArgumentError("eta must be non-negative")
+        if min(scene.tx.aperture_m, scene.rx.aperture_m) <= 0:
+            raise IncompatibleModeError("eta sweep needs layouts with positive aperture")
+        # both broadside apertures become sqrt(eta*lam*D*N)
+        target = math.sqrt(x * scene.wavelength_m * scene.separation_m * scene.n_min)
+        layouts = [scale_layout(lay, target / lay.aperture_m) for lay in (scene.tx, scene.rx)]
+        return _gains(scene, model, base, layouts=layouts)
+    if variable is SweepVariable.ROTATION_RAD:
+        return _rotated(scene, model, x, x)
+    if variable is SweepVariable.TILT_RAD:
+        return _gains(scene, model, (base[0], _link_plane_rotation(x)))
+    return _gains(scene, model, base, rx_offset_m=x)
+
+
+def sweep(spec: SweepSpec):
     """Evaluate a RateReport at every grid point, in grid order.
 
-    ``map_fn`` may be any map-like callable (e.g. a process pool's map);
-    point evaluation is pure.  Grid points whose geometry is degenerate
-    come back as error entries rather than failing the whole sweep.
+    Grid points whose geometry is degenerate come back as error entries
+    rather than failing the whole sweep.
     """
     scene = spec.base_scene
     model = spec.model
     var = spec.variable
     if var is SweepVariable.ROTATION_RAD:
         _require_ula_pair(scene, "rotation sweep")
+    label = _LABELS[var.value]
 
     if var is SweepVariable.SNR_DB:
-        spectrum = gain_spectrum(channel_matrix(scene, model))
-
-        def eval_point(x: float) -> SweepPoint:
-            snr = snr_db_to_linear(x)
-            alloc, se = waterfilling(spectrum, snr)
-            report = RateReport(
-                snr_linear=snr,
-                spectral_efficiency_bpshz=se,
-                allocation=alloc,
-                active_rank=int(np.count_nonzero(alloc.fractions > 0)),
-                upper_bound_bpshz=capacity_upper_bound(
-                    spectrum.n_t, spectrum.n_r, snr
-                ),
-            )
-            return SweepPoint(x, x, report, f"snr_db={x:.12g}")
-
-        return list(map_fn(eval_point, spec.grid.tolist()))
+        gains = _gains(scene, model)
+        return [
+            SweepPoint(x, x, _report(scene, gains, snr_db_to_linear(x)), f"{label}={x:.12g}")
+            for x in spec.grid.tolist()
+        ]
 
     snr_fixed = snr_db_to_linear(spec.snr_db)
-    rebuilders = {
-        SweepVariable.ETA: ("eta", lambda x: _with_eta(scene, x)),
-        SweepVariable.FREQUENCY_HZ: (
-            "freq_hz",
-            lambda x: LinkScene(
-                scene.tx,
-                scene.rx,
-                scene.tx_pose,
-                scene.rx_pose,
-                scene.separation_m,
-                SPEED_OF_LIGHT_M_S / x,
-            ),
-        ),
-        SweepVariable.ROTATION_RAD: (
-            "rotation_rad",
-            lambda x: _with_rotation(scene, x, x),
-        ),
-        SweepVariable.TILT_RAD: (
-            "tilt_rad",
-            lambda x: link_scene(
-                scene.tx,
-                scene.rx,
-                scene.separation_m,
-                scene.wavelength_m,
-                tx_pose=RigidPose(scene.tx_pose.rotation, np.zeros(3)),
-                rx_pose=rotate_in_link_plane(scene.rx, x),
-            ),
-        ),
-        SweepVariable.OFFSET_M: (
-            "offset_m",
-            lambda x: link_scene(
-                scene.tx,
-                scene.rx,
-                scene.separation_m,
-                scene.wavelength_m,
-                tx_pose=RigidPose(scene.tx_pose.rotation, np.zeros(3)),
-                rx_pose=RigidPose(scene.rx_pose.rotation, np.array([x, 0.0, 0.0])),
-            ),
-        ),
-    }
-    label, rebuild = rebuilders[var]
-
-    def eval_point(x: float) -> SweepPoint:
+    points = []
+    for x in spec.grid.tolist():
         descriptor = f"{label}={x:.12g}"
         try:
             if var is SweepVariable.ETA and x == 0.0:
                 # aperture -> 0 limit collapses to pure beamforming
                 report = _beamforming_report(scene, snr_fixed)
             else:
-                if var is SweepVariable.FREQUENCY_HZ and x <= 0:
-                    raise InvalidArgumentError("frequency must be positive")
-                if var is SweepVariable.ETA and x < 0:
-                    raise InvalidArgumentError("eta must be non-negative")
-                report = rate_report(channel_matrix(rebuild(x), model), snr_fixed)
-            return SweepPoint(x, spec.snr_db, report, descriptor)
+                report = _report(scene, _sweep_gains(scene, model, var, x), snr_fixed)
+            points.append(SweepPoint(x, spec.snr_db, report, descriptor))
         except LosMimoError as exc:
-            return SweepPoint(
-                x, spec.snr_db, None, descriptor, error=f"{type(exc).__name__}: {exc}"
+            points.append(
+                SweepPoint(x, spec.snr_db, None, descriptor, error=f"{type(exc).__name__}: {exc}")
             )
-
-    return list(map_fn(eval_point, spec.grid.tolist()))
+    return points

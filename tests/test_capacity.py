@@ -11,9 +11,12 @@ from losmimo import (
     PowerAllocation,
     RateReport,
     WavefrontModel,
+    build_ula,
     capacity_upper_bound,
     capacity_upper_bound_integer,
+    channel_matrix,
     gain_spectrum,
+    link_scene,
     polarized_rate,
     rate_report,
     uniform_rate,
@@ -79,6 +82,30 @@ def test_waterfilling_zero_spectrum_raises():
         waterfilling(_spec([0.0, 0.0]), 1.0)
     with pytest.raises(InvalidArgumentError):
         waterfilling(_spec([1.0]), 0.0)
+
+
+def test_waterfilling_at_minus_200_db_puts_all_power_on_rank_one():
+    # the water level rounds away even for one mode; 0/0 used to give NaN
+    h = channel_matrix(
+        link_scene(build_ula(4, 0.035), build_ula(4, 0.035), 5.0, 1e-3),
+        WavefrontModel.SPHERICAL,
+    )
+    alloc, se = waterfilling(gain_spectrum(h), 1e-20)
+    assert alloc.fractions.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert math.isfinite(se) and se > 0.0
+    assert se <= capacity_upper_bound(4, 4, 1e-20)
+
+
+def test_capacity_upper_bound_is_the_polarized_rate_at_the_peak_rank():
+    x_star = 3.921553634567504
+    assert math.log1p(x_star) == pytest.approx(2 * x_star / (1 + x_star), rel=1e-15)
+    for n_t, n_r, snr in ((8, 8, 1.0), (16, 4, 0.3), (64, 64, 0.05)):
+        rank = math.sqrt(snr * n_t * n_r / x_star)
+        assert 1.0 < rank < min(n_t, n_r)
+        assert capacity_upper_bound(n_t, n_r, snr) == polarized_rate(n_t, n_r, rank, snr)
+    # the peak rank is clipped to [1, n_min]
+    assert capacity_upper_bound(4, 4, 1e-3) == polarized_rate(4, 4, 1, 1e-3)
+    assert capacity_upper_bound(4, 4, 1e3) == polarized_rate(4, 4, 4, 1e3)
 
 
 def test_waterfilling_dominates_uniform_everywhere():

@@ -115,6 +115,20 @@ def test_sweep_rejects_bad_grids(scene_path, capsys):
     assert main(["sweep", scene_path, "--var", "snr", "--grid", "abc"]) == 2
 
 
+def test_sweep_rejects_oversize_grid(scene_path, capsys):
+    # 10**12 points would be built before the limit existed
+    assert main(["sweep", scene_path, "--var", "snr", "--grid", "0:1e-12:1"]) == 2
+    assert "more than the limit of 1000000" in capsys.readouterr().err
+    assert main(["sweep", scene_path, "--var", "snr", "--grid", "0:1:1000000"]) == 2
+    capsys.readouterr()
+
+
+def test_sweep_rejects_grid_whose_size_overflows(scene_path, capsys):
+    # (stop - start) / step is inf: was an uncaught OverflowError
+    assert main(["sweep", scene_path, "--var", "snr", "--grid", "0:1e-320:1"]) == 2
+    assert "bad --grid" in capsys.readouterr().err
+
+
 def test_sweep_eta_fixed_snr_from_config(scene_path, capsys):
     assert main(["sweep", scene_path, "--var", "eta", "--grid", "0.5,1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -187,6 +201,38 @@ def test_optimize_angles_reports_gap(scene_path, capsys):
     assert len(doc["angles_rad"]) == 2
     assert doc["worst_case_gap"] >= 0.0
     assert len(doc["plan"]) == 3
+
+
+def test_optimize_angles_rejects_more_angles_than_candidates(scene_path, capsys):
+    args = ["optimize", scene_path, "--mode", "angles", "--snr-grid", "0"]
+    assert main(args + ["--k", "34"]) == 2
+    assert "k must be at most" in capsys.readouterr().err
+
+
+def test_capacity_at_minus_200_db(scene_path, capsys):
+    assert main(["capacity", scene_path, "--snr-db=-200", "--format", "json"]) == 0
+    (doc,) = json.loads(capsys.readouterr().out)
+    assert doc["allocation"] == [1.0, 0.0, 0.0, 0.0]
+    assert doc["active_rank"] == 1
+    assert 0.0 < doc["se_bpshz"] <= doc["ub_bpshz"]
+
+
+def test_validity_rejects_oversize_map(capsys):
+    code = main(
+        [
+            "validity",
+            "--freq-grid",
+            "1e9:1e9:1001e9",
+            "--dist-grid",
+            "1:1:1000",
+            "--tx-aperture",
+            "0.5",
+            "--rx-aperture",
+            "0.5",
+        ]
+    )
+    assert code == 2
+    assert "validity map has 1001000 points" in capsys.readouterr().err
 
 
 def test_validity_map(capsys):

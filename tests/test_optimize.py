@@ -282,3 +282,11 @@ def test_aosa_schedule_rejects_non_increasing_grid():
     sc = _ula_scene()
     with pytest.raises(InvalidArgumentError):
         aosa_schedule(4, sc, [0.0, 0.0], WavefrontModel.FRESNEL)
+
+
+def test_select_fixed_angles_rejects_more_than_the_candidates():
+    sc = _ula_scene(eta=1.0)
+    with pytest.raises(InvalidArgumentError, match="at most"):
+        select_fixed_angles(sc, 34, [0.0], WavefrontModel.FRESNEL)
+    angles = select_fixed_angles(sc, 33, [0.0], WavefrontModel.FRESNEL)
+    assert angles == np.linspace(0.0, math.pi / 2, 33).tolist()
