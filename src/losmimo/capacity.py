@@ -100,9 +100,15 @@ class RateReport:
         return 10.0 * math.log10(self.snr_linear)
 
 
-def _check_snr(snr_linear: float):
+def _check_snr(snr_linear: float, array_gain: int = 1):
+    """Reject an SNR that is not positive, or whose full array gain
+    snr * n_t * n_r (``array_gain`` = n_t * n_r) overflows a float."""
     if not (np.isfinite(snr_linear) and snr_linear > 0):
         raise InvalidArgumentError(f"snr_linear must be positive, got {snr_linear!r}")
+    if not math.isfinite(float(snr_linear) * array_gain):
+        raise InvalidArgumentError(
+            f"snr_linear {snr_linear!r} times the array gain {array_gain} overflows"
+        )
 
 
 def gain_spectrum(h: ChannelMatrix) -> GainSpectrum:
@@ -188,11 +194,12 @@ def capacity_upper_bound(n_t: int, n_r: int, snr_linear: float) -> float:
     r * log2(1 + a / r**2) with a = snr * n_t * n_r rises while a / r**2
     exceeds the root x* of ln(1 + x) = 2x / (1 + x) and falls after, so the
     maximum sits at r* = sqrt(a / x*), clipped to [1, min(n_t, n_r)].
+    Raises when a is not finite.
     """
-    _check_snr(snr_linear)
     n_min = min(n_t, n_r)
     if not isinstance(n_min, (int, np.integer)) or n_min < 1:
         raise InvalidArgumentError("antenna counts must be positive integers")
+    _check_snr(snr_linear, n_t * n_r)
     peak = math.sqrt(snr_linear * n_t * n_r / _POLARIZED_PEAK_X)
     return float(_polarized_value(n_t, n_r, min(max(peak, 1.0), n_min), snr_linear))
 
@@ -216,8 +223,12 @@ def rate_report(h: ChannelMatrix, snr_linear: float) -> RateReport:
 
 def _rate_report(gains: np.ndarray, n_t: int, n_r: int, snr_linear: float) -> RateReport:
     """Body of :func:`rate_report` on the descending gains of an n_r x n_t channel."""
-    _check_snr(snr_linear)
-    fractions, se = _waterfill(gains, snr_linear)
+    _check_snr(snr_linear, n_t * n_r)
+    return _waterfilled_report(*_waterfill(gains, snr_linear), n_t, n_r, snr_linear)
+
+
+def _waterfilled_report(fractions, se, n_t: int, n_r: int, snr_linear: float) -> RateReport:
+    """Report of a power split and its SE on an n_r x n_t channel."""
     return RateReport(
         snr_linear=float(snr_linear),
         spectral_efficiency_bpshz=se,

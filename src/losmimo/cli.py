@@ -80,6 +80,14 @@ def _write(out_path, text: str):
         sys.stdout.write(text)
 
 
+def _write_rows(args, rows):
+    """Sweep rows (or plan rows) as CSV, or as a JSON list with --format json."""
+    if args.format == "json":
+        _write(args.out, ser.json_dumps(ser.sweep_points_json(rows)))
+    else:
+        _write(args.out, ser.sweep_points_csv(rows))
+
+
 def _fixed_snr_db(args, cfg) -> float:
     if args.snr_db is not None:
         values = _parse_values(args.snr_db, "--snr-db")
@@ -136,11 +144,7 @@ def cmd_sweep(args) -> int:
         model=cfg.model,
         snr_db=snr_db,
     )
-    points = sweep(spec)
-    if args.format == "json":
-        _write(args.out, ser.json_dumps(ser.sweep_points_json(points)))
-    else:
-        _write(args.out, ser.sweep_points_csv(points))
+    _write_rows(args, sweep(spec))
     return 0
 
 
@@ -155,8 +159,7 @@ def cmd_optimize(args) -> int:
             doc = {"angle_rad": angle, "report": ser.rate_report_dict(report)}
             _write(args.out, ser.json_dumps(doc))
         else:
-            point = SweepPoint(angle, snr_db, report, f"rotation_rad={angle:.12g}")
-            _write(args.out, ser.sweep_points_csv([point]))
+            _write_rows(args, [SweepPoint(angle, snr_db, report, f"rotation_rad={angle:.12g}")])
         return 0
 
     if args.snr_grid is None:
@@ -169,29 +172,25 @@ def cmd_optimize(args) -> int:
                 "optimize --mode aosa needs 'aosa' array blocks in the config"
             )
         elem = cfg.tx_block.get("element_spacing_m")
-        plan = aosa_schedule(
-            scene.tx.element_count, scene, snr_grid, model, element_spacing_m=elem
-        )
-        if args.format == "json":
-            _write(args.out, ser.json_dumps(ser.plan_json(plan)))
-        else:
-            _write(args.out, ser.plan_csv(plan))
+        n = scene.tx.element_count
+        _write_rows(args, aosa_schedule(n, scene, snr_grid, model, element_spacing_m=elem))
         return 0
 
     # angles mode: the gaps are measured against the optima the selection used
     angles, ref_se = _select_fixed_angles(scene, args.k, snr_grid, model)
     plan = fixed_angle_plan(scene, angles, snr_grid, model)
-    gaps = [1.0 - e.se_bpshz / ref for e, ref in zip(plan.entries, ref_se.tolist()) if ref > 0]
+    ses = [row.report.spectral_efficiency_bpshz for row in plan]
+    gaps = [1.0 - se / ref for se, ref in zip(ses, ref_se.tolist()) if ref > 0]
     worst_gap = max([0.0] + gaps)
     if args.format == "json":
         doc = {
             "angles_rad": angles,
             "worst_case_gap": worst_gap,
-            "plan": ser.plan_json(plan),
+            "plan": ser.sweep_points_json(plan),
         }
         _write(args.out, ser.json_dumps(doc))
     else:
-        _write(args.out, ser.plan_csv(plan))
+        _write_rows(args, plan)
     return 0
 
 
@@ -239,15 +238,7 @@ def cmd_phase_profile(args) -> int:
     summary = ser.phase_summary_dict(profile, c2_predicted)
     if args.format == "json":
         doc = dict(summary)
-        x = profile.displacements_m
-        c0, c1, c2 = profile.quadratic_fit
-        b0, b1 = profile.linear_fit
-        doc["samples"] = {
-            "displacement_m": x.tolist(),
-            "phase_rad": profile.phase_rad.tolist(),
-            "quadratic_fit_rad": (c0 + c1 * x + c2 * x * x).tolist(),
-            "linear_fit_rad": (b0 + b1 * x).tolist(),
-        }
+        doc["samples"] = {name: col.tolist() for name, col in ser._phase_columns(profile).items()}
         _write(args.out, ser.json_dumps(doc))
     else:
         _write(args.out, ser.phase_profile_csv(profile))

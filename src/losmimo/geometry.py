@@ -27,6 +27,7 @@ _CENTROID_RTOL = 1e-12
 _APERTURE_RTOL = 1e-9
 _POSE_ATOL = 1e-12
 _AXIAL_RTOL = 1e-9
+_DIAMETER_BLOCK_PAIRS = 1 << 17  # point pairs per block of the CUSTOM diameter
 
 
 class Archetype(Enum):
@@ -61,7 +62,8 @@ def recompute_aperture(
 
     Returns None when the positions alone do not determine it (a single
     antenna, or a single subarray, keeps its declared spacing as the
-    aperture).  Works on (n, 2) projected points as well as (n, 3).
+    aperture).  Works on (n, 2) projected points as well as (n, 3); a URA
+    reports the larger of its two sides.
     """
     n = positions.shape[0]
     if archetype is Archetype.ULA:
@@ -74,7 +76,9 @@ def recompute_aperture(
             raise InvalidArgumentError("URA element count must be a perfect square")
         if side == 1:
             return None
-        return side * float(np.linalg.norm(positions[1] - positions[0]))
+        dx = float(np.linalg.norm(positions[1] - positions[0]))
+        dy = float(np.linalg.norm(positions[side] - positions[0]))
+        return side * max(dx, dy)
     if archetype is Archetype.UCA:
         # circle center sits at the local origin by convention
         return 2.0 * float(np.max(np.linalg.norm(positions, axis=1)))
@@ -85,11 +89,19 @@ def recompute_aperture(
             return None
         centers = positions.reshape(subarray_count, n // subarray_count, -1).mean(axis=1)
         return subarray_count * float(np.linalg.norm(centers[1] - centers[0]))
-    # CUSTOM: the diameter of the point set
+    # CUSTOM: the diameter of the point set, over blocks of rows so the
+    # pairwise differences never take more than a few MB
     if n == 1:
         return 0.0
-    diffs = positions[:, None, :] - positions[None, :, :]
-    return float(np.sqrt((diffs**2).sum(-1)).max())
+    rows = max(1, _DIAMETER_BLOCK_PAIRS // n)
+    blocks = (positions[i : i + rows, None, :] - positions[None, :, :] for i in range(0, n, rows))
+    return max(float(np.sqrt((diffs**2).sum(-1)).max()) for diffs in blocks)
+
+
+def _aperture_or(declared: float, positions, archetype, subarray_count=None) -> float:
+    """:func:`recompute_aperture`, or ``declared`` where the positions do not determine it."""
+    aperture = recompute_aperture(positions, archetype, subarray_count)
+    return declared if aperture is None else aperture
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,10 +158,7 @@ def build_ula(n: int, spacing_m: float) -> ArrayLayout:
     _check_positive(spacing_m, "spacing_m")
     x = (np.arange(n) - (n - 1) / 2) * spacing_m
     pts = np.column_stack([x, np.zeros(n), np.zeros(n)])
-    aperture = recompute_aperture(pts, Archetype.ULA)
-    if aperture is None:
-        aperture = float(spacing_m)
-    return ArrayLayout(pts, Archetype.ULA, aperture, n)
+    return ArrayLayout(pts, Archetype.ULA, _aperture_or(float(spacing_m), pts, Archetype.ULA), n)
 
 
 def build_ura(n_side: int, spacing_m: float) -> ArrayLayout:
@@ -159,9 +168,7 @@ def build_ura(n_side: int, spacing_m: float) -> ArrayLayout:
     c = (np.arange(n_side) - (n_side - 1) / 2) * spacing_m
     gy, gx = np.meshgrid(c, c, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n_side * n_side)])
-    aperture = recompute_aperture(pts, Archetype.URA)
-    if aperture is None:
-        aperture = float(spacing_m)
+    aperture = _aperture_or(float(spacing_m), pts, Archetype.URA)
     return ArrayLayout(pts, Archetype.URA, aperture, n_side * n_side)
 
 
@@ -209,9 +216,7 @@ def build_aosa(
     within = (np.arange(k) - (k - 1) / 2) * element_spacing_m
     x = (centers[:, None] + within[None, :]).ravel()
     pts = np.column_stack([x, np.zeros(n_total), np.zeros(n_total)])
-    aperture = recompute_aperture(pts, Archetype.AOSA, n_subarrays)
-    if aperture is None:
-        aperture = float(subarray_spacing_m)
+    aperture = _aperture_or(float(subarray_spacing_m), pts, Archetype.AOSA, n_subarrays)
     return ArrayLayout(pts, Archetype.AOSA, aperture, n_total, n_subarrays)
 
 
@@ -227,12 +232,9 @@ def scale_layout(layout: ArrayLayout, factor: float) -> ArrayLayout:
     """Uniformly scale a layout about its local origin (aperture scales along)."""
     _check_positive(factor, "factor")
     pts = layout.positions * factor
-    aperture = recompute_aperture(pts, layout.archetype, layout.subarray_count)
-    if aperture is None:
-        aperture = layout.aperture_m * factor
-    return ArrayLayout(
-        pts, layout.archetype, aperture, layout.element_count, layout.subarray_count
-    )
+    arch, r = layout.archetype, layout.subarray_count
+    aperture = _aperture_or(layout.aperture_m * factor, pts, arch, r)
+    return ArrayLayout(pts, arch, aperture, layout.element_count, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,36 +397,15 @@ def transpose_scene(scene: LinkScene) -> LinkScene:
 def projected_aperture(layout: ArrayLayout, rotation: np.ndarray) -> float:
     """Aperture of the rotated layout projected onto the broadside (x-y) plane.
 
-    Follows the same per-archetype convention as the stored aperture; a URA
-    reports the larger of its two projected sides.
+    Follows the same per-archetype convention as the stored aperture
+    (:func:`recompute_aperture` on the projected points); where the points
+    do not determine it, the declared aperture shrinks with the projection
+    of the local x axis.
     """
     rot = np.asarray(rotation, dtype=float)
     proj = (layout.positions @ rot.T)[:, :2]
-    n = layout.element_count
-    arch = layout.archetype
-    if arch is Archetype.ULA:
-        if n == 1:
-            return layout.aperture_m * float(np.hypot(rot[0, 0], rot[1, 0]))
-        return n * float(np.linalg.norm(proj[1] - proj[0]))
-    if arch is Archetype.URA:
-        side = math.isqrt(n)
-        if side == 1:
-            return layout.aperture_m * float(np.hypot(rot[0, 0], rot[1, 0]))
-        dx = float(np.linalg.norm(proj[1] - proj[0]))
-        dy = float(np.linalg.norm(proj[side] - proj[0]))
-        return side * max(dx, dy)
-    if arch is Archetype.UCA:
-        return 2.0 * float(np.max(np.linalg.norm(proj, axis=1)))
-    if arch is Archetype.AOSA:
-        r = layout.subarray_count
-        if r == 1:
-            return layout.aperture_m * float(np.hypot(rot[0, 0], rot[1, 0]))
-        centers = proj.reshape(r, n // r, 2).mean(axis=1)
-        return r * float(np.linalg.norm(centers[1] - centers[0]))
-    if n == 1:
-        return 0.0
-    diffs = proj[:, None, :] - proj[None, :, :]
-    return float(np.sqrt((diffs**2).sum(-1)).max())
+    declared = layout.aperture_m * float(np.hypot(rot[0, 0], rot[1, 0]))
+    return _aperture_or(declared, proj, layout.archetype, layout.subarray_count)
 
 
 def channel_parameter(scene: LinkScene) -> float:

@@ -17,13 +17,12 @@ import numpy as np
 
 from ._search import golden_max
 from .capacity import (
-    PowerAllocation,
     RateReport,
     _check_snr,
     _rate_report,
     _squared_singular_values,
     _waterfill,
-    capacity_upper_bound,
+    _waterfilled_report,
 )
 from .channel import SPEED_OF_LIGHT_M_S, WavefrontModel, _channel_entries
 from .errors import (
@@ -81,8 +80,9 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One evaluated grid point; ``error`` is set instead of ``report`` when
-    the geometry at that point was unusable."""
+    """One evaluated grid point, or the best configuration at one SNR of a
+    plan (x_value = snr_db); ``error`` is set instead of ``report`` when the
+    geometry at that point was unusable."""
 
     x_value: float
     snr_db: float
@@ -91,33 +91,11 @@ class SweepPoint:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class PlanEntry:
-    snr_db: float
-    config_descriptor: str
-    se_bpshz: float
-    ub_bpshz: float
-    active_rank: int
-
-
-@dataclass(frozen=True, eq=False)
-class ArchitecturePlan:
-    """Best configuration per SNR, sorted by SNR."""
-
-    entries: tuple[PlanEntry, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        snrs = [e.snr_db for e in self.entries]
-        if any(b <= a for a, b in zip(snrs, snrs[1:])):
-            raise InvalidArgumentError("plan entries must be sorted by snr_db")
-        for e in self.entries:
-            if e.se_bpshz > e.ub_bpshz + 1e-9:
-                raise InvalidArgumentError("plan entry exceeds the capacity bound")
-
-
 def snr_db_to_linear(snr_db: float) -> float:
-    return 10.0 ** (snr_db / 10.0)
+    try:
+        return 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        raise InvalidArgumentError(f"snr_db {snr_db!r} overflows a float in linear scale") from None
 
 
 def _require_ula_pair(scene: LinkScene, what: str):
@@ -211,24 +189,24 @@ def optimize_rotation(
     angle (so a flat landscape reports broadside).
     """
     _require_ula_pair(scene, "optimize_rotation")
-    _check_snr(snr_linear)
+    _check_snr(snr_linear, scene.tx.element_count * scene.rx.element_count)
     best, _ = _best_rotation(scene, snr_linear, model, independent)
     pair = best if independent else (best, best)
     return best, _report(scene, _rotated(scene, model, *pair), snr_linear)
 
 
-def _best_per_snr(candidates, snr_grid_db, n_t: int, n_r: int) -> ArchitecturePlan:
-    """Plan of the (descriptor, gains) candidate with the highest SE at each
+def _best_per_snr(candidates, snr_grid_db, n_t: int, n_r: int) -> list[SweepPoint]:
+    """Row of the (descriptor, gains) candidate with the highest SE at each
     SNR; the earlier candidate wins ties."""
-    entries = []
+    rows = []
     for snr_db in snr_grid_db:
         snr = snr_db_to_linear(snr_db)
-        _check_snr(snr)
+        _check_snr(snr, n_t * n_r)
         rated = [(d, *_waterfill(gains, snr)) for d, gains in candidates]
         descriptor, fractions, se = max(rated, key=lambda t: t[2])  # first of equal SEs
-        rank = int(np.count_nonzero(fractions > 0))
-        entries.append(PlanEntry(snr_db, descriptor, se, capacity_upper_bound(n_t, n_r, snr), rank))
-    return ArchitecturePlan(tuple(entries))
+        report = _waterfilled_report(fractions, se, n_t, n_r, snr)
+        rows.append(SweepPoint(snr_db, snr_db, report, descriptor))
+    return rows
 
 
 def fixed_angle_plan(
@@ -236,7 +214,7 @@ def fixed_angle_plan(
     angles,
     snr_grid_db,
     model: WavefrontModel,
-) -> ArchitecturePlan:
+) -> list[SweepPoint]:
     """Best of a fixed set of rotation angles at each SNR on the grid."""
     angles = sorted(float(a) for a in angles)  # smaller angle wins ties
     if not angles:
@@ -275,7 +253,7 @@ def _select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model):
     if not snr_lin:
         raise InvalidArgumentError("snr_grid_db must be non-empty")
     for s in snr_lin:
-        _check_snr(s)
+        _check_snr(s, scene.tx.element_count * scene.rx.element_count)
     candidates = np.linspace(0.0, np.pi / 2, _ANGLE_CANDIDATES)
     spectra = [_rotated(scene, model, a, a) for a in candidates]
     table = np.array([[_waterfill(g, s)[1] for s in snr_lin] for g in spectra])  # candidate x snr
@@ -299,7 +277,7 @@ def aosa_schedule(
     snr_grid_db,
     model: WavefrontModel,
     element_spacing_m: float | None = None,
-) -> ArchitecturePlan:
+) -> list[SweepPoint]:
     """Best subarray count per SNR for an n_total-antenna array of subarrays.
 
     For each divisor r of n_total the array splits into r clusters at the
@@ -329,13 +307,7 @@ def _beamforming_report(scene: LinkScene, snr_linear: float) -> RateReport:
     fractions = np.zeros(min(n_t, n_r))
     fractions[0] = 1.0
     se = float(np.log1p(snr_linear * n_t * n_r) / math.log(2.0))
-    return RateReport(
-        snr_linear=snr_linear,
-        spectral_efficiency_bpshz=se,
-        allocation=PowerAllocation(fractions),
-        active_rank=1,
-        upper_bound_bpshz=capacity_upper_bound(n_t, n_r, snr_linear),
-    )
+    return _waterfilled_report(fractions, se, n_t, n_r, snr_linear)
 
 
 def _sweep_gains(scene: LinkScene, model, variable: SweepVariable, x: float) -> np.ndarray:

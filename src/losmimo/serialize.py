@@ -14,7 +14,7 @@ import numpy as np
 from .channel import ChannelMatrix, PhaseProfile, WavefrontModel
 from .capacity import RateReport
 from .errors import InvalidArgumentError
-from .optimize import ArchitecturePlan, SweepPoint
+from .optimize import SweepPoint
 
 
 def fmt(x: float) -> str:
@@ -62,17 +62,24 @@ def parse_channel_json(doc: dict) -> ChannelMatrix:
         raise InvalidArgumentError(f"malformed channel document: {exc}") from exc
 
 
-def phase_profile_csv(profile: PhaseProfile) -> str:
+def _phase_columns(profile: PhaseProfile) -> dict:
+    """Scan samples with both fits evaluated at each displacement, by column name."""
     x = profile.displacements_m
     c0, c1, c2 = profile.quadratic_fit
     b0, b1 = profile.linear_fit
-    quad = c0 + c1 * x + c2 * x * x
-    lin = b0 + b1 * x
-    lines = ["displacement_m,phase_rad,quadratic_fit_rad,linear_fit_rad"]
-    for i in range(x.size):
-        lines.append(
-            f"{fmt(x[i])},{fmt(profile.phase_rad[i])},{fmt(quad[i])},{fmt(lin[i])}"
-        )
+    return {
+        "displacement_m": x,
+        "phase_rad": profile.phase_rad,
+        "quadratic_fit_rad": c0 + c1 * x + c2 * x * x,
+        "linear_fit_rad": b0 + b1 * x,
+    }
+
+
+def phase_profile_csv(profile: PhaseProfile) -> str:
+    cols = _phase_columns(profile)
+    lines = [",".join(cols)]
+    for x, phase, quad, lin in zip(*cols.values()):
+        lines.append(f"{fmt(x)},{fmt(phase)},{fmt(quad)},{fmt(lin)}")
     return "\n".join(lines) + "\n"
 
 
@@ -151,30 +158,6 @@ def sweep_point_dict(p: SweepPoint) -> dict:
 
 def sweep_points_json(points) -> list:
     return [sweep_point_dict(p) for p in points]
-
-
-def plan_csv(plan: ArchitecturePlan) -> str:
-    lines = [_SWEEP_HEADER]
-    for e in plan.entries:
-        lines.append(
-            f"{fmt(e.snr_db)},{fmt(e.snr_db)},{fmt(e.se_bpshz)},{fmt(e.ub_bpshz)},"
-            f"{e.active_rank},{_sanitize(e.config_descriptor)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def plan_json(plan: ArchitecturePlan) -> list:
-    return [
-        {
-            "x_value": e.snr_db,
-            "snr_db": e.snr_db,
-            "se_bpshz": e.se_bpshz,
-            "ub_bpshz": e.ub_bpshz,
-            "active_rank": e.active_rank,
-            "config_descriptor": e.config_descriptor,
-        }
-        for e in plan.entries
-    ]
 
 
 def validity_csv(rows) -> str:

@@ -84,7 +84,7 @@ def test_criterion_1_rate_crossovers(acceptance):
     lam, dist = 1e-3, 10.0
     grid = _grid(-5.0, 0.25, 41)
     plan = aosa_schedule(4, _aosa_scene(4, 2, lam, dist), grid, FRESNEL)
-    rs = [int(e.config_descriptor.split("=")[1]) for e in plan.entries]
+    rs = [int(e.config_descriptor.split("=")[1]) for e in plan]
     t12 = next(s for s, r in zip(grid, rs) if r >= 2)
     t24 = next(s for s, r in zip(grid, rs) if r == 4)
     sched_ok = abs(t12 - (-target)) <= 0.5 and abs(t24 - target) <= 0.5
@@ -374,10 +374,10 @@ def test_criterion_8_rotation_endpoints(acceptance):
     angles = select_fixed_angles(sc, 3, grid, FRESNEL)
     plan = fixed_angle_plan(sc, angles, grid, FRESNEL)
     worst_gap = 0.0
-    for entry in plan.entries:
+    for entry in plan:
         _, ref = optimize_rotation(sc, snr_db_to_linear(entry.snr_db), FRESNEL)
         worst_gap = max(
-            worst_gap, 1.0 - entry.se_bpshz / ref.spectral_efficiency_bpshz
+            worst_gap, 1.0 - entry.report.spectral_efficiency_bpshz / ref.spectral_efficiency_bpshz
         )
     gap_ok = worst_gap <= 0.03
 

@@ -231,3 +231,17 @@ def test_rate_report_from_channel():
     assert rep.active_rank == 2
     assert rep.upper_bound_bpshz >= rep.spectral_efficiency_bpshz
     np.testing.assert_allclose(rep.allocation.fractions, 0.5, atol=1e-15)
+
+
+def test_capacity_upper_bound_rejects_an_overflowing_array_gain():
+    # snr * n_t * n_r is inf here: the bound used to come back as inf
+    snr = 10.0 ** 307.9
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        capacity_upper_bound(4, 4, snr)
+    assert math.isfinite(capacity_upper_bound(1, 1, snr))
+    h = channel_matrix(
+        link_scene(build_ula(4, 0.035), build_ula(4, 0.035), 5.0, 1e-3),
+        WavefrontModel.SPHERICAL,
+    )
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        rate_report(h, snr)

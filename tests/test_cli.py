@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import losmimo
 from losmimo.cli import main
 
 SCENE = """{
@@ -389,3 +394,30 @@ def test_sweep_output_is_byte_deterministic(scene_path, tmp_path):
     main(args + ["--out", str(a)])
     main(args + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_snr_whose_array_gain_overflows_exits_2(scene_path, capsys):
+    # these ended in an OverflowError traceback or printed inf with exit 0
+    for argv in (
+        ["capacity", scene_path, "--snr-db", "4000"],
+        ["capacity", scene_path, "--snr-db", "3079"],
+        ["sweep", scene_path, "--var", "snr", "--grid", "3000:100:4000"],
+        ["optimize", scene_path, "--mode", "rotation", "--snr-db", "3079"],
+    ):
+        assert main(argv) == 2
+        assert "overflows" in capsys.readouterr().err
+    argv = ["sweep", scene_path, "--var", "eta", "--grid", "0,1", "--snr-db", "3079"]
+    assert main(argv + ["--format", "json"]) == 0
+    docs = json.loads(capsys.readouterr().out)
+    assert all(d["se_bpshz"] is None and "overflows" in d["error"] for d in docs)
+
+
+def test_python_dash_m_losmimo_runs_the_cli():
+    src = str(Path(losmimo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "losmimo", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert res.returncode == 0
+    assert res.stdout.strip() == f"losmimo {losmimo.__version__}"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,3 +243,95 @@ def test_channel_parameter_uses_projected_apertures():
         tx_pose=rotate_in_link_plane(tx, ang),
     )
     assert channel_parameter(sc) == pytest.approx(math.cos(ang), rel=1e-9)
+
+
+def _reference_projected_aperture(layout, rotation):
+    """Per-archetype projected aperture kept as the reference for the merged switch."""
+    rot = np.asarray(rotation, dtype=float)
+    proj = (layout.positions @ rot.T)[:, :2]
+    n = layout.element_count
+    arch = layout.archetype
+    if arch is Archetype.ULA:
+        if n == 1:
+            return layout.aperture_m * float(np.hypot(rot[0, 0], rot[1, 0]))
+        return n * float(np.linalg.norm(proj[1] - proj[0]))
+    if arch is Archetype.URA:
+        side = math.isqrt(n)
+        if side == 1:
+            return layout.aperture_m * float(np.hypot(rot[0, 0], rot[1, 0]))
+        dx = float(np.linalg.norm(proj[1] - proj[0]))
+        dy = float(np.linalg.norm(proj[side] - proj[0]))
+        return side * max(dx, dy)
+    if arch is Archetype.UCA:
+        return 2.0 * float(np.max(np.linalg.norm(proj, axis=1)))
+    if arch is Archetype.AOSA:
+        r = layout.subarray_count
+        if r == 1:
+            return layout.aperture_m * float(np.hypot(rot[0, 0], rot[1, 0]))
+        centers = proj.reshape(r, n // r, 2).mean(axis=1)
+        return r * float(np.linalg.norm(centers[1] - centers[0]))
+    if n == 1:
+        return 0.0
+    diffs = proj[:, None, :] - proj[None, :, :]
+    return float(np.sqrt((diffs**2).sum(-1)).max())
+
+
+def _axis_rotation(axis: int, angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    i, j = [k for k in range(3) if k != axis]
+    rot = np.eye(3)
+    rot[i, i], rot[i, j], rot[j, i], rot[j, j] = c, -s, s, c
+    return rot
+
+
+def _centered_custom(rng, n):
+    pts = rng.normal(size=(n, 3)) * 0.01
+    return custom_layout(pts - pts.mean(axis=0))
+
+
+def test_projected_aperture_matches_per_archetype_reference_bit_for_bit():
+    rng = np.random.default_rng(7)
+    layouts = [
+        build_ula(1, 0.01), build_ula(2, 0.01), build_ula(7, 0.003),
+        build_ura(1, 0.02), build_ura(3, 0.02), build_ura(4, 0.0071),
+        scale_layout(build_ura(4, 0.0071), 1.37),
+        build_uca(1, 0.05, 0.3), build_uca(8, 0.05), build_uca(5, 0.02, 1.1),
+        build_aosa(4, 1, 0.05, 0.001), build_aosa(8, 2, 0.05, 0.001),
+        build_aosa(12, 4, 0.03, 0.002), scale_layout(build_aosa(8, 4, 0.05, 0.001), 0.6),
+        custom_layout([[0.0, 0.0, 0.0]]), _centered_custom(rng, 5),
+        _centered_custom(rng, 40), _centered_custom(rng, 400),
+    ]
+    # in-plane (about z) and out-of-plane (about x, y) turns, then random ones
+    rotations = [_axis_rotation(axis, a) for axis in range(3)
+                 for a in np.linspace(0.0, 2 * math.pi, 13)]
+    for _ in range(10):
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        rotations.append(q if np.linalg.det(q) > 0 else -q)
+    for lay in layouts:
+        for rot in rotations:
+            assert projected_aperture(lay, rot) == _reference_projected_aperture(lay, rot)
+
+
+def test_ura_aperture_is_checked_against_the_larger_side():
+    c = np.array([-1.0, 1.0]) * 0.01
+    gy, gx = np.meshgrid(2 * c, c, indexing="ij")  # x step 0.02, y step 0.04
+    pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(4)])
+    assert ArrayLayout(pts, Archetype.URA, 0.08, 4).aperture_m == 0.08
+    with pytest.raises(InvalidArgumentError, match="inconsistent"):
+        ArrayLayout(pts, Archetype.URA, 0.04, 4)
+
+
+def test_custom_layout_diameter_memory_stays_small():
+    pts = np.random.default_rng(3).normal(size=(2048, 3))
+    pts -= pts.mean(axis=0)
+    tracemalloc.start()
+    try:
+        lay = custom_layout(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert lay.aperture_m == pytest.approx(
+        max(float(np.linalg.norm(pts - p, axis=1).max()) for p in pts), rel=1e-15
+    )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losmimo import (
     IncompatibleModeError,
@@ -37,6 +39,8 @@ def test_snr_db_to_linear():
     assert snr_db_to_linear(0.0) == 1.0
     assert snr_db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
     assert snr_db_to_linear(-10.0) == pytest.approx(0.1, rel=1e-15)
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        snr_db_to_linear(4000.0)
 
 
 def test_snr_sweep_matches_direct_reports():
@@ -233,20 +237,20 @@ def test_fixed_angle_plan_tracks_optimum_with_dense_angles():
     angles = np.linspace(0.0, math.pi / 2, 65)
     grid = list(range(-10, 21))
     plan = fixed_angle_plan(sc, angles, grid, WavefrontModel.FRESNEL)
-    assert len(plan.entries) == len(grid)
-    for entry in plan.entries:
+    assert len(plan) == len(grid)
+    for entry in plan:
         _, ref = optimize_rotation(
             sc, snr_db_to_linear(entry.snr_db), WavefrontModel.FRESNEL
         )
-        assert entry.se_bpshz >= ref.spectral_efficiency_bpshz - 1e-3
-        assert entry.se_bpshz <= entry.ub_bpshz + 1e-9
+        assert entry.report.spectral_efficiency_bpshz >= ref.spectral_efficiency_bpshz - 1e-3
+        assert entry.report.spectral_efficiency_bpshz <= entry.report.upper_bound_bpshz + 1e-9
 
 
 def test_fixed_angle_plan_descriptor_names_the_winning_angle():
     sc = _ula_scene(eta=1.0)
     plan = fixed_angle_plan(sc, [0.0, math.pi / 2], [-10.0, 10.0], WavefrontModel.FRESNEL)
-    assert plan.entries[0].config_descriptor == f"rotation_rad={math.pi / 2:.12g}"
-    assert plan.entries[1].config_descriptor == "rotation_rad=0"
+    assert plan[0].config_descriptor == f"rotation_rad={math.pi / 2:.12g}"
+    assert plan[1].config_descriptor == "rotation_rad=0"
 
 
 def test_select_fixed_angles_includes_extremes():
@@ -269,13 +273,13 @@ def test_aosa_schedule_rank_transitions():
     )
     grid = [x * 0.5 for x in range(-16, 17)]
     plan = aosa_schedule(4, template, grid, WavefrontModel.FRESNEL)
-    rs = [int(e.config_descriptor.split("=")[1]) for e in plan.entries]
+    rs = [int(e.config_descriptor.split("=")[1]) for e in plan]
     assert set(rs) <= {1, 2, 4}
     # the chosen subarray count only ever grows with snr
     assert all(b >= a for a, b in zip(rs, rs[1:]))
     assert rs[0] == 1 and rs[-1] == 4
-    for entry in plan.entries:
-        assert entry.se_bpshz <= entry.ub_bpshz + 1e-9
+    for entry in plan:
+        assert entry.report.spectral_efficiency_bpshz <= entry.report.upper_bound_bpshz + 1e-9
 
 
 def test_aosa_schedule_rejects_non_increasing_grid():
@@ -290,3 +294,39 @@ def test_select_fixed_angles_rejects_more_than_the_candidates():
         select_fixed_angles(sc, 34, [0.0], WavefrontModel.FRESNEL)
     angles = select_fixed_angles(sc, 33, [0.0], WavefrontModel.FRESNEL)
     assert angles == np.linspace(0.0, math.pi / 2, 33).tolist()
+
+
+def test_snr_whose_array_gain_overflows_gives_error_rows_or_raises():
+    sc = _ula_scene()
+    model = WavefrontModel.FRESNEL
+    points = sweep(SweepSpec(SweepVariable.ETA, np.array([0.0, 1.0]), sc, model, snr_db=3079.0))
+    assert [p.report for p in points] == [None, None]
+    assert all("overflows" in p.error for p in points)
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        optimize_rotation(sc, snr_db_to_linear(3079.0), model)
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        fixed_angle_plan(sc, [0.0], [3079.0], model)
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        aosa_schedule(4, sc, [3079.0], model)
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        sweep(SweepSpec(SweepVariable.SNR_DB, np.array([3000.0, 4000.0]), sc, model))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    eta=st.floats(0.25, 4.0),
+    snr_db=st.floats(-200.0, 300.0),
+    model=st.sampled_from(list(WavefrontModel)),
+)
+def test_every_row_is_finite_and_below_the_bound(n, eta, snr_db, model):
+    sc = _ula_scene(eta=eta, n=n)
+    rows = sweep(SweepSpec(SweepVariable.SNR_DB, np.array([snr_db]), sc, model))
+    rows += sweep(SweepSpec(SweepVariable.ETA, np.array([0.0, eta]), sc, model, snr_db=snr_db))
+    rows += fixed_angle_plan(sc, [0.0, math.pi / 4, math.pi / 2], [snr_db], model)
+    rows += aosa_schedule(n, sc, [snr_db], model)
+    for row in rows:
+        r = row.report
+        assert math.isfinite(r.spectral_efficiency_bpshz)
+        assert r.spectral_efficiency_bpshz <= r.upper_bound_bpshz + 1e-9
+        assert r.active_rank == np.count_nonzero(r.allocation.fractions > 0)

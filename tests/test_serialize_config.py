@@ -21,7 +21,6 @@ from losmimo.serialize import (
     channel_json_doc,
     json_dumps,
     parse_channel_json,
-    plan_csv,
     rate_reports_csv,
     sweep_points_csv,
     sweep_points_json,
@@ -238,7 +237,7 @@ def test_plan_csv_uses_snr_as_x(tmp_path):
     d = math.sqrt(lam * dist / 4)
     sc = link_scene(build_ula(4, d), build_ula(4, d), dist, lam)
     plan = losmimo.fixed_angle_plan(sc, [0.0], [0.0, 5.0], WavefrontModel.FRESNEL)
-    lines = plan_csv(plan).strip().splitlines()
+    lines = sweep_points_csv(plan).strip().splitlines()
     assert lines[0] == "x_value,snr_db,se_bpshz,ub_bpshz,active_rank,config_descriptor"
     assert lines[1].startswith("0,0,")
     assert lines[2].startswith("5,5,")
