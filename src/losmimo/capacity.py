@@ -180,7 +180,7 @@ def polarized_rate(n_t: int, n_r: int, rank, snr_linear: float) -> float:
     for n, name in ((n_t, "n_t"), (n_r, "n_r")):
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise InvalidArgumentError(f"{name} must be a positive integer")
-    _check_snr(snr_linear)
+    _check_snr(snr_linear, n_t * n_r)
     if not (np.isfinite(rank) and 1 <= rank <= min(n_t, n_r)):
         raise InvalidArgumentError(
             f"rank must lie in [1, {min(n_t, n_r)}], got {rank!r}"
@@ -206,7 +206,7 @@ def capacity_upper_bound(n_t: int, n_r: int, snr_linear: float) -> float:
 
 def capacity_upper_bound_integer(n_t: int, n_r: int, snr_linear: float):
     """Best integer rank and its polarized rate (ties go to the smaller rank)."""
-    _check_snr(snr_linear)
+    _check_snr(snr_linear, n_t * n_r)
     n_min = min(n_t, n_r)
     best_r, best_v = 1, float(_polarized_value(n_t, n_r, 1, snr_linear))
     for r in range(2, n_min + 1):

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .capacity import rate_report
+from .capacity import _rate_report, _squared_singular_values
 from .channel import (
     SPEED_OF_LIGHT_M_S,
     channel_matrix,
@@ -120,7 +120,8 @@ def cmd_capacity(args) -> int:
     else:
         raise ConfigError("no SNR given: pass --snr-db or set snr_db in the config")
     h = channel_matrix(cfg.scene, cfg.model)
-    reports = [rate_report(h, snr_db_to_linear(s)) for s in snrs]
+    gains = _squared_singular_values(h.entries)  # the geometry fixes the spectrum
+    reports = [_rate_report(gains, h.n_t, h.n_r, snr_db_to_linear(s)) for s in snrs]
     if args.format == "json":
         _write(args.out, ser.json_dumps([ser.rate_report_dict(r) for r in reports]))
     else:

@@ -43,8 +43,9 @@ from .geometry import (
     scale_layout,
 )
 
-_ROTATION_GRID_POINTS = 65
 _ANGLE_CANDIDATES = 33
+# every other rotation-grid angle is a fixed-angle candidate
+_ROTATION_GRID_POINTS = 2 * _ANGLE_CANDIDATES - 1
 _ANGLE_TOL_RAD = 1e-4
 _LABELS = {"snr": "snr_db", "eta": "eta", "freq": "freq_hz", "rotation": "rotation_rad",
            "tilt": "tilt_rad", "offset": "offset_m"}
@@ -143,35 +144,41 @@ def _report(scene: LinkScene, gains: np.ndarray, snr_linear: float) -> RateRepor
     return _rate_report(gains, scene.tx.element_count, scene.rx.element_count, snr_linear)
 
 
-def _best_rotation(scene: LinkScene, snr_linear: float, model, independent: bool):
-    """Search of :func:`optimize_rotation` on validated inputs: (angle(s), se)."""
-
-    def se(pair):
-        return _waterfill(_rotated(scene, model, *pair), snr_linear)[1]
-
+def _best_rotation(scene: LinkScene, snrs, model, independent: bool):
+    """Search of :func:`optimize_rotation` on validated inputs at each SNR of
+    ``snrs``: [(angle(s), se, SEs over the rotation grid)], one per SNR."""
     # coarse grid of angles (of tx x rx angle pairs when independent), then
-    # golden section within one grid step of the first best point, per angle
+    # golden section within one grid step of the first best point, per angle;
+    # the grid spectra do not depend on the SNR, so they are built once
     n = _ANGLE_CANDIDATES if independent else _ROTATION_GRID_POINTS
     grid = np.linspace(0.0, np.pi / 2, n)
     pairs = [(a, b) for a in grid for b in grid] if independent else [(a, a) for a in grid]
-    ses = np.array([se(p) for p in pairs])
-    i = int(np.argmax(ses))  # first max: smallest angle wins ties
-    angles, best_se = [float(a) for a in pairs[i]], float(ses[i])
-    for axes, j in (((0,), i // n), ((1,), i % n)) if independent else (((0, 1), i),):
+    spectra = [_rotated(scene, model, *p) for p in pairs]
+    results = []
+    for snr_linear in snrs:
 
-        def f(a, axes=axes):
-            pair = list(angles)
-            for axis in axes:
-                pair[axis] = a
-            return se(pair)
+        def se(pair, snr_linear=snr_linear):
+            return _waterfill(_rotated(scene, model, *pair), snr_linear)[1]
 
-        lo, hi = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, n - 1)])
-        cand, cand_se = golden_max(f, lo, hi, tol=_ANGLE_TOL_RAD)
-        if cand_se > best_se:
-            best_se = float(cand_se)
-            for axis in axes:
-                angles[axis] = float(cand)
-    return (tuple(angles) if independent else angles[0]), best_se
+        ses = np.array([_waterfill(g, snr_linear)[1] for g in spectra])
+        i = int(np.argmax(ses))  # first max: smallest angle wins ties
+        angles, best_se = [float(a) for a in pairs[i]], float(ses[i])
+        for axes, j in (((0,), i // n), ((1,), i % n)) if independent else (((0, 1), i),):
+
+            def f(a, axes=axes):
+                pair = list(angles)
+                for axis in axes:
+                    pair[axis] = a
+                return se(pair)
+
+            lo, hi = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, n - 1)])
+            cand, cand_se = golden_max(f, lo, hi, tol=_ANGLE_TOL_RAD)
+            if cand_se > best_se:
+                best_se = float(cand_se)
+                for axis in axes:
+                    angles[axis] = float(cand)
+        results.append(((tuple(angles) if independent else angles[0]), best_se, ses))
+    return results
 
 
 def optimize_rotation(
@@ -190,7 +197,7 @@ def optimize_rotation(
     """
     _require_ula_pair(scene, "optimize_rotation")
     _check_snr(snr_linear, scene.tx.element_count * scene.rx.element_count)
-    best, _ = _best_rotation(scene, snr_linear, model, independent)
+    [(best, _, _)] = _best_rotation(scene, [snr_linear], model, independent)
     pair = best if independent else (best, best)
     return best, _report(scene, _rotated(scene, model, *pair), snr_linear)
 
@@ -255,9 +262,9 @@ def _select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model):
     for s in snr_lin:
         _check_snr(s, scene.tx.element_count * scene.rx.element_count)
     candidates = np.linspace(0.0, np.pi / 2, _ANGLE_CANDIDATES)
-    spectra = [_rotated(scene, model, a, a) for a in candidates]
-    table = np.array([[_waterfill(g, s)[1] for s in snr_lin] for g in spectra])  # candidate x snr
-    ref = np.array([_best_rotation(scene, s, model, False)[1] for s in snr_lin])
+    best = _best_rotation(scene, snr_lin, model, False)
+    ref = np.array([se for _, se, _ in best])
+    table = np.array([ses[::2] for _, _, ses in best]).T  # candidate x snr; grid[::2] = candidates
 
     def worst_gap(idx_tuple):
         plan = table[list(idx_tuple)].max(axis=0)

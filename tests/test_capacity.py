@@ -245,3 +245,17 @@ def test_capacity_upper_bound_rejects_an_overflowing_array_gain():
     )
     with pytest.raises(InvalidArgumentError, match="overflows"):
         rate_report(h, snr)
+
+
+def test_polarized_rate_rejects_an_overflowing_array_gain():
+    # snr * n_t * n_r is inf here: the rate used to come back as inf
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        polarized_rate(4, 4, 1, 1e308)
+    assert math.isfinite(polarized_rate(1, 1, 1, 1e308))
+
+
+def test_integer_bound_rejects_an_overflowing_array_gain():
+    # this used to return (1, inf)
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        capacity_upper_bound_integer(4, 4, 1e308)
+    assert math.isfinite(capacity_upper_bound_integer(1, 1, 1e308)[1])

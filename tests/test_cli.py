@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import losmimo
+from losmimo import channel_matrix, load_scene_config, rate_report, snr_db_to_linear
 from losmimo.cli import main
 
 SCENE = """{
@@ -26,6 +27,15 @@ AOSA_SCENE = """{
   "model": "fresnel",
   "tx": {"type": "aosa", "n": 4, "n_subarrays": 2, "spacing_m": 0.0707},
   "rx": {"type": "aosa", "n": 4, "n_subarrays": 2, "spacing_m": 0.0707}
+}
+"""
+
+URA_SCENE = """{
+  "carrier_hz": 300e9,
+  "distance_m": 5.0,
+  "model": "spherical",
+  "tx": {"type": "ura", "n": 2, "spacing_m": 0.05},
+  "rx": {"type": "ura", "n": 2, "spacing_m": 0.05}
 }
 """
 
@@ -97,6 +107,32 @@ def test_capacity_json_reports(scene_path, capsys):
     assert docs[0]["snr_db"] == 10.0
     assert set(docs[0]) == {"snr_db", "se_bpshz", "ub_bpshz", "active_rank", "allocation"}
     assert sum(docs[0]["allocation"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_capacity_takes_one_svd_per_scene(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ura.json"
+    path.write_text(URA_SCENE)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    assert main(["capacity", str(path), "--snr-db=-10:1:20", "--format", "json"]) == 0
+    assert calls == [(4, 4)]
+    monkeypatch.undo()
+    docs = json.loads(capsys.readouterr().out)
+    cfg = load_scene_config(str(path))
+    h = channel_matrix(cfg.scene, cfg.model)
+    assert len(docs) == 31
+    for i, doc in enumerate(docs):
+        want = rate_report(h, snr_db_to_linear(-10.0 + i))
+        assert doc["se_bpshz"] == want.spectral_efficiency_bpshz
+        assert doc["allocation"] == want.allocation.fractions.tolist()
+        assert doc["active_rank"] == want.active_rank
+        assert doc["ub_bpshz"] == want.upper_bound_bpshz
 
 
 def test_sweep_grid_syntax(scene_path, capsys):

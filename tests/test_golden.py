@@ -7,10 +7,18 @@ except the capacity bound ``ub_bpshz``, which must agree to 1e-12
 relative.
 
 The golden files were recorded by running this module as a script from the
-repository root, ``PYTHONPATH=src python tests/test_golden.py``, on the code
-as it was before the optimizers and sweeps shared one evaluation path (when
-the bound still came from a golden-section search).  Do not rerecord them to
-make a changed output pass.
+repository root, ``PYTHONPATH=src python tests/test_golden.py [CASE ...]``
+(no case names: every case), on the code of these commits:
+
+* every case not named below: the code as it was before the optimizers and
+  sweeps shared one evaluation path (when the bound still came from a
+  golden-section search), commit 2384391;
+* ``capacity_ura2_unsorted``, ``optimize_angles_k3_ula4`` and
+  ``optimize_angles_k1_ula8_fresnel``: commit f54810c, before ``capacity``
+  took one spectrum per scene and ``optimize --mode angles`` one rotation
+  grid per job.
+
+Do not rerecord them to make a changed output pass.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ CASES = {
     "capacity_aosa8": ("aosa8", ["capacity", "--snr-db=-10:10:30"], "csv"),
     "capacity_custom4": ("custom4", ["capacity", "--snr-db=-5,5,15"], "json"),
     "capacity_rotated": ("ula4_rotated", ["capacity"], "csv"),
+    "capacity_ura2_unsorted": ("ura2_planar", ["capacity", "--snr-db=20,-10,20,0"], "json"),
     "sweep_snr_ula4": ("ula4", ["sweep", "--var", "snr", "--grid=-10:2:20"], "csv"),
     "sweep_snr_ula8_fresnel": ("ula8_fresnel", ["sweep", "--var", "snr", "--grid=-30:7.5:30"], "json"),
     "sweep_eta_ula4": ("ula4", ["sweep", "--var", "eta", "--grid=0:0.125:2", "--snr-db=10"], "csv"),
@@ -68,6 +77,8 @@ CASES = {
     "optimize_angles_ula4": ("ula4", ["optimize", "--mode", "angles", "--k", "2", SNRS], "csv"),
     "optimize_angles_ula8_fresnel": ("ula8_fresnel", ["optimize", "--mode", "angles", "--k", "2", SNRS], "json"),
     "optimize_angles_k4": ("ula4_rotated", ["optimize", "--mode", "angles", "--k", "4", "--snr-grid=-10:10:20"], "json"),
+    "optimize_angles_k3_ula4": ("ula4", ["optimize", "--mode", "angles", "--k", "3", "--snr-grid=-10:1:20"], "csv"),
+    "optimize_angles_k1_ula8_fresnel": ("ula8_fresnel", ["optimize", "--mode", "angles", "--k", "1", "--snr-grid=-10:1:20"], "json"),
     "channel_ula4": ("ula4", ["channel"], "csv"),
     "channel_ula8_fresnel": ("ula8_fresnel", ["channel"], "json"),
     "channel_ura2_planar": ("ura2_planar", ["channel"], "csv"),
@@ -164,9 +175,10 @@ def test_golden_sweep_error_rows_carry_constructor_messages():
         assert sum("error" in row for row in doc) == 1
 
 
-def _record():
-    """Rewrite every golden file from the code on the import path."""
-    for case in sorted(CASES):
+def _record(cases):
+    """Write the golden files of ``cases`` (default: every case) from the
+    code on the import path."""
+    for case in cases or sorted(CASES):
         for old in GOLDEN.glob(f"{case}.*"):
             old.unlink()
         fmt = CASES[case][2]
@@ -176,4 +188,4 @@ def _record():
 
 
 if __name__ == "__main__":
-    _record()
+    _record(sys.argv[1:])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,6 +26,8 @@ from losmimo import (
     snr_db_to_linear,
     sweep,
 )
+from losmimo import optimize
+from losmimo.cli import main
 
 LAM = 1e-3
 DIST = 10.0
@@ -261,6 +264,46 @@ def test_select_fixed_angles_includes_extremes():
     assert angles == sorted(angles)
     assert angles[0] == pytest.approx(0.0, abs=1e-9)
     assert angles[-1] == pytest.approx(math.pi / 2, abs=1e-9)
+
+
+def test_fixed_angle_candidates_are_every_other_rotation_grid_angle():
+    # _select_fixed_angles takes its candidates' SEs from the rotation grid
+    candidates = np.linspace(0.0, math.pi / 2, optimize._ANGLE_CANDIDATES)
+    grid = np.linspace(0.0, math.pi / 2, optimize._ROTATION_GRID_POINTS)
+    assert (optimize._ANGLE_CANDIDATES, optimize._ROTATION_GRID_POINTS) == (33, 65)
+    assert np.array_equal(candidates, grid[::2])
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("model", [WavefrontModel.SPHERICAL, WavefrontModel.FRESNEL])
+def test_fixed_angle_reference_is_the_rotation_optimum(n, model):
+    sc = _ula_scene(eta=1.5, n=n)
+    grid = list(range(-10, 21, 2))
+    _, ref = optimize._select_fixed_angles(sc, 1, grid, model)
+    want = [optimize_rotation(sc, snr_db_to_linear(s), model)[1] for s in grid]
+    assert ref.tolist() == [r.spectral_efficiency_bpshz for r in want]
+
+
+def test_angles_mode_builds_the_rotation_grid_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ula.json"
+    path.write_text(json.dumps({
+        "carrier_hz": 300e9, "distance_m": 5.0, "model": "spherical",
+        "tx": {"type": "ula", "n": 4, "spacing_m": 0.035},
+        "rx": {"type": "ula", "n": 4, "spacing_m": 0.035},
+    }))
+    calls = []
+    entries = optimize._channel_entries
+
+    def counted(*args):
+        calls.append(1)
+        return entries(*args)
+
+    monkeypatch.setattr(optimize, "_channel_entries", counted)
+    argv = ["optimize", str(path), "--mode", "angles", "--k", "3", "--snr-grid=-10:1:20"]
+    assert main(argv) == 0
+    # 65 grid spectra, at most 20 golden-section points per SNR, 3 plan angles
+    assert len(calls) <= 65 + 31 * 20 + 3
+    assert len(capsys.readouterr().out.splitlines()) == 32
 
 
 def test_aosa_schedule_rank_transitions():
