@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelMatrix
 from .errors import InvalidArgumentError, NoSignalError
-from .geometry import _frozen_copy
+from .geometry import _check_count, _frozen_copy
 
 _LN2 = math.log(2.0)
 _ZERO_GAIN_RTOL = 1e-12  # gains this far below the top one count as exact zeros
@@ -33,9 +33,8 @@ class GainSpectrum:
     n_r: int
 
     def __post_init__(self):
-        for n, name in ((self.n_t, "n_t"), (self.n_r, "n_r")):
-            if not isinstance(n, (int, np.integer)) or n < 1:
-                raise InvalidArgumentError(f"{name} must be a positive integer")
+        _check_count(self.n_t, "n_t")
+        _check_count(self.n_r, "n_r")
         g = np.asarray(self.gains, dtype=float)
         if g.ndim != 1 or not np.all(np.isfinite(g)):
             raise InvalidArgumentError("gains must be a finite 1-D array")
@@ -83,8 +82,7 @@ class RateReport:
     upper_bound_bpshz: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.snr_linear) and self.snr_linear > 0):
-            raise InvalidArgumentError("snr_linear must be positive")
+        _check_snr(self.snr_linear)
         if self.spectral_efficiency_bpshz > self.upper_bound_bpshz + 1e-9:
             raise InvalidArgumentError(
                 "spectral efficiency exceeds the capacity upper bound"
@@ -103,7 +101,7 @@ class RateReport:
 def _check_snr(snr_linear: float, array_gain: int = 1):
     """Reject an SNR that is not positive, or whose full array gain
     snr * n_t * n_r (``array_gain`` = n_t * n_r) overflows a float."""
-    if not (np.isfinite(snr_linear) and snr_linear > 0):
+    if not 0 < snr_linear < math.inf:  # NaN fails both comparisons
         raise InvalidArgumentError(f"snr_linear must be positive, got {snr_linear!r}")
     if not math.isfinite(float(snr_linear) * array_gain):
         raise InvalidArgumentError(
@@ -177,14 +175,11 @@ def polarized_rate(n_t: int, n_r: int, rank, snr_linear: float) -> float:
     Closed form r*log2(1 + snr*n_t*n_r/r**2); accepts real ranks in
     [1, min(n_t, n_r)] since the capacity bound maximizes over them.
     """
-    for n, name in ((n_t, "n_t"), (n_r, "n_r")):
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise InvalidArgumentError(f"{name} must be a positive integer")
+    _check_count(n_t, "n_t")
+    _check_count(n_r, "n_r")
     _check_snr(snr_linear, n_t * n_r)
-    if not (np.isfinite(rank) and 1 <= rank <= min(n_t, n_r)):
-        raise InvalidArgumentError(
-            f"rank must lie in [1, {min(n_t, n_r)}], got {rank!r}"
-        )
+    if not 1 <= rank <= min(n_t, n_r):
+        raise InvalidArgumentError(f"rank must lie in [1, {min(n_t, n_r)}], got {rank!r}")
     return float(_polarized_value(n_t, n_r, rank, snr_linear))
 
 
@@ -196,16 +191,17 @@ def capacity_upper_bound(n_t: int, n_r: int, snr_linear: float) -> float:
     maximum sits at r* = sqrt(a / x*), clipped to [1, min(n_t, n_r)].
     Raises when a is not finite.
     """
-    n_min = min(n_t, n_r)
-    if not isinstance(n_min, (int, np.integer)) or n_min < 1:
-        raise InvalidArgumentError("antenna counts must be positive integers")
+    _check_count(n_t, "n_t")
+    _check_count(n_r, "n_r")
     _check_snr(snr_linear, n_t * n_r)
     peak = math.sqrt(snr_linear * n_t * n_r / _POLARIZED_PEAK_X)
-    return float(_polarized_value(n_t, n_r, min(max(peak, 1.0), n_min), snr_linear))
+    return float(_polarized_value(n_t, n_r, min(max(peak, 1.0), n_t, n_r), snr_linear))
 
 
 def capacity_upper_bound_integer(n_t: int, n_r: int, snr_linear: float):
     """Best integer rank and its polarized rate (ties go to the smaller rank)."""
+    _check_count(n_t, "n_t")
+    _check_count(n_r, "n_r")
     _check_snr(snr_linear, n_t * n_r)
     n_min = min(n_t, n_r)
     best_r, best_v = 1, float(_polarized_value(n_t, n_r, 1, snr_linear))

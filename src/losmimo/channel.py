@@ -10,6 +10,7 @@ model keeps only the first-order term and is rank-1 by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -20,7 +21,7 @@ from .errors import (
     InvalidArgumentError,
     NyquistViolationError,
 )
-from .geometry import LinkScene, _frozen_copy, projected_aperture
+from .geometry import LinkScene, _check_positive, _frozen_copy, projected_aperture
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -186,13 +187,16 @@ def validity_from_apertures(
     aperture_t_m: float, aperture_r_m: float, wavelength_m: float, distance_m: float
 ) -> Validity:
     """Planar model is adequate iff L_t * L_r < 4 * lambda * D."""
-    if wavelength_m <= 0 or distance_m <= 0:
-        raise InvalidArgumentError("wavelength and distance must be positive")
-    if aperture_t_m < 0 or aperture_r_m < 0:
-        raise InvalidArgumentError("apertures must be non-negative")
-    if aperture_t_m * aperture_r_m < 4 * wavelength_m * distance_m:
-        return Validity.PLANAR_OK
-    return Validity.SPHERICAL_REQUIRED
+    _check_positive(wavelength_m, "wavelength_m")
+    _check_positive(distance_m, "distance_m")
+    if not (0 <= aperture_t_m < math.inf and 0 <= aperture_r_m < math.inf):
+        raise InvalidArgumentError("apertures must be finite and non-negative")
+    return _validity(aperture_t_m, aperture_r_m, wavelength_m, distance_m)
+
+
+def _validity(a_t: float, a_r: float, lam: float, d: float) -> Validity:
+    """Body of :func:`validity_from_apertures` on checked arguments."""
+    return Validity.PLANAR_OK if a_t * a_r < 4 * lam * d else Validity.SPHERICAL_REQUIRED
 
 
 def classify_validity(scene: LinkScene) -> Validity:
@@ -231,10 +235,8 @@ def phase_profile(
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 3:
         raise InvalidArgumentError("n_steps must be an integer >= 3")
-    if not (np.isfinite(step_m) and step_m > 0):
-        raise InvalidArgumentError("step_m must be positive")
-    if not (np.isfinite(wavelength_m) and wavelength_m > 0):
-        raise InvalidArgumentError("wavelength_m must be positive")
+    _check_positive(step_m, "step_m")
+    _check_positive(wavelength_m, "wavelength_m")
     tx = np.asarray(tx_point, dtype=float).reshape(3)
     start = np.asarray(rx_start, dtype=float).reshape(3)
     direction = np.asarray(step_direction, dtype=float).reshape(3)
@@ -243,9 +245,13 @@ def phase_profile(
         raise InvalidArgumentError("step_direction must be a unit vector")
     direction = direction / norm
 
-    x = np.arange(n_steps) * step_m
-    pts = start[None, :] + x[:, None] * direction[None, :]
-    dist = np.linalg.norm(pts - tx[None, :], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite scan raises below
+        x = np.arange(n_steps) * step_m
+        pts = start[None, :] + x[:, None] * direction[None, :]
+        dist = np.linalg.norm(pts - tx[None, :], axis=1)
+        raw = -2 * np.pi * dist / wavelength_m
+    if not np.isfinite(raw).all():
+        raise InvalidArgumentError("scan distances must be finite, in meters and in wavelengths")
     if dist.min() <= 0:
         raise DegenerateGeometryError("scan passes through the transmit point")
 
@@ -255,7 +261,6 @@ def phase_profile(
         idx = int(np.argmax(bad))
         raise NyquistViolationError(idx, float(step_delta[idx]), wavelength_m)
 
-    raw = -2 * np.pi * dist / wavelength_m
     phase = np.unwrap(np.angle(np.exp(1j * raw)))
 
     c2, c1, c0 = np.polyfit(x, phase, 2)

@@ -14,15 +14,10 @@ import numpy as np
 
 from . import __version__
 from .capacity import _rate_report, _squared_singular_values
-from .channel import (
-    SPEED_OF_LIGHT_M_S,
-    channel_matrix,
-    phase_profile,
-    validity_from_apertures,
-)
+from .channel import SPEED_OF_LIGHT_M_S, _validity, channel_matrix, phase_profile
 from .config import load_scene_config
 from .errors import ConfigError, IncompatibleModeError, LosMimoError
-from .geometry import Archetype
+from .geometry import Archetype, _check_positive
 from .optimize import (
     SweepPoint,
     SweepSpec,
@@ -41,14 +36,17 @@ _MAX_GRID_POINTS = 1_000_000
 
 
 def _parse_values(text: str, name: str) -> list[float]:
-    """Grid syntax: 'start:step:stop' (inclusive) or comma-separated values."""
+    """Grid syntax: 'start:step:stop' (inclusive) or comma-separated finite values."""
     text = text.strip()
     try:
-        if ":" in text:
-            parts = [float(p) for p in text.split(":")]
-            if len(parts) != 3:
+        sep = ":" if ":" in text else ","
+        values = [float(p) for p in text.split(sep) if sep == ":" or p.strip() != ""]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("values must be finite")
+        if sep == ":":
+            if len(values) != 3:
                 raise ValueError("expected start:step:stop")
-            start, step, stop = parts
+            start, step, stop = values
             if step <= 0:
                 raise ValueError("step must be positive")
             count = math.floor((stop - start) / step + 1e-9) + 1
@@ -56,7 +54,6 @@ def _parse_values(text: str, name: str) -> list[float]:
                 raise ValueError("empty grid (start > stop)")
             _check_grid_size(count, "grid")
             return [start + i * step for i in range(count)]
-        values = [float(p) for p in text.split(",") if p.strip() != ""]
         if not values:
             raise ValueError("no values")
         _check_grid_size(len(values), "grid")
@@ -133,8 +130,6 @@ def cmd_sweep(args) -> int:
     cfg = load_scene_config(args.config)
     variable = SweepVariable(args.var)
     grid = _parse_values(args.grid, "--grid")
-    if len(grid) > 1 and any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("--grid values must be strictly increasing")
     snr_db = 0.0
     if variable is not SweepVariable.SNR_DB:
         snr_db = _fixed_snr_db(args, cfg)
@@ -196,19 +191,20 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_validity(args) -> int:
-    if args.tx_aperture <= 0 or args.rx_aperture <= 0:
-        raise ConfigError("apertures must be positive")
+    a_t, a_r = args.tx_aperture, args.rx_aperture
+    _check_positive(a_t, "--tx-aperture")
+    _check_positive(a_r, "--rx-aperture")
     freqs = _parse_values(args.freq_grid, "--freq-grid")
     dists = _parse_values(args.dist_grid, "--dist-grid")
-    if any(f <= 0 for f in freqs) or any(d <= 0 for d in dists):
-        raise ConfigError("frequencies and distances must be positive")
+    for d in dists:
+        _check_positive(d, "--dist-grid value")
     _check_grid_size(len(freqs) * len(dists), "validity map")
     rows = []
-    for f in freqs:
+    for f in freqs:  # each argument checked once, so every cell takes the check-free rule
+        _check_positive(f, "--freq-grid value")
         lam = SPEED_OF_LIGHT_M_S / f
-        for d in dists:
-            regime = validity_from_apertures(args.tx_aperture, args.rx_aperture, lam, d)
-            rows.append((f, d, regime.value))
+        _check_positive(lam, "wavelength_m")
+        rows += [(f, d, _validity(a_t, a_r, lam, d).value) for d in dists]
     if args.format == "json":
         doc = [{"freq_hz": f, "dist_m": d, "regime": r} for f, d, r in rows]
         _write(args.out, ser.json_dumps(doc))
@@ -218,10 +214,9 @@ def cmd_validity(args) -> int:
 
 
 def cmd_phase_profile(args) -> int:
-    if args.steps < 3:
-        raise ConfigError("--steps must be >= 3 to fit a quadratic")
-    if args.freq <= 0 or args.distance <= 0 or args.step_size <= 0:
-        raise ConfigError("--freq, --distance, and --step-size must be positive")
+    _check_grid_size(args.steps, "--steps")  # phase_profile checks the rest of its input
+    _check_positive(args.freq, "--freq")
+    _check_positive(args.distance, "--distance")
     lam = SPEED_OF_LIGHT_M_S / args.freq
     if args.direction == "transverse":
         # scan symmetric about broadside so the fitted curvature matches the

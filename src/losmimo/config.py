@@ -42,6 +42,7 @@ from .geometry import (
     rotate_in_link_plane,
 )
 
+_MAX_ELEMENTS = 4096  # per array block; bounds the O(n^2) channel and diameter work
 _TOP_KEYS = {"carrier_hz", "distance_m", "model", "snr_db", "tx", "rx"}
 _BLOCK_KEYS = {
     "ula": {"type", "n", "spacing_m", "aperture_m", "rotation_deg"},
@@ -107,6 +108,11 @@ def _integer(value, key: str, where: str) -> int:
     return value
 
 
+def _check_elements(count: int, where: str):
+    if count > _MAX_ELEMENTS:
+        raise ConfigError(f"{where} has {count} elements, more than the limit of {_MAX_ELEMENTS}")
+
+
 def _one_sizing(block: dict, keys: tuple[str, ...], where: str) -> str:
     present = [k for k in keys if k in block]
     if len(present) != 1:
@@ -128,22 +134,24 @@ def _build_block(block, where: str, wavelength_m: float) -> tuple[ArrayLayout, R
         )
     _reject_unknown(block, _BLOCK_KEYS[kind], where)
 
+    if kind != "custom":
+        n = _integer(_require(block, "n", where), "n", where)
+        _check_elements(n * n if kind == "ura" else n, where)
     if kind == "custom":
         positions = _require(block, "positions", where)
         if not isinstance(positions, list) or not all(
             isinstance(p, list) and len(p) == 3 for p in positions
         ):
             raise ConfigError(f"'positions' in {where} must be a list of [x, y, z]")
+        _check_elements(len(positions), where)
         layout = custom_layout(positions)
         if "n" in block and _integer(block["n"], "n", where) != layout.element_count:
             raise ConfigError(
                 f"'n' in {where} disagrees with the number of positions"
             )
     elif kind == "uca":
-        n = _integer(_require(block, "n", where), "n", where)
         layout = build_uca(n, _number(_require(block, "diameter_m", where), "diameter_m", where))
     else:
-        n = _integer(_require(block, "n", where), "n", where)
         sizing = _one_sizing(block, ("spacing_m", "aperture_m"), where)
         size = _number(block[sizing], sizing, where)
         if kind == "ula":

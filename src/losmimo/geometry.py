@@ -128,10 +128,8 @@ class ArrayLayout:
             # single-element layouts (e.g. a one-antenna UCA pinned on its
             # circle) are exempt; everything else must be centroid-centered
             raise InvalidArgumentError("layout centroid must sit at the local origin")
-        if not (np.isfinite(self.aperture_m) and self.aperture_m >= 0):
+        if not 0 <= self.aperture_m < math.inf:
             raise InvalidArgumentError("aperture_m must be finite and non-negative")
-        if self.archetype is Archetype.AOSA and not self.subarray_count:
-            raise InvalidArgumentError("AOSA layouts require subarray_count")
         rebuilt = recompute_aperture(self.positions, self.archetype, self.subarray_count)
         if rebuilt is not None and abs(rebuilt - self.aperture_m) > _APERTURE_RTOL * max(
             self.aperture_m, rebuilt, 1e-300
@@ -143,12 +141,12 @@ class ArrayLayout:
 
 
 def _check_count(n, name="n"):
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError(f"{name} must be a positive integer, got {n!r}")
 
 
 def _check_positive(x, name):
-    if not (np.isfinite(x) and x > 0):
+    if not 0 < x < math.inf:  # NaN fails both comparisons
         raise InvalidArgumentError(f"{name} must be positive and finite, got {x!r}")
 
 
@@ -415,8 +413,6 @@ def channel_parameter(scene: LinkScene) -> float:
     layouts onto the x-y plane), so rotating an array toward endfire
     shrinks its contribution.
     """
-    if scene.wavelength_m <= 0 or scene.separation_m <= 0:
-        raise InvalidArgumentError("wavelength and separation must be positive")
     a_t = projected_aperture(scene.tx, scene.tx_pose.rotation)
     a_r = projected_aperture(scene.rx, scene.rx_pose.rotation)
     return (a_t * a_r) / ((scene.wavelength_m * scene.separation_m) * scene.n_min)

@@ -35,12 +35,12 @@ from .geometry import (
     Archetype,
     LinkScene,
     _check_axial,
+    _check_count,
     _check_positive,
     _frozen_copy,
     _link_plane_rotation,
     _posed_points,
     build_aosa,
-    scale_layout,
 )
 
 _ANGLE_CANDIDATES = 33
@@ -114,23 +114,22 @@ def _snr_grid(snr_grid_db) -> list[float]:
     return snr_grid_db
 
 
-def _gains(scene: LinkScene, model, rotations=None, rx_offset_m=0.0, layouts=None,
+def _gains(scene: LinkScene, model, rotations=None, rx_offset_m=0.0, points=None,
            wavelength_m=None) -> np.ndarray:
     """Squared singular values of a variant of ``scene``: the one evaluation path.
 
-    A (tx, rx) pair of ``rotations`` re-poses the layouts (or ``layouts``) as
-    :func:`link_scene` would, rx centroid at (rx_offset_m, 0, D); without it
-    the arrays keep their poses.  ``wavelength_m`` replaces the carrier.
+    A (tx, rx) pair of ``rotations`` re-poses the layouts (or the local
+    ``points``) as :func:`link_scene` would, rx centroid at (rx_offset_m, 0, D);
+    without it the arrays keep their poses.  ``wavelength_m`` replaces the carrier.
     """
     lam = scene.wavelength_m if wavelength_m is None else wavelength_m
-    _check_positive(lam, "wavelength_m")
     if rotations is None:
         tx_pts, rx_pts = scene.tx_positions(), scene.rx_positions()
     else:
-        tx, rx = layouts or (scene.tx, scene.rx)
+        tx, rx = points or (scene.tx.positions, scene.rx.positions)
         d = scene.separation_m
-        tx_pts = _posed_points(tx.positions, rotations[0], np.zeros(3))
-        rx_pts = _posed_points(rx.positions, rotations[1], np.array([rx_offset_m, 0.0, d]))
+        tx_pts = _posed_points(tx, rotations[0], np.zeros(3))
+        rx_pts = _posed_points(rx, rotations[1], np.array([rx_offset_m, 0.0, d]))
         _check_axial(tx_pts, rx_pts, d)
     return _squared_singular_values(_channel_entries(tx_pts, rx_pts, lam, model))
 
@@ -251,14 +250,11 @@ def select_fixed_angles(
 def _select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model):
     """:func:`select_fixed_angles` plus the optimal SE at each SNR it measured
     the gaps against."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidArgumentError("k must be a positive integer")
+    _check_count(k, "k")
     if k > _ANGLE_CANDIDATES:
         raise InvalidArgumentError(f"k must be at most {_ANGLE_CANDIDATES}, got {k}")
     _require_ula_pair(scene, "select_fixed_angles")
-    snr_lin = [snr_db_to_linear(float(s)) for s in snr_grid_db]
-    if not snr_lin:
-        raise InvalidArgumentError("snr_grid_db must be non-empty")
+    snr_lin = [snr_db_to_linear(s) for s in _snr_grid(snr_grid_db)]
     for s in snr_lin:
         _check_snr(s, scene.tx.element_count * scene.rx.element_count)
     candidates = np.linspace(0.0, np.pi / 2, _ANGLE_CANDIDATES)
@@ -292,8 +288,7 @@ def aosa_schedule(
     cluster sit a quarter wavelength apart unless overridden.  Ties go to
     the smaller r (fewer, larger subarrays).
     """
-    if not isinstance(n_total, (int, np.integer)) or n_total < 1:
-        raise InvalidArgumentError("n_total must be a positive integer")
+    _check_count(n_total, "n_total")
     snr_grid_db = _snr_grid(snr_grid_db)
     lam = scene_template.wavelength_m
     dist = scene_template.separation_m
@@ -303,7 +298,7 @@ def aosa_schedule(
     for r in (d for d in range(1, int(n_total) + 1) if n_total % d == 0):
         sub = math.sqrt(lam * dist / r)
         layout = build_aosa(int(n_total), r, sub, min(elem, sub / 2) if n_total == 1 else elem)
-        gains = _gains(scene_template, model, upright, layouts=(layout, layout))
+        gains = _gains(scene_template, model, upright, points=(layout.positions,) * 2)
         candidates.append((f"aosa_r={r}", gains))
     return _best_per_snr(candidates, snr_grid_db, int(n_total), int(n_total))
 
@@ -325,18 +320,23 @@ def _sweep_gains(scene: LinkScene, model, variable: SweepVariable, x: float) -> 
     """
     base = (scene.tx_pose.rotation, scene.rx_pose.rotation)
     if variable is SweepVariable.FREQUENCY_HZ:
-        if x <= 0:
-            raise InvalidArgumentError("frequency must be positive")
-        return _gains(scene, model, wavelength_m=SPEED_OF_LIGHT_M_S / x)
+        _check_positive(x, "freq_hz")
+        lam = SPEED_OF_LIGHT_M_S / x
+        _check_positive(lam, "wavelength_m")
+        return _gains(scene, model, wavelength_m=lam)
     if variable is SweepVariable.ETA:
         if x < 0:
             raise InvalidArgumentError("eta must be non-negative")
         if min(scene.tx.aperture_m, scene.rx.aperture_m) <= 0:
             raise IncompatibleModeError("eta sweep needs layouts with positive aperture")
-        # both broadside apertures become sqrt(eta*lam*D*N)
+        # both broadside apertures become sqrt(eta*lam*D*N); positions scale as in scale_layout
         target = math.sqrt(x * scene.wavelength_m * scene.separation_m * scene.n_min)
-        layouts = [scale_layout(lay, target / lay.aperture_m) for lay in (scene.tx, scene.rx)]
-        return _gains(scene, model, base, layouts=layouts)
+        points = []
+        for lay in (scene.tx, scene.rx):
+            factor = target / lay.aperture_m
+            _check_positive(factor, "factor")
+            points.append(lay.positions * factor)
+        return _gains(scene, model, base, points=points)
     if variable is SweepVariable.ROTATION_RAD:
         return _rotated(scene, model, x, x)
     if variable is SweepVariable.TILT_RAD:

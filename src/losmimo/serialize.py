@@ -125,7 +125,7 @@ def sweep_points_csv(points) -> str:
     for p in points:
         desc = p.config_descriptor
         if p.report is None:
-            err = (p.error or "error").split(":")[0]
+            err = p.error or "error"
             lines.append(
                 f"{fmt(p.x_value)},{fmt(p.snr_db)},nan,nan,0,{_sanitize(desc + ' ' + err)}"
             )

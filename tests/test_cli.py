@@ -1,14 +1,26 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import losmimo
-from losmimo import channel_matrix, load_scene_config, rate_report, snr_db_to_linear
+from losmimo import (
+    InvalidArgumentError,
+    build_ula,
+    capacity_upper_bound_integer,
+    channel_matrix,
+    load_scene_config,
+    rate_report,
+    snr_db_to_linear,
+    validity_from_apertures,
+)
 from losmimo.cli import main
 
 SCENE = """{
@@ -457,3 +469,80 @@ def test_python_dash_m_losmimo_runs_the_cli():
     )
     assert res.returncode == 0
     assert res.stdout.strip() == f"losmimo {losmimo.__version__}"
+
+
+def _validity_with_nan(index):
+    args = [0.1, 0.1, 1e-3, 1.0]
+    args[index] = math.nan
+    return lambda: validity_from_apertures(*args)
+
+
+# inputs that used to end in a value, a NaN or an untyped error
+_CLOSED_HOLES = {
+    "bound_integer_fractional_count": lambda: capacity_upper_bound_integer(4.5, 4, 1.0),
+    "bound_integer_negative_count": lambda: capacity_upper_bound_integer(-3, 4, 1.0),
+    **{f"validity_nan_argument_{i}": _validity_with_nan(i) for i in range(4)},
+    "ula_bool_count": lambda: build_ula(True, 0.1),
+    "cli_validity_nan_aperture": ["validity", "--freq-grid=100e9", "--dist-grid=1",
+                                  "--tx-aperture", "nan", "--rx-aperture", "0.5"],
+    "cli_validity_nan_freq": ["validity", "--freq-grid", "nan", "--dist-grid=1",
+                              "--tx-aperture", "0.5", "--rx-aperture", "0.5"],
+    "cli_phase_profile_inf_distance": ["phase-profile", "--freq", "300e9", "--distance", "inf",
+                                       "--steps", "5", "--step-size", "1e-4"],
+    "cli_phase_profile_scan_overflows": ["phase-profile", "--freq", "300e9", "--distance", "1",
+                                         "--steps", "5", "--step-size", "1e308"],
+    "cli_eta_sweep_nan_snr": ["sweep", "SCENE", "--var", "eta", "--grid", "0,1",
+                              "--snr-db", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLOSED_HOLES))
+def test_bad_inputs_end_in_typed_errors(case, scene_path, capsys):
+    hole = _CLOSED_HOLES[case]
+    if callable(hole):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # NaN results came with a RuntimeWarning
+            with pytest.raises(InvalidArgumentError):
+                hole()
+        return
+    assert main([scene_path if arg == "SCENE" else arg for arg in hole]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _traced_peak(fn):
+    """fn() and the peak of the memory it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_phase_profile_rejects_steps_over_the_limit_before_allocating(capsys):
+    argv = ["phase-profile", "--freq", "300e9", "--distance", "1",
+            "--steps", "1000001", "--step-size", "1e-12"]
+    code, peak = _traced_peak(lambda: main(argv))
+    assert code == 2
+    assert "--steps has 1000001 points, more than the limit" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("block", [
+    {"type": "ula", "n": 100000, "spacing_m": 2**-10},
+    {"type": "ura", "n": 65, "spacing_m": 1e-3},
+    {"type": "custom", "positions": [[(i - 2048) / 1024, 0.0, 0.0] for i in range(4097)]},
+], ids=["ula", "ura", "custom"])
+def test_config_blocks_over_4096_elements_exit_2_before_building(block, tmp_path, capsys):
+    doc = json.loads(SCENE)
+    doc["tx"] = block
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    # a built scene would stop at the aosa mode check instead (exit 4)
+    argv = ["optimize", str(path), "--mode", "aosa", "--snr-grid=0"]
+    code, peak = _traced_peak(lambda: main(argv))
+    assert code == 2
+    assert "tx block has" in capsys.readouterr().err
+    assert peak < 4 << 20

@@ -16,7 +16,12 @@ repository root, ``PYTHONPATH=src python tests/test_golden.py [CASE ...]``
 * ``capacity_ura2_unsorted``, ``optimize_angles_k3_ula4`` and
   ``optimize_angles_k1_ula8_fresnel``: commit f54810c, before ``capacity``
   took one spectrum per scene and ``optimize --mode angles`` one rotation
-  grid per job.
+  grid per job;
+* ``sweep_freq_error_csv``, ``sweep_offset_error_csv`` and
+  ``sweep_tilt_degenerate_csv``: re-recorded on purpose by the child of
+  commit 274f939, which writes the full error text of an error row into the
+  CSV ``config_descriptor`` (it used to stop at the exception class name);
+  only their error rows changed.
 
 Do not rerecord them to make a changed output pass.
 """
@@ -173,6 +178,17 @@ def test_golden_sweep_error_rows_carry_constructor_messages():
     )
     for doc in (offsets, freqs):
         assert sum("error" in row for row in doc) == 1
+    # CSV error rows carry the same text, commas turned into semicolons
+    for case in ("sweep_offset_error", "sweep_freq_error", "sweep_tilt_degenerate"):
+        rows = json.loads((GOLDEN / f"{case}_json.json").read_text())
+        descriptors = [r[-1] for r in csv.reader(io.StringIO(
+            (GOLDEN / f"{case}_csv.csv").read_text()))][1:]
+        assert len(descriptors) == len(rows)
+        for row, descriptor in zip(rows, descriptors):
+            want = row["config_descriptor"]
+            if "error" in row:
+                want += " " + row["error"].replace(",", ";")
+            assert descriptor == want
 
 
 def _record(cases):

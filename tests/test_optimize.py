@@ -20,6 +20,7 @@ from losmimo import (
     channel_matrix,
     fixed_angle_plan,
     link_scene,
+    load_scene_config,
     optimize_rotation,
     rate_report,
     select_fixed_angles,
@@ -304,6 +305,32 @@ def test_angles_mode_builds_the_rotation_grid_once(tmp_path, monkeypatch, capsys
     # 65 grid spectra, at most 20 golden-section points per SNR, 3 plan angles
     assert len(calls) <= 65 + 31 * 20 + 3
     assert len(capsys.readouterr().out.splitlines()) == 32
+
+
+def test_angles_mode_rejects_a_decreasing_snr_grid_before_any_channel(
+    tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "ula.json"
+    path.write_text(json.dumps({
+        "carrier_hz": 300e9, "distance_m": 5.0, "model": "spherical",
+        "tx": {"type": "ula", "n": 4, "spacing_m": 0.035},
+        "rx": {"type": "ula", "n": 4, "spacing_m": 0.035},
+    }))
+    calls = []
+    entries = optimize._channel_entries
+
+    def counted(*args):
+        calls.append(1)
+        return entries(*args)
+
+    monkeypatch.setattr(optimize, "_channel_entries", counted)
+    argv = ["optimize", str(path), "--mode", "angles", "--k", "2", "--snr-grid=20,10"]
+    assert main(argv) == 2
+    assert "increasing" in capsys.readouterr().err
+    scene = load_scene_config(str(path)).scene
+    with pytest.raises(InvalidArgumentError, match="increasing"):
+        select_fixed_angles(scene, 2, [20.0, 10.0], WavefrontModel.SPHERICAL)
+    assert calls == []
 
 
 def test_aosa_schedule_rank_transitions():
