@@ -206,8 +206,7 @@ def cmd_validity(args) -> int:
         _check_positive(lam, "wavelength_m")
         rows += [(f, d, _validity(a_t, a_r, lam, d).value) for d in dists]
     if args.format == "json":
-        doc = [{"freq_hz": f, "dist_m": d, "regime": r} for f, d, r in rows]
-        _write(args.out, ser.json_dumps(doc))
+        _write(args.out, ser.json_dumps(ser.validity_json(rows)))
     else:
         _write(args.out, ser.validity_csv(rows))
     return 0
@@ -231,14 +230,12 @@ def cmd_phase_profile(args) -> int:
     profile = phase_profile(
         (0.0, 0.0, 0.0), start, args.step_size, args.steps, direction, lam
     )
-    summary = ser.phase_summary_dict(profile, c2_predicted)
     if args.format == "json":
-        doc = dict(summary)
-        doc["samples"] = {name: col.tolist() for name, col in ser._phase_columns(profile).items()}
-        _write(args.out, ser.json_dumps(doc))
+        _write(args.out, ser.json_dumps(ser.phase_profile_json_doc(profile, c2_predicted)))
     else:
         _write(args.out, ser.phase_profile_csv(profile))
         if args.out:
+            summary = ser.phase_summary_dict(profile, c2_predicted)
             _write(str(args.out) + ".json", ser.json_dumps(summary))
     return 0
 

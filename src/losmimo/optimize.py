@@ -77,6 +77,8 @@ class SweepSpec:
         if g.size > 1 and np.any(np.diff(g) <= 0):
             raise InvalidArgumentError("sweep grid must be strictly increasing")
         object.__setattr__(self, "grid", _frozen_copy(g))
+        if not -math.inf < self.snr_db < math.inf:  # NaN fails both comparisons
+            raise InvalidArgumentError(f"sweep snr_db must be finite, got {self.snr_db!r}")
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@
 
 Every float prints with 17 significant digits so written values survive a
 round trip through text exactly; identical inputs always produce byte
-identical output.
+identical output.  JSON text is that of ``json.dumps(obj, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -17,21 +18,41 @@ from .errors import InvalidArgumentError
 from .optimize import SweepPoint
 
 
-def fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _indented(obj, depth: int) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` as written ``depth`` levels deep.
+
+    The stdlib indents in pure Python, so dicts and lists of lists are laid out
+    here; other values keep the stdlib text (no encoded string holds a newline).
+    """
+    close = "\n" + "  " * depth
+    pad = close + "  "
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        items = (encode_basestring_ascii(k) + ": " + _indented(v, depth + 1)
+                 for k, v in sorted(obj.items()))
+        return "{" + pad + ("," + pad).join(items) + close + "}"
+    kinds = set(map(type, obj)) if type(obj) is list else set()
+    if kinds and kinds <= {float, int}:  # one C-encoder call; its item separator indents
+        body = json.JSONEncoder(separators=("," + pad, ": ")).encode(obj)[1:-1]
+    elif kinds == {list}:
+        body = ("," + pad).join(_indented(x, depth + 1) for x in obj)
+    else:
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", close)
+    return "[" + pad + body + close + "]"
 
 
 def json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _indented(obj, 0) + "\n"
+
+
+def _table(header: str, row_template: str, rows) -> str:
+    """CSV text: the header, then ``row_template % row`` for each row tuple."""
+    return header + "\n" + "".join(map(row_template.__mod__, rows))
 
 
 def channel_csv(h: ChannelMatrix) -> str:
-    lines = ["n,m,re,im"]
-    e = h.entries
-    for n in range(e.shape[0]):
-        for m in range(e.shape[1]):
-            lines.append(f"{n + 1},{m + 1},{fmt(e[n, m].real)},{fmt(e[n, m].imag)}")
-    return "\n".join(lines) + "\n"
+    n, m = (np.indices(h.entries.shape).reshape(2, -1) + 1).tolist()  # 1-based, row-major
+    rows = zip(n, m, h.entries.real.ravel().tolist(), h.entries.imag.ravel().tolist())
+    return _table("n,m,re,im", "%d,%d,%.17g,%.17g\n", rows)
 
 
 def channel_meta(h: ChannelMatrix) -> dict:
@@ -63,24 +84,25 @@ def parse_channel_json(doc: dict) -> ChannelMatrix:
 
 
 def _phase_columns(profile: PhaseProfile) -> dict:
-    """Scan samples with both fits evaluated at each displacement, by column name."""
+    """Scan samples with both fits evaluated at each displacement, as lists by column name."""
     x = profile.displacements_m
     c0, c1, c2 = profile.quadratic_fit
     b0, b1 = profile.linear_fit
     return {
-        "displacement_m": x,
-        "phase_rad": profile.phase_rad,
-        "quadratic_fit_rad": c0 + c1 * x + c2 * x * x,
-        "linear_fit_rad": b0 + b1 * x,
+        "displacement_m": x.tolist(),
+        "phase_rad": profile.phase_rad.tolist(),
+        "quadratic_fit_rad": (c0 + c1 * x + c2 * x * x).tolist(),
+        "linear_fit_rad": (b0 + b1 * x).tolist(),
     }
 
 
 def phase_profile_csv(profile: PhaseProfile) -> str:
     cols = _phase_columns(profile)
-    lines = [",".join(cols)]
-    for x, phase, quad, lin in zip(*cols.values()):
-        lines.append(f"{fmt(x)},{fmt(phase)},{fmt(quad)},{fmt(lin)}")
-    return "\n".join(lines) + "\n"
+    return _table(",".join(cols), "%.17g,%.17g,%.17g,%.17g\n", zip(*cols.values()))
+
+
+def phase_profile_json_doc(profile: PhaseProfile, c2_predicted: float) -> dict:
+    return {**phase_summary_dict(profile, c2_predicted), "samples": _phase_columns(profile)}
 
 
 def phase_summary_dict(profile: PhaseProfile, c2_predicted: float) -> dict:
@@ -98,19 +120,15 @@ def rate_report_dict(report: RateReport) -> dict:
         "se_bpshz": report.spectral_efficiency_bpshz,
         "ub_bpshz": report.upper_bound_bpshz,
         "active_rank": report.active_rank,
-        "allocation": [float(p) for p in report.allocation.fractions],
+        "allocation": report.allocation.fractions.tolist(),
     }
 
 
 def rate_reports_csv(reports) -> str:
-    lines = ["snr_db,se_bpshz,ub_bpshz,active_rank,allocation"]
-    for r in reports:
-        alloc = ";".join(fmt(p) for p in r.allocation.fractions)
-        lines.append(
-            f"{fmt(r.snr_db)},{fmt(r.spectral_efficiency_bpshz)},"
-            f"{fmt(r.upper_bound_bpshz)},{r.active_rank},{alloc}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = ((r.snr_db, r.spectral_efficiency_bpshz, r.upper_bound_bpshz, r.active_rank,
+             ";".join(map("%.17g".__mod__, r.allocation.fractions.tolist()))) for r in reports)
+    header = "snr_db,se_bpshz,ub_bpshz,active_rank,allocation"
+    return _table(header, "%.17g,%.17g,%.17g,%s,%s\n", rows)
 
 
 _SWEEP_HEADER = "x_value,snr_db,se_bpshz,ub_bpshz,active_rank,config_descriptor"
@@ -120,22 +138,17 @@ def _sanitize(descriptor: str) -> str:
     return descriptor.replace(",", ";").replace("\n", " ")
 
 
+def _sweep_row(p: SweepPoint) -> tuple:
+    r = p.report
+    if r is None:  # nan bounds, rank 0, and the error text after the descriptor
+        return (p.x_value, p.snr_db, np.nan, np.nan, 0,
+                _sanitize(p.config_descriptor + " " + (p.error or "error")))
+    return (p.x_value, p.snr_db, r.spectral_efficiency_bpshz, r.upper_bound_bpshz,
+            r.active_rank, _sanitize(p.config_descriptor))
+
+
 def sweep_points_csv(points) -> str:
-    lines = [_SWEEP_HEADER]
-    for p in points:
-        desc = p.config_descriptor
-        if p.report is None:
-            err = p.error or "error"
-            lines.append(
-                f"{fmt(p.x_value)},{fmt(p.snr_db)},nan,nan,0,{_sanitize(desc + ' ' + err)}"
-            )
-        else:
-            r = p.report
-            lines.append(
-                f"{fmt(p.x_value)},{fmt(p.snr_db)},{fmt(r.spectral_efficiency_bpshz)},"
-                f"{fmt(r.upper_bound_bpshz)},{r.active_rank},{_sanitize(desc)}"
-            )
-    return "\n".join(lines) + "\n"
+    return _table(_SWEEP_HEADER, "%.17g,%.17g,%.17g,%.17g,%s,%s\n", map(_sweep_row, points))
 
 
 def sweep_point_dict(p: SweepPoint) -> dict:
@@ -160,8 +173,9 @@ def sweep_points_json(points) -> list:
     return [sweep_point_dict(p) for p in points]
 
 
+def validity_json(rows) -> list:
+    return [{"freq_hz": f, "dist_m": d, "regime": r} for f, d, r in rows]
+
+
 def validity_csv(rows) -> str:
-    lines = ["freq_hz,dist_m,regime"]
-    for freq_hz, dist_m, regime in rows:
-        lines.append(f"{fmt(freq_hz)},{fmt(dist_m)},{regime}")
-    return "\n".join(lines) + "\n"
+    return _table("freq_hz,dist_m,regime", "%.17g,%.17g,%s\n", rows)

@@ -13,15 +13,22 @@ import pytest
 import losmimo
 from losmimo import (
     InvalidArgumentError,
+    SweepSpec,
+    SweepVariable,
+    WavefrontModel,
     build_ula,
     capacity_upper_bound_integer,
     channel_matrix,
+    link_scene,
     load_scene_config,
     rate_report,
     snr_db_to_linear,
+    sweep,
     validity_from_apertures,
 )
 from losmimo.cli import main
+
+GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
 
 SCENE = """{
   "carrier_hz": 300e9,
@@ -477,12 +484,19 @@ def _validity_with_nan(index):
     return lambda: validity_from_apertures(*args)
 
 
+def _sweep_with_snr(snr_db):
+    scene = link_scene(build_ula(4, 0.035), build_ula(4, 0.035), 5.0, 1e-3)
+    return lambda: sweep(SweepSpec(SweepVariable.ETA, [0.5, 1.0], scene,
+                                   WavefrontModel.SPHERICAL, snr_db=snr_db))
+
+
 # inputs that used to end in a value, a NaN or an untyped error
 _CLOSED_HOLES = {
     "bound_integer_fractional_count": lambda: capacity_upper_bound_integer(4.5, 4, 1.0),
     "bound_integer_negative_count": lambda: capacity_upper_bound_integer(-3, 4, 1.0),
     **{f"validity_nan_argument_{i}": _validity_with_nan(i) for i in range(4)},
     "ula_bool_count": lambda: build_ula(True, 0.1),
+    **{f"sweep_spec_{v}_snr": _sweep_with_snr(float(v)) for v in ("nan", "inf", "-inf")},
     "cli_validity_nan_aperture": ["validity", "--freq-grid=100e9", "--dist-grid=1",
                                   "--tx-aperture", "nan", "--rx-aperture", "0.5"],
     "cli_validity_nan_freq": ["validity", "--freq-grid", "nan", "--dist-grid=1",
@@ -509,6 +523,23 @@ def test_bad_inputs_end_in_typed_errors(case, scene_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, error", [
+    ("ula4", "distances must be finite and positive"),
+    ("ula8_fresnel", "channel entries must be finite"),
+    ("ura2_planar", "channel entries must be finite"),
+])
+def test_overflowing_offset_ends_in_an_error_row_without_a_warning(config, error, capsys):
+    argv = ["sweep", str(GOLDEN_CONFIGS / f"{config}.json"), "--var", "offset",
+            "--grid=0,1,1e300", "--snr-db=10", "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the squared offset used to warn of an overflow
+        assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = json.loads(out)
+    assert [row.get("error") for row in rows] == [None, None, f"InvalidArgumentError: {error}"]
 
 
 def _traced_peak(fn):

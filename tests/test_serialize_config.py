@@ -1,8 +1,11 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losmimo import (
     Archetype,
@@ -21,6 +24,7 @@ from losmimo.serialize import (
     channel_json_doc,
     json_dumps,
     parse_channel_json,
+    phase_profile_csv,
     rate_reports_csv,
     sweep_points_csv,
     sweep_points_json,
@@ -107,6 +111,117 @@ def test_validity_csv_layout():
     assert lines[0] == "freq_hz,dist_m,regime"
     assert lines[1].endswith(",planar")
     assert lines[2].endswith(",spherical")
+
+
+# -- the writers against the stdlib layout and per-cell formatting ------------
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-308, 1e16, 1.8e308]
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(_SPECIAL)
+_text = st.text(st.characters() | st.sampled_from(',\n"\\é€😀'))
+_numbers = st.lists(_floats | st.integers(), max_size=8)
+_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | _floats | _floats.map(np.float64) | _text
+    | _numbers | st.lists(_numbers, max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_text, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents)
+def test_json_dumps_matches_the_stdlib_layout(doc):
+    assert json_dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _fmt(x) -> str:
+    """The per-cell reference formatting the CSV writers must reproduce."""
+    return format(float(x), ".17g")
+
+
+def _columns(count):
+    return st.lists(_floats, min_size=count, max_size=count).map(np.array)
+
+
+@st.composite
+def _matrices(draw):
+    n_r, n_t = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    e = np.empty((n_r, n_t), dtype=complex)
+    e.real = draw(_columns(n_r * n_t)).reshape(n_r, n_t)
+    e.imag = draw(_columns(n_r * n_t)).reshape(n_r, n_t)
+    return e
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices())
+def test_channel_csv_matches_per_cell_formatting(e):
+    lines = ["n,m,re,im"]
+    for n in range(e.shape[0]):
+        for m in range(e.shape[1]):
+            lines.append(f"{n + 1},{m + 1},{_fmt(e[n, m].real)},{_fmt(e[n, m].imag)}")
+    assert channel_csv(SimpleNamespace(entries=e)) == "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda k: st.tuples(_columns(k), _columns(k))),
+       st.tuples(_floats, _floats, _floats), st.tuples(_floats, _floats))
+def test_phase_profile_csv_matches_per_cell_formatting(samples, quadratic, linear):
+    x, phase = samples
+    profile = SimpleNamespace(displacements_m=x, phase_rad=phase,
+                              quadratic_fit=quadratic, linear_fit=linear)
+    (c0, c1, c2), (b0, b1) = quadratic, linear
+    lines = ["displacement_m,phase_rad,quadratic_fit_rad,linear_fit_rad"]
+    with np.errstate(all="ignore"):
+        for row in zip(x, phase, c0 + c1 * x + c2 * x * x, b0 + b1 * x):
+            lines.append(",".join(map(_fmt, row)))
+        assert phase_profile_csv(profile) == "\n".join(lines) + "\n"
+
+
+def _report(values, rank, fractions):
+    return SimpleNamespace(snr_db=values[0], spectral_efficiency_bpshz=values[1],
+                           upper_bound_bpshz=values[2], active_rank=rank,
+                           allocation=SimpleNamespace(fractions=np.array(fractions)))
+
+
+_reports = st.builds(_report, st.tuples(_floats, _floats, _floats), st.integers(0, 64),
+                     st.lists(_floats, min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_reports, max_size=4))
+def test_rate_reports_csv_matches_per_cell_formatting(reports):
+    lines = ["snr_db,se_bpshz,ub_bpshz,active_rank,allocation"]
+    for r in reports:
+        alloc = ";".join(_fmt(p) for p in r.allocation.fractions)
+        lines.append(f"{_fmt(r.snr_db)},{_fmt(r.spectral_efficiency_bpshz)},"
+                     f"{_fmt(r.upper_bound_bpshz)},{r.active_rank},{alloc}")
+    assert rate_reports_csv(reports) == "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(SweepPoint, _floats, _floats, st.none() | _reports, _text,
+                          st.none() | _text), max_size=4))
+def test_sweep_points_csv_matches_per_cell_formatting(points):
+    lines = ["x_value,snr_db,se_bpshz,ub_bpshz,active_rank,config_descriptor"]
+    for p in points:
+        desc = p.config_descriptor
+        if p.report is None:
+            desc = (desc + " " + (p.error or "error")).replace(",", ";").replace("\n", " ")
+            lines.append(f"{_fmt(p.x_value)},{_fmt(p.snr_db)},nan,nan,0,{desc}")
+        else:
+            r = p.report
+            desc = desc.replace(",", ";").replace("\n", " ")
+            lines.append(f"{_fmt(p.x_value)},{_fmt(p.snr_db)},{_fmt(r.spectral_efficiency_bpshz)},"
+                         f"{_fmt(r.upper_bound_bpshz)},{r.active_rank},{desc}")
+    assert sweep_points_csv(points) == "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_floats, _floats, st.sampled_from(["planar", "spherical"])),
+                max_size=6))
+def test_validity_csv_matches_per_cell_formatting(rows):
+    lines = ["freq_hz,dist_m,regime"] + [f"{_fmt(f)},{_fmt(d)},{r}" for f, d, r in rows]
+    assert validity_csv(rows) == "\n".join(lines) + "\n"
 
 
 CONFIG = {
