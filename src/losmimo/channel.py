@@ -123,7 +123,6 @@ def _pair_distances(tx: np.ndarray, rx: np.ndarray):
     return delta, dist
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow ends in a finiteness check
 def distance_matrix(scene: LinkScene) -> DistanceMatrix:
     """Exact Euclidean distances between every posed rx/tx antenna pair."""
     return DistanceMatrix(_pair_distances(scene.tx_positions(), scene.rx_positions())[1])
@@ -136,7 +135,6 @@ def channel_matrix(scene: LinkScene, model: WavefrontModel) -> ChannelMatrix:
     return ChannelMatrix(entries, lam, model)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as for distance_matrix
 def _channel_entries(
     tx: np.ndarray, rx: np.ndarray, wavelength_m: float, model: WavefrontModel
 ) -> np.ndarray:

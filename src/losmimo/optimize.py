@@ -368,17 +368,18 @@ def sweep(spec: SweepSpec):
 
     snr_fixed = snr_db_to_linear(spec.snr_db)
     points = []
-    for x in spec.grid.tolist():
-        descriptor = f"{label}={x:.12g}"
-        try:
-            if var is SweepVariable.ETA and x == 0.0:
-                # aperture -> 0 limit collapses to pure beamforming
-                report = _beamforming_report(scene, snr_fixed)
-            else:
-                report = _report(scene, _sweep_gains(scene, model, var, x), snr_fixed)
-            points.append(SweepPoint(x, spec.snr_db, report, descriptor))
-        except LosMimoError as exc:
-            points.append(
-                SweepPoint(x, spec.snr_db, None, descriptor, error=f"{type(exc).__name__}: {exc}")
-            )
+    # an overflowing geometry (say an offset of 1e300) ends in a typed error row
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in spec.grid.tolist():
+            descriptor = f"{label}={x:.12g}"
+            try:
+                if var is SweepVariable.ETA and x == 0.0:
+                    # aperture -> 0 limit collapses to pure beamforming
+                    report = _beamforming_report(scene, snr_fixed)
+                else:
+                    report = _report(scene, _sweep_gains(scene, model, var, x), snr_fixed)
+                points.append(SweepPoint(x, spec.snr_db, report, descriptor))
+            except LosMimoError as exc:
+                points.append(SweepPoint(x, spec.snr_db, None, descriptor,
+                                         error=f"{type(exc).__name__}: {exc}"))
     return points

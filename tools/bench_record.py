@@ -6,11 +6,12 @@ Usage, from the root of a checkout::
         --workload export --seed 0 --pairs 10 --out BENCH_N.json
 
 ``--parent`` and ``--change`` are two source trees that each hold ``bench/``
-and ``src/`` (for example a ``git archive`` of the parent commit, and this
+and ``src/`` (for example a ``git clone`` of the parent commit, and this
 checkout).  The script runs ``python3 bench/run.py --workload W --seed S
---seconds T --trace X`` in each tree ``--pairs`` times, one run at a time,
-alternating which side of a pair runs first.  It keeps every run's
-environment line and result, and per metric the median, the quartiles and
+--trace X`` in each tree ``--pairs`` times, one run at a time, at the run
+length the benchmark sets, alternating which side of a pair runs first.  It
+keeps every run's environment line (whose ``git_commit`` names the tree when
+it is a git checkout) and result, and per metric the median, the quartiles and
 the interquartile range (IQR) of each side, plus the number of pairs the
 change won (ties count for neither side; "better" comes from the change
 tree's ``BENCHMARK.json``).  The record is appended to the ``--out`` file,
@@ -28,9 +29,9 @@ import sys
 from pathlib import Path
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -73,7 +74,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            run = run_once(trees[side], args.workload, args.seed, args.seconds, args.trace)
+            run = run_once(trees[side], args.workload, args.seed, args.trace)
             runs.append({"pair": pair, "side": side, **run})
             print(f"pair {pair} {side}: failed {run['failed']}/{run['attempted']}",
                   file=sys.stderr, flush=True)
@@ -94,9 +94,8 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "seed": args.seed,
         "trace": args.trace,
-        "seconds": args.seconds,
         "command": f"python3 bench/run.py --workload {args.workload} --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace {args.trace}",
+                   f"--trace {args.trace}",
         "summary": summarize(runs, better),
         "runs": runs,
     }
