@@ -199,17 +199,15 @@ def capacity_upper_bound(n_t: int, n_r: int, snr_linear: float) -> float:
 
 
 def capacity_upper_bound_integer(n_t: int, n_r: int, snr_linear: float):
-    """Best integer rank and its polarized rate (ties go to the smaller rank)."""
+    """Best integer rank and its polarized rate (ties go to the smaller rank): the
+    rate is unimodal in r, so it is the floor or ceiling of the real peak, clipped."""
     _check_count(n_t, "n_t")
     _check_count(n_r, "n_r")
     _check_snr(snr_linear, n_t * n_r)
-    n_min = min(n_t, n_r)
-    best_r, best_v = 1, float(_polarized_value(n_t, n_r, 1, snr_linear))
-    for r in range(2, n_min + 1):
-        v = float(_polarized_value(n_t, n_r, r, snr_linear))
-        if v > best_v:
-            best_r, best_v = r, v
-    return best_r, best_v
+    peak = math.sqrt(snr_linear * n_t * n_r / _POLARIZED_PEAK_X)
+    lo, hi = (min(max(f(peak), 1), n_t, n_r) for f in (math.floor, math.ceil))
+    v_lo, v_hi = (float(_polarized_value(n_t, n_r, r, snr_linear)) for r in (lo, hi))
+    return (hi, v_hi) if v_hi > v_lo else (lo, v_lo)
 
 
 def rate_report(h: ChannelMatrix, snr_linear: float) -> RateReport:

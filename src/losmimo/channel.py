@@ -191,12 +191,13 @@ def validity_from_apertures(
     _check_positive(distance_m, "distance_m")
     if not (0 <= aperture_t_m < math.inf and 0 <= aperture_r_m < math.inf):
         raise InvalidArgumentError("apertures must be finite and non-negative")
-    return _validity(aperture_t_m, aperture_r_m, wavelength_m, distance_m)
+    planar = _planar_ok(aperture_t_m, aperture_r_m, wavelength_m, distance_m)
+    return Validity.PLANAR_OK if planar else Validity.SPHERICAL_REQUIRED
 
 
-def _validity(a_t: float, a_r: float, lam: float, d: float) -> Validity:
-    """Body of :func:`validity_from_apertures` on checked arguments."""
-    return Validity.PLANAR_OK if a_t * a_r < 4 * lam * d else Validity.SPHERICAL_REQUIRED
+def _planar_ok(a_t, a_r, lam, d):
+    """The rule of :func:`validity_from_apertures` on checked arguments; broadcasts."""
+    return a_t * a_r < 4 * lam * d
 
 
 def classify_validity(scene: LinkScene) -> Validity:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .capacity import _rate_report, _squared_singular_values
-from .channel import SPEED_OF_LIGHT_M_S, _validity, channel_matrix, phase_profile
+from .channel import SPEED_OF_LIGHT_M_S, Validity, _planar_ok, channel_matrix, phase_profile
 from .config import load_scene_config
 from .errors import ConfigError, IncompatibleModeError, LosMimoError
 from .geometry import Archetype, _check_positive
@@ -77,12 +77,15 @@ def _write(out_path, text: str):
         sys.stdout.write(text)
 
 
-def _write_rows(args, rows):
-    """Sweep rows (or plan rows) as CSV, or as a JSON list with --format json."""
-    if args.format == "json":
-        _write(args.out, ser.json_dumps(ser.sweep_points_json(rows)))
-    else:
-        _write(args.out, ser.sweep_points_csv(rows))
+def _emit(args, result, to_csv, to_doc, sidecar=None) -> int:
+    """Write ``result`` to --out (stdout when omitted) as ``to_csv(result)``, or
+    with --format json as the JSON of ``to_doc(result)``.  A CSV written to
+    --out also gets ``<out>.json`` holding the JSON of ``sidecar(result)``."""
+    as_csv = args.format == "csv"
+    _write(args.out, to_csv(result) if as_csv else ser.json_dumps(to_doc(result)))
+    if as_csv and args.out and sidecar is not None:
+        _write(args.out + ".json", ser.json_dumps(sidecar(result)))
+    return 0
 
 
 def _fixed_snr_db(args, cfg) -> float:
@@ -99,13 +102,7 @@ def _fixed_snr_db(args, cfg) -> float:
 def cmd_channel(args) -> int:
     cfg = load_scene_config(args.config)
     h = channel_matrix(cfg.scene, cfg.model)
-    if args.format == "json":
-        _write(args.out, ser.json_dumps(ser.channel_json_doc(h)))
-    else:
-        _write(args.out, ser.channel_csv(h))
-        if args.out:
-            _write(str(args.out) + ".json", ser.json_dumps(ser.channel_meta(h)))
-    return 0
+    return _emit(args, h, ser.channel_csv, ser.channel_json_doc, ser.channel_meta)
 
 
 def cmd_capacity(args) -> int:
@@ -119,29 +116,17 @@ def cmd_capacity(args) -> int:
     h = channel_matrix(cfg.scene, cfg.model)
     gains = _squared_singular_values(h.entries)  # the geometry fixes the spectrum
     reports = [_rate_report(gains, h.n_t, h.n_r, snr_db_to_linear(s)) for s in snrs]
-    if args.format == "json":
-        _write(args.out, ser.json_dumps([ser.rate_report_dict(r) for r in reports]))
-    else:
-        _write(args.out, ser.rate_reports_csv(reports))
-    return 0
+    return _emit(args, reports, ser.rate_reports_csv, ser.rate_reports_json)
 
 
 def cmd_sweep(args) -> int:
     cfg = load_scene_config(args.config)
     variable = SweepVariable(args.var)
     grid = _parse_values(args.grid, "--grid")
-    snr_db = 0.0
-    if variable is not SweepVariable.SNR_DB:
-        snr_db = _fixed_snr_db(args, cfg)
-    spec = SweepSpec(
-        variable=variable,
-        grid=np.asarray(grid),
-        base_scene=cfg.scene,
-        model=cfg.model,
-        snr_db=snr_db,
-    )
-    _write_rows(args, sweep(spec))
-    return 0
+    snr_db = 0.0 if variable is SweepVariable.SNR_DB else _fixed_snr_db(args, cfg)
+    spec = SweepSpec(variable=variable, grid=np.asarray(grid), base_scene=cfg.scene,
+                     model=cfg.model, snr_db=snr_db)
+    return _emit(args, sweep(spec), ser.sweep_points_csv, ser.sweep_points_json)
 
 
 def cmd_optimize(args) -> int:
@@ -151,26 +136,24 @@ def cmd_optimize(args) -> int:
     if args.mode == "rotation":
         snr_db = _fixed_snr_db(args, cfg)
         angle, report = optimize_rotation(scene, snr_db_to_linear(snr_db), model)
-        if args.format == "json":
-            doc = {"angle_rad": angle, "report": ser.rate_report_dict(report)}
-            _write(args.out, ser.json_dumps(doc))
-        else:
-            _write_rows(args, [SweepPoint(angle, snr_db, report, f"rotation_rad={angle:.12g}")])
-        return 0
+        plan = [SweepPoint(angle, snr_db, report, f"rotation_rad={angle:.12g}")]
+        return _emit(args, plan, ser.sweep_points_csv, ser.rotation_json_doc)
 
     if args.snr_grid is None:
         raise ConfigError(f"--snr-grid is required for mode '{args.mode}'")
     snr_grid = _parse_values(args.snr_grid, "--snr-grid")
 
     if args.mode == "aosa":
-        if scene.tx.archetype is not Archetype.AOSA or scene.rx.archetype is not Archetype.AOSA:
-            raise IncompatibleModeError(
-                "optimize --mode aosa needs 'aosa' array blocks in the config"
-            )
-        elem = cfg.tx_block.get("element_spacing_m")
-        n = scene.tx.element_count
-        _write_rows(args, aosa_schedule(n, scene, snr_grid, model, element_spacing_m=elem))
-        return 0
+        # the blocks fix n and the element spacing; the schedule picks r and the subarray spacing
+        tx, rx = scene.tx, scene.rx
+        elem_t, elem_r = (b.get("element_spacing_m", cfg.wavelength_m / 4)
+                          for b in (cfg.tx_block, cfg.rx_block))
+        if not (tx.archetype is rx.archetype is Archetype.AOSA
+                and tx.element_count == rx.element_count and elem_t == elem_r):
+            raise IncompatibleModeError("optimize --mode aosa needs 'aosa' tx and rx blocks "
+                                        "with the same 'n' and element spacing")
+        plan = aosa_schedule(tx.element_count, scene, snr_grid, model, element_spacing_m=elem_t)
+        return _emit(args, plan, ser.sweep_points_csv, ser.sweep_points_json)
 
     # angles mode: the gaps are measured against the optima the selection used
     angles, ref_se = _select_fixed_angles(scene, args.k, snr_grid, model)
@@ -178,16 +161,8 @@ def cmd_optimize(args) -> int:
     ses = [row.report.spectral_efficiency_bpshz for row in plan]
     gaps = [1.0 - se / ref for se, ref in zip(ses, ref_se.tolist()) if ref > 0]
     worst_gap = max([0.0] + gaps)
-    if args.format == "json":
-        doc = {
-            "angles_rad": angles,
-            "worst_case_gap": worst_gap,
-            "plan": ser.sweep_points_json(plan),
-        }
-        _write(args.out, ser.json_dumps(doc))
-    else:
-        _write_rows(args, plan)
-    return 0
+    return _emit(args, plan, ser.sweep_points_csv,
+                 lambda p: ser.angles_json_doc(angles, worst_gap, p))
 
 
 def cmd_validity(args) -> int:
@@ -199,17 +174,16 @@ def cmd_validity(args) -> int:
     for d in dists:
         _check_positive(d, "--dist-grid value")
     _check_grid_size(len(freqs) * len(dists), "validity map")
+    dist_array = np.asarray(dists)
+    regimes = (Validity.PLANAR_OK.value, Validity.SPHERICAL_REQUIRED.value)
     rows = []
-    for f in freqs:  # each argument checked once, so every cell takes the check-free rule
+    for f in freqs:  # each argument checked once, then one check-free rule per row
         _check_positive(f, "--freq-grid value")
         lam = SPEED_OF_LIGHT_M_S / f
         _check_positive(lam, "wavelength_m")
-        rows += [(f, d, _validity(a_t, a_r, lam, d).value) for d in dists]
-    if args.format == "json":
-        _write(args.out, ser.json_dumps(ser.validity_json(rows)))
-    else:
-        _write(args.out, ser.validity_csv(rows))
-    return 0
+        planar = _planar_ok(a_t, a_r, lam, dist_array)
+        rows += zip([f] * len(dists), dists, np.where(planar, *regimes).tolist())
+    return _emit(args, rows, ser.validity_csv, ser.validity_json)
 
 
 def cmd_phase_profile(args) -> int:
@@ -230,14 +204,9 @@ def cmd_phase_profile(args) -> int:
     profile = phase_profile(
         (0.0, 0.0, 0.0), start, args.step_size, args.steps, direction, lam
     )
-    if args.format == "json":
-        _write(args.out, ser.json_dumps(ser.phase_profile_json_doc(profile, c2_predicted)))
-    else:
-        _write(args.out, ser.phase_profile_csv(profile))
-        if args.out:
-            summary = ser.phase_summary_dict(profile, c2_predicted)
-            _write(str(args.out) + ".json", ser.json_dumps(summary))
-    return 0
+    return _emit(args, profile, ser.phase_profile_csv,
+                 lambda p: ser.phase_profile_json_doc(p, c2_predicted),
+                 lambda p: ser.phase_summary_dict(p, c2_predicted))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -194,7 +194,8 @@ def build_aosa(
 
     Cluster centers are uniformly spaced by ``subarray_spacing_m``; the
     ``n_total`` elements are divided evenly among the clusters and spaced
-    ``element_spacing_m`` within each.
+    ``element_spacing_m`` within each, so a cluster spans
+    ``(n_total / n_subarrays - 1) * element_spacing_m``.
     """
     _check_count(n_total, "n_total")
     _check_count(n_subarrays, "n_subarrays")
@@ -204,9 +205,9 @@ def build_aosa(
         raise InvalidArgumentError(
             f"n_subarrays {n_subarrays} must divide n_total {n_total}"
         )
-    if element_spacing_m >= subarray_spacing_m:
+    if not _clusters_apart(n_total, n_subarrays, subarray_spacing_m, element_spacing_m):
         raise InvalidArgumentError(
-            "element_spacing_m must be smaller than subarray_spacing_m, "
+            "a cluster's span must be smaller than subarray_spacing_m, "
             "otherwise clusters overlap or interleave"
         )
     k = n_total // n_subarrays
@@ -216,6 +217,12 @@ def build_aosa(
     pts = np.column_stack([x, np.zeros(n_total), np.zeros(n_total)])
     aperture = _aperture_or(float(subarray_spacing_m), pts, Archetype.AOSA, n_subarrays)
     return ArrayLayout(pts, Archetype.AOSA, aperture, n_total, n_subarrays)
+
+
+def _clusters_apart(n: int, r: int, sub: float, elem: float) -> bool:
+    """True when r clusters of n / r elements ``elem`` apart, with centers ``sub``
+    apart, neither overlap nor interleave (a single cluster always fits)."""
+    return r == 1 or (n // r - 1) * elem < sub
 
 
 def custom_layout(positions) -> ArrayLayout:

@@ -37,6 +37,7 @@ from .geometry import (
     _check_axial,
     _check_count,
     _check_positive,
+    _clusters_apart,
     _frozen_copy,
     _link_plane_rotation,
     _posed_points,
@@ -287,8 +288,9 @@ def aosa_schedule(
 
     For each divisor r of n_total the array splits into r clusters at the
     rank-r Rayleigh center spacing sqrt(lambda*D/r); elements within a
-    cluster sit a quarter wavelength apart unless overridden.  Ties go to
-    the smaller r (fewer, larger subarrays).
+    cluster sit a quarter wavelength apart unless overridden.  A divisor
+    whose clusters would overlap at that spacing is skipped (r = 1 always
+    fits).  Ties go to the smaller r (fewer, larger subarrays).
     """
     _check_count(n_total, "n_total")
     snr_grid_db = _snr_grid(snr_grid_db)
@@ -299,7 +301,9 @@ def aosa_schedule(
     candidates = []
     for r in (d for d in range(1, int(n_total) + 1) if n_total % d == 0):
         sub = math.sqrt(lam * dist / r)
-        layout = build_aosa(int(n_total), r, sub, min(elem, sub / 2) if n_total == 1 else elem)
+        if not _clusters_apart(n_total, r, sub, elem):
+            continue
+        layout = build_aosa(int(n_total), r, sub, elem)
         gains = _gains(scene_template, model, upright, points=(layout.positions,) * 2)
         candidates.append((f"aosa_r={r}", gains))
     return _best_per_snr(candidates, snr_grid_db, int(n_total), int(n_total))

@@ -124,6 +124,10 @@ def rate_report_dict(report: RateReport) -> dict:
     }
 
 
+def rate_reports_json(reports) -> list:
+    return [rate_report_dict(r) for r in reports]
+
+
 def rate_reports_csv(reports) -> str:
     rows = ((r.snr_db, r.spectral_efficiency_bpshz, r.upper_bound_bpshz, r.active_rank,
              ";".join(map("%.17g".__mod__, r.allocation.fractions.tolist()))) for r in reports)
@@ -171,6 +175,16 @@ def sweep_point_dict(p: SweepPoint) -> dict:
 
 def sweep_points_json(points) -> list:
     return [sweep_point_dict(p) for p in points]
+
+
+def rotation_json_doc(plan) -> dict:
+    [row] = plan  # a rotation plan has one row
+    return {"angle_rad": row.x_value, "report": rate_report_dict(row.report)}
+
+
+def angles_json_doc(angles, worst_case_gap: float, plan) -> dict:
+    return {"angles_rad": angles, "worst_case_gap": worst_case_gap,
+            "plan": sweep_points_json(plan)}
 
 
 def validity_json(rows) -> list:

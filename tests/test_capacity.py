@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from losmimo import (
     ChannelMatrix,
@@ -165,6 +167,30 @@ def test_integer_bound_prefers_smaller_rank_on_ties():
     r, value = capacity_upper_bound_integer(4, 4, 2.0)
     assert r == 3
     assert value == pytest.approx(3 * math.log2(1 + 32 / 9), abs=1e-12)
+
+
+def _integer_bound_by_search(n_t, n_r, snr):
+    """Every rank in turn; the first of equal rates is kept."""
+    best_r, best_v = 1, polarized_rate(n_t, n_r, 1, snr)
+    for r in range(2, min(n_t, n_r) + 1):
+        v = polarized_rate(n_t, n_r, r, snr)
+        if v > best_v:
+            best_r, best_v = r, v
+    return best_r, best_v
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_t=st.integers(1, 4096),
+    n_r=st.integers(1, 4096),
+    snr_exponent=st.floats(-300.0, 300.0),
+)
+@example(n_t=2, n_r=2, snr_exponent=math.log10(2.0))  # ranks 1 and 2 tie
+@example(n_t=4, n_r=4, snr_exponent=math.log10(0.5))  # ranks 1 and 2 tie
+@example(n_t=4096, n_r=4096, snr_exponent=300.0)
+def test_integer_bound_closed_form_matches_the_search_over_every_rank(n_t, n_r, snr_exponent):
+    snr = 10.0**snr_exponent
+    assert capacity_upper_bound_integer(n_t, n_r, snr) == _integer_bound_by_search(n_t, n_r, snr)
 
 
 def test_capacity_upper_bound_known_values():

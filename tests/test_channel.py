@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losmimo import (
     ChannelMatrix,
@@ -12,6 +14,7 @@ from losmimo import (
     WavefrontModel,
     build_uca,
     build_ula,
+    build_ura,
     channel_matrix,
     classify_validity,
     distance_matrix,
@@ -177,3 +180,20 @@ def test_uca_pair_channel_is_circulant():
     h = channel_matrix(sc, WavefrontModel.SPHERICAL).entries
     for shift in range(1, n):
         np.testing.assert_allclose(np.roll(np.roll(h, shift, 0), shift, 1), h, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(side=st.integers(1, 5), eta=st.floats(0.1, 4.0))
+def test_fresnel_ura_spectrum_is_the_outer_product_of_its_side_ulas(side, eta):
+    # the Fresnel phase splits into an x and a y term, so H is a Kronecker
+    # product of the side-ULA channels and its gains multiply pairwise
+    spacing = math.sqrt(eta * LAM * DIST / side)
+    model = WavefrontModel.FRESNEL
+
+    def gains(build):
+        scene = link_scene(build(side, spacing), build(side, spacing), DIST, LAM)
+        return gain_spectrum(channel_matrix(scene, model)).gains
+
+    ura, ula = gains(build_ura), gains(build_ula)
+    product = np.sort(np.outer(ula, ula).ravel())[::-1]
+    np.testing.assert_allclose(ura, product, rtol=0, atol=1e-9 * ura[0])

@@ -239,6 +239,32 @@ def test_optimize_aosa_needs_aosa_config(scene_path, capsys):
     assert main(["optimize", scene_path, "--mode", "aosa", "--snr-grid", "0"]) == 4
 
 
+@pytest.mark.parametrize("rx", [
+    {"n": 8, "n_subarrays": 2},
+    {"element_spacing_m": 0.001},
+])
+def test_optimize_aosa_rejects_blocks_that_disagree(rx, tmp_path, capsys):
+    doc = json.loads((GOLDEN_CONFIGS / "aosa4.json").read_text())
+    doc["rx"].update(rx)
+    path = tmp_path / "aosa.json"
+    path.write_text(json.dumps(doc))
+    assert main(["optimize", str(path), "--mode", "aosa", "--snr-grid=0"]) == 4
+    assert "same 'n' and element spacing" in capsys.readouterr().err
+
+
+def test_optimize_aosa_compares_effective_element_spacings(tmp_path, capsys):
+    # a quarter wavelength written out equals the default of a block that omits it
+    doc = json.loads((GOLDEN_CONFIGS / "aosa4.json").read_text())
+    doc["tx"]["element_spacing_m"] = 299792458.0 / doc["carrier_hz"] / 4
+    path = tmp_path / "aosa.json"
+    path.write_text(json.dumps(doc))
+    assert main(["optimize", str(path), "--mode", "aosa", "--snr-grid=0:5:10"]) == 0
+    written_out = capsys.readouterr().out
+    default = str(GOLDEN_CONFIGS / "aosa4.json")
+    assert main(["optimize", default, "--mode", "aosa", "--snr-grid=0:5:10"]) == 0
+    assert written_out == capsys.readouterr().out
+
+
 def test_optimize_aosa_needs_snr_grid(aosa_path, capsys):
     assert main(["optimize", aosa_path, "--mode", "aosa"]) == 2
 
@@ -320,6 +346,15 @@ def test_validity_map(capsys):
         row[(float(f), float(d))] = regime
     assert row[(300e9, 1.0)] == "spherical"
     assert row[(100e9, 100.0)] == "planar"
+
+
+def test_validity_map_keeps_the_strict_threshold(capsys):
+    # lambda is exactly 1 m, so 2 * 2 < 4 * lambda * d is false at d = 1 and
+    # true one ulp above it
+    assert main(["validity", "--freq-grid", "299792458", "--tx-aperture", "2",
+                 "--rx-aperture", "2", "--dist-grid", "1,1.0000000000000002"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["spherical", "planar"]
 
 
 def test_validity_rejects_bad_apertures(capsys):
@@ -577,3 +612,46 @@ def test_config_blocks_over_4096_elements_exit_2_before_building(block, tmp_path
     assert code == 2
     assert "tx block has" in capsys.readouterr().err
     assert peak < 4 << 20
+
+
+# one command line per subcommand (and per optimize mode), on small inputs
+_EVERY_COMMAND = {
+    "channel": ["channel", "ula4.json"],
+    "capacity": ["capacity", "ula4.json", "--snr-db=0,10"],
+    "sweep": ["sweep", "ula4.json", "--var", "snr", "--grid=0:5:10"],
+    "optimize-rotation": ["optimize", "ula4.json", "--mode", "rotation", "--snr-db=10"],
+    "optimize-aosa": ["optimize", "aosa4.json", "--mode", "aosa", "--snr-grid=0:5:10"],
+    "optimize-angles": ["optimize", "ula4.json", "--mode", "angles", "--k", "2",
+                        "--snr-grid=0:5:10"],
+    "validity": ["validity", "--freq-grid=100e9,300e9", "--dist-grid=1,10",
+                 "--tx-aperture=0.1", "--rx-aperture=0.1"],
+    "phase-profile": ["phase-profile", "--freq=300e9", "--distance=5", "--steps=11",
+                      "--step-size=1e-4"],
+}
+_WITH_SIDECAR = {"channel", "phase-profile"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+def test_every_command_writes_one_output_by_the_same_rule(command, fmt, tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [str(GOLDEN_CONFIGS / a) if a.endswith(".json") else a
+            for a in _EVERY_COMMAND[command]] + ["--format", fmt]
+
+    assert main(argv) == 0  # stdout: the result there, and no file anywhere
+    printed = capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+    if fmt == "json":
+        json.loads(printed)
+    else:
+        assert printed.count("\n") >= 2 and "," in printed.splitlines()[0]
+
+    assert main(argv + ["--out", "result"]) == 0  # --out: the same text, nothing printed
+    assert capsys.readouterr().out == ""
+    expected = ["result"]
+    if fmt == "csv" and command in _WITH_SIDECAR:  # sidecar only for CSV with --out
+        expected.append("result.json")
+        assert isinstance(json.loads((tmp_path / "result.json").read_text()), dict)
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    assert (tmp_path / "result").read_text() == printed

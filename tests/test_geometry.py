@@ -84,6 +84,25 @@ def test_aosa_rejects_bad_split_and_wide_elements():
         build_aosa(8, 2, 0.1, 0.1)
 
 
+def test_aosa_rejects_clusters_wider_than_their_spacing():
+    # three elements 0.02 apart span 0.04: wider than a 0.03 cluster spacing,
+    # and exactly as wide as a 0.04 one
+    with pytest.raises(InvalidArgumentError, match="overlap or interleave"):
+        build_aosa(12, 4, 0.03, 0.02)
+    with pytest.raises(InvalidArgumentError, match="overlap or interleave"):
+        build_aosa(12, 4, 0.04, 0.02)
+    lay = build_aosa(12, 4, 0.041, 0.02)
+    x = lay.positions[:, 0]
+    assert np.all(np.diff(x) > 0)  # clusters in order, none interleaved
+
+
+def test_aosa_single_element_or_single_cluster_always_fits():
+    lay = build_aosa(4, 4, 0.01, 0.02)
+    np.testing.assert_allclose(lay.positions[:, 0], [-0.015, -0.005, 0.005, 0.015])
+    lay = build_aosa(4, 1, 0.01, 0.02)
+    np.testing.assert_allclose(lay.positions[:, 0], [-0.03, -0.01, 0.01, 0.03])
+
+
 def test_builders_store_recomputed_aperture_bitwise():
     for lay in (
         build_ula(5, 0.013),

@@ -19,10 +19,12 @@ from losmimo import (
     capacity_upper_bound,
     channel_matrix,
     fixed_angle_plan,
+    gain_spectrum,
     link_scene,
     load_scene_config,
     optimize_rotation,
     rate_report,
+    rotate_in_link_plane,
     select_fixed_angles,
     snr_db_to_linear,
     sweep,
@@ -352,6 +354,22 @@ def test_aosa_schedule_rank_transitions():
         assert entry.report.spectral_efficiency_bpshz <= entry.report.upper_bound_bpshz + 1e-9
 
 
+def test_aosa_schedule_skips_ranks_whose_clusters_overlap():
+    # at 1e-3 m and 10 m the rank-r spacing sqrt(lam * dist / r) is 0.0707 m at
+    # r = 2 and 0.0577 m at r = 3, narrower than the spans (0.1 m, 0.06 m) of 6
+    # and 4 elements 0.02 m apart; r = 1, 4, 6 and 12 fit
+    template = _ula_scene(n=12)
+    grid = [2.0 * x for x in range(-10, 16)]
+    plan = aosa_schedule(12, template, grid, WavefrontModel.FRESNEL, element_spacing_m=0.02)
+    ranks = {int(row.config_descriptor.split("=")[1]) for row in plan}
+    assert ranks and ranks <= {1, 4, 6, 12}
+    # 100 elements 0.01 m apart fit as one cluster, or as 50 or 100 (spacing
+    # 0.0141 m or 0.01 m); at r = 25 four of them span 0.03 m against 0.02 m
+    plan = aosa_schedule(100, template, [-10.0, 30.0], WavefrontModel.FRESNEL,
+                         element_spacing_m=0.01)
+    assert {row.config_descriptor for row in plan} <= {"aosa_r=1", "aosa_r=50", "aosa_r=100"}
+
+
 def test_aosa_schedule_rejects_non_increasing_grid():
     sc = _ula_scene()
     with pytest.raises(InvalidArgumentError):
@@ -400,3 +418,54 @@ def test_every_row_is_finite_and_below_the_bound(n, eta, snr_db, model):
         assert math.isfinite(r.spectral_efficiency_bpshz)
         assert r.spectral_efficiency_bpshz <= r.upper_bound_bpshz + 1e-9
         assert r.active_rank == np.count_nonzero(r.allocation.fractions > 0)
+
+
+def _rotated_ula_pair(n, spacing, angle_t, angle_r):
+    tx, rx = build_ula(n, spacing), build_ula(n, spacing)
+    return link_scene(tx, rx, DIST, LAM, tx_pose=rotate_in_link_plane(tx, angle_t),
+                      rx_pose=rotate_in_link_plane(rx, angle_r))
+
+
+def _fresnel_gains(scene):
+    return gain_spectrum(channel_matrix(scene, WavefrontModel.FRESNEL)).gains
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 8, 16]),
+    eta=st.floats(0.1, 4.0),
+    angle_t=st.floats(0.0, 1.5),
+    angle_r=st.floats(0.0, 1.5),
+)
+def test_fresnel_rotation_is_aperture_scaling(n, eta, angle_t, angle_r):
+    # under FRESNEL only the transverse positions matter, and a ULA turned by
+    # theta keeps cos(theta) of its spacing across the link
+    spacing = math.sqrt(eta * LAM * DIST / n)
+    turned = _fresnel_gains(_rotated_ula_pair(n, spacing, angle_t, angle_r))
+    scale = math.sqrt(math.cos(angle_t) * math.cos(angle_r))
+    broadside = _fresnel_gains(_rotated_ula_pair(n, spacing * scale, 0.0, 0.0))
+    np.testing.assert_allclose(turned, broadside, rtol=0, atol=1e-9 * turned[0])
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 8]),
+    eta=st.floats(0.25, 4.0),
+    snr_db=st.floats(-10.0, 20.0),
+)
+def test_fresnel_independent_rotation_cannot_beat_the_joint_one(n, eta, snr_db):
+    sc = _ula_scene(eta=eta, n=n)
+    snr = snr_db_to_linear(snr_db)
+    model = WavefrontModel.FRESNEL
+    joint_angle, joint = optimize_rotation(sc, snr, model)
+    (angle_t, angle_r), independent = optimize_rotation(sc, snr, model, independent=True)
+    # any (angle_t, angle_r) is the joint rotation by the angle whose cos^2 is
+    # cos(angle_t) * cos(angle_r), so the joint search reaches the same rate
+    angle = math.acos(math.sqrt(math.cos(angle_t) * math.cos(angle_r)))
+    same = rate_report(channel_matrix(_rotated_ula_pair(
+        n, sc.tx.aperture_m / n, angle, angle), model), snr)
+    se = independent.spectral_efficiency_bpshz
+    assert same.spectral_efficiency_bpshz == pytest.approx(se, rel=1e-9, abs=1e-12)
+    # and the two searches agree to what their 1e-4 rad golden-section step
+    # resolves (measured at most 2e-9 relative)
+    assert joint.spectral_efficiency_bpshz == pytest.approx(se, rel=1e-7, abs=1e-12)
