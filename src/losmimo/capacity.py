@@ -98,8 +98,8 @@ class RateReport:
         return 10.0 * math.log10(self.snr_linear)
 
 
-def _check_snr(snr_linear: float, array_gain: int = 1):
-    """Reject an SNR that is not positive, or whose full array gain
+def _check_snr(snr_linear: float, array_gain: int = 1) -> float:
+    """``snr_linear``, or raise when it is not positive or its full array gain
     snr * n_t * n_r (``array_gain`` = n_t * n_r) overflows a float."""
     if not 0 < snr_linear < math.inf:  # NaN fails both comparisons
         raise InvalidArgumentError(f"snr_linear must be positive, got {snr_linear!r}")
@@ -107,6 +107,7 @@ def _check_snr(snr_linear: float, array_gain: int = 1):
         raise InvalidArgumentError(
             f"snr_linear {snr_linear!r} times the array gain {array_gain} overflows"
         )
+    return snr_linear
 
 
 def gain_spectrum(h: ChannelMatrix) -> GainSpectrum:
@@ -115,6 +116,7 @@ def gain_spectrum(h: ChannelMatrix) -> GainSpectrum:
 
 
 def _squared_singular_values(entries: np.ndarray) -> np.ndarray:
+    """Descending squared singular values of each matrix of an (..., n_r, n_t) stack."""
     s = np.linalg.svd(entries, compute_uv=False)
     return s * s
 
@@ -130,27 +132,44 @@ def waterfilling(spectrum: GainSpectrum, snr_linear: float):
     the strongest mode (rank 1 is always feasible).
     """
     _check_snr(snr_linear)
-    fractions, se = _waterfill(spectrum.gains, snr_linear)
-    return PowerAllocation(fractions), se
+    fractions, se = _waterfill(spectrum.gains[None], np.array([snr_linear]))
+    return PowerAllocation(fractions[0]), float(se[0])
 
 
-def _waterfill(g: np.ndarray, snr_linear: float):
-    """Body of :func:`waterfilling` on descending gains at a valid SNR."""
-    if g.size == 0 or g[0] <= 0:
+def _prefix_sums(a: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """a[i, :lengths[i]].sum() per row i: rows of one length share a sum call."""
+    sums = np.empty(len(a))
+    for n in set(lengths.tolist()):
+        rows = lengths == n
+        sums[rows] = a[rows, :n].sum(axis=1)
+    return sums
+
+
+def _waterfill(g: np.ndarray, snr_linear: np.ndarray):
+    """Body of :func:`waterfilling` on rows of descending gains (R, n), row i at the valid
+    SNR snr_linear[i]: fractions (R, n) and SEs (R,), each row's bits as if alone."""
+    if g.shape[-1] == 0 or (g[:, 0] <= 0).any():
         raise NoSignalError("all channel gains are zero")
-    n_active = int(np.count_nonzero(g > _ZERO_GAIN_RTOL * g[0]))
-    inv = 1.0 / (snr_linear * g[:n_active])
-    fractions = np.zeros(g.size)
-    for k in range(n_active, 0, -1):
-        mu = (1.0 + inv[:k].sum()) / k
-        if mu - inv[k - 1] > 0:
-            fractions[:k] = mu - inv[:k]
-            break
-    else:
-        fractions[0] = 1.0
-    fractions /= fractions.sum()
-    se = float(np.log1p(snr_linear * fractions[:n_active] * g[:n_active]).sum() / _LN2)
-    return fractions, se
+    active = g > _ZERO_GAIN_RTOL * g[:, :1]
+    n_active = np.count_nonzero(active, axis=1)
+    inv = np.divide(1.0, snr_linear[:, None] * g, out=np.zeros(g.shape), where=active)
+    # the largest k whose water level over the k strongest modes tops their weakest mode's
+    # 1/(snr g): the active rank if it fits, else every smaller k at once; k = 0 when the
+    # level rounds away even for one mode, and then rank 1 gets everything
+    mu = (1.0 + _prefix_sums(inv, n_active)) / n_active
+    k = np.where(mu - inv[np.arange(len(g)), n_active - 1] > 0, n_active, 0)
+    low = np.flatnonzero(k == 0)
+    if low.size and (m := n_active[low].max() - 1):
+        sub, ks = inv[low], np.arange(1, m + 1)
+        level = (1.0 + np.column_stack([sub[:, :j].sum(axis=1) for j in ks])) / ks
+        fits = (level - sub[:, :m] > 0) & (ks < n_active[low, None])
+        k[low] = np.where(fits.any(axis=1), m - fits[:, ::-1].argmax(axis=1), 0)
+        mu[low] = level[np.arange(low.size), np.maximum(k[low], 1) - 1]
+    fractions = np.where(np.arange(g.shape[1]) < k[:, None], mu[:, None] - inv, 0.0)
+    fractions[k == 0, 0] = 1.0
+    fractions /= fractions.sum(axis=1, keepdims=True)
+    terms = np.log1p(snr_linear[:, None] * fractions * g)
+    return fractions, _prefix_sums(terms, n_active) / _LN2
 
 
 def uniform_rate(spectrum: GainSpectrum, snr_linear: float, rank: int) -> float:
@@ -212,13 +231,16 @@ def capacity_upper_bound_integer(n_t: int, n_r: int, snr_linear: float):
 
 def rate_report(h: ChannelMatrix, snr_linear: float) -> RateReport:
     """Waterfilling result plus the matching upper bound for one channel/SNR."""
-    return _rate_report(_squared_singular_values(h.entries), h.n_t, h.n_r, snr_linear)
+    _check_snr(snr_linear, h.n_t * h.n_r)
+    return _rate_reports(_squared_singular_values(h.entries), h.n_t, h.n_r, [snr_linear])[0]
 
 
-def _rate_report(gains: np.ndarray, n_t: int, n_r: int, snr_linear: float) -> RateReport:
-    """Body of :func:`rate_report` on the descending gains of an n_r x n_t channel."""
-    _check_snr(snr_linear, n_t * n_r)
-    return _waterfilled_report(*_waterfill(gains, snr_linear), n_t, n_r, snr_linear)
+def _rate_reports(gains: np.ndarray, n_t: int, n_r: int, snrs) -> list[RateReport]:
+    """Reports of gains[i] (or of one (n,) row) at checked SNRs snrs[i], in one waterfill."""
+    fractions, ses = _waterfill(np.broadcast_to(gains, (len(snrs), gains.shape[-1])),
+                                np.asarray(snrs, dtype=float))
+    return [_waterfilled_report(f, se, n_t, n_r, snr)
+            for f, se, snr in zip(fractions, ses.tolist(), snrs)]
 
 
 def _waterfilled_report(fractions, se, n_t: int, n_r: int, snr_linear: float) -> RateReport:

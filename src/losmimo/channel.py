@@ -113,8 +113,8 @@ def _check_distances(dist: np.ndarray):
 
 
 def _pair_distances(tx: np.ndarray, rx: np.ndarray):
-    """Offsets rx[n] - tx[m] and their lengths, refusing intersecting arrays."""
-    delta = rx[:, None, :] - tx[None, :, :]
+    """Offsets rx[..., n, :] - tx[..., m, :] and their lengths, refusing intersecting arrays."""
+    delta = rx[..., :, None, :] - tx[..., None, :, :]
     dist = np.sqrt((delta**2).sum(axis=-1))
     if dist.min() <= _MIN_PAIR_DISTANCE_M:
         raise DegenerateGeometryError(
@@ -138,46 +138,45 @@ def channel_matrix(scene: LinkScene, model: WavefrontModel) -> ChannelMatrix:
 def _channel_entries(
     tx: np.ndarray, rx: np.ndarray, wavelength_m: float, model: WavefrontModel
 ) -> np.ndarray:
-    """Body of :func:`channel_matrix` on posed (n, 3) positions.
+    """Body of :func:`channel_matrix` on posed (..., n, 3) positions: (..., n_r, n_t).
 
-    Runs every check that the model or the geometry can fail; the
-    wavelength is the caller's to validate.
+    Runs every check that the model or the geometry can fail, once for the whole stack
+    (its message may name any failing variant); the wavelength is the caller's to validate.
     """
     if not isinstance(model, WavefrontModel):
         raise InvalidArgumentError(f"unknown wavefront model {model!r}")
     k = 2 * np.pi / wavelength_m
     delta, dist = _pair_distances(tx, rx)
-    c_t, c_r = tx.mean(axis=0), rx.mean(axis=0)
+    c_t, c_r = tx.mean(axis=-2), rx.mean(axis=-2)
     if model is WavefrontModel.SPHERICAL:
         _check_distances(dist)
         entries = np.exp(-1j * k * dist)
     elif model is WavefrontModel.FRESNEL:
-        sign = 1.0 if c_r[2] >= c_t[2] else -1.0
+        sign = np.where(c_r[..., 2] >= c_t[..., 2], 1.0, -1.0)[..., None, None]
         zeta = delta[..., 2] * sign
         if zeta.min() <= 0:
             raise DegenerateGeometryError(
                 "Fresnel expansion needs every pair separated along the link axis"
             )
-        d_axial = (c_r[2] - c_t[2]) * sign
+        d_axial = (c_r[..., 2] - c_t[..., 2])[..., None, None] * sign
         transverse = delta[..., 0] ** 2 + delta[..., 1] ** 2
         entries = np.exp(-1j * k * (zeta + transverse / (2 * d_axial)))
     else:
-        # PLANAR: first-order expansion about the centroid axis; the matrix
+        # PLANAR: first-order expansion about the centroid axis; each matrix
         # is an exact outer product, hence rank-1
         axis = c_r - c_t
-        d_hat = float(np.sqrt((axis**2).sum()))
-        if d_hat <= _MIN_PAIR_DISTANCE_M:
+        d_hat = np.sqrt((axis**2).sum(axis=-1))
+        if d_hat.min() <= _MIN_PAIR_DISTANCE_M:
             raise DegenerateGeometryError("array centroids coincide")
-        u = axis / d_hat
-        proj_r = (rx - c_r) @ u
-        proj_t = (tx - c_t) @ u
-        if (d_hat + proj_r.min()) - proj_t.max() <= 0:
+        u = (axis / d_hat[..., None])[..., :, None]
+        proj_r = ((rx - c_r[..., None, :]) @ u)[..., 0]
+        proj_t = ((tx - c_t[..., None, :]) @ u)[..., 0]
+        if ((d_hat + proj_r.min(axis=-1)) - proj_t.max(axis=-1)).min() <= 0:
             raise DegenerateGeometryError(
                 "planar expansion needs every pair separated along the link axis"
             )
-        entries = np.exp(-1j * k * d_hat) * np.outer(
-            np.exp(-1j * k * proj_r), np.exp(1j * k * proj_t)
-        )
+        outer = np.exp(-1j * k * proj_r)[..., :, None] * np.exp(1j * k * proj_t)[..., None, :]
+        entries = np.exp(-1j * k * d_hat)[..., None, None] * outer
     if not np.all(np.isfinite(entries)):
         raise InvalidArgumentError("channel entries must be finite")
     return entries

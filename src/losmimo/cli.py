@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .capacity import _rate_report, _squared_singular_values
+from .capacity import _check_snr, _rate_reports, _squared_singular_values
 from .channel import SPEED_OF_LIGHT_M_S, Validity, _planar_ok, channel_matrix, phase_profile
 from .config import load_scene_config
 from .errors import ConfigError, IncompatibleModeError, LosMimoError
@@ -115,8 +115,9 @@ def cmd_capacity(args) -> int:
         raise ConfigError("no SNR given: pass --snr-db or set snr_db in the config")
     h = channel_matrix(cfg.scene, cfg.model)
     gains = _squared_singular_values(h.entries)  # the geometry fixes the spectrum
-    reports = [_rate_report(gains, h.n_t, h.n_r, snr_db_to_linear(s)) for s in snrs]
-    return _emit(args, reports, ser.rate_reports_csv, ser.rate_reports_json)
+    snrs = [_check_snr(snr_db_to_linear(s), h.n_t * h.n_r) for s in snrs]
+    return _emit(args, _rate_reports(gains, h.n_t, h.n_r, snrs), ser.rate_reports_csv,
+                 ser.rate_reports_json)
 
 
 def cmd_sweep(args) -> int:

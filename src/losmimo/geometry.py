@@ -295,9 +295,13 @@ def rotate_in_link_plane(layout: ArrayLayout, angle_rad: float) -> RigidPose:
     return RigidPose(_link_plane_rotation(angle_rad), np.zeros(3))
 
 
-def _link_plane_rotation(angle_rad: float) -> np.ndarray:
-    c, s = math.cos(angle_rad), math.sin(angle_rad)
-    return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+def _link_plane_rotation(angle_rad) -> np.ndarray:
+    """Rotation(s) of :func:`rotate_in_link_plane`; math.cos/math.sin per angle, as alone."""
+    angles = np.asarray(angle_rad, dtype=float)
+    c, s = (np.reshape([f(a) for a in angles.ravel().tolist()], angles.shape)
+            for f in (math.cos, math.sin))
+    o = np.zeros(angles.shape)
+    return np.stack([c, o, -s, o, o + 1.0, o, s, o, c], -1).reshape(angles.shape + (3, 3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,15 +378,16 @@ def _pose_shift(points: np.ndarray, rotation: np.ndarray, anchor: np.ndarray) ->
 
 
 def _posed_points(points: np.ndarray, rotation: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Points turned about their centroid, which lands on ``anchor`` (as in link_scene)."""
-    return points @ rotation.T + _pose_shift(points, rotation, anchor)
+    """Points turned about their centroid onto ``anchor`` (as in link_scene), per rotation."""
+    return points @ rotation.swapaxes(-1, -2) + _pose_shift(points, rotation, anchor)[..., None, :]
 
 
 def _check_axial(tx_points: np.ndarray, rx_points: np.ndarray, separation_m: float):
-    axial = abs(rx_points.mean(axis=0)[2] - tx_points.mean(axis=0)[2])
-    if abs(axial - separation_m) > _AXIAL_RTOL * separation_m:
+    axial = np.abs(rx_points.mean(axis=-2)[..., 2] - tx_points.mean(axis=-2)[..., 2])
+    bad = np.abs(axial - separation_m) > _AXIAL_RTOL * separation_m
+    if bad.any():
         raise InvalidArgumentError(
-            f"posed centroids are {axial!r} m apart along the link axis, "
+            f"posed centroids are {axial[bad].flat[0]!r} m apart along the link axis, "
             f"expected separation_m = {separation_m!r}"
         )
 

@@ -19,7 +19,7 @@ from ._search import golden_max
 from .capacity import (
     RateReport,
     _check_snr,
-    _rate_report,
+    _rate_reports,
     _squared_singular_values,
     _waterfill,
     _waterfilled_report,
@@ -48,6 +48,7 @@ _ANGLE_CANDIDATES = 33
 # every other rotation-grid angle is a fixed-angle candidate
 _ROTATION_GRID_POINTS = 2 * _ANGLE_CANDIDATES - 1
 _ANGLE_TOL_RAD = 1e-4
+_STACK_ENTRIES = 1 << 14  # most channel (or gain) entries that one stacked evaluation holds
 _LABELS = {"snr": "snr_db", "eta": "eta", "freq": "freq_hz", "rotation": "rotation_rad",
            "tilt": "tilt_rad", "offset": "offset_m"}
 
@@ -123,64 +124,76 @@ def _gains(scene: LinkScene, model, rotations=None, rx_offset_m=0.0, points=None
 
     A (tx, rx) pair of ``rotations`` re-poses the layouts (or the local
     ``points``) as :func:`link_scene` would, rx centroid at (rx_offset_m, 0, D);
-    without it the arrays keep their poses.  ``wavelength_m`` replaces the carrier.
+    without it the arrays keep their poses.  ``wavelength_m`` replaces the carrier.  (G, 3, 3)
+    rotation stacks give (G, n) gains, or the error of the first failing variant alone.
     """
     lam = scene.wavelength_m if wavelength_m is None else wavelength_m
     if rotations is None:
-        tx_pts, rx_pts = scene.tx_positions(), scene.rx_positions()
-    else:
-        tx, rx = points or (scene.tx.positions, scene.rx.positions)
-        d = scene.separation_m
-        tx_pts = _posed_points(tx, rotations[0], np.zeros(3))
-        rx_pts = _posed_points(rx, rotations[1], np.array([rx_offset_m, 0.0, d]))
+        return _squared_singular_values(
+            _channel_entries(scene.tx_positions(), scene.rx_positions(), lam, model))
+    tx, rx = points or (scene.tx.positions, scene.rx.positions)
+    d = scene.separation_m
+    anchor = np.array([rx_offset_m, 0.0, d])
+
+    def evaluate(rot_t, rot_r):
+        tx_pts = _posed_points(tx, rot_t, np.zeros(3))
+        rx_pts = _posed_points(rx, rot_r, anchor)
         _check_axial(tx_pts, rx_pts, d)
-    return _squared_singular_values(_channel_entries(tx_pts, rx_pts, lam, model))
+        return _squared_singular_values(_channel_entries(tx_pts, rx_pts, lam, model))
+
+    if rotations[0].ndim == 2:
+        return evaluate(*rotations)
+    step = max(1, _STACK_ENTRIES // (len(tx) * len(rx)))  # variants per channel stack
+    parts = []
+    for i in range(0, len(rotations[0]), step):
+        chunk = [r[i : i + step] for r in rotations]
+        try:
+            parts.append(evaluate(*chunk))
+        except LosMimoError:
+            for pair in zip(*chunk):
+                evaluate(*pair)  # the first failing variant raises
+            raise
+    return np.concatenate(parts)
 
 
-def _rotated(scene: LinkScene, model, angle_tx: float, angle_rx: float) -> np.ndarray:
-    """Gains with both arrays re-posed from broadside by in-plane angles."""
+def _rotated(scene: LinkScene, model, angle_tx, angle_rx) -> np.ndarray:
+    """Gains with both arrays re-posed from broadside by in-plane angles (or arrays of them)."""
     return _gains(scene, model, (_link_plane_rotation(angle_tx), _link_plane_rotation(angle_rx)))
 
 
-def _report(scene: LinkScene, gains: np.ndarray, snr_linear: float) -> RateReport:
-    return _rate_report(gains, scene.tx.element_count, scene.rx.element_count, snr_linear)
+def _se_table(gains: np.ndarray, snrs: np.ndarray) -> np.ndarray:
+    """SEs (S, C) of each row of ``gains`` (C, n) at each SNR, _STACK_ENTRIES gains at a time."""
+    step = max(1, _STACK_ENTRIES // gains.size)
+    return np.concatenate([
+        _waterfill(np.tile(gains, (p.size, 1)), np.repeat(p, len(gains)))[1].reshape(p.size, -1)
+        for p in np.split(snrs, range(step, snrs.size, step))])
 
 
 def _best_rotation(scene: LinkScene, snrs, model, independent: bool):
-    """Search of :func:`optimize_rotation` on validated inputs at each SNR of
-    ``snrs``: [(angle(s), se, SEs over the rotation grid)], one per SNR."""
+    """Search of :func:`optimize_rotation` on validated inputs at each SNR of ``snrs``:
+    the (tx, rx) angles (S, 2), their SEs (S,) and the SEs over the rotation grid."""
     # coarse grid of angles (of tx x rx angle pairs when independent), then
-    # golden section within one grid step of the first best point, per angle;
-    # the grid spectra do not depend on the SNR, so they are built once
+    # golden section within one grid step of the first best point, per angle,
+    # for all SNRs at once; the grid spectra do not depend on the SNR
     n = _ANGLE_CANDIDATES if independent else _ROTATION_GRID_POINTS
     grid = np.linspace(0.0, np.pi / 2, n)
-    pairs = [(a, b) for a in grid for b in grid] if independent else [(a, a) for a in grid]
-    spectra = [_rotated(scene, model, *p) for p in pairs]
-    results = []
-    for snr_linear in snrs:
+    pairs = np.stack([np.repeat(grid, n), np.tile(grid, n)] if independent else [grid, grid], 1)
+    ses = _se_table(_rotated(scene, model, pairs[:, 0], pairs[:, 1]), snrs)
+    best = ses.argmax(axis=1)  # first max: smallest angle wins ties
+    angles, best_se = pairs[best], ses[np.arange(snrs.size), best]
+    for axes, j in (([0], best // n), ([1], best % n)) if independent else (([0, 1], best),):
 
-        def se(pair, snr_linear=snr_linear):
-            return _waterfill(_rotated(scene, model, *pair), snr_linear)[1]
+        def f(x, rows, axes=axes):
+            pair = angles[rows]
+            pair[:, axes] = x[:, None]
+            return _waterfill(_rotated(scene, model, pair[:, 0], pair[:, 1]), snrs[rows])[1]
 
-        ses = np.array([_waterfill(g, snr_linear)[1] for g in spectra])
-        i = int(np.argmax(ses))  # first max: smallest angle wins ties
-        angles, best_se = [float(a) for a in pairs[i]], float(ses[i])
-        for axes, j in (((0,), i // n), ((1,), i % n)) if independent else (((0, 1), i),):
-
-            def f(a, axes=axes):
-                pair = list(angles)
-                for axis in axes:
-                    pair[axis] = a
-                return se(pair)
-
-            lo, hi = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, n - 1)])
-            cand, cand_se = golden_max(f, lo, hi, tol=_ANGLE_TOL_RAD)
-            if cand_se > best_se:
-                best_se = float(cand_se)
-                for axis in axes:
-                    angles[axis] = float(cand)
-        results.append(((tuple(angles) if independent else angles[0]), best_se, ses))
-    return results
+        lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, n - 1)]
+        cand, cand_se = golden_max(f, lo, hi, tol=_ANGLE_TOL_RAD)
+        better = cand_se > best_se
+        best_se = np.where(better, cand_se, best_se)
+        angles[:, axes] = np.where(better[:, None], cand[:, None], angles[:, axes])
+    return angles, best_se, ses
 
 
 def optimize_rotation(
@@ -193,29 +206,27 @@ def optimize_rotation(
 
     By default both arrays turn by the same angle; with ``independent``
     each end gets its own angle and the result's first element is the
-    (tx, rx) pair.  A 65-point grid scan brackets the optimum, golden
-    section refines it to 1e-4 rad, and ties break toward the smaller
-    angle (so a flat landscape reports broadside).
+    (tx, rx) pair.  A grid scan of 65 angles (33 x 33 pairs when independent)
+    brackets the optimum, golden section refines it (each angle in turn) to
+    1e-4 rad, and ties break toward the smaller angle (so a flat landscape
+    reports broadside).
     """
     _require_ula_pair(scene, "optimize_rotation")
-    _check_snr(snr_linear, scene.tx.element_count * scene.rx.element_count)
-    [(best, _, _)] = _best_rotation(scene, [snr_linear], model, independent)
-    pair = best if independent else (best, best)
-    return best, _report(scene, _rotated(scene, model, *pair), snr_linear)
+    n_t, n_r = scene.tx.element_count, scene.rx.element_count
+    _check_snr(snr_linear, n_t * n_r)
+    pair = _best_rotation(scene, np.array([snr_linear]), model, independent)[0][0].tolist()
+    report = _rate_reports(_rotated(scene, model, *pair), n_t, n_r, [snr_linear])[0]
+    return (tuple(pair) if independent else pair[0]), report
 
 
-def _best_per_snr(candidates, snr_grid_db, n_t: int, n_r: int) -> list[SweepPoint]:
-    """Row of the (descriptor, gains) candidate with the highest SE at each
+def _best_per_snr(descriptors, gains, snr_grid_db, n_t: int, n_r: int) -> list[SweepPoint]:
+    """Row of the candidate (descriptors[i], gains[i]) with the highest SE at each
     SNR; the earlier candidate wins ties."""
-    rows = []
-    for snr_db in snr_grid_db:
-        snr = snr_db_to_linear(snr_db)
-        _check_snr(snr, n_t * n_r)
-        rated = [(d, *_waterfill(gains, snr)) for d, gains in candidates]
-        descriptor, fractions, se = max(rated, key=lambda t: t[2])  # first of equal SEs
-        report = _waterfilled_report(fractions, se, n_t, n_r, snr)
-        rows.append(SweepPoint(snr_db, snr_db, report, descriptor))
-    return rows
+    snrs = [_check_snr(snr_db_to_linear(s), n_t * n_r) for s in snr_grid_db]
+    best = _se_table(gains, np.asarray(snrs)).argmax(axis=1)  # first of equal SEs
+    reports = _rate_reports(gains[best], n_t, n_r, snrs)
+    return [SweepPoint(snr_db, snr_db, report, descriptors[i])
+            for snr_db, report, i in zip(snr_grid_db, reports, best.tolist())]
 
 
 def fixed_angle_plan(
@@ -231,8 +242,9 @@ def fixed_angle_plan(
     snr_grid_db = _snr_grid(snr_grid_db)
     if not all(math.isfinite(a) for a in angles):
         raise InvalidArgumentError("angle_rad must be finite")
-    candidates = [(f"rotation_rad={a:.12g}", _rotated(scene, model, a, a)) for a in angles]
-    return _best_per_snr(candidates, snr_grid_db, scene.tx.element_count, scene.rx.element_count)
+    gains = _rotated(scene, model, np.array(angles), np.array(angles))
+    return _best_per_snr([f"rotation_rad={a:.12g}" for a in angles], gains, snr_grid_db,
+                         scene.tx.element_count, scene.rx.element_count)
 
 
 def select_fixed_angles(
@@ -261,19 +273,20 @@ def _select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model):
     for s in snr_lin:
         _check_snr(s, scene.tx.element_count * scene.rx.element_count)
     candidates = np.linspace(0.0, np.pi / 2, _ANGLE_CANDIDATES)
-    best = _best_rotation(scene, snr_lin, model, False)
-    ref = np.array([se for _, se, _ in best])
-    table = np.array([ses[::2] for _, _, ses in best]).T  # candidate x snr; grid[::2] = candidates
+    _, ref, ses = _best_rotation(scene, np.array(snr_lin), model, False)
+    table = ses[:, ::2].T  # candidate x snr; grid[::2] = candidates
 
-    def worst_gap(idx_tuple):
-        plan = table[list(idx_tuple)].max(axis=0)
-        return float((1.0 - plan / ref).max())
+    def worst_gaps(subsets):  # rows of candidate indices
+        return (1.0 - table[subsets].max(axis=1) / ref).max(axis=1)
 
-    # min() keeps the first of equal gaps, in candidate order
-    chosen = list(min(combinations(range(candidates.size), min(k, 3)), key=worst_gap))
+    # argmin keeps the first of equal gaps, in the order of combinations()
+    subsets = np.array(list(combinations(range(candidates.size), min(k, 3))))
+    gaps = np.concatenate([worst_gaps(subsets[subsets[:, 0] == first])
+                           for first in range(candidates.size)])  # a few hundred at a time
+    chosen = subsets[gaps.argmin()].tolist()
     while len(chosen) < k:
         rest = [c for c in range(candidates.size) if c not in chosen]
-        chosen.append(min(rest, key=lambda c: worst_gap(tuple(chosen) + (c,))))
+        chosen.append(rest[worst_gaps(np.array([chosen + [c] for c in rest])).argmin()])
     return sorted(float(candidates[c]) for c in chosen), ref
 
 
@@ -298,15 +311,15 @@ def aosa_schedule(
     dist = scene_template.separation_m
     elem = lam / 4 if element_spacing_m is None else float(element_spacing_m)
     upright = (np.eye(3), np.eye(3))
-    candidates = []
+    descriptors, gains = [], []
     for r in (d for d in range(1, int(n_total) + 1) if n_total % d == 0):
         sub = math.sqrt(lam * dist / r)
         if not _clusters_apart(n_total, r, sub, elem):
             continue
         layout = build_aosa(int(n_total), r, sub, elem)
-        gains = _gains(scene_template, model, upright, points=(layout.positions,) * 2)
-        candidates.append((f"aosa_r={r}", gains))
-    return _best_per_snr(candidates, snr_grid_db, int(n_total), int(n_total))
+        gains.append(_gains(scene_template, model, upright, points=(layout.positions,) * 2))
+        descriptors.append(f"aosa_r={r}")
+    return _best_per_snr(descriptors, np.array(gains), snr_grid_db, int(n_total), int(n_total))
 
 
 def _beamforming_report(scene: LinkScene, snr_linear: float) -> RateReport:
@@ -363,27 +376,29 @@ def sweep(spec: SweepSpec):
         _require_ula_pair(scene, "rotation sweep")
     label = _LABELS[var.value]
 
+    n_t, n_r = scene.tx.element_count, scene.rx.element_count
     if var is SweepVariable.SNR_DB:
         gains = _gains(scene, model)
-        return [
-            SweepPoint(x, x, _report(scene, gains, snr_db_to_linear(x)), f"{label}={x:.12g}")
-            for x in spec.grid.tolist()
-        ]
+        snrs = [_check_snr(snr_db_to_linear(x), n_t * n_r) for x in spec.grid.tolist()]
+        return [SweepPoint(x, x, report, f"{label}={x:.12g}")
+                for x, report in zip(spec.grid.tolist(), _rate_reports(gains, n_t, n_r, snrs))]
 
     snr_fixed = snr_db_to_linear(spec.snr_db)
-    points = []
+    outcomes = []  # per grid point: a report, gains to waterfill, or the text of its error
     # an overflowing geometry (say an offset of 1e300) ends in a typed error row
     with np.errstate(over="ignore", invalid="ignore"):
         for x in spec.grid.tolist():
-            descriptor = f"{label}={x:.12g}"
-            try:
-                if var is SweepVariable.ETA and x == 0.0:
-                    # aperture -> 0 limit collapses to pure beamforming
-                    report = _beamforming_report(scene, snr_fixed)
-                else:
-                    report = _report(scene, _sweep_gains(scene, model, var, x), snr_fixed)
-                points.append(SweepPoint(x, spec.snr_db, report, descriptor))
+            try:  # eta 0 is the aperture -> 0 limit, pure beamforming
+                outcome = (_beamforming_report(scene, snr_fixed) if var is SweepVariable.ETA
+                           and x == 0.0 else _sweep_gains(scene, model, var, x))
+                _check_snr(snr_fixed, n_t * n_r)  # as the report of these gains would
             except LosMimoError as exc:
-                points.append(SweepPoint(x, spec.snr_db, None, descriptor,
-                                         error=f"{type(exc).__name__}: {exc}"))
-    return points
+                outcome = f"{type(exc).__name__}: {exc}"
+            outcomes.append(outcome)
+        stacked = [o for o in outcomes if isinstance(o, np.ndarray)]
+        rated = iter(_rate_reports(np.array(stacked), n_t, n_r, [snr_fixed] * len(stacked))
+                     if stacked else ())
+    outcomes = [next(rated) if isinstance(o, np.ndarray) else o for o in outcomes]
+    return [SweepPoint(x, spec.snr_db, o, f"{label}={x:.12g}") if isinstance(o, RateReport)
+            else SweepPoint(x, spec.snr_db, None, f"{label}={x:.12g}", error=o)
+            for x, o in zip(spec.grid.tolist(), outcomes)]

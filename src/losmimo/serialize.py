@@ -8,6 +8,7 @@ identical output.  JSON text is that of ``json.dumps(obj, indent=2, sort_keys=Tr
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -18,11 +19,14 @@ from .errors import InvalidArgumentError
 from .optimize import SweepPoint
 
 
+_SCALARS = {str, int, float, bool, type(None)}  # flat-dict values the C encoder writes alike
+
+
 def _indented(obj, depth: int) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` as written ``depth`` levels deep.
 
-    The stdlib indents in pure Python, so dicts and lists of lists are laid out
-    here; other values keep the stdlib text (no encoded string holds a newline).
+    The stdlib indents in pure Python, so dicts and lists of lists or of flat dicts
+    are laid out here; other values keep the stdlib text (no encoded string holds a newline).
     """
     close = "\n" + "  " * depth
     pad = close + "  "
@@ -33,6 +37,12 @@ def _indented(obj, depth: int) -> str:
     kinds = set(map(type, obj)) if type(obj) is list else set()
     if kinds and kinds <= {float, int}:  # one C-encoder call; its item separator indents
         body = json.JSONEncoder(separators=("," + pad, ": ")).encode(obj)[1:-1]
+    elif kinds == {dict} and all(obj) and set(map(type, chain.from_iterable(obj))) == {str} \
+            and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _SCALARS:
+        inner = pad + "  "  # one C-encoder call; "}," + inner + "{" only sits between rows
+        rows = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).encode(obj)
+        body = "{" + inner + rows[2:-2].replace(
+            "}," + inner + "{", pad + "}," + pad + "{" + inner) + pad + "}"
     elif kinds == {list}:
         body = ("," + pad).join(_indented(x, depth + 1) for x in obj)
     else:

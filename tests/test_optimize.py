@@ -304,8 +304,10 @@ def test_angles_mode_builds_the_rotation_grid_once(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(optimize, "_channel_entries", counted)
     argv = ["optimize", str(path), "--mode", "angles", "--k", "3", "--snr-grid=-10:1:20"]
     assert main(argv) == 0
-    # 65 grid spectra, at most 20 golden-section points per SNR, 3 plan angles
-    assert len(calls) <= 65 + 31 * 20 + 3
+    # one stack of the 65 grid angles, one of every SNR's two starting points,
+    # then one per golden-section step for all 31 SNRs together (a bracket two
+    # grid steps wide takes 13 steps to shrink below 1e-4 rad), one of the 3 plan angles
+    assert len(calls) <= 1 + 1 + 13 + 1
     assert len(capsys.readouterr().out.splitlines()) == 32
 
 

@@ -134,6 +134,32 @@ def test_json_dumps_matches_the_stdlib_layout(doc):
     assert json_dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# rows as the writers make them (validity maps, sweep and plan rows), with text
+# that looks like the row separator, and rows that are not flat
+_row_text = _text | st.sampled_from(["}", ",", "{", "\n", "},\n  {", "}, {", '"},\n{"'])
+_row_value = st.none() | st.booleans() | st.integers() | _floats | _row_text
+_rows = st.lists(
+    st.dictionaries(_row_text, _row_value, min_size=1, max_size=4)
+    | st.dictionaries(_row_text, _row_value | _floats.map(np.float64) | _numbers, max_size=3),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows, st.integers(0, 2))
+def test_json_dumps_lays_out_lists_of_flat_dicts_as_the_stdlib(rows, depth):
+    doc = rows
+    for _ in range(depth):
+        doc = {"rows": doc, "n": len(rows)}
+    assert json_dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_dumps_of_a_validity_map_matches_the_stdlib():
+    rows = [{"freq_hz": 1e9 * f, "dist_m": d / 3, "regime": "planar" if d % 2 else "spherical"}
+            for f in range(1, 21) for d in range(1, 11)]
+    assert json_dumps(rows) == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
 def _fmt(x) -> str:
     """The per-cell reference formatting the CSV writers must reproduce."""
     return format(float(x), ".17g")

@@ -15,7 +15,9 @@ it is a git checkout) and result, and per metric the median, the quartiles and
 the interquartile range (IQR) of each side, plus the number of pairs the
 change won (ties count for neither side; "better" comes from the change
 tree's ``BENCHMARK.json``).  The record is appended to the ``--out`` file,
-so one file keeps every comparison run.  Neither tree's benchmark is
+so one file keeps every comparison run.  A run whose outputs fail the
+benchmark's checks (``"correct": false``) stops the script with a non-zero
+exit that names the tree and the workload.  Neither tree's benchmark is
 modified.
 """
 
@@ -37,6 +39,9 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"bench run failed in {tree} ({proc.returncode}): {proc.stderr[-800:]}")
     result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise SystemExit(f"bench run in {tree} gave wrong output on workload {workload} "
+                         f"(seed {seed}, trace {trace}); no record written")
     return {
         "env": json.loads(lines[-2])["env"],
         "correct": result["correct"],
