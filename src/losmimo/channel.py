@@ -113,19 +113,22 @@ def _check_distances(dist: np.ndarray):
 
 
 def _pair_distances(tx: np.ndarray, rx: np.ndarray):
-    """Offsets rx[..., n, :] - tx[..., m, :] and their lengths, refusing intersecting arrays."""
-    delta = rx[..., :, None, :] - tx[..., None, :, :]
-    dist = np.sqrt((delta**2).sum(axis=-1))
+    """Squared transverse offset, axial offset and length of every pair rx[..., n, :] -
+    tx[..., m, :], each (..., n_r, n_t), refusing intersecting arrays.  The lengths add
+    (dx*dx + dy*dy) + dz*dz, as a sum over a 3-wide offset axis does, bit for bit."""
+    dx, dy, dz = (rx[..., :, None, i] - tx[..., None, :, i] for i in range(3))
+    transverse = dx * dx + dy * dy
+    dist = np.sqrt(transverse + dz * dz)
     if dist.min() <= _MIN_PAIR_DISTANCE_M:
         raise DegenerateGeometryError(
             f"arrays intersect: minimum pair distance {dist.min():.3e} m"
         )
-    return delta, dist
+    return transverse, dz, dist
 
 
 def distance_matrix(scene: LinkScene) -> DistanceMatrix:
     """Exact Euclidean distances between every posed rx/tx antenna pair."""
-    return DistanceMatrix(_pair_distances(scene.tx_positions(), scene.rx_positions())[1])
+    return DistanceMatrix(_pair_distances(scene.tx_positions(), scene.rx_positions())[2])
 
 
 def channel_matrix(scene: LinkScene, model: WavefrontModel) -> ChannelMatrix:
@@ -146,24 +149,24 @@ def _channel_entries(
     if not isinstance(model, WavefrontModel):
         raise InvalidArgumentError(f"unknown wavefront model {model!r}")
     k = 2 * np.pi / wavelength_m
-    delta, dist = _pair_distances(tx, rx)
-    c_t, c_r = tx.mean(axis=-2), rx.mean(axis=-2)
+    transverse, dz, dist = _pair_distances(tx, rx)
     if model is WavefrontModel.SPHERICAL:
         _check_distances(dist)
         entries = np.exp(-1j * k * dist)
     elif model is WavefrontModel.FRESNEL:
+        c_t, c_r = tx.mean(axis=-2), rx.mean(axis=-2)
         sign = np.where(c_r[..., 2] >= c_t[..., 2], 1.0, -1.0)[..., None, None]
-        zeta = delta[..., 2] * sign
+        zeta = dz * sign
         if zeta.min() <= 0:
             raise DegenerateGeometryError(
                 "Fresnel expansion needs every pair separated along the link axis"
             )
         d_axial = (c_r[..., 2] - c_t[..., 2])[..., None, None] * sign
-        transverse = delta[..., 0] ** 2 + delta[..., 1] ** 2
         entries = np.exp(-1j * k * (zeta + transverse / (2 * d_axial)))
     else:
         # PLANAR: first-order expansion about the centroid axis; each matrix
         # is an exact outer product, hence rank-1
+        c_t, c_r = tx.mean(axis=-2), rx.mean(axis=-2)
         axis = c_r - c_t
         d_hat = np.sqrt((axis**2).sum(axis=-1))
         if d_hat.min() <= _MIN_PAIR_DISTANCE_M:

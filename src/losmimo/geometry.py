@@ -90,12 +90,14 @@ def recompute_aperture(
         centers = positions.reshape(subarray_count, n // subarray_count, -1).mean(axis=1)
         return subarray_count * float(np.linalg.norm(centers[1] - centers[0]))
     # CUSTOM: the diameter of the point set, over blocks of rows so the
-    # pairwise differences never take more than a few MB
+    # pairwise differences never take more than a few MB; squared lengths are
+    # summed one axis at a time, in the order of a sum over the offset axis
     if n == 1:
         return 0.0
     rows = max(1, _DIAMETER_BLOCK_PAIRS // n)
-    blocks = (positions[i : i + rows, None, :] - positions[None, :, :] for i in range(0, n, rows))
-    return max(float(np.sqrt((diffs**2).sum(-1)).max()) for diffs in blocks)
+    blocks = (sum(d * d for d in (c[i : i + rows, None] - c for c in positions.T))
+              for i in range(0, n, rows))
+    return float(np.sqrt(max(sq.max() for sq in blocks)))
 
 
 def _aperture_or(declared: float, positions, archetype, subarray_count=None) -> float:

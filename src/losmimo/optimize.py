@@ -269,9 +269,8 @@ def _select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model):
     if k > _ANGLE_CANDIDATES:
         raise InvalidArgumentError(f"k must be at most {_ANGLE_CANDIDATES}, got {k}")
     _require_ula_pair(scene, "select_fixed_angles")
-    snr_lin = [snr_db_to_linear(s) for s in _snr_grid(snr_grid_db)]
-    for s in snr_lin:
-        _check_snr(s, scene.tx.element_count * scene.rx.element_count)
+    gain = scene.tx.element_count * scene.rx.element_count
+    snr_lin = [_check_snr(snr_db_to_linear(s), gain) for s in _snr_grid(snr_grid_db)]
     candidates = np.linspace(0.0, np.pi / 2, _ANGLE_CANDIDATES)
     _, ref, ses = _best_rotation(scene, np.array(snr_lin), model, False)
     table = ses[:, ::2].T  # candidate x snr; grid[::2] = candidates

@@ -76,3 +76,31 @@ def test_run_once_refuses_a_run_with_wrong_output(tmp_path):
     message = str(exc.value.code)
     assert str(tree) in message and "optimize_small" in message
     assert exc.value.code != 0
+
+
+def test_report_lines_give_medians_change_iqr_and_wins_per_listed_metric():
+    pairs = [({"pass_s": 1.0, "x": 1.0}, {"pass_s": 0.8, "x": 1.0}),
+             ({"pass_s": 1.2, "x": 1.0}, {"pass_s": 0.9, "x": 1.0}),
+             ({"pass_s": 1.1, "x": 1.0}, {"pass_s": 1.2, "x": 1.0})]
+    summary = bench_record.summarize(_runs(pairs), {})
+    assert bench_record.report_lines(summary, ["pass_s", "absent"]) == [
+        "pass_s: parent 1.1 -> change 0.9 (-18.2%), parent IQR 0.1, change wins 2/3"]
+
+
+def test_main_prints_one_line_per_listed_metric_after_recording(tmp_path, capsys):
+    trees = []
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        trees.append(_fake_tree(tmp_path / side, True))
+    spec = {"end_to_end": [{"name": "pass_s", "better": "lower"}],
+            "per_layer": [{"name": "channel.self_s", "better": "lower"}]}
+    (trees[1] / "BENCHMARK.json").write_text(json.dumps(spec))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(trees[0]), "--change", str(trees[1]), "--workload", "export",
+            "--pairs", "2", "--out", str(out)]
+    assert bench_record.main(argv) == 0
+    assert len(json.loads(out.read_text())["records"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-2:] == ["export seed 0 trace 0, 2 pairs:",
+                        "  pass_s: parent 0.5 -> change 0.5 (+0.0%), parent IQR 0, "
+                        "change wins 0/2"]

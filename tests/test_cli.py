@@ -502,6 +502,17 @@ def test_snr_whose_array_gain_overflows_exits_2(scene_path, capsys):
     assert all(d["se_bpshz"] is None and "overflows" in d["error"] for d in docs)
 
 
+def test_angles_and_capacity_report_the_first_overflowing_snr_alike(scene_path, capsys):
+    # 3075 dB fits a float but not times the array gain 16; 3090 dB does not fit at all
+    errors = []
+    for argv in (["optimize", scene_path, "--mode", "angles", "--snr-grid=3075,3090"],
+                 ["capacity", scene_path, "--snr-db=3075,3090"]):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "times the array gain 16 overflows" in errors[0]
+
+
 def test_python_dash_m_losmimo_runs_the_cli():
     src = str(Path(losmimo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -1,8 +1,11 @@
 """Stacked kernels against the one-variant code they replace, bit for bit, plus
 the model identities they must keep (KKT waterfilling, rigid-motion and
-reciprocity invariance of the spectrum)."""
+reciprocity invariance of the spectrum).  The per-axis pair offsets of the
+channel kernel and of the CUSTOM diameter are held to the (..., 3) offset
+tensor they replace, bit for bit."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from losmimo import (
+    Archetype,
     DegenerateGeometryError,
+    InvalidArgumentError,
     RigidPose,
     WavefrontModel,
     build_uca,
@@ -24,10 +29,10 @@ from losmimo import (
     select_fixed_angles,
     transpose_scene,
 )
-from losmimo import _search, optimize
+from losmimo import _search, geometry, optimize
 from losmimo.capacity import _LN2, _ZERO_GAIN_RTOL, _squared_singular_values, _waterfill
-from losmimo.channel import _channel_entries
-from losmimo.geometry import _link_plane_rotation, _posed_points
+from losmimo.channel import _MIN_PAIR_DISTANCE_M, _channel_entries, _pair_distances
+from losmimo.geometry import _link_plane_rotation, _posed_points, recompute_aperture
 
 MODELS = list(WavefrontModel)
 
@@ -49,6 +54,79 @@ def _waterfill_alone(g, snr_linear):
     fractions /= fractions.sum()
     se = float(np.log1p(snr_linear * fractions[:n_active] * g[:n_active]).sum() / _LN2)
     return fractions, se
+
+
+def _pair_offsets_alone(tx, rx):
+    """Pair offsets as one (..., n_r, n_t, 3) tensor and their lengths, as written
+    before the per-axis planes."""
+    delta = rx[..., :, None, :] - tx[..., None, :, :]
+    dist = np.sqrt((delta**2).sum(axis=-1))
+    if dist.min() <= _MIN_PAIR_DISTANCE_M:
+        raise DegenerateGeometryError(
+            f"arrays intersect: minimum pair distance {dist.min():.3e} m"
+        )
+    return delta, dist
+
+
+def _pair_distances_alone(tx, rx):
+    """What the Fresnel model read from the offset tensor: the squared transverse
+    offset, the axial offset, and the pair lengths."""
+    delta, dist = _pair_offsets_alone(tx, rx)
+    return delta[..., 0] ** 2 + delta[..., 1] ** 2, delta[..., 2], dist
+
+
+def _channel_entries_alone(tx, rx, wavelength_m, model):
+    """The channel kernel on the offset tensor, as written before the per-axis planes."""
+    k = 2 * np.pi / wavelength_m
+    delta, dist = _pair_offsets_alone(tx, rx)
+    c_t, c_r = tx.mean(axis=-2), rx.mean(axis=-2)
+    if model is WavefrontModel.SPHERICAL:
+        if not np.all(np.isfinite(dist)) or np.any(dist <= 0):
+            raise InvalidArgumentError("distances must be finite and positive")
+        entries = np.exp(-1j * k * dist)
+    elif model is WavefrontModel.FRESNEL:
+        sign = np.where(c_r[..., 2] >= c_t[..., 2], 1.0, -1.0)[..., None, None]
+        zeta = delta[..., 2] * sign
+        if zeta.min() <= 0:
+            raise DegenerateGeometryError(
+                "Fresnel expansion needs every pair separated along the link axis"
+            )
+        d_axial = (c_r[..., 2] - c_t[..., 2])[..., None, None] * sign
+        transverse = delta[..., 0] ** 2 + delta[..., 1] ** 2
+        entries = np.exp(-1j * k * (zeta + transverse / (2 * d_axial)))
+    else:
+        axis = c_r - c_t
+        d_hat = np.sqrt((axis**2).sum(axis=-1))
+        if d_hat.min() <= _MIN_PAIR_DISTANCE_M:
+            raise DegenerateGeometryError("array centroids coincide")
+        u = (axis / d_hat[..., None])[..., :, None]
+        proj_r = ((rx - c_r[..., None, :]) @ u)[..., 0]
+        proj_t = ((tx - c_t[..., None, :]) @ u)[..., 0]
+        if ((d_hat + proj_r.min(axis=-1)) - proj_t.max(axis=-1)).min() <= 0:
+            raise DegenerateGeometryError(
+                "planar expansion needs every pair separated along the link axis"
+            )
+        outer = np.exp(-1j * k * proj_r)[..., :, None] * np.exp(1j * k * proj_t)[..., None, :]
+        entries = np.exp(-1j * k * d_hat)[..., None, None] * outer
+    if not np.all(np.isfinite(entries)):
+        raise InvalidArgumentError("channel entries must be finite")
+    return entries
+
+
+def _diameter_alone(positions):
+    """CUSTOM diameter from the (n, n, d) offset tensor in one block."""
+    delta = positions[:, None, :] - positions[None, :, :]
+    return float(np.sqrt((delta**2).sum(-1)).max())
+
+
+def _outcome(fn, *args):
+    """The arrays ``fn`` returns, as bytes, or the class and message it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            out = fn(*args)
+        except (DegenerateGeometryError, InvalidArgumentError) as exc:
+            return type(exc), str(exc)
+    return [(a.shape, a.dtype, a.tobytes()) for a in (out if isinstance(out, tuple) else [out])]
 
 
 def _golden_alone(f, a, b, tol):
@@ -189,6 +267,61 @@ def test_stacked_channels_and_spectra_match_the_per_variant_loop(model, n_t, n_r
         alone = _channel_entries(t, r, lam, model)
         assert alone.tolist() == entries[i].tolist()
         assert _squared_singular_values(alone).tolist() == gains[i].tolist()
+
+
+_DEGENERATE = ["none", "coincident", "overflow", "zero_axial"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_t=st.integers(1, 64),
+    n_r=st.integers(1, 64),
+    stack=st.sampled_from([(), (1,), (3,)]),
+    model=st.sampled_from(MODELS),
+    degenerate=st.sampled_from(_DEGENERATE),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-4.0, 2.0),
+    log_dist=st.floats(-2.0, 3.0),
+)
+def test_per_axis_offsets_match_the_offset_tensor_bit_for_bit(
+    n_t, n_r, stack, model, degenerate, seed, log_scale, log_dist
+):
+    rng = np.random.default_rng(seed)
+    scale, dist = 10.0**log_scale, 10.0**log_dist
+    tx = rng.normal(size=stack + (n_t, 3)) * scale
+    rx = rng.normal(size=stack + (n_r, 3)) * scale + [scale * rng.normal(), 0.0, dist]
+    m, n, axis = rng.integers(n_t), rng.integers(n_r), rng.integers(3)
+    if degenerate == "coincident":
+        rx[..., n, :] = tx[..., m, :]
+    elif degenerate == "overflow":  # an inf or 1e300 offset squares to inf; inf - inf is NaN
+        rx[..., n, axis] = rng.choice([1e300, -1e300, np.inf])
+        if rng.random() < 0.5:
+            tx[..., m, axis] = np.inf
+    elif degenerate == "zero_axial":
+        rx[..., n, 2] = tx[..., m, 2]
+        rx[..., n, 0] = tx[..., m, 0] + scale
+    lam = rng.uniform(1e-4, 1e-2)
+    assert _outcome(_pair_distances, tx, rx) == _outcome(_pair_distances_alone, tx, rx)
+    assert _outcome(_channel_entries, tx, rx, lam, model) == _outcome(
+        _channel_entries_alone, tx, rx, lam, model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    dims=st.sampled_from([2, 3]),
+    block_pairs=st.sampled_from([1, 7, 256, 1 << 17]),
+    log_scale=st.floats(-6.0, 160.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_custom_diameter_matches_the_offset_tensor_bit_for_bit(n, dims, block_pairs,
+                                                               log_scale, seed):
+    positions = np.random.default_rng(seed).normal(size=(n, dims)) * 10.0**log_scale
+    with mock.patch.object(geometry, "_DIAMETER_BLOCK_PAIRS", block_pairs), \
+            np.errstate(all="ignore"):
+        got = recompute_aperture(positions, Archetype.CUSTOM)
+        want = _diameter_alone(positions) if n > 1 else 0.0
+    assert got == want
 
 
 @pytest.mark.parametrize("model", MODELS)

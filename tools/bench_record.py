@@ -15,7 +15,10 @@ it is a git checkout) and result, and per metric the median, the quartiles and
 the interquartile range (IQR) of each side, plus the number of pairs the
 change won (ties count for neither side; "better" comes from the change
 tree's ``BENCHMARK.json``).  The record is appended to the ``--out`` file,
-so one file keeps every comparison run.  A run whose outputs fail the
+so one file keeps every comparison run.  Then each metric of the record that
+``BENCHMARK.json`` lists (the end-to-end ones, or the per-layer ones of a
+``--trace 1`` record) is printed to stderr as one line: parent and change
+medians, relative change, parent IQR and wins.  A run whose outputs fail the
 benchmark's checks (``"correct": false``) stops the script with a non-zero
 exit that names the tree and the workload.  Neither tree's benchmark is
 modified.
@@ -72,6 +75,22 @@ def summarize(runs: list[dict], better: dict) -> dict:
     return summary
 
 
+def report_lines(summary: dict, names: list[str]) -> list[str]:
+    """One line per metric of ``names`` in ``summary``: the two medians, the relative
+    change of the median, the parent's IQR and the pairs the change won."""
+    lines = []
+    for name in names:
+        if name not in summary:
+            continue
+        s = summary[name]
+        parent, change = s["parent"]["median"], s["change"]["median"]
+        rel = f"{(change - parent) / parent:+.1%}" if parent else "n/a"
+        lines.append(f"{name}: parent {parent:.4g} -> change {change:.4g} ({rel}), "
+                     f"parent IQR {s['parent']['iqr']:.4g}, "
+                     f"change wins {s['change_wins']}/{s['pairs']}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent source tree")
@@ -109,6 +128,11 @@ def main(argv=None) -> int:
         doc = json.loads(args.out.read_text(encoding="utf-8"))
     doc["records"].append(record)
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{args.workload} seed {args.seed} trace {args.trace}, {args.pairs} pairs:",
+          file=sys.stderr)
+    listed = [m["name"] for m in spec["end_to_end"] + spec["per_layer"]]
+    for line in report_lines(record["summary"], listed):
+        print(f"  {line}", file=sys.stderr)
     return 0
 
 
