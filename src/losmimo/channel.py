@@ -144,7 +144,8 @@ def _channel_entries(
     """Body of :func:`channel_matrix` on posed (..., n, 3) positions: (..., n_r, n_t).
 
     Runs every check that the model or the geometry can fail, once for the whole stack
-    (its message may name any failing variant); the wavelength is the caller's to validate.
+    (its message may name any failing variant); the wavelength, one or a (..., 1, 1) stack
+    of one per variant, is the caller's to validate.
     """
     if not isinstance(model, WavefrontModel):
         raise InvalidArgumentError(f"unknown wavefront model {model!r}")
@@ -178,8 +179,8 @@ def _channel_entries(
             raise DegenerateGeometryError(
                 "planar expansion needs every pair separated along the link axis"
             )
-        outer = np.exp(-1j * k * proj_r)[..., :, None] * np.exp(1j * k * proj_t)[..., None, :]
-        entries = np.exp(-1j * k * d_hat)[..., None, None] * outer
+        outer = np.exp(-1j * k * proj_r[..., :, None]) * np.exp(1j * k * proj_t[..., None, :])
+        entries = np.exp(-1j * k * d_hat[..., None, None]) * outer
     if not np.all(np.isfinite(entries)):
         raise InvalidArgumentError("channel entries must be finite")
     return entries
@@ -253,6 +254,7 @@ def phase_profile(
         pts = start[None, :] + x[:, None] * direction[None, :]
         dist = np.linalg.norm(pts - tx[None, :], axis=1)
         raw = -2 * np.pi * dist / wavelength_m
+        x4_sum = (x**4).sum()  # np.polyfit scales its x**2 column by the root of this
     if not np.isfinite(raw).all():
         raise InvalidArgumentError("scan distances must be finite, in meters and in wavelengths")
     if dist.min() <= 0:
@@ -264,6 +266,7 @@ def phase_profile(
         idx = int(np.argmax(bad))
         raise NyquistViolationError(idx, float(step_delta[idx]), wavelength_m)
 
+    _check_positive(float(x4_sum), "sum of the fourth powers of the scan displacements")
     phase = np.unwrap(np.angle(np.exp(1j * raw)))
 
     c2, c1, c0 = np.polyfit(x, phase, 2)

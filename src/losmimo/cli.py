@@ -197,7 +197,8 @@ def cmd_phase_profile(args) -> int:
         # small-offset expansion about the boresight distance
         start = (-(args.steps - 1) / 2 * args.step_size, 0.0, args.distance)
         direction = (1.0, 0.0, 0.0)
-        c2_predicted = -math.pi / (lam * args.distance)
+        c2_predicted = -math.pi / (lam * args.distance or math.inf)
+        _check_positive(-c2_predicted, "predicted curvature magnitude pi/(lambda*distance)")
     else:
         start = (0.0, 0.0, args.distance)
         direction = (0.0, 0.0, 1.0)

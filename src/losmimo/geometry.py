@@ -375,12 +375,12 @@ def link_scene(
 
 
 def _pose_shift(points: np.ndarray, rotation: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Translation that puts the centroid of the rotated points on ``anchor``."""
-    return anchor - rotation @ points.mean(axis=0)
+    """Translation that puts the centroid of the rotated points on ``anchor``, per variant."""
+    return anchor - (rotation @ points.mean(axis=-2)[..., None])[..., 0]
 
 
 def _posed_points(points: np.ndarray, rotation: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Points turned about their centroid onto ``anchor`` (as in link_scene), per rotation."""
+    """Points turned about their centroid onto ``anchor`` (as in link_scene), per variant."""
     return points @ rotation.swapaxes(-1, -2) + _pose_shift(points, rotation, anchor)[..., None, :]
 
 
@@ -389,7 +389,7 @@ def _check_axial(tx_points: np.ndarray, rx_points: np.ndarray, separation_m: flo
     bad = np.abs(axial - separation_m) > _AXIAL_RTOL * separation_m
     if bad.any():
         raise InvalidArgumentError(
-            f"posed centroids are {axial[bad].flat[0]!r} m apart along the link axis, "
+            f"posed centroids are {float(axial[bad].flat[0])!r} m apart along the link axis, "
             f"expected separation_m = {separation_m!r}"
         )
 

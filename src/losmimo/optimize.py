@@ -118,47 +118,67 @@ def _snr_grid(snr_grid_db) -> list[float]:
     return snr_grid_db
 
 
-def _gains(scene: LinkScene, model, rotations=None, rx_offset_m=0.0, points=None,
-           wavelength_m=None) -> np.ndarray:
-    """Squared singular values of a variant of ``scene``: the one evaluation path.
+def _gains(scene: LinkScene, model, local=None, scale=None, rotations=None, anchor=None,
+           lam=None, errors=None) -> np.ndarray:
+    """Squared singular values (G, n) of G variants of ``scene``: the one evaluation path.
 
-    A (tx, rx) pair of ``rotations`` re-poses the layouts (or the local
-    ``points``) as :func:`link_scene` would, rx centroid at (rx_offset_m, 0, D);
-    without it the arrays keep their poses.  ``wavelength_m`` replaces the carrier.  (G, 3, 3)
-    rotation stacks give (G, n) gains, or the error of the first failing variant alone.
+    ``local`` positions, their ``scale`` factors and ``rotations`` ((tx, rx) pairs, the
+    scene's own and 1 by default) and the rx ``anchor`` ((0, 0, D) by default) re-pose both
+    layouts as :func:`link_scene` would; given none of them, the arrays keep the scene's
+    poses.  ``lam`` replaces the wavelength.  Each may instead stack G variants: positions
+    (G, n, 3), factors and wavelengths (G,), rotations (G, 3, 3), anchors (G, 3); with no
+    stack the gains are (n,).  Stacks are evaluated _STACK_ENTRIES channel entries at a time,
+    and a failing chunk re-runs its variants alone: the first failing one raises, or goes
+    into ``errors`` under its index, with NaN gains.
     """
-    lam = scene.wavelength_m if wavelength_m is None else wavelength_m
-    if rotations is None:
-        return _squared_singular_values(
-            _channel_entries(scene.tx_positions(), scene.rx_positions(), lam, model))
-    tx, rx = points or (scene.tx.positions, scene.rx.positions)
-    d = scene.separation_m
-    anchor = np.array([rx_offset_m, 0.0, d])
+    posed = None if local or scale or rotations or anchor is not None else (
+        scene.tx_positions(), scene.rx_positions())
+    local = local or (scene.tx.positions, scene.rx.positions)
+    scale = scale or (None, None)
+    rotations = rotations or (scene.tx_pose.rotation, scene.rx_pose.rotation)
+    anchor = np.array([0.0, 0.0, scene.separation_m]) if anchor is None else anchor
+    lam = scene.wavelength_m if lam is None else np.asarray(lam)[..., None, None]
+    fields = [lam, local[0], scale[0], rotations[0], np.zeros(3),
+              local[1], scale[1], rotations[1], anchor]
+    # the fields with more dimensions than one variant's are stacks of G
+    stacked = [k for k, nd in enumerate((2,) + (2, 0, 2, 1) * 2)
+               if getattr(fields[k], "ndim", 0) > nd]
+    count = len(fields[stacked[0]]) if stacked else 1
+    n_t, n_r = local[0].shape[-2], local[1].shape[-2]
 
-    def evaluate(rot_t, rot_r):
-        tx_pts = _posed_points(tx, rot_t, np.zeros(3))
-        rx_pts = _posed_points(rx, rot_r, anchor)
-        _check_axial(tx_pts, rx_pts, d)
-        return _squared_singular_values(_channel_entries(tx_pts, rx_pts, lam, model))
+    def evaluate(i, j):  # gains of variants i to j
+        cut = fields.copy()
+        for k in stacked:
+            cut[k] = fields[k][i:j]
+        lam, t, f_t, r_t, a_t, r, f_r, r_r, a_r = cut
+        pts = posed or (
+            _posed_points(t if f_t is None else t * f_t[..., None, None], r_t, a_t),
+            _posed_points(r if f_r is None else r * f_r[..., None, None], r_r, a_r))
+        _check_axial(*pts, scene.separation_m)
+        return _squared_singular_values(_channel_entries(*pts, lam, model))
 
-    if rotations[0].ndim == 2:
-        return evaluate(*rotations)
-    step = max(1, _STACK_ENTRIES // (len(tx) * len(rx)))  # variants per channel stack
-    parts = []
-    for i in range(0, len(rotations[0]), step):
-        chunk = [r[i : i + step] for r in rotations]
+    step = max(1, _STACK_ENTRIES // (n_t * n_r))  # variants per channel stack
+    parts = []  # a loop: an evaluate that called itself would be a reference cycle per call
+    for i in range(0, count, step):
+        rows = range(i, min(i + step, count))
         try:
-            parts.append(evaluate(*chunk))
-        except LosMimoError:
-            for pair in zip(*chunk):
-                evaluate(*pair)  # the first failing variant raises
-            raise
+            parts.append(evaluate(i, rows.stop))
+        except LosMimoError:  # each variant alone: its own gains, or its own error
+            for k in rows:
+                try:
+                    parts.append(evaluate(k, k + 1))
+                except LosMimoError as exc:
+                    if errors is None:
+                        raise
+                    errors[k] = exc
+                    parts.append(np.full((1, min(n_t, n_r)), np.nan))
     return np.concatenate(parts)
 
 
 def _rotated(scene: LinkScene, model, angle_tx, angle_rx) -> np.ndarray:
     """Gains with both arrays re-posed from broadside by in-plane angles (or arrays of them)."""
-    return _gains(scene, model, (_link_plane_rotation(angle_tx), _link_plane_rotation(angle_rx)))
+    return _gains(scene, model, rotations=(_link_plane_rotation(angle_tx),
+                                           _link_plane_rotation(angle_rx)))
 
 
 def _se_table(gains: np.ndarray, snrs: np.ndarray) -> np.ndarray:
@@ -302,71 +322,84 @@ def aosa_schedule(
     rank-r Rayleigh center spacing sqrt(lambda*D/r); elements within a
     cluster sit a quarter wavelength apart unless overridden.  A divisor
     whose clusters would overlap at that spacing is skipped (r = 1 always
-    fits).  Ties go to the smaller r (fewer, larger subarrays).
+    fits).  Every fitting layout has n_total elements, so all of them are
+    evaluated as one stack, upright at both ends; the first failing divisor's
+    error raises.  Ties go to the smaller r (fewer, larger subarrays).
     """
     _check_count(n_total, "n_total")
     snr_grid_db = _snr_grid(snr_grid_db)
     lam = scene_template.wavelength_m
     dist = scene_template.separation_m
     elem = lam / 4 if element_spacing_m is None else float(element_spacing_m)
-    upright = (np.eye(3), np.eye(3))
-    descriptors, gains = [], []
+    descriptors, layouts, failed = [], [], None
     for r in (d for d in range(1, int(n_total) + 1) if n_total % d == 0):
         sub = math.sqrt(lam * dist / r)
         if not _clusters_apart(n_total, r, sub, elem):
             continue
-        layout = build_aosa(int(n_total), r, sub, elem)
-        gains.append(_gains(scene_template, model, upright, points=(layout.positions,) * 2))
+        try:
+            layouts.append(build_aosa(int(n_total), r, sub, elem).positions)
+        except LosMimoError as exc:  # raised after any earlier divisor's own failure
+            failed = exc
+            break
         descriptors.append(f"aosa_r={r}")
-    return _best_per_snr(descriptors, np.array(gains), snr_grid_db, int(n_total), int(n_total))
+    if layouts:  # each layout upright at both ends
+        pts = np.array(layouts)
+        gains = _gains(scene_template, model, (pts, pts), rotations=(np.eye(3),) * 2)
+    if failed:
+        raise failed
+    return _best_per_snr(descriptors, gains, snr_grid_db, int(n_total), int(n_total))
 
 
-def _beamforming_report(scene: LinkScene, snr_linear: float) -> RateReport:
-    # aperture -> 0 limit: a single coherent beam with full array gain
-    n_t, n_r = scene.tx.element_count, scene.rx.element_count
-    fractions = np.zeros(min(n_t, n_r))
-    fractions[0] = 1.0
-    se = float(np.log1p(snr_linear * n_t * n_r) / math.log(2.0))
-    return _waterfilled_report(fractions, se, n_t, n_r, snr_linear)
+def _eta_factors(scene: LinkScene, eta):
+    """Position scale factors of tx and rx at channel parameter(s) eta: both broadside
+    apertures become sqrt(eta*lam*D*N), positions scaling as in scale_layout."""
+    target = np.sqrt(eta * scene.wavelength_m * scene.separation_m * scene.n_min)
+    return target / scene.tx.aperture_m, target / scene.rx.aperture_m
 
 
-def _sweep_gains(scene: LinkScene, model, variable: SweepVariable, x: float) -> np.ndarray:
-    """Gains of the base scene with the swept variable set to x.
-
-    Eta, tilt (rx alone) and offset re-pose the arrays from the scene's
-    rotations with no other offset.
-    """
-    base = (scene.tx_pose.rotation, scene.rx_pose.rotation)
+def _point_outcome(scene: LinkScene, variable: SweepVariable, x: float, snr_linear: float):
+    """Raise grid point x's own errors, found before any geometry is built; else None, or at
+    eta 0 (the aperture -> 0 limit) the report of a single beam with full array gain."""
     if variable is SweepVariable.FREQUENCY_HZ:
         _check_positive(x, "freq_hz")
-        lam = SPEED_OF_LIGHT_M_S / x
-        _check_positive(lam, "wavelength_m")
-        return _gains(scene, model, wavelength_m=lam)
-    if variable is SweepVariable.ETA:
+        _check_positive(SPEED_OF_LIGHT_M_S / x, "wavelength_m")
+    elif variable is SweepVariable.ETA and x == 0.0:
+        n_t, n_r = scene.tx.element_count, scene.rx.element_count
+        fractions = np.zeros(min(n_t, n_r))
+        fractions[0] = 1.0
+        se = float(np.log1p(snr_linear * n_t * n_r) / math.log(2.0))
+        return _waterfilled_report(fractions, se, n_t, n_r, snr_linear)
+    elif variable is SweepVariable.ETA:
         if x < 0:
             raise InvalidArgumentError("eta must be non-negative")
         if min(scene.tx.aperture_m, scene.rx.aperture_m) <= 0:
             raise IncompatibleModeError("eta sweep needs layouts with positive aperture")
-        # both broadside apertures become sqrt(eta*lam*D*N); positions scale as in scale_layout
-        target = math.sqrt(x * scene.wavelength_m * scene.separation_m * scene.n_min)
-        points = []
-        for lay in (scene.tx, scene.rx):
-            factor = target / lay.aperture_m
-            _check_positive(factor, "factor")
-            points.append(lay.positions * factor)
-        return _gains(scene, model, base, points=points)
-    if variable is SweepVariable.ROTATION_RAD:
-        return _rotated(scene, model, x, x)
-    if variable is SweepVariable.TILT_RAD:
-        return _gains(scene, model, (base[0], _link_plane_rotation(x)))
-    return _gains(scene, model, base, rx_offset_m=x)
+        for factor in _eta_factors(scene, x):
+            _check_positive(float(factor), "factor")
+    return None
+
+
+def _sweep_stack(scene: LinkScene, variable: SweepVariable, v: np.ndarray) -> dict:
+    """The :func:`_gains` keywords of the variants at the grid values ``v``.  Eta, tilt (rx
+    alone) and offset re-pose the arrays from the scene's rotations with no other offset."""
+    if variable is SweepVariable.FREQUENCY_HZ:
+        return {"lam": SPEED_OF_LIGHT_M_S / v}
+    if variable is SweepVariable.ETA:  # scaled per chunk: a grid of points can be large
+        return {"scale": _eta_factors(scene, v)}
+    if variable is SweepVariable.OFFSET_M:
+        d = np.full_like(v, scene.separation_m)
+        return {"anchor": np.column_stack([v, np.zeros_like(v), d])}
+    turned = _link_plane_rotation(v)
+    return {"rotations": (scene.tx_pose.rotation if variable is SweepVariable.TILT_RAD
+                          else turned, turned)}
 
 
 def sweep(spec: SweepSpec):
     """Evaluate a RateReport at every grid point, in grid order.
 
-    Grid points whose geometry is degenerate come back as error entries
-    rather than failing the whole sweep.
+    The points that pass their own checks are evaluated as one stack of variants of the base
+    scene (see :func:`_gains`).  Grid points whose geometry is degenerate come back as error
+    entries, with the error of the point alone, rather than failing the whole sweep.
     """
     scene = spec.base_scene
     model = spec.model
@@ -374,30 +407,38 @@ def sweep(spec: SweepSpec):
     if var is SweepVariable.ROTATION_RAD:
         _require_ula_pair(scene, "rotation sweep")
     label = _LABELS[var.value]
+    grid = spec.grid.tolist()
 
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
     if var is SweepVariable.SNR_DB:
         gains = _gains(scene, model)
-        snrs = [_check_snr(snr_db_to_linear(x), n_t * n_r) for x in spec.grid.tolist()]
+        snrs = [_check_snr(snr_db_to_linear(x), n_t * n_r) for x in grid]
         return [SweepPoint(x, x, report, f"{label}={x:.12g}")
-                for x, report in zip(spec.grid.tolist(), _rate_reports(gains, n_t, n_r, snrs))]
+                for x, report in zip(grid, _rate_reports(gains, n_t, n_r, snrs))]
 
     snr_fixed = snr_db_to_linear(spec.snr_db)
-    outcomes = []  # per grid point: a report, gains to waterfill, or the text of its error
+    rows = []  # per grid point: its report or error, None while its variant is pending
     # an overflowing geometry (say an offset of 1e300) ends in a typed error row
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in spec.grid.tolist():
-            try:  # eta 0 is the aperture -> 0 limit, pure beamforming
-                outcome = (_beamforming_report(scene, snr_fixed) if var is SweepVariable.ETA
-                           and x == 0.0 else _sweep_gains(scene, model, var, x))
-                _check_snr(snr_fixed, n_t * n_r)  # as the report of these gains would
+        for x in grid:
+            try:
+                rows.append(_point_outcome(scene, var, x, snr_fixed))
             except LosMimoError as exc:
-                outcome = f"{type(exc).__name__}: {exc}"
-            outcomes.append(outcome)
-        stacked = [o for o in outcomes if isinstance(o, np.ndarray)]
-        rated = iter(_rate_reports(np.array(stacked), n_t, n_r, [snr_fixed] * len(stacked))
-                     if stacked else ())
-    outcomes = [next(rated) if isinstance(o, np.ndarray) else o for o in outcomes]
+                rows.append(exc)
+        kept = [i for i, o in enumerate(rows) if o is None]
+        if kept:
+            outcomes = {}  # per variant: its error, then its report
+            stack = _sweep_stack(scene, var, spec.grid[kept])
+            gains = _gains(scene, model, errors=outcomes, **stack)
+            ok = [j for j in range(len(kept)) if j not in outcomes]
+            try:  # as the report of these gains would
+                snrs = [_check_snr(snr_fixed, n_t * n_r)] * len(ok)
+                outcomes.update(zip(ok, _rate_reports(gains[ok], n_t, n_r, snrs)))
+            except LosMimoError as exc:
+                outcomes.update(dict.fromkeys(ok, exc))
+            for j, o in outcomes.items():
+                rows[kept[j]] = o
     return [SweepPoint(x, spec.snr_db, o, f"{label}={x:.12g}") if isinstance(o, RateReport)
-            else SweepPoint(x, spec.snr_db, None, f"{label}={x:.12g}", error=o)
-            for x, o in zip(spec.grid.tolist(), outcomes)]
+            else SweepPoint(x, spec.snr_db, None, f"{label}={x:.12g}",
+                            error=f"{type(o).__name__}: {o}")
+            for x, o in zip(grid, rows)]

@@ -553,11 +553,22 @@ _CLOSED_HOLES = {
                                          "--steps", "5", "--step-size", "1e308"],
     "cli_eta_sweep_nan_snr": ["sweep", "SCENE", "--var", "eta", "--grid", "0,1",
                               "--snr-db", "nan"],
+    # lambda * distance underflows to 0 (a ZeroDivisionError) or to a subnormal (-Infinity)
+    "cli_phase_profile_curvature_divides_by_zero": [
+        "phase-profile", "--freq=999e6", "--distance=5e-324", "--steps", "3",
+        "--step-size=0.001"],
+    "cli_phase_profile_curvature_overflows": [
+        "phase-profile", "--freq=0.001", "--distance=5e-324", "--steps", "100",
+        "--step-size=1.0", "--format", "json"],
+    # the fit's x**2 column underflows to zeros: LAPACK printed DLASCL lines, then LinAlgError
+    "cli_phase_profile_displacements_underflow_the_fit": [
+        "phase-profile", "--freq=1e9", "--distance=1", "--steps", "100",
+        "--step-size=2e-300"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CLOSED_HOLES))
-def test_bad_inputs_end_in_typed_errors(case, scene_path, capsys):
+def test_bad_inputs_end_in_typed_errors(case, scene_path, capfd):
     hole = _CLOSED_HOLES[case]
     if callable(hole):
         with warnings.catch_warnings():
@@ -566,9 +577,9 @@ def test_bad_inputs_end_in_typed_errors(case, scene_path, capsys):
                 hole()
         return
     assert main([scene_path if arg == "SCENE" else arg for arg in hole]) == 2
-    out, err = capsys.readouterr()
+    out, err = capfd.readouterr()  # at the descriptors, where LAPACK writes
     assert out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("config, error", [
@@ -586,6 +597,26 @@ def test_overflowing_offset_ends_in_an_error_row_without_a_warning(config, error
     assert err == ""
     rows = json.loads(out)
     assert [row.get("error") for row in rows] == [None, None, f"InvalidArgumentError: {error}"]
+
+
+def test_error_rows_print_plain_floats(tmp_path, capsys):
+    # one-element arrays 3e12 m off the link axis, 2 mm apart: tilting rx cancels
+    # its posed z to 0.001953125 m, which _check_axial reports
+    far = {"type": "custom", "positions": [[3e12, 3e12, 0.0]]}
+    config = tmp_path / "far.json"
+    config.write_text(json.dumps({"carrier_hz": 300e9, "distance_m": 0.002,
+                                  "model": "spherical", "tx": far, "rx": far}))
+    error = ("InvalidArgumentError: posed centroids are 0.001953125 m apart along the "
+             "link axis, expected separation_m = 0.002")
+    for fmt in ("csv", "json"):
+        argv = ["sweep", str(config), "--var", "tilt", "--grid", "0:0.5:1", "--snr-db=10"]
+        assert main(argv + ["--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert "np.float64(" not in out
+        if fmt == "json":
+            assert [row.get("error") for row in json.loads(out)] == [None, error, error]
+        else:
+            assert out.splitlines()[2].endswith(error.replace(",", ";"))
 
 
 def _traced_peak(fn):

@@ -2,7 +2,7 @@
 the model identities they must keep (KKT waterfilling, rigid-motion and
 reciprocity invariance of the spectrum).  The per-axis pair offsets of the
 channel kernel and of the CUSTOM diameter are held to the (..., 3) offset
-tensor they replace, bit for bit."""
+tensor they replace, bit for bit, and stacked sweeps to the per-point loop."""
 
 import math
 from unittest import mock
@@ -15,24 +15,48 @@ from hypothesis import strategies as st
 from losmimo import (
     Archetype,
     DegenerateGeometryError,
+    IncompatibleModeError,
     InvalidArgumentError,
+    LosMimoError,
     RigidPose,
+    SPEED_OF_LIGHT_M_S,
+    SweepPoint,
+    SweepSpec,
+    SweepVariable,
+    UnsupportedArchetypeError,
     WavefrontModel,
+    aosa_schedule,
+    build_aosa,
     build_uca,
     build_ula,
     build_ura,
     channel_matrix,
+    custom_layout,
     gain_spectrum,
     link_scene,
     optimize_rotation,
     rotate_in_link_plane,
     select_fixed_angles,
+    sweep,
     transpose_scene,
 )
 from losmimo import _search, geometry, optimize
-from losmimo.capacity import _LN2, _ZERO_GAIN_RTOL, _squared_singular_values, _waterfill
+from losmimo.capacity import (
+    _LN2,
+    _ZERO_GAIN_RTOL,
+    _check_snr,
+    _rate_reports,
+    _squared_singular_values,
+    _waterfill,
+    _waterfilled_report,
+)
 from losmimo.channel import _MIN_PAIR_DISTANCE_M, _channel_entries, _pair_distances
-from losmimo.geometry import _link_plane_rotation, _posed_points, recompute_aperture
+from losmimo.geometry import (
+    _check_axial,
+    _link_plane_rotation,
+    _posed_points,
+    recompute_aperture,
+)
 
 MODELS = list(WavefrontModel)
 
@@ -158,6 +182,107 @@ def _golden_alone(f, a, b, tol):
             if fd > best_f:
                 best_x, best_f = d, fd
     return best_x, best_f, seen
+
+
+def _posed_alone(points, rotation, anchor):
+    """One variant's points turned about their centroid onto ``anchor``, as posed before
+    stacking."""
+    return points @ rotation.T + (anchor - rotation @ points.mean(axis=0))
+
+
+def _gains_alone(scene, model, rotations=None, rx_offset_m=0.0, points=None, lam=None):
+    """Gains of one variant of ``scene``, as the evaluation path read before stacking."""
+    lam = scene.wavelength_m if lam is None else lam
+    if rotations is None:
+        return _squared_singular_values(_channel_entries_alone(
+            scene.tx_positions(), scene.rx_positions(), lam, model))
+    tx, rx = points or (scene.tx.positions, scene.rx.positions)
+    tx = _posed_alone(tx, rotations[0], np.zeros(3))
+    rx = _posed_alone(rx, rotations[1], np.array([rx_offset_m, 0.0, scene.separation_m]))
+    _check_axial(tx, rx, scene.separation_m)
+    return _squared_singular_values(_channel_entries_alone(tx, rx, lam, model))
+
+
+def _sweep_gains_alone(scene, model, variable, x):
+    """Gains at one grid point, as the per-point sweep computed them."""
+    base = (scene.tx_pose.rotation, scene.rx_pose.rotation)
+    if variable is SweepVariable.FREQUENCY_HZ:
+        if not 0 < x < math.inf:
+            raise InvalidArgumentError(f"freq_hz must be positive and finite, got {x!r}")
+        lam = SPEED_OF_LIGHT_M_S / x
+        if not 0 < lam < math.inf:
+            raise InvalidArgumentError(f"wavelength_m must be positive and finite, got {lam!r}")
+        return _gains_alone(scene, model, lam=lam)
+    if variable is SweepVariable.ETA:
+        if x < 0:
+            raise InvalidArgumentError("eta must be non-negative")
+        if min(scene.tx.aperture_m, scene.rx.aperture_m) <= 0:
+            raise IncompatibleModeError("eta sweep needs layouts with positive aperture")
+        target = math.sqrt(x * scene.wavelength_m * scene.separation_m * scene.n_min)
+        points = []
+        for lay in (scene.tx, scene.rx):
+            factor = target / lay.aperture_m
+            if not 0 < factor < math.inf:
+                raise InvalidArgumentError(f"factor must be positive and finite, got {factor!r}")
+            points.append(lay.positions * factor)
+        return _gains_alone(scene, model, base, points=points)
+    if variable is SweepVariable.ROTATION_RAD:
+        return _gains_alone(scene, model, (_link_plane_rotation(x),) * 2)
+    if variable is SweepVariable.TILT_RAD:
+        return _gains_alone(scene, model, (base[0], _link_plane_rotation(x)))
+    return _gains_alone(scene, model, base, rx_offset_m=x)
+
+
+def _sweep_alone(spec):
+    """A non-SNR sweep as the per-point loop ran it: each grid point evaluated alone."""
+    scene, model, var = spec.base_scene, spec.model, spec.variable
+    if var is SweepVariable.ROTATION_RAD and not (
+            scene.tx.archetype is scene.rx.archetype is Archetype.ULA):
+        raise UnsupportedArchetypeError(
+            f"rotation sweep requires ULA layouts at both ends, got "
+            f"{scene.tx.archetype.value}/{scene.rx.archetype.value}")
+    n_t, n_r = scene.tx.element_count, scene.rx.element_count
+    try:
+        snr = 10.0 ** (float(spec.snr_db) / 10.0)
+    except OverflowError:
+        raise InvalidArgumentError(
+            f"snr_db {spec.snr_db!r} overflows a float in linear scale") from None
+    label = optimize._LABELS[var.value]
+    points = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in spec.grid.tolist():
+            descriptor = f"{label}={x:.12g}"
+            try:
+                if var is SweepVariable.ETA and x == 0.0:  # a single beam, full array gain
+                    fractions = np.zeros(min(n_t, n_r))
+                    fractions[0] = 1.0
+                    se = float(np.log1p(snr * n_t * n_r) / math.log(2.0))
+                    report = _waterfilled_report(fractions, se, n_t, n_r, snr)
+                else:
+                    gains = _sweep_gains_alone(scene, model, var, x)
+                    _check_snr(snr, n_t * n_r)
+                    report = _rate_reports(gains, n_t, n_r, [snr])[0]
+            except LosMimoError as exc:
+                points.append(SweepPoint(x, spec.snr_db, None, descriptor,
+                                         error=f"{type(exc).__name__}: {exc}"))
+                continue
+            points.append(SweepPoint(x, spec.snr_db, report, descriptor))
+    return points
+
+
+def _sweep_rows(points):
+    """Every field of sweep points, floats by repr (so -0.0 differs from 0.0)."""
+    return [repr((p.x_value, p.snr_db, p.config_descriptor, p.error, p.report and (
+        p.report.snr_linear, p.report.spectral_efficiency_bpshz, p.report.upper_bound_bpshz,
+        p.report.active_rank, p.report.allocation.fractions.tolist()))) for p in points]
+
+
+def _sweep_outcome(fn, spec):
+    """The rows of ``fn(spec)``, or the class and message of what it raises."""
+    try:
+        return _sweep_rows(fn(spec))
+    except LosMimoError as exc:
+        return type(exc), str(exc)
 
 
 def _gain_rows(rng, rows, n):
@@ -374,6 +499,214 @@ def test_a_failing_stack_raises_the_first_failing_variant(model, search):
             first = str(exc)
             break
     assert first == _PAIR_ERRORS[model]
+
+
+# -- sweeps and schedules -----------------------------------------------------
+
+_SWEPT = [v for v in SweepVariable if v is not SweepVariable.SNR_DB]
+# per swept variable: ordinary grid values, and values that fail alone (eta < 0, a
+# wavelength that overflows, endfire turns that make arrays meet or break the Fresnel and
+# planar expansions, offsets whose squares overflow) or sit on a limit (eta 0)
+_GRID_VALUES = {
+    SweepVariable.ETA: (st.floats(-1.0, 4.0), [0.0, 1e-300, 1e300]),
+    SweepVariable.FREQUENCY_HZ: (st.floats(-1e11, 1e12), [0.0, 5e-324, 1e-300, 3e9]),
+    SweepVariable.ROTATION_RAD: (st.floats(-3.2, 3.2), [0.0, math.pi / 2, 1.5]),
+    SweepVariable.TILT_RAD: (st.floats(-3.2, 3.2), [0.0, math.pi / 2, 1e5]),
+    SweepVariable.OFFSET_M: (st.floats(-20.0, 20.0), [0.0, 1e200, 1e300, -1e300]),
+}
+_FAR = [[3e12, 3e12, 0.0]]  # one element far off axis: posing it cancels its z
+
+
+def _sweep_scene(arch, n_t, n_r, spacing, dist, lam, angles, offset):
+    if arch == "far":  # 2 mm apart, so a tilt fails _check_axial
+        return link_scene(custom_layout(_FAR), custom_layout(_FAR), 0.002, lam)
+    build = {"ula": lambda n: build_ula(n, spacing),
+             "ura": lambda n: build_ura(max(1, math.isqrt(n)), spacing),
+             "uca": lambda n: build_uca(n, spacing * n)}[arch]
+    tx_pose = RigidPose(_link_plane_rotation(angles[0]), np.zeros(3))
+    rx_pose = RigidPose(_link_plane_rotation(angles[1]), [offset, 0.0, 0.0])
+    return link_scene(build(n_t), build(n_r), dist, lam, tx_pose, rx_pose)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    variable=st.sampled_from(_SWEPT),
+    model=st.sampled_from(MODELS),
+    n_t=st.integers(1, 6),
+    n_r=st.integers(1, 6),
+    spacing=st.one_of(st.floats(1e-3, 0.5), st.just(1.0)),  # 1 m at 1 m: endfire fails
+    dist=st.one_of(st.floats(0.3, 5.0), st.just(1.0)),
+    carrier_hz=st.floats(30e9, 300e9),
+    angles=st.tuples(st.floats(0.0, 1.2), st.floats(0.0, 1.2)),
+    offset=st.sampled_from([0.0, 0.01]),
+    snr_db=st.one_of(st.floats(-20.0, 40.0), st.sampled_from([3075.0, -3300.0])),
+    stack_entries=st.sampled_from([1 << 14, 16, 1]),
+)
+def test_stacked_sweep_matches_the_per_point_loop_bit_for_bit(
+    data, variable, model, n_t, n_r, spacing, dist, carrier_hz, angles, offset, snr_db,
+    stack_entries,
+):
+    turned = variable is SweepVariable.ROTATION_RAD  # a ULA pair, or the sweep raises
+    arch = data.draw(st.sampled_from(["ula", "ula", "ula", "uca"] if turned
+                                     else ["ula", "ula", "ura", "uca", "far"]))
+    finite, extreme = _GRID_VALUES[variable]
+    values = data.draw(st.lists(st.one_of(finite, st.sampled_from(extreme)), min_size=1,
+                                max_size=10))
+    scene = _sweep_scene(arch, n_t, n_r, spacing, dist, SPEED_OF_LIGHT_M_S / carrier_hz,
+                         angles, offset)
+    spec = SweepSpec(variable, np.array(sorted(set(values))), scene, model, snr_db=snr_db)
+    with mock.patch.object(optimize, "_STACK_ENTRIES", stack_entries):
+        got = _sweep_outcome(sweep, spec)
+    assert got == _sweep_outcome(_sweep_alone, spec)
+
+
+# grids on which some points evaluate and others fail, each with its own error
+_MIXED = {
+    SweepVariable.ETA: ("ula", [-1.0, 0.0, 0.5, 1.0, 1e300]),
+    SweepVariable.FREQUENCY_HZ: ("ula", [-1.0, 1e-300, 3e9, 300e9]),
+    SweepVariable.ROTATION_RAD: ("ula", np.linspace(0.0, math.pi / 2, 17).tolist()),
+    SweepVariable.TILT_RAD: ("far", [0.0, 0.5, 1.0]),
+    SweepVariable.OFFSET_M: ("ula", [-1e300, 0.0, 0.5, 1e300]),
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("variable", _SWEPT)
+def test_mixed_grids_keep_each_points_own_row(variable, model):
+    # 4 elements 1 m apart, 1 m apart at 300 GHz: endfire turns fail as in _PAIR_ERRORS
+    arch, grid = _MIXED[variable]
+    scene = _sweep_scene(arch, 4, 4, 1.0, 1.0, SPEED_OF_LIGHT_M_S / 300e9, (0.0, 0.0), 0.0)
+    spec = SweepSpec(variable, np.array(grid), scene, model, snr_db=10.0)
+    points = sweep(spec)
+    assert {p.error is None for p in points} == {True, False}
+    assert _sweep_rows(points) == _sweep_rows(_sweep_alone(spec))
+
+
+def _variant_outcome(fn, *args, **kwargs):
+    """What ``fn`` returns, as bytes, or the class and message it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            return fn(*args, **kwargs).tobytes()
+        except LosMimoError as exc:
+            return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n_t=st.integers(1, 6),
+    n_r=st.integers(1, 6),
+    count=st.integers(2, 6),
+    model=st.sampled_from(MODELS),
+    spacing=st.floats(0.01, 1.0),
+    dist=st.floats(0.5, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_stack_raises_iff_one_of_its_variants_alone_raises(n_t, n_r, count, model, spacing,
+                                                             dist, seed):
+    rng = np.random.default_rng(seed)
+    scene = link_scene(build_ula(n_t, spacing), build_ula(n_r, spacing), dist, 1e-3)
+
+    def pick(*options):  # one option per variant, some degenerate
+        return np.array([options[i] for i in rng.integers(len(options), size=count)])
+
+    local = tuple(p * pick(1.0, 1e-9, 1e200)[:, None, None]
+                  for p in (scene.tx.positions, scene.rx.positions))
+    scale = tuple(pick(1.0, rng.uniform(0.5, 2.0)) for _ in range(2))
+    rotations = tuple(_link_plane_rotation(pick(0.0, math.pi / 2, rng.uniform(0.0, 1.5)))
+                      for _ in range(2))
+    offset = pick(0.0, 1e300, rng.normal(0.0, 0.1))
+    anchor = np.column_stack([offset, np.zeros(count), np.full(count, dist)])
+    lam = pick(1e-3, 1e-300, rng.uniform(1e-4, 1e-2))
+    stack = {"local": local, "scale": scale, "rotations": rotations, "anchor": anchor,
+             "lam": lam}
+    alone = [_variant_outcome(optimize._gains, scene, model, **{
+        key: tuple(a[i] for a in value) if isinstance(value, tuple) else value[i]
+        for key, value in stack.items()}) for i in range(count)]
+    stacks = []
+
+    def spy(entries):  # the stack shape of every SVD taken
+        stacks.append(entries.shape[:-2])
+        return _squared_singular_values(entries)
+
+    errors = {}
+    with mock.patch.object(optimize, "_STACK_ENTRIES", 1 << 30), \
+            mock.patch.object(optimize, "_squared_singular_values", spy):
+        gains = _variant_outcome(optimize._gains, scene, model, errors=errors, **stack)
+        searched = _variant_outcome(optimize._gains, scene, model, **stack)
+    failing = [a for a in alone if isinstance(a, tuple)]
+    assert ((count,) in stacks) == (not failing)  # the whole stack ran iff no variant fails
+    assert searched == (failing[0] if failing else gains)  # a search raises the first
+    rows = np.frombuffer(gains, dtype=float).reshape(count, -1)
+    for i, want in enumerate(alone):
+        if i in errors:
+            assert (type(errors[i]), str(errors[i])) == want and np.isnan(rows[i]).all()
+        else:
+            assert rows[i].tobytes() == want
+
+
+def test_stacks_hold_at_most_one_chunk_of_channel_entries():
+    n, lam, dist = 64, 1e-3, 5.0
+    spacing = math.sqrt(lam * dist / n)
+    scene = link_scene(build_ula(n, spacing), build_ula(n, spacing), dist, lam)
+    sizes = []
+
+    def spy(*args):
+        entries = _channel_entries(*args)
+        sizes.append(entries.size)
+        return entries
+
+    stacks, gains = [], optimize._gains
+
+    def gains_spy(*args, **stack):  # the sizes of the arrays a call stacks
+        stacks.extend(np.size(a) for v in stack.values() for a in np.atleast_1d(v))
+        return gains(*args, **stack)
+
+    bound = max(optimize._STACK_ENTRIES, n * n)
+    with mock.patch.object(optimize, "_channel_entries", spy), \
+            mock.patch.object(optimize, "_gains", gains_spy):
+        sweep(SweepSpec(SweepVariable.ETA, np.arange(1, 49) / 16.0, scene,
+                        WavefrontModel.SPHERICAL, snr_db=10.0))
+        assert len(sizes) == 48 * n * n // bound and max(sizes) <= bound
+        assert max(stacks) <= 48  # scale factors: positions are scaled a chunk at a time
+        sizes.clear()
+        aosa_schedule(n, scene, [0.0, 10.0], WavefrontModel.FRESNEL)
+        assert 1 < len(sizes) and max(sizes) <= bound
+    # one variant per call: a 128 x 128 channel exceeds the bound alone
+    big = link_scene(build_ula(128, spacing), build_ula(128, spacing), dist, lam)
+    sizes.clear()
+    with mock.patch.object(optimize, "_channel_entries", spy):
+        sweep(SweepSpec(SweepVariable.FREQUENCY_HZ, np.array([1e11, 2e11, 3e11]), big,
+                        WavefrontModel.PLANAR, snr_db=10.0))
+    assert sizes == [128 * 128] * 3
+
+
+def _aosa_alone(n_total, scene, snr_grid_db, model, element_spacing_m):
+    """aosa_schedule as the per-divisor loop ran it: build a layout, evaluate it, go on."""
+    lam, dist = scene.wavelength_m, scene.separation_m
+    descriptors, gains = [], []
+    for r in (d for d in range(1, n_total + 1) if n_total % d == 0):
+        sub = math.sqrt(lam * dist / r)
+        if r > 1 and (n_total // r - 1) * element_spacing_m >= sub:
+            continue
+        layout = build_aosa(n_total, r, sub, element_spacing_m)
+        gains.append(_gains_alone(scene, model, (np.eye(3), np.eye(3)),
+                                  points=(layout.positions,) * 2))
+        descriptors.append(f"aosa_r={r}")
+    return optimize._best_per_snr(descriptors, np.array(gains), snr_grid_db, n_total, n_total)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("dist, elem", [
+    (5.0, 2.5e-4),  # every divisor evaluates
+    (5.0, 1e-30),  # r = 2 cannot be built: its clusters' elements coincide in floating point
+    (1e-10, 1e-30),  # and r = 1, built first, has arrays 1e-10 m apart, which fails first
+])
+def test_aosa_stack_raises_the_first_failure_of_the_per_divisor_loop(model, dist, elem):
+    scene = link_scene(build_ula(4, 1e-3), build_ula(4, 1e-3), dist, 1e-3)
+    snrs = [-10.0, 0.0, 10.0]
+    got = _sweep_outcome(lambda _: aosa_schedule(8, scene, snrs, model, elem), None)
+    assert got == _sweep_outcome(lambda _: _aosa_alone(8, scene, snrs, model, elem), None)
 
 
 # -- model identities ---------------------------------------------------------
