@@ -200,7 +200,8 @@ def validity_from_apertures(
 
 def _planar_ok(a_t, a_r, lam, d):
     """The rule of :func:`validity_from_apertures` on checked arguments; broadcasts."""
-    return a_t * a_r < 4 * lam * d
+    with np.errstate(over="ignore"):  # 4*lam*d past the largest float is inf: planar
+        return a_t * a_r < 4 * lam * d
 
 
 def classify_validity(scene: LinkScene) -> Validity:

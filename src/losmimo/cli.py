@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config or argument error, 3 degenerate geometry,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -211,6 +212,7 @@ def cmd_phase_profile(args) -> int:
                  lambda p: ser.phase_summary_dict(p, c2_predicted))
 
 
+@functools.cache  # built on first use, then shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="losmimo",

@@ -104,3 +104,38 @@ def test_main_prints_one_line_per_listed_metric_after_recording(tmp_path, capsys
     assert err[-2:] == ["export seed 0 trace 0, 2 pairs:",
                         "  pass_s: parent 0.5 -> change 0.5 (+0.0%), parent IQR 0, "
                         "change wins 0/2"]
+
+
+def test_main_refuses_trees_at_paths_of_different_lengths_before_any_run(tmp_path):
+    trees = []
+    for side in ("parent", "changed"):
+        (tmp_path / side).mkdir()
+        trees.append(_fake_tree(tmp_path / side, True))
+    # a run would leave this file behind
+    run_py = trees[0] / "bench" / "run.py"
+    run_py.write_text("open('ran', 'w').close()\n" + run_py.read_text())
+    (trees[1] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [], "per_layer": []}))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(trees[0]), "--change", str(trees[1]), "--workload", "export",
+            "--pairs", "1", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(argv)
+    assert exc.value.code != 0
+    message = str(exc.value.code)
+    assert str(trees[0].resolve()) in message and str(trees[1].resolve()) in message
+    assert not (trees[0] / "ran").exists() and not out.exists()
+
+
+def test_record_keeps_both_resolved_tree_paths(tmp_path):
+    trees = []
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        trees.append(_fake_tree(tmp_path / side, True))
+    (trees[1] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [], "per_layer": []}))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(trees[0] / "." / ".." / "parent"), "--change", str(trees[1]),
+            "--workload", "export", "--pairs", "1", "--out", str(out)]
+    assert bench_record.main(argv) == 0
+    record = json.loads(out.read_text())["records"][0]
+    assert record["trees"] == {"parent": str(trees[0].resolve()),
+                               "change": str(trees[1].resolve())}

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import losmimo
 from losmimo import (
@@ -26,7 +28,7 @@ from losmimo import (
     sweep,
     validity_from_apertures,
 )
-from losmimo.cli import main
+from losmimo.cli import build_parser, main
 
 GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
 
@@ -355,6 +357,18 @@ def test_validity_map_keeps_the_strict_threshold(capsys):
                  "--rx-aperture", "2", "--dist-grid", "1,1.0000000000000002"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.rsplit(",", 1)[1] for row in rows] == ["spherical", "planar"]
+
+
+def test_validity_at_distances_past_the_float_range_is_planar_without_a_warning(capsys):
+    # 4 * lambda * D overflows to inf, which the rule reads as planar
+    argv = ["validity", "--freq-grid=1e9,300e9", "--dist-grid=1.7e308", "--tx-aperture=0.1",
+            "--rx-aperture=2", "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the product printed a RuntimeWarning to stderr
+        assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [row["regime"] for row in json.loads(out)] == ["planar"] * 2
 
 
 def test_validity_rejects_bad_apertures(capsys):
@@ -697,3 +711,122 @@ def test_every_command_writes_one_output_by_the_same_rule(command, fmt, tmp_path
         assert isinstance(json.loads((tmp_path / "result.json").read_text()), dict)
     assert sorted(p.name for p in tmp_path.iterdir()) == expected
     assert (tmp_path / "result").read_text() == printed
+
+
+# argv for main: the real subcommands, flags and choices (plus one invalid
+# choice each), each value either one a user would type for that flag or an
+# extreme, from the smallest subnormal to the largest float
+_EXTREMES = st.sampled_from(("5e-324", "1e-300", "-1", "0", "1.7e308", "-1.7e308", "nan",
+                             "inf", "-inf", "-0.5", "1" + "0" * 30, "1.5"))
+_GRIDS = st.one_of(_EXTREMES, st.tuples(_EXTREMES, _EXTREMES, _EXTREMES).map(":".join),
+                   st.lists(_EXTREMES, min_size=1, max_size=3).map(",".join))
+
+
+def _typed(*typical, extremes=_EXTREMES):
+    """A typical value of a flag, or (about one time in four) an extreme one."""
+    return st.integers(0, 3).flatmap(
+        lambda i: extremes if i == 3 else st.sampled_from(typical))
+
+
+def _grid(*typical):
+    return _typed(*typical, extremes=_GRIDS)
+
+
+def _choice(*names):
+    return _typed(*names, extremes=st.just("bogus"))
+
+
+_CONFIGS = ("ula4", "aosa4", "uca8", "ura2_planar", "custom4", "ula8_fresnel", "missing")
+_SNRS = _grid("10", "0:5:10", "-200,300", "0,10,20", "10:-5:0")
+_SUBCOMMANDS = {  # subcommand: (takes a config, {flag: value strategy})
+    "channel": (True, {}),
+    "capacity": (True, {"--snr-db": _SNRS}),
+    "sweep": (True, {"--var": _choice(*(v.value for v in SweepVariable)),
+                     "--grid": _grid("0.5:0.25:1.5", "0,0.1", "1e9,300e9", "1"),
+                     "--snr-db": _SNRS}),
+    "optimize": (True, {"--mode": _choice("rotation", "aosa", "angles"),
+                        "--k": _typed("1", "2", "3", "65", "66"),
+                        "--snr-grid": _SNRS, "--snr-db": _SNRS}),
+    "validity": (False, {"--freq-grid": _grid("100e9,300e9", "1e9:1e11:1e12"),
+                         "--dist-grid": _grid("1,10", "0.5:0.5:2"),
+                         "--tx-aperture": _typed("0.1", "1e-3"),
+                         "--rx-aperture": _typed("0.1", "2")}),
+    "phase-profile": (False, {"--freq": _typed("300e9", "1e9"),
+                              "--distance": _typed("1.8", "100"),
+                              "--steps": _typed("3", "11", "101", "1000001"),
+                              "--step-size": _typed("1e-4", "1e-3", "0.1"),
+                              "--direction": _choice("transverse", "longitudinal")}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    takes_config, flags = _SUBCOMMANDS[command]
+    argv = [command]
+    if takes_config:
+        argv.append(str(GOLDEN_CONFIGS / f"{draw(st.sampled_from(_CONFIGS))}.json"))
+    for flag, values in {**flags, "--format": _choice("csv", "json")}.items():
+        if draw(st.integers(0, 9)) < 9:  # each flag is present about 9 times in 10
+            value = draw(values)
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in a JSON output")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_every_argv_ends_in_a_result_or_one_error_line(argv, tmp_path, capfd):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach stderr outside pytest
+        code = main(argv + ["--out", str(out)])
+    _, err = capfd.readouterr()  # at the descriptors, where LAPACK writes
+    assert code in (0, 2, 3, 4, 5)
+    if code:
+        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    else:
+        assert err == ""
+        if "json" in argv or "--format=json" in argv:
+            json.loads(out.read_text(), parse_constant=_no_constant)
+
+
+def _run(argv, tmp_path, capsys):
+    """main(argv)'s exit code, stdout, stderr, and the bytes of --out and its
+    sidecar (None for a file not written)."""
+    files = [tmp_path / "reuse.out", tmp_path / "reuse.out.json"]
+    for path in files:
+        path.unlink(missing_ok=True)
+    code = main([str(GOLDEN_CONFIGS / a) if a.endswith(".json") else a for a in argv])
+    printed, err = capsys.readouterr()
+    return (code, printed, err) + tuple(p.read_bytes() if p.exists() else None for p in files)
+
+
+def test_main_reuses_one_parser_across_calls(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage are wrapped to the terminal width
+    out = ["--out", str(tmp_path / "reuse.out")]
+    calls = [argv + out for argv in _EVERY_COMMAND.values()] + [
+        ["frobnicate"], ["sweep", "ula4.json", "--grid=0,1"],
+        ["channel", "ula4.json", "--format", "xml"], ["--help"], ["sweep", "--help"],
+        ["--version"],
+        ["phase-profile", "--freq=300e9", "--distance=1.8", "--steps=11", "--step-size=1e-3",
+         "--direction", "longitudinal"],
+        ["capacity", "ula4.json", "--snr-db=0,10"],  # to stdout
+    ]
+    fresh = []
+    for argv in calls:  # each call with a parser of its own
+        build_parser.cache_clear()
+        fresh.append(_run(argv, tmp_path, capsys))
+    assert [r[0] for r in fresh] == [0] * len(_EVERY_COMMAND) + [2, 2, 2, 0, 0, 0, 5, 0]
+    assert "invalid choice: 'frobnicate'" in fresh[len(_EVERY_COMMAND)][2]
+
+    build_parser.cache_clear()
+    assert build_parser() is build_parser()
+    order = [i for pair in zip(range(len(calls)), reversed(range(len(calls)))) for i in pair]
+    for i in order:  # interleaved, twice each, on the one shared parser
+        assert _run(calls[i], tmp_path, capsys) == fresh[i], calls[i]
+    assert build_parser.cache_info().currsize == 1

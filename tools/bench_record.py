@@ -20,8 +20,9 @@ so one file keeps every comparison run.  Then each metric of the record that
 ``--trace 1`` record) is printed to stderr as one line: parent and change
 medians, relative change, parent IQR and wins.  A run whose outputs fail the
 benchmark's checks (``"correct": false``) stops the script with a non-zero
-exit that names the tree and the workload.  Neither tree's benchmark is
-modified.
+exit that names the tree and the workload.  So does a pair of trees whose
+resolved paths differ in length, before the first run; the record keeps both
+paths.  Neither tree's benchmark is modified.
 """
 
 from __future__ import annotations
@@ -52,6 +53,17 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+
+
+def check_path_lengths(trees: dict):
+    """Stop unless both trees sit at paths of equal length: the harness's
+    ``peak_rss_mb`` settles on one of two levels a megabyte or two apart, and
+    the level follows the length of the checkout's path, not the code."""
+    parent, change = str(trees["parent"]), str(trees["change"])
+    if len(parent) != len(change):
+        raise SystemExit(f"the trees' paths differ in length ({len(parent)} vs {len(change)} "
+                         f"characters), which moves peak_rss_mb: parent {parent}, "
+                         f"change {change}; put both at paths of equal length")
 
 
 def spread(values: list[float]) -> dict:
@@ -105,6 +117,7 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    check_path_lengths(trees)
     runs = []
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -120,6 +133,7 @@ def main(argv=None) -> int:
         "trace": args.trace,
         "command": f"python3 bench/run.py --workload {args.workload} --seed {args.seed} "
                    f"--trace {args.trace}",
+        "trees": {side: str(tree) for side, tree in trees.items()},
         "summary": summarize(runs, better),
         "runs": runs,
     }
