@@ -62,9 +62,9 @@ class PowerAllocation:
 
     def __post_init__(self):
         p = np.asarray(self.fractions, dtype=float)
-        if p.ndim != 1 or not np.all(np.isfinite(p)):
+        if p.ndim != 1 or not np.isfinite(p).all():
             raise InvalidArgumentError("fractions must be a finite 1-D array")
-        if np.any(p < 0) or np.any(p > 1):
+        if p.size and (p.min() < 0 or p.max() > 1):  # an empty split fails the sum below
             raise InvalidArgumentError("fractions must lie in [0, 1]")
         if abs(p.sum() - 1.0) > 1e-12:
             raise InvalidArgumentError("fractions must sum to 1 within 1e-12")

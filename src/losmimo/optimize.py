@@ -49,6 +49,7 @@ _ANGLE_CANDIDATES = 33
 _ROTATION_GRID_POINTS = 2 * _ANGLE_CANDIDATES - 1
 _ANGLE_TOL_RAD = 1e-4
 _STACK_ENTRIES = 1 << 14  # most channel (or gain) entries that one stacked evaluation holds
+_LOOKAHEAD_DEPTH, _LOOKAHEAD_ENTRIES = 4, 1024  # golden-section steps per call: _best_rotation
 _LABELS = {"snr": "snr_db", "eta": "eta", "freq": "freq_hz", "rotation": "rotation_rad",
            "tilt": "tilt_rad", "offset": "offset_m"}
 
@@ -175,10 +176,10 @@ def _gains(scene: LinkScene, model, local=None, scale=None, rotations=None, anch
     return np.concatenate(parts)
 
 
-def _rotated(scene: LinkScene, model, angle_tx, angle_rx) -> np.ndarray:
+def _rotated(scene: LinkScene, model, angle_tx, angle_rx, errors=None) -> np.ndarray:
     """Gains with both arrays re-posed from broadside by in-plane angles (or arrays of them)."""
     return _gains(scene, model, rotations=(_link_plane_rotation(angle_tx),
-                                           _link_plane_rotation(angle_rx)))
+                                           _link_plane_rotation(angle_rx)), errors=errors)
 
 
 def _se_table(gains: np.ndarray, snrs: np.ndarray) -> np.ndarray:
@@ -201,15 +202,19 @@ def _best_rotation(scene: LinkScene, snrs, model, independent: bool):
     ses = _se_table(_rotated(scene, model, pairs[:, 0], pairs[:, 1]), snrs)
     best = ses.argmax(axis=1)  # first max: smallest angle wins ties
     angles, best_se = pairs[best], ses[np.arange(snrs.size), best]
+    # golden-section steps per call: the largest L with (2**L - 1) * entries <= 1,024
+    entries = snrs.size * scene.tx.element_count * scene.rx.element_count
+    depth = min(_LOOKAHEAD_DEPTH, max(1, (_LOOKAHEAD_ENTRIES // entries + 1).bit_length() - 1))
     for axes, j in (([0], best // n), ([1], best % n)) if independent else (([0, 1], best),):
-
-        def f(x, rows, axes=axes):
+        def f(x, rows, errors=None, axes=axes):
             pair = angles[rows]
             pair[:, axes] = x[:, None]
-            return _waterfill(_rotated(scene, model, pair[:, 0], pair[:, 1]), snrs[rows])[1]
+            gains = _rotated(scene, model, pair[:, 0], pair[:, 1], errors)
+            gains[list(errors or ())] = 1.0  # failed probes' stand-ins: no step takes them
+            return _waterfill(gains, snrs[rows])[1]
 
         lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, n - 1)]
-        cand, cand_se = golden_max(f, lo, hi, tol=_ANGLE_TOL_RAD)
+        cand, cand_se = golden_max(f, lo, hi, _ANGLE_TOL_RAD, depth)
         better = cand_se > best_se
         best_se = np.where(better, cand_se, best_se)
         angles[:, axes] = np.where(better[:, None], cand[:, None], angles[:, axes])
@@ -228,8 +233,9 @@ def optimize_rotation(
     each end gets its own angle and the result's first element is the
     (tx, rx) pair.  A grid scan of 65 angles (33 x 33 pairs when independent)
     brackets the optimum, golden section refines it (each angle in turn) to
-    1e-4 rad, and ties break toward the smaller angle (so a flat landscape
-    reports broadside).
+    1e-4 rad, a few steps per evaluation on small arrays (with the bits and
+    errors of one step at a time), and ties break toward the smaller angle
+    (so a flat landscape reports broadside).
     """
     _require_ula_pair(scene, "optimize_rotation")
     n_t, n_r = scene.tx.element_count, scene.rx.element_count

@@ -237,6 +237,38 @@ def test_power_allocation_validation():
         PowerAllocation(np.array([1.2, -0.2]))
 
 
+_NOT_FINITE_1D = "fractions must be a finite 1-D array"
+_OUT_OF_RANGE = "fractions must lie in [0, 1]"
+_OFF_SUM = "fractions must sum to 1 within 1e-12"
+
+
+@pytest.mark.parametrize("fractions, message", [
+    ([0.5, math.nan, 0.5], _NOT_FINITE_1D),
+    ([-1.0, math.nan], _NOT_FINITE_1D),  # the first failing check names the error
+    ([math.inf, 0.0], _NOT_FINITE_1D),
+    ([0.5, -math.inf], _NOT_FINITE_1D),
+    ([[0.5, 0.5]], _NOT_FINITE_1D),
+    (1.0, _NOT_FINITE_1D),
+    ([1.25, -0.25], _OUT_OF_RANGE),
+    ([-0.5, 0.25], _OUT_OF_RANGE),
+    ([1.0 + 1e-11], _OUT_OF_RANGE),
+    ([1.5, 0.0], _OUT_OF_RANGE),
+    ([], _OFF_SUM),
+    ([0.5, 0.5 + 1e-11], _OFF_SUM),
+    ([0.5, 0.5 - 1e-11], _OFF_SUM),
+])
+def test_power_allocation_names_the_first_failing_check(fractions, message):
+    with pytest.raises(InvalidArgumentError) as err:
+        PowerAllocation(np.array(fractions))
+    assert (type(err.value), str(err.value)) == (InvalidArgumentError, message)
+
+
+def test_power_allocation_keeps_a_split_within_1e_12_of_one():
+    kept = PowerAllocation([0.5, 0.5 + 1e-13, 0.0])
+    assert kept.fractions.tolist() == [0.5, 0.5 + 1e-13, 0.0]
+    assert PowerAllocation(np.array([0.0, 1.0])).fractions.tolist() == [0.0, 1.0]
+
+
 def test_rate_report_consistency_checks():
     alloc = PowerAllocation(np.array([1.0, 0.0]))
     with pytest.raises(InvalidArgumentError):

@@ -153,12 +153,15 @@ def _outcome(fn, *args):
     return [(a.shape, a.dtype, a.tobytes()) for a in (out if isinstance(out, tuple) else [out])]
 
 
-def _golden_alone(f, a, b, tol):
-    """Scalar golden section, as written before stacking; also returns its iterates."""
+def _golden_alone(f, a, b, tol, brackets=None):
+    """Scalar golden section, as written before stacking; also returns its iterates, and
+    appends to ``brackets`` the bracket (a, b) that each of them was taken in."""
     seen = []
 
     def g(x):
         seen.append(x)
+        if brackets is not None:
+            brackets.append((a, b))
         return f(x)
 
     if b < a:
@@ -368,6 +371,164 @@ def test_row_wise_golden_section_reproduces_the_scalar_iterates(peaks, widths, t
         want_x, want_f, want_seen = _golden_alone(lambda x: value(i, x), lo[i], hi[i], tol)
         assert (best_x[i], best_f[i]) == (want_x, want_f)
         assert seen[i] == want_seen
+
+
+def _golden_rows(peaks, widths, cap):
+    """Brackets (reversed) and per-row functions of a row-wise search with plateaus."""
+    rows = len(peaks)
+    lo = np.asarray(peaks) - np.resize(widths, rows)
+    hi = np.asarray(peaks) + np.resize(widths, rows)[::-1] * 0.7
+
+    def value(i, x):
+        return min(math.cos(x - peaks[i]) + 0.1 * math.sin(3.0 * x), cap)
+
+    return lo, hi, value
+
+
+_GOLDEN_ROWS = dict(
+    peaks=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=8),
+    widths=st.lists(st.floats(1e-3, 1.5), min_size=1, max_size=8),
+    tol=st.sampled_from([1e-4, 1e-2]),
+    cap=st.sampled_from([2.0, 0.999, 0.5]),
+    depth=st.integers(1, 5),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(**_GOLDEN_ROWS)
+def test_lookahead_golden_section_walks_the_scalar_iterates(peaks, widths, tol, cap, depth):
+    lo, hi, value = _golden_rows(peaks, widths, cap)
+    calls = []
+
+    def f(x, which, errors=None):
+        calls.append((x, which))
+        return np.array([value(i, xi) for xi, i in zip(x.tolist(), which.tolist())])
+
+    best_x, best_f = _search.golden_max(f, hi.copy(), lo.copy(), tol, depth)
+    steps = []
+    for i in range(len(peaks)):
+        brackets = []
+        want_x, want_f, seen = _golden_alone(lambda x: value(i, x), lo[i], hi[i], tol,
+                                             brackets)
+        assert (best_x[i], best_f[i]) == (want_x, want_f)
+        assert calls[0][0][calls[0][1] == i].tolist() == seen[:2]
+        walked = 2  # scalar iterates covered so far
+        for x, which in calls[1:]:
+            probes = x[which == i].tolist()
+            if not probes:
+                continue
+            assert len(probes) == 2 ** (len(probes).bit_length()) - 1 <= 2 ** depth - 1
+            a, b = brackets[walked]  # the bracket of this call's first step
+            assert all(a <= p <= b for p in probes)  # the extra probes lie inside it
+            for level in range(len(probes).bit_length()):  # one scalar step per level
+                if walked < len(seen):
+                    assert seen[walked] in probes[2**level - 1:2 ** (level + 1) - 1]
+                    walked += 1
+        assert walked == len(seen)
+        steps.append(len(seen) - 2)
+    # one call per `depth` steps of the longest search, after the call that opens it
+    assert len(calls) == 1 + max(-(-k // depth) for k in steps)
+
+
+def _failing(value, seen, fail_at):
+    """An f whose probe fails when a row's scalar search never takes it, or when it is
+    that row's iterate fail_at[i]; the error names the row and the step."""
+    def fails(i, x):
+        if x not in seen[i]:
+            return "off the path"
+        return f"step {seen[i].index(x)}" if seen[i].index(x) == fail_at[i] else None
+
+    def f(x, which, errors=None):
+        out = []
+        for j, (xi, i) in enumerate(zip(x.tolist(), which.tolist())):
+            why = fails(i, xi)
+            if why is None:
+                out.append(value(i, xi))
+                continue
+            exc = DegenerateGeometryError(f"row {i} fails {why}")
+            if errors is None:
+                raise exc
+            errors[j] = exc
+            out.append(math.nan)
+        return np.array(out)
+
+    return f
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(**_GOLDEN_ROWS, picks=st.lists(st.integers(-8, 40), min_size=1, max_size=8))
+def test_lookahead_raises_only_the_errors_of_the_probes_it_walks(peaks, widths, tol, cap,
+                                                                  depth, picks):
+    lo, hi, value = _golden_rows(peaks, widths, cap)
+    rows = len(peaks)
+    searches = [_golden_alone(lambda x: value(i, x), lo[i], hi[i], tol) for i in range(rows)]
+    seen = [s[2] for s in searches]
+    # off the path only: the lookahead evaluates such probes, the search never takes them
+    no_fail = [None] * rows
+    best = _search.golden_max(_failing(value, seen, no_fail), hi.copy(), lo.copy(), tol, depth)
+    assert [(x, fx) for x, fx in zip(*best)] == [(s[0], s[1]) for s in searches]
+    # on the path: a step that takes a failing probe raises the first failing row's error
+    # at the first such step, as one call per step would
+    fail_at = [seen[i].index(seen[i][2 + k % (len(seen[i]) - 2)])  # its first occurrence
+               if k >= 0 and len(seen[i]) > 2 else None
+               for i, k in enumerate(np.resize(picks, rows).tolist())]
+    outcomes = []
+    for d in (1, depth):
+        try:
+            _search.golden_max(_failing(value, seen, fail_at), hi.copy(), lo.copy(), tol, d)
+            outcomes.append(None)
+        except DegenerateGeometryError as exc:
+            outcomes.append(str(exc))
+    first = min(((k, i) for i, k in enumerate(fail_at) if k is not None), default=None)
+    want = None if first is None else f"row {first[1]} fails step {first[0]}"
+    assert outcomes == [want, want]
+
+
+def _bits(value):
+    """Every float of a search result, reports included, as exact bits."""
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    if hasattr(value, "allocation"):  # a RateReport
+        return (value.snr_linear.hex(), value.spectral_efficiency_bpshz.hex(),
+                _bits(value.allocation.fractions), value.active_rank,
+                value.upper_bound_bpshz.hex())
+    return float(value).hex()
+
+
+@pytest.mark.parametrize("snr_points", [1, 31])
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_rotation_searches_give_the_same_bits_at_every_lookahead_depth(n, model, snr_points):
+    lam, dist = 1e-3, 10.0
+    spacing = math.sqrt(1.7 * lam * dist / n)
+    scene = link_scene(build_ula(n, spacing), build_ula(n, spacing), dist, lam)
+    snr_db = np.linspace(-10.0, 20.0, snr_points) if snr_points > 1 else np.array([3.0])
+    snrs = 10.0 ** (snr_db / 10.0)
+    depths, golden_max = [], optimize.golden_max
+
+    def spy(f, a, b, tol, depth=1):
+        depths.append(depth)
+        return golden_max(f, a, b, tol, depth)
+
+    def searches():
+        out = [optimize._best_rotation(scene, snrs, model, independent)
+               for independent in (False, True)]
+        if snr_points == 1:
+            out += [optimize_rotation(scene, float(snrs[0]), model),
+                    optimize_rotation(scene, float(snrs[0]), model, independent=True)]
+        return _bits(out + [optimize._select_fixed_angles(scene, 3, snr_db.tolist(), model)])
+
+    with mock.patch.object(optimize, "golden_max", spy):
+        picked = searches()
+        # the depth rule: the largest L <= 4 with (2**L - 1) * SNRs * n * n <= 1,024
+        assert set(depths) == {4 if snr_points == 1 else 3 if n == 2 else 1}
+        depths.clear()
+        with mock.patch.object(optimize, "_LOOKAHEAD_DEPTH", 1):
+            one_step = searches()
+        assert set(depths) == {1}
+    assert picked == one_step
 
 
 # -- poses, channels and spectra ----------------------------------------------
