@@ -2,7 +2,8 @@
 the model identities they must keep (KKT waterfilling, rigid-motion and
 reciprocity invariance of the spectrum).  The per-axis pair offsets of the
 channel kernel and of the CUSTOM diameter are held to the (..., 3) offset
-tensor they replace, bit for bit, and stacked sweeps to the per-point loop."""
+tensor they replace, bit for bit, and stacked sweeps to the per-point loop.  The
+golden-section lookahead is held to the scalar search's steps, results and errors."""
 
 import math
 from unittest import mock
