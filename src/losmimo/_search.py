@@ -12,12 +12,13 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 def golden_max(f, a, b, tol: float, depth: int = 1):
     """Golden-section maximization of a unimodal function per row i on [a[i], b[i]].
 
-    ``f(x, rows)`` gives each x[j]'s value under row rows[j]'s function, one call per step
-    for the rows still searching, each as if alone.  A step only asks which side won, so at
-    ``depth`` L one call ``f(x, rows, errors)`` takes the probes of the next L steps: a probe's
-    error, kept in ``errors`` under its index, raises when a step takes it, and the bits are
-    the same at any depth.  Returns arrays (x, f(x)) of the best point per row; callers
-    bracket the maximum with a coarse grid, which also guards against mild multimodality.
+    ``f(x, rows)`` gives each x[j]'s value under row rows[j]'s function, each as if alone.
+    One call opens every search; then, as a step only asks which side won, one call
+    ``f(x, rows, errors)`` per ``depth`` L steps takes every probe the rows still searching may
+    take.  A probe's error, kept in ``errors`` under its index, raises when a step takes it,
+    so bits and errors are the same at any depth.  Returns arrays (x, f(x)) of the best point
+    per row; callers bracket the maximum with a coarse grid, which also guards against mild
+    multimodality.
     """
     a, b = np.minimum(a, b), np.maximum(a, b)
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
@@ -32,17 +33,14 @@ def golden_max(f, a, b, tol: float, depth: int = 1):
         a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
         d[hi] = a[hi] + _INV_PHI * (b[hi] - a[hi])
         x = np.where(left, c[live], d[live])
-        if depth == 1:
-            fx = f(x, live)
-        else:
-            node[live] = 2 * node[live] + 1 + ~left  # each row's probe: 2i + 1 is i's left child
-            if node[live[0]] >= len(probes):  # past the last level: the next probes, at once
-                top, errors, probes = live, {}, _probe_tree(a, b, c, d, live, x, depth, tol)
-                values, node[live] = f(probes.ravel(), np.tile(live, len(probes)), errors), 0
-            at = node[live] * top.size + np.searchsorted(top, live)
-            if errors and (failed := [errors[i] for i in at.tolist() if i in errors]):
-                raise failed[0]
-            fx = values[at]
+        node[live] = 2 * node[live] + 1 + ~left  # each row's probe: 2i + 1 is i's left child
+        if node[live[0]] >= len(probes):  # past the last level: the next probes, at once
+            top, errors, probes = live, {}, _probe_tree(a, b, c, d, live, x, depth, tol)
+            values, node[live] = f(probes.ravel(), np.tile(live, len(probes)), errors), 0
+        at = node[live] * top.size + np.searchsorted(top, live)
+        if errors and (failed := [errors[i] for i in at.tolist() if i in errors]):
+            raise failed[0]
+        fx = values[at]
         fc[lo], fd[hi] = fx[left], fx[~left]
         better = fx > best_f[live]
         best_x[live[better]], best_f[live[better]] = x[better], fx[better]

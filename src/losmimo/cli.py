@@ -221,9 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, default_format="csv"):
+    def add_io(p):
         p.add_argument("--out", help="output file (stdout when omitted)")
-        p.add_argument("--format", choices=("csv", "json"), default=default_format)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("channel", help="write the channel matrix for a scene config")
     p.add_argument("config")
@@ -281,8 +281,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        return args.func(args)
+    try:  # a non-finite value ends in a typed error, so numpy's warnings would only repeat it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except LosMimoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -119,44 +119,22 @@ def _snr_grid(snr_grid_db) -> list[float]:
     return snr_grid_db
 
 
-def _gains(scene: LinkScene, model, local=None, scale=None, rotations=None, anchor=None,
-           lam=None, errors=None) -> np.ndarray:
-    """Squared singular values (G, n) of G variants of ``scene``: the one evaluation path.
+def _gains(scene: LinkScene, model, count: int, variants, errors=None) -> np.ndarray:
+    """Squared singular values (count, n) of ``count`` variants of ``scene``: the one
+    evaluation path.
 
-    ``local`` positions, their ``scale`` factors and ``rotations`` ((tx, rx) pairs, the
-    scene's own and 1 by default) and the rx ``anchor`` ((0, 0, D) by default) re-pose both
-    layouts as :func:`link_scene` would; given none of them, the arrays keep the scene's
-    poses.  ``lam`` replaces the wavelength.  Each may instead stack G variants: positions
-    (G, n, 3), factors and wavelengths (G,), rotations (G, 3, 3), anchors (G, 3); with no
-    stack the gains are (n,).  Stacks are evaluated _STACK_ENTRIES channel entries at a time,
-    and a failing chunk re-runs its variants alone: the first failing one raises, or goes
-    into ``errors`` under its index, with NaN gains.
+    ``variants(s)`` gives the posed tx points, posed rx points and wavelength of the variants
+    in slice ``s``, each stacked over the slice ((g, n, 3), (g, 1, 1)) or one value they share;
+    with nothing stacked the gains are (n,).  Variants are evaluated _STACK_ENTRIES channel
+    entries at a time, and a failing chunk re-runs its variants alone: the first failing one
+    raises, or goes into ``errors`` under its index, with NaN gains.
     """
-    posed = None if local or scale or rotations or anchor is not None else (
-        scene.tx_positions(), scene.rx_positions())
-    local = local or (scene.tx.positions, scene.rx.positions)
-    scale = scale or (None, None)
-    rotations = rotations or (scene.tx_pose.rotation, scene.rx_pose.rotation)
-    anchor = np.array([0.0, 0.0, scene.separation_m]) if anchor is None else anchor
-    lam = scene.wavelength_m if lam is None else np.asarray(lam)[..., None, None]
-    fields = [lam, local[0], scale[0], rotations[0], np.zeros(3),
-              local[1], scale[1], rotations[1], anchor]
-    # the fields with more dimensions than one variant's are stacks of G
-    stacked = [k for k, nd in enumerate((2,) + (2, 0, 2, 1) * 2)
-               if getattr(fields[k], "ndim", 0) > nd]
-    count = len(fields[stacked[0]]) if stacked else 1
-    n_t, n_r = local[0].shape[-2], local[1].shape[-2]
+    n_t, n_r = scene.tx.element_count, scene.rx.element_count
 
     def evaluate(i, j):  # gains of variants i to j
-        cut = fields.copy()
-        for k in stacked:
-            cut[k] = fields[k][i:j]
-        lam, t, f_t, r_t, a_t, r, f_r, r_r, a_r = cut
-        pts = posed or (
-            _posed_points(t if f_t is None else t * f_t[..., None, None], r_t, a_t),
-            _posed_points(r if f_r is None else r * f_r[..., None, None], r_r, a_r))
-        _check_axial(*pts, scene.separation_m)
-        return _squared_singular_values(_channel_entries(*pts, lam, model))
+        tx, rx, lam = variants(slice(i, j))
+        _check_axial(tx, rx, scene.separation_m)
+        return _squared_singular_values(_channel_entries(tx, rx, lam, model))
 
     step = max(1, _STACK_ENTRIES // (n_t * n_r))  # variants per channel stack
     parts = []  # a loop: an evaluate that called itself would be a reference cycle per call
@@ -176,10 +154,21 @@ def _gains(scene: LinkScene, model, local=None, scale=None, rotations=None, anch
     return np.concatenate(parts)
 
 
+def _posed(scene: LinkScene, rotations, local=None, anchor=None):
+    """A :func:`_gains` variant: ``local`` tx and rx points (the layouts' by default) turned
+    by ``rotations`` about their centroids onto the origin and the rx ``anchor`` ((0, 0, D)
+    by default), as :func:`link_scene` poses them, at the scene's wavelength."""
+    tx, rx = local or (scene.tx.positions, scene.rx.positions)
+    anchor = np.array([0.0, 0.0, scene.separation_m]) if anchor is None else anchor
+    return (_posed_points(tx, rotations[0], np.zeros(3)),
+            _posed_points(rx, rotations[1], anchor), scene.wavelength_m)
+
+
 def _rotated(scene: LinkScene, model, angle_tx, angle_rx, errors=None) -> np.ndarray:
-    """Gains with both arrays re-posed from broadside by in-plane angles (or arrays of them)."""
-    return _gains(scene, model, rotations=(_link_plane_rotation(angle_tx),
-                                           _link_plane_rotation(angle_rx)), errors=errors)
+    """Gains (G, n) with both arrays re-posed from broadside by G in-plane angles each."""
+    turn_t, turn_r = (_link_plane_rotation(np.atleast_1d(a)) for a in (angle_tx, angle_rx))
+    return _gains(scene, model, len(turn_t),
+                  lambda s: _posed(scene, (turn_t[s], turn_r[s])), errors)
 
 
 def _se_table(gains: np.ndarray, snrs: np.ndarray) -> np.ndarray:
@@ -301,14 +290,14 @@ def _select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model):
     _, ref, ses = _best_rotation(scene, np.array(snr_lin), model, False)
     table = ses[:, ::2].T  # candidate x snr; grid[::2] = candidates
 
-    def worst_gaps(subsets):  # rows of candidate indices
-        return (1.0 - table[subsets].max(axis=1) / ref).max(axis=1)
+    def worst_gaps(subsets):  # rows of candidate indices, _STACK_ENTRIES SEs at a time
+        step = max(1, _STACK_ENTRIES // (subsets.shape[1] * ref.size))
+        return np.concatenate([(1.0 - table[block].max(axis=1) / ref).max(axis=1)
+                               for block in np.split(subsets, range(step, len(subsets), step))])
 
     # argmin keeps the first of equal gaps, in the order of combinations()
     subsets = np.array(list(combinations(range(candidates.size), min(k, 3))))
-    gaps = np.concatenate([worst_gaps(subsets[subsets[:, 0] == first])
-                           for first in range(candidates.size)])  # a few hundred at a time
-    chosen = subsets[gaps.argmin()].tolist()
+    chosen = subsets[worst_gaps(subsets).argmin()].tolist()
     while len(chosen) < k:
         rest = [c for c in range(candidates.size) if c not in chosen]
         chosen.append(rest[worst_gaps(np.array([chosen + [c] for c in rest])).argmin()])
@@ -349,8 +338,9 @@ def aosa_schedule(
             break
         descriptors.append(f"aosa_r={r}")
     if layouts:  # each layout upright at both ends
-        pts = np.array(layouts)
-        gains = _gains(scene_template, model, (pts, pts), rotations=(np.eye(3),) * 2)
+        pts, upright = np.array(layouts), (np.eye(3),) * 2
+        gains = _gains(scene_template, model, len(pts),
+                       lambda s: _posed(scene_template, upright, (pts[s], pts[s])))
     if failed:
         raise failed
     return _best_per_snr(descriptors, gains, snr_grid_db, int(n_total), int(n_total))
@@ -385,19 +375,23 @@ def _point_outcome(scene: LinkScene, variable: SweepVariable, x: float, snr_line
     return None
 
 
-def _sweep_stack(scene: LinkScene, variable: SweepVariable, v: np.ndarray) -> dict:
-    """The :func:`_gains` keywords of the variants at the grid values ``v``.  Eta, tilt (rx
-    alone) and offset re-pose the arrays from the scene's rotations with no other offset."""
+def _sweep_variants(scene: LinkScene, variable: SweepVariable, v: np.ndarray):
+    """The :func:`_gains` variants at the grid values ``v``.  Eta, tilt (rx alone) and offset
+    re-pose the arrays from the scene's rotations with no other offset."""
     if variable is SweepVariable.FREQUENCY_HZ:
-        return {"lam": SPEED_OF_LIGHT_M_S / v}
+        tx, rx, lam = scene.tx_positions(), scene.rx_positions(), SPEED_OF_LIGHT_M_S / v
+        return lambda s: (tx, rx, lam[s, None, None])
+    base = (scene.tx_pose.rotation, scene.rx_pose.rotation)
     if variable is SweepVariable.ETA:  # scaled per chunk: a grid of points can be large
-        return {"scale": _eta_factors(scene, v)}
+        f_t, f_r = _eta_factors(scene, v)
+        return lambda s: _posed(scene, base, (scene.tx.positions * f_t[s, None, None],
+                                              scene.rx.positions * f_r[s, None, None]))
     if variable is SweepVariable.OFFSET_M:
-        d = np.full_like(v, scene.separation_m)
-        return {"anchor": np.column_stack([v, np.zeros_like(v), d])}
+        anchor = np.column_stack([v, np.zeros_like(v), np.full_like(v, scene.separation_m)])
+        return lambda s: _posed(scene, base, anchor=anchor[s])
     turned = _link_plane_rotation(v)
-    return {"rotations": (scene.tx_pose.rotation if variable is SweepVariable.TILT_RAD
-                          else turned, turned)}
+    tilt = variable is SweepVariable.TILT_RAD
+    return lambda s: _posed(scene, (base[0] if tilt else turned[s], turned[s]))
 
 
 def sweep(spec: SweepSpec):
@@ -417,7 +411,8 @@ def sweep(spec: SweepSpec):
 
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
     if var is SweepVariable.SNR_DB:
-        gains = _gains(scene, model)
+        gains = _gains(scene, model, 1, lambda s: (
+            scene.tx_positions(), scene.rx_positions(), scene.wavelength_m))
         snrs = [_check_snr(snr_db_to_linear(x), n_t * n_r) for x in grid]
         return [SweepPoint(x, x, report, f"{label}={x:.12g}")
                 for x, report in zip(grid, _rate_reports(gains, n_t, n_r, snrs))]
@@ -434,8 +429,8 @@ def sweep(spec: SweepSpec):
         kept = [i for i, o in enumerate(rows) if o is None]
         if kept:
             outcomes = {}  # per variant: its error, then its report
-            stack = _sweep_stack(scene, var, spec.grid[kept])
-            gains = _gains(scene, model, errors=outcomes, **stack)
+            variants = _sweep_variants(scene, var, spec.grid[kept])
+            gains = _gains(scene, model, len(kept), variants, outcomes)
             ok = [j for j in range(len(kept)) if j not in outcomes]
             try:  # as the report of these gains would
                 snrs = [_check_snr(snr_fixed, n_t * n_r)] * len(ok)

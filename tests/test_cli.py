@@ -578,11 +578,26 @@ _CLOSED_HOLES = {
     "cli_phase_profile_displacements_underflow_the_fit": [
         "phase-profile", "--freq=1e9", "--distance=1", "--steps", "100",
         "--step-size=2e-300"],
+    # configs at the ends of the float range: numpy's RuntimeWarnings came before the error
+    **{f"cli_{argv[0]}_{name}": argv + [config]
+       for argv in (["channel"], ["capacity"], ["optimize", "--mode", "rotation"])
+       for name, config in {
+           # 2 * D underflows, so the Fresnel phase overflows: channel entries must be finite
+           "fresnel_subnormal_distance": {
+               "model": "fresnel", "distance_m": 5e-324,
+               "tx": {"type": "ula", "n": 2, "spacing_m": 0.01},
+               "rx": {"type": "ula", "n": 3, "spacing_m": 0.01}},
+           # the centroid mean overflows: posed centroids are inf m apart
+           "distance_past_the_float_range": {"distance_m": 1.7e308},
+           # the CUSTOM diameter overflows: aperture_m must be finite and non-negative
+           "custom_diameter_overflows": {
+               "tx": {"type": "custom", "positions": [[1e308, 0, 0], [-1e308, 0, 0]]}},
+       }.items()},
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CLOSED_HOLES))
-def test_bad_inputs_end_in_typed_errors(case, scene_path, capfd):
+def test_bad_inputs_end_in_typed_errors(case, scene_path, tmp_path, capfd):
     hole = _CLOSED_HOLES[case]
     if callable(hole):
         with warnings.catch_warnings():
@@ -590,7 +605,13 @@ def test_bad_inputs_end_in_typed_errors(case, scene_path, capfd):
             with pytest.raises(InvalidArgumentError):
                 hole()
         return
-    assert main([scene_path if arg == "SCENE" else arg for arg in hole]) == 2
+    if isinstance(hole[-1], dict):  # keys over SCENE's, in a config of its own
+        config = tmp_path / "extreme.json"
+        config.write_text(json.dumps({**json.loads(SCENE), **hole[-1]}))
+        hole = hole[:-1] + [str(config)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        assert main([scene_path if arg == "SCENE" else arg for arg in hole]) == 2
     out, err = capfd.readouterr()  # at the descriptors, where LAPACK writes
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
@@ -641,6 +662,16 @@ def _traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_angles_selection_memory_does_not_grow_with_the_snr_grid(scene_path, tmp_path):
+    # 1,001 SNR points: scoring all 5,456 triples at once would hold 5456 x 3 x 1001 floats
+    argv = ["optimize", scene_path, "--mode", "angles", "--k", "3",
+            "--snr-grid=-10:0.02:10", "--out", str(tmp_path / "angles.csv")]
+    code, peak = _traced_peak(lambda: main(argv))
+    assert code == 0
+    assert len((tmp_path / "angles.csv").read_text().splitlines()) == 1 + 1001
+    assert peak < 8 << 20
 
 
 def test_phase_profile_rejects_steps_over_the_limit_before_allocating(capsys):

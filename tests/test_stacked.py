@@ -359,19 +359,26 @@ def test_row_wise_golden_section_reproduces_the_scalar_iterates(peaks, widths, t
     def value(i, x):  # a cap below the peak makes plateaus, so ties
         return min(math.cos(x - peaks[i]) + 0.1 * math.sin(3.0 * x), cap)
 
-    seen = [[] for _ in range(rows)]
+    seen, calls = [[] for _ in range(rows)], []
 
-    def f(x, which):
+    def f(x, which, errors=None):
+        calls.append(which.tolist())
         for xi, i in zip(x.tolist(), which.tolist()):
             seen[i].append(xi)
         return np.array([value(i, xi) for xi, i in zip(x.tolist(), which.tolist())])
 
     # the row-wise search also swaps a reversed bracket
     best_x, best_f = _search.golden_max(f, hi.copy(), lo.copy(), tol)
+    steps = []
     for i in range(rows):
         want_x, want_f, want_seen = _golden_alone(lambda x: value(i, x), lo[i], hi[i], tol)
         assert (best_x[i], best_f[i]) == (want_x, want_f)
         assert seen[i] == want_seen
+        steps.append(len(want_seen) - 2)
+    # one call takes the opening pair of every row, then call k step k of each row it has
+    assert calls[0] == list(range(rows)) * 2
+    assert calls[1:] == [[i for i in range(rows) if steps[i] >= k]
+                         for k in range(1, 1 + max(steps))]
 
 
 def _golden_rows(peaks, widths, cap):
@@ -621,7 +628,8 @@ def test_chunked_rotation_stacks_match_the_per_angle_loop(model):
     assert optimize._STACK_ENTRIES // (n * n) == 4
     stacked = optimize._rotated(scene, model, angles, angles[::-1].copy())
     for row, a_t, a_r in zip(stacked, angles.tolist(), angles[::-1].tolist()):
-        assert row.tolist() == optimize._rotated(scene, model, a_t, a_r).tolist()
+        turns = (_link_plane_rotation(a_t), _link_plane_rotation(a_r))
+        assert row.tolist() == _gains_alone(scene, model, turns).tolist()
 
 
 # -- errors -------------------------------------------------------------------
@@ -780,11 +788,16 @@ def test_a_stack_raises_iff_one_of_its_variants_alone_raises(n_t, n_r, count, mo
     offset = pick(0.0, 1e300, rng.normal(0.0, 0.1))
     anchor = np.column_stack([offset, np.zeros(count), np.full(count, dist)])
     lam = pick(1e-3, 1e-300, rng.uniform(1e-4, 1e-2))
-    stack = {"local": local, "scale": scale, "rotations": rotations, "anchor": anchor,
-             "lam": lam}
-    alone = [_variant_outcome(optimize._gains, scene, model, **{
-        key: tuple(a[i] for a in value) if isinstance(value, tuple) else value[i]
-        for key, value in stack.items()}) for i in range(count)]
+
+    def variants(i):  # variant i alone, or the variants of slice i as one stack
+        tx = _posed_points(local[0][i] * scale[0][i][..., None, None], rotations[0][i],
+                           np.zeros(3))
+        rx = _posed_points(local[1][i] * scale[1][i][..., None, None], rotations[1][i],
+                           anchor[i])
+        return tx, rx, lam[i][..., None, None]
+
+    alone = [_variant_outcome(optimize._gains, scene, model, 1, lambda s, i=i: variants(i))
+             for i in range(count)]
     stacks = []
 
     def spy(entries):  # the stack shape of every SVD taken
@@ -794,8 +807,8 @@ def test_a_stack_raises_iff_one_of_its_variants_alone_raises(n_t, n_r, count, mo
     errors = {}
     with mock.patch.object(optimize, "_STACK_ENTRIES", 1 << 30), \
             mock.patch.object(optimize, "_squared_singular_values", spy):
-        gains = _variant_outcome(optimize._gains, scene, model, errors=errors, **stack)
-        searched = _variant_outcome(optimize._gains, scene, model, **stack)
+        gains = _variant_outcome(optimize._gains, scene, model, count, variants, errors)
+        searched = _variant_outcome(optimize._gains, scene, model, count, variants)
     failing = [a for a in alone if isinstance(a, tuple)]
     assert ((count,) in stacks) == (not failing)  # the whole stack ran iff no variant fails
     assert searched == (failing[0] if failing else gains)  # a search raises the first
@@ -818,19 +831,20 @@ def test_stacks_hold_at_most_one_chunk_of_channel_entries():
         sizes.append(entries.size)
         return entries
 
-    stacks, gains = [], optimize._gains
+    posed = []
 
-    def gains_spy(*args, **stack):  # the sizes of the arrays a call stacks
-        stacks.extend(np.size(a) for v in stack.values() for a in np.atleast_1d(v))
-        return gains(*args, **stack)
+    def pose_spy(points, *args):  # the positions a call holds, views by their whole array
+        posed.append((points if points.base is None else points.base).size)
+        return _posed_points(points, *args)
 
     bound = max(optimize._STACK_ENTRIES, n * n)
     with mock.patch.object(optimize, "_channel_entries", spy), \
-            mock.patch.object(optimize, "_gains", gains_spy):
+            mock.patch.object(optimize, "_posed_points", pose_spy):
         sweep(SweepSpec(SweepVariable.ETA, np.arange(1, 49) / 16.0, scene,
                         WavefrontModel.SPHERICAL, snr_db=10.0))
         assert len(sizes) == 48 * n * n // bound and max(sizes) <= bound
-        assert max(stacks) <= 48  # scale factors: positions are scaled a chunk at a time
+        # positions are scaled a chunk at a time: each end, each chunk, one call
+        assert len(posed) == 2 * len(sizes) and max(posed) <= bound // n * 3
         sizes.clear()
         aosa_schedule(n, scene, [0.0, 10.0], WavefrontModel.FRESNEL)
         assert 1 < len(sizes) and max(sizes) <= bound
