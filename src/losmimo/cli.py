@@ -25,7 +25,6 @@ from .optimize import (
     SweepVariable,
     _select_fixed_angles,
     aosa_schedule,
-    fixed_angle_plan,
     optimize_rotation,
     snr_db_to_linear,
     sweep,
@@ -157,12 +156,7 @@ def cmd_optimize(args) -> int:
         plan = aosa_schedule(tx.element_count, scene, snr_grid, model, element_spacing_m=elem_t)
         return _emit(args, plan, ser.sweep_points_csv, ser.sweep_points_json)
 
-    # angles mode: the gaps are measured against the optima the selection used
-    angles, ref_se = _select_fixed_angles(scene, args.k, snr_grid, model)
-    plan = fixed_angle_plan(scene, angles, snr_grid, model)
-    ses = [row.report.spectral_efficiency_bpshz for row in plan]
-    gaps = [1.0 - se / ref for se, ref in zip(ses, ref_se.tolist()) if ref > 0]
-    worst_gap = max([0.0] + gaps)
+    angles, plan, worst_gap = _select_fixed_angles(scene, args.k, snr_grid, model)
     return _emit(args, plan, ser.sweep_points_csv,
                  lambda p: ser.angles_json_doc(angles, worst_gap, p))
 

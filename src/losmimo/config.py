@@ -154,12 +154,9 @@ def _build_block(block, where: str, wavelength_m: float) -> tuple[ArrayLayout, R
     else:
         sizing = _one_sizing(block, ("spacing_m", "aperture_m"), where)
         size = _number(block[sizing], sizing, where)
-        if kind == "ula":
+        if kind in ("ula", "ura"):
             spacing = size if sizing == "spacing_m" else size / n
-            layout = build_ula(n, spacing)
-        elif kind == "ura":
-            spacing = size if sizing == "spacing_m" else size / n
-            layout = build_ura(n, spacing)
+            layout = (build_ula if kind == "ula" else build_ura)(n, spacing)
         else:  # aosa
             n_sub = _integer(_require(block, "n_subarrays", where), "n_subarrays", where)
             sub = size if sizing == "spacing_m" else size / n_sub

@@ -181,14 +181,15 @@ def _se_table(gains: np.ndarray, snrs: np.ndarray) -> np.ndarray:
 
 def _best_rotation(scene: LinkScene, snrs, model, independent: bool):
     """Search of :func:`optimize_rotation` on validated inputs at each SNR of ``snrs``:
-    the (tx, rx) angles (S, 2), their SEs (S,) and the SEs over the rotation grid."""
+    the (tx, rx) angles (S, 2), their SEs (S,), and the grid's gains (G, n) and SEs (S, G)."""
     # coarse grid of angles (of tx x rx angle pairs when independent), then
     # golden section within one grid step of the first best point, per angle,
     # for all SNRs at once; the grid spectra do not depend on the SNR
     n = _ANGLE_CANDIDATES if independent else _ROTATION_GRID_POINTS
     grid = np.linspace(0.0, np.pi / 2, n)
     pairs = np.stack([np.repeat(grid, n), np.tile(grid, n)] if independent else [grid, grid], 1)
-    ses = _se_table(_rotated(scene, model, pairs[:, 0], pairs[:, 1]), snrs)
+    gains = _rotated(scene, model, pairs[:, 0], pairs[:, 1])
+    ses = _se_table(gains, snrs)
     best = ses.argmax(axis=1)  # first max: smallest angle wins ties
     angles, best_se = pairs[best], ses[np.arange(snrs.size), best]
     # golden-section steps per call: the largest L with (2**L - 1) * entries <= 1,024
@@ -207,7 +208,7 @@ def _best_rotation(scene: LinkScene, snrs, model, independent: bool):
         better = cand_se > best_se
         best_se = np.where(better, cand_se, best_se)
         angles[:, axes] = np.where(better[:, None], cand[:, None], angles[:, axes])
-    return angles, best_se, ses
+    return angles, best_se, gains, ses
 
 
 def optimize_rotation(
@@ -278,17 +279,18 @@ def select_fixed_angles(
 
 
 def _select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model):
-    """:func:`select_fixed_angles` plus the optimal SE at each SNR it measured
-    the gaps against."""
+    """:func:`select_fixed_angles`, the :func:`fixed_angle_plan` of its angles and their worst
+    SE gap to the optimum, all from one rotation search (its grid holds every candidate)."""
     _check_count(k, "k")
     if k > _ANGLE_CANDIDATES:
         raise InvalidArgumentError(f"k must be at most {_ANGLE_CANDIDATES}, got {k}")
     _require_ula_pair(scene, "select_fixed_angles")
-    gain = scene.tx.element_count * scene.rx.element_count
-    snr_lin = [_check_snr(snr_db_to_linear(s), gain) for s in _snr_grid(snr_grid_db)]
+    n_t, n_r = scene.tx.element_count, scene.rx.element_count
+    snr_grid_db = _snr_grid(snr_grid_db)
+    snrs = [_check_snr(snr_db_to_linear(s), n_t * n_r) for s in snr_grid_db]
     candidates = np.linspace(0.0, np.pi / 2, _ANGLE_CANDIDATES)
-    _, ref, ses = _best_rotation(scene, np.array(snr_lin), model, False)
-    table = ses[:, ::2].T  # candidate x snr; grid[::2] = candidates
+    _, ref, gains, ses = _best_rotation(scene, np.array(snrs), model, False)
+    gains, table = gains[::2], ses[:, ::2].T  # per candidate; grid[::2] = candidates
 
     def worst_gaps(subsets):  # rows of candidate indices, _STACK_ENTRIES SEs at a time
         step = max(1, _STACK_ENTRIES // (subsets.shape[1] * ref.size))
@@ -301,7 +303,13 @@ def _select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model):
     while len(chosen) < k:
         rest = [c for c in range(candidates.size) if c not in chosen]
         chosen.append(rest[worst_gaps(np.array([chosen + [c] for c in rest])).argmin()])
-    return sorted(float(candidates[c]) for c in chosen), ref
+    chosen.sort()  # as fixed_angle_plan sorts its angles
+    angles = [float(candidates[c]) for c in chosen]
+    plan = _best_per_snr([f"rotation_rad={a:.12g}" for a in angles], gains[chosen], snr_grid_db,
+                         n_t, n_r)
+    gaps = [1.0 - row.report.spectral_efficiency_bpshz / r
+            for row, r in zip(plan, ref.tolist()) if r > 0]
+    return angles, plan, max([0.0] + gaps)
 
 
 def aosa_schedule(

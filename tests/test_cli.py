@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import losmimo
 from losmimo import (
+    Archetype,
     InvalidArgumentError,
     SweepSpec,
     SweepVariable,
@@ -861,3 +862,136 @@ def test_main_reuses_one_parser_across_calls(tmp_path, monkeypatch, capsys):
     for i in order:  # interleaved, twice each, on the one shared parser
         assert _run(calls[i], tmp_path, capsys) == fresh[i], calls[i]
     assert build_parser.cache_info().currsize == 1
+
+
+# scene configs for main: every archetype at 1 to 4 elements, with lengths, carriers,
+# rotations, offsets and SNRs either typical or extreme (a JSON config can also hold NaN
+# and Infinity), each run through every command that takes a config, in both formats
+_CONFIG_EXTREMES = (5e-324, 1e-300, 1e-30, -1.0, 0.0, 1e30, 1.7e308, -1.7e308,
+                    math.nan, math.inf, -math.inf)
+_SNR_DB = st.tuples(st.integers(0, 3), st.floats(-200.0, 300.0), st.sampled_from(
+    (-200.0, 300.0, 3079.0, 3090.0, 1e6, -1e6))).map(  # 3079 dB overflows with the array gain
+        lambda t: t[2] if t[0] == 3 else t[1])  # (about one time in four) an extreme SNR
+
+
+def _number(*typical):
+    """A typical config number, or (about one time in five) an extreme one."""
+    return st.sampled_from(typical * -(-4 * len(_CONFIG_EXTREMES) // len(typical))
+                           + _CONFIG_EXTREMES)
+
+
+def _values(values):
+    """A grid of 1 to 3 values, in increasing order unless one is NaN."""
+    return st.lists(values, min_size=1, max_size=3).map(
+        lambda v: ",".join(map(repr, sorted(set(v)))))
+
+
+_SIZES = _number(1e-3, 0.0035, 0.035, 0.1, 1.0)
+_SNR_GRIDS = st.one_of(_values(_SNR_DB), st.sampled_from(("-200:100:300", "-10:1:20")))
+_SWEEP_GRIDS = {"snr": _SNR_GRIDS, "eta": _values(_number(0.0, 0.5, 1.0, 2.0)),
+                "freq": _values(_number(1e9, 140e9, 300e9, 10e12)),
+                "rotation": _values(_number(0.0, 0.5, math.pi / 2, -1.0)),
+                "tilt": _values(_number(0.0, 0.1, 0.5, -1.0)),
+                "offset": _values(_number(0.0, 0.01, 1.0, 1e3))}
+
+
+@st.composite
+def _block(draw, kinds):
+    kind = draw(st.sampled_from(kinds))
+    block = {"type": kind}
+    if kind == "custom":  # one point anywhere, or points mirrored through the origin
+        point = st.tuples(_number(0.01, 0.035, 1.0), _number(0.0, 0.02), _number(0.0, 1e-3))
+        points = [list(p) for p in draw(st.lists(point, min_size=1, max_size=2))]
+        if len(points) == 2 or draw(st.booleans()):
+            points += [[-c for c in p] for p in points]
+        block["positions"] = points
+    else:
+        block["n"] = draw(st.integers(1, 2 if kind == "ura" else 4))  # ura: n per side
+        sizing = ("diameter_m",) if kind == "uca" else ("spacing_m", "aperture_m")
+        block[draw(st.sampled_from(sizing))] = draw(_SIZES)
+    if kind == "aosa":  # any count from 1 to 4, the divisors of n twice as often
+        divisors = [d for d in range(1, block["n"] + 1) if block["n"] % d == 0]
+        block["n_subarrays"] = draw(st.sampled_from(divisors + [1, 2, 3, 4]))
+        if draw(st.booleans()):
+            block["element_spacing_m"] = draw(_number(2.5e-4, 1e-3))
+    if draw(st.booleans()):
+        block["rotation_deg"] = draw(_number(0.0, 10.0, 45.0, 90.0, -30.0))
+    return block
+
+
+@st.composite
+def _config(draw):
+    # a third of the configs hold ULAs and a third AOSAs (the optimize modes and the rotation
+    # sweep need a pair of them), the rest any two blocks
+    kinds = draw(st.sampled_from((("ula",), ("aosa",), [a.value for a in Archetype])))
+    doc = {"carrier_hz": draw(_number(300e9, 140e9, 1e9, 10e12)),
+           "distance_m": draw(_number(0.5, 5.0, 10.0, 100.0)),
+           "model": draw(st.sampled_from([m.value for m in WavefrontModel])),
+           "tx": draw(_block(kinds))}
+    doc["rx"] = doc["tx"] if draw(st.integers(0, 3)) < 3 else draw(_block(kinds))  # mostly alike
+    if draw(st.booleans()):
+        doc["snr_db"] = draw(st.one_of(_SNR_DB, st.lists(_SNR_DB, min_size=1, max_size=3)))
+    return doc
+
+
+@st.composite
+def _config_commands(draw):
+    """Command lines, after the config path, for every command that takes a config; one SNR
+    flag value and one SNR grid serve them all."""
+    snr, snrs = draw(_SNR_DB), draw(_SNR_GRIDS)
+
+    def maybe(flag):  # each flag is present about 4 times in 5
+        return [flag] if draw(st.integers(0, 4)) < 4 else []
+
+    return ([["channel"], ["capacity", *maybe(f"--snr-db={snrs}")]]
+            + [["sweep", "--var", var, f"--grid={draw(grid)}", *maybe(f"--snr-db={snr!r}")]
+               for var, grid in _SWEEP_GRIDS.items()]
+            + [["optimize", "--mode", "rotation", *maybe(f"--snr-db={snr!r}")],
+               ["optimize", "--mode", "aosa", *maybe(f"--snr-grid={snrs}")],
+               ["optimize", "--mode", "angles", *maybe(f"--snr-grid={snrs}"),
+                f"--k={draw(st.integers(1, 4))}"]])
+
+
+def _rate_rows(text: str, fmt: str):
+    """(SE, UB) of every rate row of an output, error rows left out."""
+    if fmt == "json":
+        stack, rows = [json.loads(text, parse_constant=_no_constant)], []
+        while stack:
+            node = stack.pop()
+            if isinstance(node, dict) and "se_bpshz" in node:
+                assert (node["se_bpshz"] is None) == ("error" in node)
+                rows += [] if "error" in node else [(node["se_bpshz"], node["ub_bpshz"])]
+            stack += node if isinstance(node, list) else (
+                node.values() if isinstance(node, dict) else [])
+        return rows
+    header, *lines = text.splitlines()
+    if "se_bpshz" not in header:
+        return []
+    cols = header.split(",")
+    se, ub, rank = (cols.index(c) for c in ("se_bpshz", "ub_bpshz", "active_rank"))
+    cells = [line.split(",") for line in lines]
+    assert all((c[se] == "nan") == (c[rank] == "0") for c in cells)  # error rows
+    return [(float(c[se]), float(c[ub])) for c in cells if c[rank] != "0"]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_config(), commands=_config_commands())
+def test_every_config_ends_in_a_result_or_one_error_line(doc, commands, tmp_path, capfd):
+    config, out = tmp_path / "scene.json", tmp_path / "out"
+    config.write_text(json.dumps(doc))
+    for command, fmt in ((c, f) for c in commands for f in ("csv", "json")):
+        out.unlink(missing_ok=True)
+        argv = [command[0], str(config), *command[1:], "--format", fmt, "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would reach stderr outside pytest
+            code = main(argv)
+        _, err = capfd.readouterr()  # at the descriptors, where LAPACK writes
+        assert code in (0, 2, 3, 4, 5), argv
+        if code:
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                err.splitlines()[-1]], argv
+            continue
+        assert err == "", argv
+        for se, ub in _rate_rows(out.read_text(), fmt):
+            assert math.isfinite(se) and math.isfinite(ub) and se <= ub + 1e-9, argv

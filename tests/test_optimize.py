@@ -279,12 +279,19 @@ def test_fixed_angle_candidates_are_every_other_rotation_grid_angle():
 
 @pytest.mark.parametrize("n", [4, 8])
 @pytest.mark.parametrize("model", [WavefrontModel.SPHERICAL, WavefrontModel.FRESNEL])
-def test_fixed_angle_reference_is_the_rotation_optimum(n, model):
+def test_fixed_angle_reference_is_the_rotation_optimum(n, model, monkeypatch):
     sc = _ula_scene(eta=1.5, n=n)
     grid = list(range(-10, 21, 2))
-    _, ref = optimize._select_fixed_angles(sc, 1, grid, model)
-    want = [optimize_rotation(sc, snr_db_to_linear(s), model)[1] for s in grid]
-    assert ref.tolist() == [r.spectral_efficiency_bpshz for r in want]
+    want = [optimize_rotation(sc, snr_db_to_linear(s), model)[1].spectral_efficiency_bpshz
+            for s in grid]
+    searches, best_rotation = [], optimize._best_rotation
+    monkeypatch.setattr(optimize, "_best_rotation",
+                        lambda *args: searches.append(best_rotation(*args)) or searches[-1])
+    _, plan, worst_gap = optimize._select_fixed_angles(sc, 1, grid, model)
+    [(_, ref, _, _)] = searches  # one rotation search: its optima are the gaps' reference
+    assert ref.tolist() == want
+    ses = [row.report.spectral_efficiency_bpshz for row in plan]
+    assert worst_gap == max([0.0] + [1.0 - se / r for se, r in zip(ses, want) if r > 0])
 
 
 def test_angles_mode_builds_the_rotation_grid_once(tmp_path, monkeypatch, capsys):
@@ -306,8 +313,9 @@ def test_angles_mode_builds_the_rotation_grid_once(tmp_path, monkeypatch, capsys
     assert main(argv) == 0
     # one stack of the 65 grid angles, one of every SNR's two starting points,
     # then one per golden-section step for all 31 SNRs together (a bracket two
-    # grid steps wide takes 13 steps to shrink below 1e-4 rad), one of the 3 plan angles
-    assert len(calls) <= 1 + 1 + 13 + 1
+    # grid steps wide takes 13 steps to shrink below 1e-4 rad); the plan of the
+    # 3 chosen angles comes from the grid's gains
+    assert len(calls) <= 1 + 1 + 13
     assert len(capsys.readouterr().out.splitlines()) == 32
 
 

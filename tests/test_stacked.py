@@ -33,6 +33,7 @@ from losmimo import (
     build_ura,
     channel_matrix,
     custom_layout,
+    fixed_angle_plan,
     gain_spectrum,
     link_scene,
     optimize_rotation,
@@ -498,6 +499,9 @@ def _bits(value):
         return [_bits(v) for v in value]
     if isinstance(value, np.ndarray):
         return value.shape, value.tobytes()
+    if isinstance(value, SweepPoint):  # a plan row
+        return (value.x_value.hex(), value.snr_db.hex(), value.config_descriptor, value.error,
+                _bits(value.report))
     if hasattr(value, "allocation"):  # a RateReport
         return (value.snr_linear.hex(), value.spectral_efficiency_bpshz.hex(),
                 _bits(value.allocation.fractions), value.active_rank,
@@ -537,6 +541,37 @@ def test_rotation_searches_give_the_same_bits_at_every_lookahead_depth(n, model,
             one_step = searches()
         assert set(depths) == {1}
     assert picked == one_step
+
+
+@pytest.mark.parametrize("snr_points", [1, 31])
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_angles_mode_plan_is_the_fixed_angle_plan_of_its_angles(n, model, snr_points):
+    lam, dist = 1e-3, 10.0
+    spacing = math.sqrt(1.3 * lam * dist / n)
+    scene = link_scene(build_ula(n, spacing), build_ula(n, spacing), dist, lam)
+    grid = np.linspace(-10.0, 20.0, snr_points).tolist() if snr_points > 1 else [3.0]
+    candidates = np.linspace(0.0, math.pi / 2, optimize._ANGLE_CANDIDATES).tolist()
+    calls, found, best_rotation = [], [], optimize._best_rotation
+
+    def search(*args):  # the search runs once: every k selects from its result
+        calls.append(args)
+        found[:] = found or [best_rotation(*args)]
+        return found[0]
+
+    for searched, k in enumerate((1, 3, 4), 1):
+        with mock.patch.object(optimize, "_best_rotation", search):
+            angles, plan, worst_gap = optimize._select_fixed_angles(scene, k, grid, model)
+        assert len(calls) == searched  # one search per selection
+        assert len(set(angles)) == k and angles == sorted(angles)
+        assert set(angles) <= set(candidates)
+        # the reference: the plan re-evaluated from the angles, and the gap formula that the
+        # CLI applied to it, against the rotation optima of the search
+        want = fixed_angle_plan(scene, angles, grid, model)
+        ses = [row.report.spectral_efficiency_bpshz for row in want]
+        ref = found[0][1].tolist()
+        gap = max([0.0] + [1.0 - se / r for se, r in zip(ses, ref) if r > 0])
+        assert _bits([plan, worst_gap]) == _bits([want, gap])
 
 
 # -- poses, channels and spectra ----------------------------------------------
