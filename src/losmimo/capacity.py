@@ -184,7 +184,7 @@ def uniform_rate(spectrum: GainSpectrum, snr_linear: float, rank: int) -> float:
 
 
 def _polarized_value(n_t, n_r, rank, snr_linear):
-    # scalar or vectorized over rank
+    # scalars, or arrays of ranks and SNRs
     return rank * np.log1p(snr_linear * n_t * n_r / (rank * rank)) / _LN2
 
 
@@ -213,8 +213,13 @@ def capacity_upper_bound(n_t: int, n_r: int, snr_linear: float) -> float:
     _check_count(n_t, "n_t")
     _check_count(n_r, "n_r")
     _check_snr(snr_linear, n_t * n_r)
-    peak = math.sqrt(snr_linear * n_t * n_r / _POLARIZED_PEAK_X)
-    return float(_polarized_value(n_t, n_r, min(max(peak, 1.0), n_t, n_r), snr_linear))
+    return float(_bound(n_t, n_r, snr_linear))
+
+
+def _bound(n_t: int, n_r: int, snr_linear):
+    """Body of :func:`capacity_upper_bound` at checked SNR(s), one or an array of them."""
+    peak = np.sqrt(snr_linear * n_t * n_r / _POLARIZED_PEAK_X)
+    return _polarized_value(n_t, n_r, np.clip(peak, 1.0, min(n_t, n_r)), snr_linear)
 
 
 def capacity_upper_bound_integer(n_t: int, n_r: int, snr_linear: float):
@@ -231,24 +236,14 @@ def capacity_upper_bound_integer(n_t: int, n_r: int, snr_linear: float):
 
 def rate_report(h: ChannelMatrix, snr_linear: float) -> RateReport:
     """Waterfilling result plus the matching upper bound for one channel/SNR."""
-    _check_snr(snr_linear, h.n_t * h.n_r)
-    return _rate_reports(_squared_singular_values(h.entries), h.n_t, h.n_r, [snr_linear])[0]
+    snrs = np.array([_check_snr(snr_linear, h.n_t * h.n_r)], dtype=float)
+    return _rate_reports(_squared_singular_values(h.entries), h.n_t, h.n_r, snrs)[0]
 
 
-def _rate_reports(gains: np.ndarray, n_t: int, n_r: int, snrs) -> list[RateReport]:
-    """Reports of gains[i] (or of one (n,) row) at checked SNRs snrs[i], in one waterfill."""
-    fractions, ses = _waterfill(np.broadcast_to(gains, (len(snrs), gains.shape[-1])),
-                                np.asarray(snrs, dtype=float))
-    return [_waterfilled_report(f, se, n_t, n_r, snr)
-            for f, se, snr in zip(fractions, ses.tolist(), snrs)]
-
-
-def _waterfilled_report(fractions, se, n_t: int, n_r: int, snr_linear: float) -> RateReport:
-    """Report of a power split and its SE on an n_r x n_t channel."""
-    return RateReport(
-        snr_linear=float(snr_linear),
-        spectral_efficiency_bpshz=se,
-        allocation=PowerAllocation(fractions),
-        active_rank=int(np.count_nonzero(fractions > 0)),
-        upper_bound_bpshz=capacity_upper_bound(n_t, n_r, snr_linear),
-    )
+def _rate_reports(gains: np.ndarray, n_t: int, n_r: int, snrs: np.ndarray) -> list[RateReport]:
+    """Reports of gains[i] (or of one (n,) row) at the checked linear SNRs snrs[i] (an
+    array), in one waterfill and one bound expression."""
+    fractions, ses = _waterfill(np.broadcast_to(gains, (snrs.size, gains.shape[-1])), snrs)
+    return [RateReport(snr, se, PowerAllocation(f), int(np.count_nonzero(f > 0)), ub)
+            for f, se, snr, ub in zip(fractions, ses.tolist(), snrs.tolist(),
+                                      _bound(n_t, n_r, snrs).tolist())]

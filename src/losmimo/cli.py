@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .capacity import _check_snr, _rate_reports, _squared_singular_values
 from .channel import SPEED_OF_LIGHT_M_S, Validity, _planar_ok, channel_matrix, phase_profile
 from .config import load_scene_config
 from .errors import ConfigError, IncompatibleModeError, LosMimoError
@@ -23,6 +22,7 @@ from .optimize import (
     SweepPoint,
     SweepSpec,
     SweepVariable,
+    _scene_reports,
     _select_fixed_angles,
     aosa_schedule,
     optimize_rotation,
@@ -113,10 +113,7 @@ def cmd_capacity(args) -> int:
         snrs = list(cfg.snr_db)
     else:
         raise ConfigError("no SNR given: pass --snr-db or set snr_db in the config")
-    h = channel_matrix(cfg.scene, cfg.model)
-    gains = _squared_singular_values(h.entries)  # the geometry fixes the spectrum
-    snrs = [_check_snr(snr_db_to_linear(s), h.n_t * h.n_r) for s in snrs]
-    return _emit(args, _rate_reports(gains, h.n_t, h.n_r, snrs), ser.rate_reports_csv,
+    return _emit(args, _scene_reports(cfg.scene, cfg.model, snrs), ser.rate_reports_csv,
                  ser.rate_reports_json)
 
 

@@ -24,8 +24,6 @@ class ConfigError(InvalidArgumentError):
     errors) so the CLI can surface a usable diagnostic.
     """
 
-    exit_code = 2
-
 
 class DegenerateGeometryError(LosMimoError):
     """Antennas coincide, arrays intersect, or a pair sits behind the
@@ -43,8 +41,6 @@ class IncompatibleModeError(LosMimoError):
 
 class UnsupportedArchetypeError(IncompatibleModeError):
     """An optimizer was pointed at an archetype it does not handle."""
-
-    exit_code = 4
 
 
 class NumericalValidityError(LosMimoError):

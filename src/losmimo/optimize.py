@@ -17,12 +17,13 @@ import numpy as np
 
 from ._search import golden_max
 from .capacity import (
+    PowerAllocation,
     RateReport,
     _check_snr,
     _rate_reports,
     _squared_singular_values,
     _waterfill,
-    _waterfilled_report,
+    capacity_upper_bound,
 )
 from .channel import SPEED_OF_LIGHT_M_S, WavefrontModel, _channel_entries
 from .errors import (
@@ -112,11 +113,18 @@ def _require_ula_pair(scene: LinkScene, what: str):
         )
 
 
-def _snr_grid(snr_grid_db) -> list[float]:
+def _linear_snrs(snr_db, array_gain: int) -> np.ndarray:
+    """Linear SNRs of the dB values, each converted and checked once (against the full array
+    gain n_t * n_r) where it enters: whatever takes the array checks nothing again."""
+    return np.array([_check_snr(snr_db_to_linear(s), array_gain) for s in snr_db], dtype=float)
+
+
+def _snr_grid(snr_grid_db, array_gain: int):
+    """A plan's SNR grid in dB (floats) and its checked linear SNRs, before any geometry."""
     snr_grid_db = [float(s) for s in snr_grid_db]
     if not snr_grid_db or any(b <= a for a, b in zip(snr_grid_db, snr_grid_db[1:])):
         raise InvalidArgumentError("snr_grid_db must be non-empty and increasing")
-    return snr_grid_db
+    return snr_grid_db, _linear_snrs(snr_grid_db, array_gain)
 
 
 def _gains(scene: LinkScene, model, count: int, variants, errors=None) -> np.ndarray:
@@ -229,17 +237,16 @@ def optimize_rotation(
     """
     _require_ula_pair(scene, "optimize_rotation")
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
-    _check_snr(snr_linear, n_t * n_r)
-    pair = _best_rotation(scene, np.array([snr_linear]), model, independent)[0][0].tolist()
-    report = _rate_reports(_rotated(scene, model, *pair), n_t, n_r, [snr_linear])[0]
+    snrs = np.array([_check_snr(snr_linear, n_t * n_r)], dtype=float)
+    pair = _best_rotation(scene, snrs, model, independent)[0][0].tolist()
+    report = _rate_reports(_rotated(scene, model, *pair), n_t, n_r, snrs)[0]
     return (tuple(pair) if independent else pair[0]), report
 
 
-def _best_per_snr(descriptors, gains, snr_grid_db, n_t: int, n_r: int) -> list[SweepPoint]:
-    """Row of the candidate (descriptors[i], gains[i]) with the highest SE at each
-    SNR; the earlier candidate wins ties."""
-    snrs = [_check_snr(snr_db_to_linear(s), n_t * n_r) for s in snr_grid_db]
-    best = _se_table(gains, np.asarray(snrs)).argmax(axis=1)  # first of equal SEs
+def _best_per_snr(descriptors, gains, snr_grid_db, snrs, n_t: int, n_r: int) -> list[SweepPoint]:
+    """Row of the candidate (descriptors[i], gains[i]) with the highest SE at each SNR of
+    the grid, given in dB and as the checked linear ``snrs``; the earlier candidate wins ties."""
+    best = _se_table(gains, snrs).argmax(axis=1)  # first of equal SEs
     reports = _rate_reports(gains[best], n_t, n_r, snrs)
     return [SweepPoint(snr_db, snr_db, report, descriptors[i])
             for snr_db, report, i in zip(snr_grid_db, reports, best.tolist())]
@@ -255,12 +262,13 @@ def fixed_angle_plan(
     angles = sorted(float(a) for a in angles)  # smaller angle wins ties
     if not angles:
         raise InvalidArgumentError("at least one angle is required")
-    snr_grid_db = _snr_grid(snr_grid_db)
+    n_t, n_r = scene.tx.element_count, scene.rx.element_count
+    snr_grid_db, snrs = _snr_grid(snr_grid_db, n_t * n_r)
     if not all(math.isfinite(a) for a in angles):
         raise InvalidArgumentError("angle_rad must be finite")
     gains = _rotated(scene, model, np.array(angles), np.array(angles))
-    return _best_per_snr([f"rotation_rad={a:.12g}" for a in angles], gains, snr_grid_db,
-                         scene.tx.element_count, scene.rx.element_count)
+    return _best_per_snr([f"rotation_rad={a:.12g}" for a in angles], gains, snr_grid_db, snrs,
+                         n_t, n_r)
 
 
 def select_fixed_angles(
@@ -286,10 +294,9 @@ def _select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model):
         raise InvalidArgumentError(f"k must be at most {_ANGLE_CANDIDATES}, got {k}")
     _require_ula_pair(scene, "select_fixed_angles")
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
-    snr_grid_db = _snr_grid(snr_grid_db)
-    snrs = [_check_snr(snr_db_to_linear(s), n_t * n_r) for s in snr_grid_db]
+    snr_grid_db, snrs = _snr_grid(snr_grid_db, n_t * n_r)
     candidates = np.linspace(0.0, np.pi / 2, _ANGLE_CANDIDATES)
-    _, ref, gains, ses = _best_rotation(scene, np.array(snrs), model, False)
+    _, ref, gains, ses = _best_rotation(scene, snrs, model, False)
     gains, table = gains[::2], ses[:, ::2].T  # per candidate; grid[::2] = candidates
 
     def worst_gaps(subsets):  # rows of candidate indices, _STACK_ENTRIES SEs at a time
@@ -306,7 +313,7 @@ def _select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model):
     chosen.sort()  # as fixed_angle_plan sorts its angles
     angles = [float(candidates[c]) for c in chosen]
     plan = _best_per_snr([f"rotation_rad={a:.12g}" for a in angles], gains[chosen], snr_grid_db,
-                         n_t, n_r)
+                         snrs, n_t, n_r)
     gaps = [1.0 - row.report.spectral_efficiency_bpshz / r
             for row, r in zip(plan, ref.tolist()) if r > 0]
     return angles, plan, max([0.0] + gaps)
@@ -330,7 +337,7 @@ def aosa_schedule(
     error raises.  Ties go to the smaller r (fewer, larger subarrays).
     """
     _check_count(n_total, "n_total")
-    snr_grid_db = _snr_grid(snr_grid_db)
+    snr_grid_db, snrs = _snr_grid(snr_grid_db, int(n_total) ** 2)
     lam = scene_template.wavelength_m
     dist = scene_template.separation_m
     elem = lam / 4 if element_spacing_m is None else float(element_spacing_m)
@@ -351,7 +358,7 @@ def aosa_schedule(
                        lambda s: _posed(scene_template, upright, (pts[s], pts[s])))
     if failed:
         raise failed
-    return _best_per_snr(descriptors, gains, snr_grid_db, int(n_total), int(n_total))
+    return _best_per_snr(descriptors, gains, snr_grid_db, snrs, int(n_total), int(n_total))
 
 
 def _eta_factors(scene: LinkScene, eta):
@@ -369,10 +376,9 @@ def _point_outcome(scene: LinkScene, variable: SweepVariable, x: float, snr_line
         _check_positive(SPEED_OF_LIGHT_M_S / x, "wavelength_m")
     elif variable is SweepVariable.ETA and x == 0.0:
         n_t, n_r = scene.tx.element_count, scene.rx.element_count
-        fractions = np.zeros(min(n_t, n_r))
-        fractions[0] = 1.0
         se = float(np.log1p(snr_linear * n_t * n_r) / math.log(2.0))
-        return _waterfilled_report(fractions, se, n_t, n_r, snr_linear)
+        return RateReport(snr_linear, se, PowerAllocation(np.eye(1, min(n_t, n_r))[0]), 1,
+                          capacity_upper_bound(n_t, n_r, snr_linear))
     elif variable is SweepVariable.ETA:
         if x < 0:
             raise InvalidArgumentError("eta must be non-negative")
@@ -402,6 +408,15 @@ def _sweep_variants(scene: LinkScene, variable: SweepVariable, v: np.ndarray):
     return lambda s: _posed(scene, (base[0] if tilt else turned[s], turned[s]))
 
 
+def _scene_reports(scene: LinkScene, model: WavefrontModel, snr_db) -> list[RateReport]:
+    """Reports of the posed scene at each SNR (dB): SNRs checked first, then one spectrum."""
+    n_t, n_r = scene.tx.element_count, scene.rx.element_count
+    snrs = _linear_snrs(snr_db, n_t * n_r)
+    gains = _gains(scene, model, 1, lambda s: (
+        scene.tx_positions(), scene.rx_positions(), scene.wavelength_m))
+    return _rate_reports(gains, n_t, n_r, snrs)
+
+
 def sweep(spec: SweepSpec):
     """Evaluate a RateReport at every grid point, in grid order.
 
@@ -419,11 +434,8 @@ def sweep(spec: SweepSpec):
 
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
     if var is SweepVariable.SNR_DB:
-        gains = _gains(scene, model, 1, lambda s: (
-            scene.tx_positions(), scene.rx_positions(), scene.wavelength_m))
-        snrs = [_check_snr(snr_db_to_linear(x), n_t * n_r) for x in grid]
         return [SweepPoint(x, x, report, f"{label}={x:.12g}")
-                for x, report in zip(grid, _rate_reports(gains, n_t, n_r, snrs))]
+                for x, report in zip(grid, _scene_reports(scene, model, grid))]
 
     snr_fixed = snr_db_to_linear(spec.snr_db)
     rows = []  # per grid point: its report or error, None while its variant is pending
@@ -441,7 +453,7 @@ def sweep(spec: SweepSpec):
             gains = _gains(scene, model, len(kept), variants, outcomes)
             ok = [j for j in range(len(kept)) if j not in outcomes]
             try:  # as the report of these gains would
-                snrs = [_check_snr(snr_fixed, n_t * n_r)] * len(ok)
+                snrs = np.full(len(ok), _check_snr(snr_fixed, n_t * n_r))
                 outcomes.update(zip(ok, _rate_reports(gains[ok], n_t, n_r, snrs)))
             except LosMimoError as exc:
                 outcomes.update(dict.fromkeys(ok, exc))

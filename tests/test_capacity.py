@@ -24,6 +24,7 @@ from losmimo import (
     uniform_rate,
     waterfilling,
 )
+from losmimo.capacity import _bound
 
 
 def _spec(gains, n=None):
@@ -289,6 +290,23 @@ def test_rate_report_from_channel():
     assert rep.active_rank == 2
     assert rep.upper_bound_bpshz >= rep.spectral_efficiency_bpshz
     np.testing.assert_allclose(rep.allocation.fractions, 0.5, atol=1e-15)
+
+
+_SIZES = [1, 4, 8, 64, 256]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_t=st.sampled_from(_SIZES),
+    n_r=st.sampled_from(_SIZES),
+    snr_db=st.lists(st.floats(-200.0, 300.0), min_size=1, max_size=64),
+)
+@example(n_t=1, n_r=256, snr_db=[-200.0, -5.934, 0.0, 300.0])
+@example(n_t=256, n_r=4, snr_db=[-200.0, 5.934, 24.0, 300.0])
+def test_the_array_bound_of_the_reports_is_the_scalar_bound_bit_for_bit(n_t, n_r, snr_db):
+    snrs = np.array([10.0 ** (s / 10.0) for s in snr_db])
+    got = _bound(n_t, n_r, snrs).tolist()
+    assert got == [capacity_upper_bound(n_t, n_r, snr) for snr in snrs.tolist()]
 
 
 def test_capacity_upper_bound_rejects_an_overflowing_array_gain():

@@ -15,9 +15,17 @@ from hypothesis import strategies as st
 import losmimo
 from losmimo import (
     Archetype,
+    ConfigError,
+    DegenerateGeometryError,
+    IncompatibleModeError,
     InvalidArgumentError,
+    LosMimoError,
+    NoSignalError,
+    NumericalValidityError,
+    NyquistViolationError,
     SweepSpec,
     SweepVariable,
+    UnsupportedArchetypeError,
     WavefrontModel,
     build_ula,
     capacity_upper_bound_integer,
@@ -29,6 +37,7 @@ from losmimo import (
     sweep,
     validity_from_apertures,
 )
+from losmimo import capacity, optimize
 from losmimo.cli import build_parser, main
 
 GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
@@ -526,6 +535,57 @@ def test_angles_and_capacity_report_the_first_overflowing_snr_alike(scene_path, 
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert "times the array gain 16 overflows" in errors[0]
+
+
+@pytest.mark.parametrize("job", [
+    ["capacity", "ula4.json", "--snr-db=-10:1:20"],
+    ["sweep", "ula4.json", "--var", "snr", "--grid=-10:1:20"],
+    ["optimize", "aosa8.json", "--mode", "aosa", "--snr-grid=-10:1:20"],
+    ["optimize", "ula4.json", "--mode", "angles", "--snr-grid=-10:1:20"],
+    ["fixed_angle_plan", "ula4.json"],
+], ids=lambda job: "_".join(job[:1] + job[2:4:2]))
+def test_each_snr_is_converted_once_and_checked_at_most_twice(job, monkeypatch, capsys):
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((optimize, "snr_db_to_linear"), (optimize, "_check_snr"),
+                         (capacity, "_check_snr"), (capacity, "capacity_upper_bound"),
+                         (optimize, "capacity_upper_bound")):
+        count(module, name)
+    path = str(GOLDEN_CONFIGS / job[1])
+    if job[0] == "fixed_angle_plan":
+        cfg = load_scene_config(path)
+        assert len(optimize.fixed_angle_plan(cfg.scene, [0.0, 0.5, 1.0],
+                                             np.arange(-10.0, 21.0), cfg.model)) == 31
+    else:
+        assert main([job[0], path] + job[2:]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 32
+    # once where it enters, once more in RateReport's own check; no bound per row
+    assert calls.get("snr_db_to_linear") == 31
+    assert calls.get("_check_snr", 0) <= 2 * 31
+    assert calls.get("capacity_upper_bound", 0) == 0
+
+
+@pytest.mark.parametrize("error, code", [
+    (LosMimoError, 1),
+    (InvalidArgumentError, 2),
+    (ConfigError, 2),
+    (DegenerateGeometryError, 3),
+    (IncompatibleModeError, 4),
+    (UnsupportedArchetypeError, 4),
+    (NumericalValidityError, 5),
+    (NyquistViolationError, 5),
+    (NoSignalError, 5),
+])
+def test_each_error_class_has_its_documented_exit_code(error, code):
+    assert error.exit_code == code
 
 
 def test_python_dash_m_losmimo_runs_the_cli():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from losmimo import (
+    DegenerateGeometryError,
     IncompatibleModeError,
     InvalidArgumentError,
     SweepSpec,
@@ -392,6 +393,22 @@ def test_select_fixed_angles_rejects_more_than_the_candidates():
         select_fixed_angles(sc, 34, [0.0], WavefrontModel.FRESNEL)
     angles = select_fixed_angles(sc, 33, [0.0], WavefrontModel.FRESNEL)
     assert angles == np.linspace(0.0, math.pi / 2, 33).tolist()
+
+
+@pytest.mark.parametrize("plan", [
+    lambda sc, m, snr: aosa_schedule(8, sc, [snr], m, element_spacing_m=1e-30),
+    lambda sc, m, snr: fixed_angle_plan(sc, [0.0], [snr], m),
+    lambda sc, m, snr: select_fixed_angles(sc, 2, [snr], m),
+    lambda sc, m, snr: sweep(SweepSpec(SweepVariable.SNR_DB, np.array([snr]), sc, m)),
+], ids=["aosa", "fixed_angles", "select_angles", "sweep_snr"])
+def test_an_overflowing_snr_raises_before_a_failing_geometry(plan):
+    # arrays 1e-10 m apart intersect; 3079 dB overflows times the array gain
+    sc = _ula_scene(dist=1e-10)
+    model = WavefrontModel.SPHERICAL
+    with pytest.raises(DegenerateGeometryError, match="intersect"):
+        plan(sc, model, 0.0)
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        plan(sc, model, 3079.0)
 
 
 def test_snr_whose_array_gain_overflows_gives_error_rows_or_raises():

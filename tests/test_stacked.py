@@ -46,11 +46,11 @@ from losmimo import _search, geometry, optimize
 from losmimo.capacity import (
     _LN2,
     _ZERO_GAIN_RTOL,
-    _check_snr,
-    _rate_reports,
+    PowerAllocation,
+    RateReport,
     _squared_singular_values,
     _waterfill,
-    _waterfilled_report,
+    capacity_upper_bound,
 )
 from losmimo.channel import _MIN_PAIR_DISTANCE_M, _channel_entries, _pair_distances
 from losmimo.geometry import (
@@ -80,6 +80,15 @@ def _waterfill_alone(g, snr_linear):
     fractions /= fractions.sum()
     se = float(np.log1p(snr_linear * fractions[:n_active] * g[:n_active]).sum() / _LN2)
     return fractions, se
+
+
+def _report_alone(g, n_t, n_r, snr_linear):
+    """The report of one row of gains at one SNR, field by field: the bound checks the SNR
+    first, then the row is waterfilled alone."""
+    ub = capacity_upper_bound(n_t, n_r, snr_linear)
+    fractions, se = _waterfill_alone(g, snr_linear)
+    return RateReport(snr_linear, se, PowerAllocation(fractions),
+                      int(np.count_nonzero(fractions > 0)), ub)
 
 
 def _pair_offsets_alone(tx, rx):
@@ -262,11 +271,10 @@ def _sweep_alone(spec):
                     fractions = np.zeros(min(n_t, n_r))
                     fractions[0] = 1.0
                     se = float(np.log1p(snr * n_t * n_r) / math.log(2.0))
-                    report = _waterfilled_report(fractions, se, n_t, n_r, snr)
+                    report = RateReport(snr, se, PowerAllocation(fractions), 1,
+                                        capacity_upper_bound(n_t, n_r, snr))
                 else:
-                    gains = _sweep_gains_alone(scene, model, var, x)
-                    _check_snr(snr, n_t * n_r)
-                    report = _rate_reports(gains, n_t, n_r, [snr])[0]
+                    report = _report_alone(_sweep_gains_alone(scene, model, var, x), n_t, n_r, snr)
             except LosMimoError as exc:
                 points.append(SweepPoint(x, spec.snr_db, None, descriptor,
                                          error=f"{type(exc).__name__}: {exc}"))
@@ -904,7 +912,13 @@ def _aosa_alone(n_total, scene, snr_grid_db, model, element_spacing_m):
         gains.append(_gains_alone(scene, model, (np.eye(3), np.eye(3)),
                                   points=(layout.positions,) * 2))
         descriptors.append(f"aosa_r={r}")
-    return optimize._best_per_snr(descriptors, np.array(gains), snr_grid_db, n_total, n_total)
+    points = []
+    for snr_db in snr_grid_db:  # the first of equal SEs wins
+        snr = 10.0 ** (snr_db / 10.0)
+        best = int(np.argmax([_waterfill_alone(g, snr)[1] for g in gains]))
+        report = _report_alone(gains[best], n_total, n_total, snr)
+        points.append(SweepPoint(snr_db, snr_db, report, descriptors[best]))
+    return points
 
 
 @pytest.mark.parametrize("model", MODELS)
