@@ -543,7 +543,7 @@ def test_angles_and_capacity_report_the_first_overflowing_snr_alike(scene_path, 
     ["optimize", "aosa8.json", "--mode", "aosa", "--snr-grid=-10:1:20"],
     ["optimize", "ula4.json", "--mode", "angles", "--snr-grid=-10:1:20"],
     ["fixed_angle_plan", "ula4.json"],
-], ids=lambda job: "_".join(job[:1] + job[2:4:2]))
+], ids=["capacity", "sweep_snr", "optimize_aosa", "optimize_angles", "fixed_angle_plan"])
 def test_each_snr_is_converted_once_and_checked_at_most_twice(job, monkeypatch, capsys):
     calls = {}
 
