@@ -127,17 +127,18 @@ def _snr_grid(snr_grid_db, array_gain: int):
     return snr_grid_db, _linear_snrs(snr_grid_db, array_gain)
 
 
-def _gains(scene: LinkScene, model, count: int, variants, errors=None) -> np.ndarray:
+def _gains(scene: LinkScene, model, count: int, variants, errors=None, sizes=None) -> np.ndarray:
     """Squared singular values (count, n) of ``count`` variants of ``scene``: the one
     evaluation path.
 
     ``variants(s)`` gives the posed tx points, posed rx points and wavelength of the variants
     in slice ``s``, each stacked over the slice ((g, n, 3), (g, 1, 1)) or one value they share;
-    with nothing stacked the gains are (n,).  Variants are evaluated _STACK_ENTRIES channel
-    entries at a time, and a failing chunk re-runs its variants alone: the first failing one
-    raises, or goes into ``errors`` under its index, with NaN gains.
+    with nothing stacked the gains are (n,).  Variants (of ``sizes`` = (n_t, n_r) elements,
+    the scene's by default) are evaluated _STACK_ENTRIES channel entries at a time, and a
+    failing chunk re-runs its variants alone: the first failing one raises, or goes into
+    ``errors`` under its index, with NaN gains.
     """
-    n_t, n_r = scene.tx.element_count, scene.rx.element_count
+    n_t, n_r = sizes or (scene.tx.element_count, scene.rx.element_count)
 
     def evaluate(i, j):  # gains of variants i to j
         tx, rx, lam = variants(slice(i, j))
@@ -332,33 +333,26 @@ def aosa_schedule(
     rank-r Rayleigh center spacing sqrt(lambda*D/r); elements within a
     cluster sit a quarter wavelength apart unless overridden.  A divisor
     whose clusters would overlap at that spacing is skipped (r = 1 always
-    fits).  Every fitting layout has n_total elements, so all of them are
-    evaluated as one stack, upright at both ends; the first failing divisor's
-    error raises.  Ties go to the smaller r (fewer, larger subarrays).
+    fits).  Each fitting layout is built and evaluated upright at both ends,
+    in chunks of _STACK_ENTRIES channel entries sized by n_total; the error of
+    the first failing divisor, in increasing r, raises, whether its layout or
+    its geometry failed.  Ties go to the smaller r (fewer, larger subarrays).
     """
     _check_count(n_total, "n_total")
-    snr_grid_db, snrs = _snr_grid(snr_grid_db, int(n_total) ** 2)
+    n = int(n_total)
+    snr_grid_db, snrs = _snr_grid(snr_grid_db, n * n)
     lam = scene_template.wavelength_m
     dist = scene_template.separation_m
     elem = lam / 4 if element_spacing_m is None else float(element_spacing_m)
-    descriptors, layouts, failed = [], [], None
-    for r in (d for d in range(1, int(n_total) + 1) if n_total % d == 0):
-        sub = math.sqrt(lam * dist / r)
-        if not _clusters_apart(n_total, r, sub, elem):
-            continue
-        try:
-            layouts.append(build_aosa(int(n_total), r, sub, elem).positions)
-        except LosMimoError as exc:  # raised after any earlier divisor's own failure
-            failed = exc
-            break
-        descriptors.append(f"aosa_r={r}")
-    if layouts:  # each layout upright at both ends
-        pts, upright = np.array(layouts), (np.eye(3),) * 2
-        gains = _gains(scene_template, model, len(pts),
-                       lambda s: _posed(scene_template, upright, (pts[s], pts[s])))
-    if failed:
-        raise failed
-    return _best_per_snr(descriptors, gains, snr_grid_db, snrs, int(n_total), int(n_total))
+    subs = {r: math.sqrt(lam * dist / r) for r in range(1, n + 1) if n % r == 0}
+    fits = [r for r, sub in subs.items() if _clusters_apart(n, r, sub, elem)]
+
+    def variants(s):  # each fitting divisor's layout, upright at both ends
+        pts = np.array([build_aosa(n, r, subs[r], elem).positions for r in fits[s]])
+        return _posed(scene_template, (np.eye(3),) * 2, (pts, pts))
+
+    gains = _gains(scene_template, model, len(fits), variants, sizes=(n, n))
+    return _best_per_snr([f"aosa_r={r}" for r in fits], gains, snr_grid_db, snrs, n, n)
 
 
 def _eta_factors(scene: LinkScene, eta):

@@ -599,6 +599,37 @@ def test_python_dash_m_losmimo_runs_the_cli():
     assert res.stdout.strip() == f"losmimo {losmimo.__version__}"
 
 
+_PUBLIC_NAMES = {
+    "__version__",
+    "LosMimoError", "InvalidArgumentError", "ConfigError", "DegenerateGeometryError",
+    "IncompatibleModeError", "UnsupportedArchetypeError", "NumericalValidityError",
+    "NoSignalError", "NyquistViolationError",
+    "Archetype", "ArrayLayout", "RigidPose", "LinkScene", "recompute_aperture", "build_ula",
+    "build_ura", "build_uca", "build_aosa", "custom_layout", "scale_layout",
+    "rotate_in_link_plane", "link_scene", "transpose_scene", "projected_aperture",
+    "channel_parameter",
+    "SPEED_OF_LIGHT_M_S", "WavefrontModel", "Validity", "DistanceMatrix", "ChannelMatrix",
+    "PhaseProfile", "distance_matrix", "channel_matrix", "validity_from_apertures",
+    "classify_validity", "phase_profile",
+    "GainSpectrum", "PowerAllocation", "RateReport", "gain_spectrum", "waterfilling",
+    "uniform_rate", "polarized_rate", "capacity_upper_bound", "capacity_upper_bound_integer",
+    "rate_report",
+    "SweepVariable", "SweepSpec", "SweepPoint", "snr_db_to_linear", "optimize_rotation",
+    "fixed_angle_plan", "select_fixed_angles", "aosa_schedule", "sweep",
+    "SceneConfig", "parse_scene_config", "load_scene_config",
+}
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from losmimo import *", namespace)
+    namespace.pop("__builtins__")
+    assert len(_PUBLIC_NAMES) == 59 and set(namespace) == _PUBLIC_NAMES
+    assert len(losmimo.__all__) == len(set(losmimo.__all__))
+    for module in ("errors", "geometry", "channel", "capacity", "optimize", "config"):
+        assert hasattr(losmimo, module) and module not in namespace
+
+
 def _validity_with_nan(index):
     args = [0.1, 0.1, 1e-3, 1.0]
     args[index] = math.nan

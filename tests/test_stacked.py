@@ -6,6 +6,7 @@ tensor they replace, bit for bit, and stacked sweeps to the per-point loop.  The
 golden-section lookahead is held to the scalar search's steps, results and errors."""
 
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -891,6 +892,11 @@ def test_stacks_hold_at_most_one_chunk_of_channel_entries():
         sizes.clear()
         aosa_schedule(n, scene, [0.0, 10.0], WavefrontModel.FRESNEL)
         assert 1 < len(sizes) and max(sizes) <= bound
+        # every AoSA layout has n elements at both ends, whatever the template holds
+        sizes.clear()
+        pair = link_scene(build_ula(2, spacing), build_ula(2, spacing), dist, lam)
+        aosa_schedule(n, pair, [0.0, 10.0], WavefrontModel.FRESNEL)
+        assert sizes == [4 * n * n, 3 * n * n]
     # one variant per call: a 128 x 128 channel exceeds the bound alone
     big = link_scene(build_ula(128, spacing), build_ula(128, spacing), dist, lam)
     sizes.clear()
@@ -900,7 +906,7 @@ def test_stacks_hold_at_most_one_chunk_of_channel_entries():
     assert sizes == [128 * 128] * 3
 
 
-def _aosa_alone(n_total, scene, snr_grid_db, model, element_spacing_m):
+def _aosa_alone(n_total, scene, snr_grid_db, model, element_spacing_m, build=build_aosa):
     """aosa_schedule as the per-divisor loop ran it: build a layout, evaluate it, go on."""
     lam, dist = scene.wavelength_m, scene.separation_m
     descriptors, gains = [], []
@@ -908,7 +914,7 @@ def _aosa_alone(n_total, scene, snr_grid_db, model, element_spacing_m):
         sub = math.sqrt(lam * dist / r)
         if r > 1 and (n_total // r - 1) * element_spacing_m >= sub:
             continue
-        layout = build_aosa(n_total, r, sub, element_spacing_m)
+        layout = build(n_total, r, sub, element_spacing_m)
         gains.append(_gains_alone(scene, model, (np.eye(3), np.eye(3)),
                                   points=(layout.positions,) * 2))
         descriptors.append(f"aosa_r={r}")
@@ -932,6 +938,42 @@ def test_aosa_stack_raises_the_first_failure_of_the_per_divisor_loop(model, dist
     snrs = [-10.0, 0.0, 10.0]
     got = _sweep_outcome(lambda _: aosa_schedule(8, scene, snrs, model, elem), None)
     assert got == _sweep_outcome(lambda _: _aosa_alone(8, scene, snrs, model, elem), None)
+
+
+def _failing_aosa(failures, dist):
+    """build_aosa, but failing at the divisors of ``failures``: a "layout" raises, and a
+    "geometry" puts one tx element on one rx element once the arrays are posed dist apart."""
+    def build(n_total, r, sub, elem):
+        if failures.get(r) == "layout":
+            raise InvalidArgumentError(f"no layout at r = {r}")
+        layout = build_aosa(n_total, r, sub, elem)
+        if failures.get(r) != "geometry":
+            return layout
+        points = layout.positions.copy()
+        points[:2] = [[0.0, 0.0, dist], [0.0, 0.0, 0.0]]
+        return SimpleNamespace(positions=points)
+    return build
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("failures", [
+    {16: "layout"},
+    {16: "geometry"},
+    {16: "geometry", 32: "layout"},
+    {32: "layout", 64: "geometry"},
+])
+def test_aosa_chunks_raise_the_first_failure_of_the_per_divisor_loop(model, failures):
+    # 64 elements: 4 of the 7 divisors' layouts per chunk, so each first failure sits in the
+    # second chunk, after a first chunk that evaluates
+    lam, dist, n = 1e-3, 5.0, 64
+    spacing = math.sqrt(lam * dist / n)
+    scene = link_scene(build_ula(n, spacing), build_ula(n, spacing), dist, lam)
+    snrs = [-10.0, 0.0, 10.0]
+    build = _failing_aosa(failures, dist)
+    with mock.patch.object(optimize, "build_aosa", build):
+        got = _sweep_outcome(lambda _: aosa_schedule(n, scene, snrs, model), None)
+    want = _sweep_outcome(lambda _: _aosa_alone(n, scene, snrs, model, lam / 4, build), None)
+    assert isinstance(got, tuple) and got == want
 
 
 # -- model identities ---------------------------------------------------------
