@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
@@ -173,11 +172,35 @@ def _posed(scene: LinkScene, rotations, local=None, anchor=None):
             _posed_points(rx, rotations[1], anchor), scene.wavelength_m)
 
 
-def _rotated(scene: LinkScene, model, angle_tx, angle_rx, errors=None) -> np.ndarray:
-    """Gains (G, n) with both arrays re-posed from broadside by G in-plane angles each."""
+def _rotated(scene: LinkScene, model, angle_tx, angle_rx, errors=None,
+             lockstep: bool = False) -> np.ndarray:
+    """Gains (G, n) with both arrays re-posed from broadside by G in-plane angles each.
+
+    With ``lockstep`` (the probes of searches that move together, so many coincide) each
+    distinct (tx, rx) pair is evaluated once, in the order of its first index: every duplicate
+    takes its gains and its error, and with no ``errors`` the first failing index raises.
+    """
+    if lockstep:
+        pairs = np.column_stack([angle_tx, angle_rx])
+        reps, where = _distinct_rows(pairs)
+        found = None if errors is None else {}
+        gains = _rotated(scene, model, pairs[reps, 0], pairs[reps, 1], found)
+        if found:
+            errors.update((i, found[r]) for i, r in enumerate(where.tolist()) if r in found)
+        return gains[where]
     turn_t, turn_r = (_link_plane_rotation(np.atleast_1d(a)) for a in (angle_tx, angle_rx))
     return _gains(scene, model, len(turn_t),
                   lambda s: _posed(scene, (turn_t[s], turn_r[s])), errors)
+
+
+def _distinct_rows(rows: np.ndarray):
+    """The first index of each distinct row of the floats ``rows`` (G, m), ascending, and per
+    row the position of its own in that list.  Rows are compared as bytes, so -0.0 and 0.0
+    stay apart."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows[0].nbytes)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    reps = np.sort(first)
+    return reps, np.searchsorted(reps, first)[inverse]
 
 
 def _se_table(gains: np.ndarray, snrs: np.ndarray) -> np.ndarray:
@@ -188,12 +211,14 @@ def _se_table(gains: np.ndarray, snrs: np.ndarray) -> np.ndarray:
         for p in np.split(snrs, range(step, snrs.size, step))])
 
 
-def _best_rotation(scene: LinkScene, snrs, model, independent: bool):
+def _best_rotation(scene: LinkScene, snrs, model, independent: bool, seen=None):
     """Search of :func:`optimize_rotation` on validated inputs at each SNR of ``snrs``:
-    the (tx, rx) angles (S, 2), their SEs (S,), and the grid's gains (G, n) and SEs (S, G)."""
+    the (tx, rx) angles (S, 2), their SEs (S,), and the grid's gains (G, n) and SEs (S, G).
+    Each evaluation's (tx, rx) pairs and gains go into the list ``seen``, if one is given."""
     # coarse grid of angles (of tx x rx angle pairs when independent), then
     # golden section within one grid step of the first best point, per angle,
-    # for all SNRs at once; the grid spectra do not depend on the SNR
+    # for all SNRs at once; the grid spectra do not depend on the SNR, and the
+    # searches of SNRs that start alike probe alike, so each pair is evaluated once
     n = _ANGLE_CANDIDATES if independent else _ROTATION_GRID_POINTS
     grid = np.linspace(0.0, np.pi / 2, n)
     pairs = np.stack([np.repeat(grid, n), np.tile(grid, n)] if independent else [grid, grid], 1)
@@ -201,18 +226,28 @@ def _best_rotation(scene: LinkScene, snrs, model, independent: bool):
     ses = _se_table(gains, snrs)
     best = ses.argmax(axis=1)  # first max: smallest angle wins ties
     angles, best_se = pairs[best], ses[np.arange(snrs.size), best]
-    # golden-section steps per call: the largest L with (2**L - 1) * entries <= 1,024
-    entries = snrs.size * scene.tx.element_count * scene.rx.element_count
-    depth = min(_LOOKAHEAD_DEPTH, max(1, (_LOOKAHEAD_ENTRIES // entries + 1).bit_length() - 1))
+    lockstep, n_t, n_r = snrs.size > 1, scene.tx.element_count, scene.rx.element_count
+    if seen is not None:
+        seen.append((pairs, gains))
     for axes, j in (([0], best // n), ([1], best % n)) if independent else (([0, 1], best),):
         def f(x, rows, errors=None, axes=axes):
             pair = angles[rows]
             pair[:, axes] = x[:, None]
-            gains = _rotated(scene, model, pair[:, 0], pair[:, 1], errors)
+            gains = _rotated(scene, model, pair[:, 0], pair[:, 1], errors, lockstep)
             gains[list(errors or ())] = 1.0  # failed probes' stand-ins: no step takes them
+            if seen is not None:
+                seen.append((pair, gains))
             return _waterfill(gains, snrs[rows])[1]
 
         lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, n - 1)]
+        # golden-section steps per call: the largest L <= 4 whose first call, 2**L probes per
+        # search, holds at most 1,024 channel entries of the distinct searches (a bracket and
+        # the angle held) and 16,384 gains of all rows, which each waterfill their own
+        starts = np.column_stack([np.delete(angles, axes, axis=1), lo, hi])
+        searches = len(_distinct_rows(starts)[0]) if lockstep else 1
+        depth = max(1, min(_LOOKAHEAD_DEPTH,
+                           (_LOOKAHEAD_ENTRIES // (searches * n_t * n_r)).bit_length() - 1,
+                           (_STACK_ENTRIES // (snrs.size * min(n_t, n_r))).bit_length() - 1))
         cand, cand_se = golden_max(f, lo, hi, _ANGLE_TOL_RAD, depth)
         better = cand_se > best_se
         best_se = np.where(better, cand_se, best_se)
@@ -234,13 +269,18 @@ def optimize_rotation(
     brackets the optimum, golden section refines it (each angle in turn) to
     1e-4 rad, a few steps per evaluation on small arrays (with the bits and
     errors of one step at a time), and ties break toward the smaller angle
-    (so a flat landscape reports broadside).
+    (so a flat landscape reports broadside).  The report comes from the gains
+    the search evaluated at the winning angles.
     """
     _require_ula_pair(scene, "optimize_rotation")
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
     snrs = np.array([_check_snr(snr_linear, n_t * n_r)], dtype=float)
-    pair = _best_rotation(scene, snrs, model, independent)[0][0].tolist()
-    report = _rate_reports(_rotated(scene, model, *pair), n_t, n_r, snrs)[0]
+    seen = []
+    won = _best_rotation(scene, snrs, model, independent, seen)[0]
+    pairs, gains = (np.concatenate(v) for v in zip(*seen))
+    at = (pairs.view(np.int64) == won.view(np.int64)).all(axis=1).argmax()  # first evaluation
+    report = _rate_reports(gains[at, None], n_t, n_r, snrs)[0]
+    pair = won[0].tolist()
     return (tuple(pair) if independent else pair[0]), report
 
 
@@ -287,6 +327,59 @@ def select_fixed_angles(
     return _select_fixed_angles(scene, k, snr_grid_db, model)[0]
 
 
+def _combinations(n: int, k: int) -> np.ndarray:
+    """The rows of ``combinations(range(n), k)``, in its order, as an array (C, k)."""
+    rows = np.arange(n)[:, None]
+    for _ in range(k - 1):  # each i, then every row whose first element exceeds i
+        first, rest = np.nonzero(np.arange(n)[:, None] < rows[:, 0])
+        rows = np.column_stack([first, rows[rest]])
+    return rows
+
+
+def _least_worst_gap(table: np.ndarray, ref: np.ndarray, subsets: np.ndarray, floor=None) -> int:
+    """Index of the first of ``subsets`` (rows of candidate indices) whose worst gap is least:
+    the greatest over the SNRs of 1 - t / ref, t the highest of its candidates' SEs in
+    ``table`` (S, C) and of ``floor`` (S,); bit for bit the argmin of every worst gap.
+
+    A subset's worst gap over some of the SNRs bounds it from below.  The SNRs start empty,
+    and the one where the first subset of least bound has its worst gap joins them, until
+    that subset's bound is its worst gap: then each earlier subset's gap exceeds it and no
+    later one's is lower.  Each round adds a new SNR, so there are at most S; smooth SE
+    tables take a handful, and no round holds more than one SNR of every subset or one
+    subset at every SNR.
+    """
+    def gaps(rows, snrs):  # gaps (len(snrs), len(rows)) of the subsets[rows] at the snrs
+        ses = table[snrs]
+        top = ses[:, subsets[rows, 0]]
+        for c in subsets[rows, 1:].T:
+            np.maximum(top, ses[:, c], out=top)
+        if floor is not None:
+            np.maximum(top, floor[snrs, None], out=top)
+        return 1.0 - top / ref[snrs, None]
+
+    bound = np.full(len(subsets), -np.inf)
+    while True:
+        first = bound.argmin()  # argmin: the first of equal bounds
+        whole = gaps([first], slice(None))[:, 0]
+        worst = whole.argmax()
+        if whole[worst] <= bound[first]:
+            return int(first)
+        np.maximum(bound, gaps(slice(None), [worst])[0], out=bound)
+
+
+def _least_gap_candidates(table: np.ndarray, ref: np.ndarray, k: int) -> list[int]:
+    """k columns of the SE table (S, C) whose best SE stays closest to the optima ``ref``: the
+    min(k, 3) of least worst gap, then greedily one more at a time; each step keeps the first
+    of equal gaps, in the order of combinations()."""
+    subsets = _combinations(table.shape[1], min(k, 3))
+    chosen = subsets[_least_worst_gap(table, ref, subsets)].tolist()
+    while len(chosen) < k:
+        rest = np.array([c for c in range(table.shape[1]) if c not in chosen])
+        chosen.append(int(rest[_least_worst_gap(table, ref, rest[:, None],
+                                                table[:, chosen].max(axis=1))]))
+    return chosen
+
+
 def _select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model):
     """:func:`select_fixed_angles`, the :func:`fixed_angle_plan` of its angles and their worst
     SE gap to the optimum, all from one rotation search (its grid holds every candidate)."""
@@ -298,20 +391,9 @@ def _select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model):
     snr_grid_db, snrs = _snr_grid(snr_grid_db, n_t * n_r)
     candidates = np.linspace(0.0, np.pi / 2, _ANGLE_CANDIDATES)
     _, ref, gains, ses = _best_rotation(scene, snrs, model, False)
-    gains, table = gains[::2], ses[:, ::2].T  # per candidate; grid[::2] = candidates
+    gains, table = gains[::2], ses[:, ::2]  # per candidate; grid[::2] = candidates
 
-    def worst_gaps(subsets):  # rows of candidate indices, _STACK_ENTRIES SEs at a time
-        step = max(1, _STACK_ENTRIES // (subsets.shape[1] * ref.size))
-        return np.concatenate([(1.0 - table[block].max(axis=1) / ref).max(axis=1)
-                               for block in np.split(subsets, range(step, len(subsets), step))])
-
-    # argmin keeps the first of equal gaps, in the order of combinations()
-    subsets = np.array(list(combinations(range(candidates.size), min(k, 3))))
-    chosen = subsets[worst_gaps(subsets).argmin()].tolist()
-    while len(chosen) < k:
-        rest = [c for c in range(candidates.size) if c not in chosen]
-        chosen.append(rest[worst_gaps(np.array([chosen + [c] for c in rest])).argmin()])
-    chosen.sort()  # as fixed_angle_plan sorts its angles
+    chosen = sorted(_least_gap_candidates(table, ref, k))  # as fixed_angle_plan sorts them
     angles = [float(candidates[c]) for c in chosen]
     plan = _best_per_snr([f"rotation_rad={a:.12g}" for a in angles], gains[chosen], snr_grid_db,
                          snrs, n_t, n_r)

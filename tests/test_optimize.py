@@ -312,11 +312,13 @@ def test_angles_mode_builds_the_rotation_grid_once(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(optimize, "_channel_entries", counted)
     argv = ["optimize", str(path), "--mode", "angles", "--k", "3", "--snr-grid=-10:1:20"]
     assert main(argv) == 0
-    # one stack of the 65 grid angles, one of every SNR's two starting points,
-    # then one per golden-section step for all 31 SNRs together (a bracket two
-    # grid steps wide takes 13 steps to shrink below 1e-4 rad); the plan of the
-    # 3 chosen angles comes from the grid's gains
-    assert len(calls) <= 1 + 1 + 13
+    # one stack of the 65 grid angles, then the golden section of all 31 SNRs together
+    # (a bracket two grid steps wide takes 13 steps to shrink below 1e-4 rad): the 31
+    # searches start from 5 distinct brackets, so each call looks 3 steps ahead
+    # (5 * 2**3 probes of 16 channel entries fit in 1,024), the first one also taking
+    # every SNR's two starting points; the plan of the 3 chosen angles comes from the
+    # grid's gains
+    assert len(calls) <= 1 + 5
     assert len(capsys.readouterr().out.splitlines()) == 32
 
 

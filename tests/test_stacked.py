@@ -6,6 +6,7 @@ tensor they replace, bit for bit, and stacked sweeps to the per-point loop.  The
 golden-section lookahead is held to the scalar search's steps, results and errors."""
 
 import math
+from itertools import combinations
 from types import SimpleNamespace
 from unittest import mock
 
@@ -429,23 +430,26 @@ def test_lookahead_golden_section_walks_the_scalar_iterates(peaks, widths, tol, 
         want_x, want_f, seen = _golden_alone(lambda x: value(i, x), lo[i], hi[i], tol,
                                              brackets)
         assert (best_x[i], best_f[i]) == (want_x, want_f)
-        assert calls[0][0][calls[0][1] == i].tolist() == seen[:2]
-        walked = 2  # scalar iterates covered so far
-        for x, which in calls[1:]:
+        walked = 0  # scalar iterates covered so far
+        for x, which in calls:
             probes = x[which == i].tolist()
             if not probes:
                 continue
+            first = walked == 0  # the opening pair, then the next steps' probes below a root
+            if first:  # that holds no probe
+                assert probes[:2] == seen[:2]
+                walked, probes = 2, [None] + probes[2:]
             assert len(probes) == 2 ** (len(probes).bit_length()) - 1 <= 2 ** depth - 1
-            a, b = brackets[walked]  # the bracket of this call's first step
-            assert all(a <= p <= b for p in probes)  # the extra probes lie inside it
-            for level in range(len(probes).bit_length()):  # one scalar step per level
+            a, b = brackets[walked - first]  # the bracket of this call's first step
+            assert all(a <= p <= b for p in probes[first:])  # the extra probes lie inside it
+            for level in range(first, len(probes).bit_length()):  # one scalar step per level
                 if walked < len(seen):
                     assert seen[walked] in probes[2**level - 1:2 ** (level + 1) - 1]
                     walked += 1
         assert walked == len(seen)
         steps.append(len(seen) - 2)
-    # one call per `depth` steps of the longest search, after the call that opens it
-    assert len(calls) == 1 + max(-(-k // depth) for k in steps)
+    # one call per `depth` steps of the longest search, the first one also opening it
+    assert len(calls) == max(-(-(k + 1) // depth) for k in steps)
 
 
 def _failing(value, seen, fail_at):
@@ -529,7 +533,15 @@ def test_rotation_searches_give_the_same_bits_at_every_lookahead_depth(n, model,
     snrs = 10.0 ** (snr_db / 10.0)
     depths, golden_max = [], optimize.golden_max
 
+    def rule(searches):  # the largest L <= 4 whose first call, 2**L probes per search, holds
+        # at most 1,024 channel entries of distinct searches and 16,384 gains of all rows
+        return max(depth for depth in range(1, optimize._LOOKAHEAD_DEPTH + 1) if depth == 1 or (
+            searches * n * n << depth <= 1024 and snr_points * n << depth <= 16384))
+
     def spy(f, a, b, tol, depth=1):
+        # a search is its bracket and the angle it holds: at least as many as the brackets
+        brackets = len(set(zip(a.tolist(), b.tolist())))
+        assert rule(a.size) <= depth <= rule(brackets)
         depths.append(depth)
         return golden_max(f, a, b, tol, depth)
 
@@ -543,8 +555,8 @@ def test_rotation_searches_give_the_same_bits_at_every_lookahead_depth(n, model,
 
     with mock.patch.object(optimize, "golden_max", spy):
         picked = searches()
-        # the depth rule: the largest L <= 4 with (2**L - 1) * SNRs * n * n <= 1,024
-        assert set(depths) == {4 if snr_points == 1 else 3 if n == 2 else 1}
+        # lockstep searches that start alike count once: 31 SNRs look ahead on small arrays
+        assert set(depths) == {4} if snr_points == 1 else n == 8 or min(depths) > 1
         depths.clear()
         with mock.patch.object(optimize, "_LOOKAHEAD_DEPTH", 1):
             one_step = searches()
@@ -581,6 +593,53 @@ def test_angles_mode_plan_is_the_fixed_angle_plan_of_its_angles(n, model, snr_po
         ref = found[0][1].tolist()
         gap = max([0.0] + [1.0 - se / r for se, r in zip(ses, ref) if r > 0])
         assert _bits([plan, worst_gap]) == _bits([want, gap])
+
+
+def _subsets_alone(table, ref, k):
+    """The candidate choice as written before pruning: every subset scored over every SNR,
+    np.argmin of the gaps; returns the chosen indices and each step's least gap."""
+    def worst_gaps(subsets):
+        return (1.0 - table[:, subsets].max(axis=2) / ref[:, None]).max(axis=0)
+
+    subsets = np.array(list(combinations(range(table.shape[1]), min(k, 3))))
+    gaps = worst_gaps(subsets)
+    chosen, least = subsets[gaps.argmin()].tolist(), [gaps.min()]
+    while len(chosen) < k:
+        rest = [c for c in range(table.shape[1]) if c not in chosen]
+        gaps = worst_gaps(np.array([chosen + [c] for c in rest]))
+        chosen.append(rest[gaps.argmin()])
+        least.append(gaps.min())
+    return chosen, least
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    snrs=st.sampled_from([1, 2, 7, 31, 200]),
+    candidates=st.sampled_from([5, 12, 33]),
+    k=st.integers(1, 5),
+    levels=st.sampled_from([2, 3, 6, 0]),  # few SE levels make ties; 0 draws continuous SEs
+    twins=st.booleans(),  # candidates that copy another one's SEs tie on every subset
+)
+def test_pruned_subset_search_picks_the_exhaustive_subsets(seed, snrs, candidates, k, levels,
+                                                           twins):
+    rng = np.random.default_rng(seed)
+    k = min(k, candidates)
+    table = rng.integers(0, levels, (snrs, candidates)) * 0.5 if levels else rng.random(
+        (snrs, candidates))
+    if twins:
+        table[:, rng.integers(0, candidates, candidates // 2)] = table[:, :candidates // 2]
+    # the optima: at least every candidate's SE, sometimes above all of them
+    ref = table.max(axis=1) + rng.integers(0, 2, snrs) * 0.25 + 0.125
+    assert optimize._combinations(candidates, min(k, 3)).tolist() == [
+        list(c) for c in combinations(range(candidates), min(k, 3))]
+    want, least = _subsets_alone(table, ref, k)
+    chosen = optimize._least_gap_candidates(table, ref, k)
+    assert chosen == want
+    # each step's chosen set has the exhaustive least gap, bit for bit
+    for step, gap in zip(range(min(k, 3), k + 1), least):
+        got = (1.0 - table[:, chosen[:step]].max(axis=1) / ref).max()
+        assert got.hex() == gap.hex()
 
 
 # -- poses, channels and spectra ----------------------------------------------
@@ -713,6 +772,50 @@ def test_a_failing_stack_raises_the_first_failing_variant(model, search):
             first = str(exc)
             break
     assert first == _PAIR_ERRORS[model]
+
+
+# (tx, rx) pairs on the failing pair of arrays above: ordinary ones, 0.0 beside -0.0
+# (apart by their bits), and endfire turns that make the arrays meet or break the Fresnel
+# and planar expansions, so that duplicates fail with different errors
+_LOCKSTEP_PAIRS = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.3, 0.1), (1.0, 1.0),
+                   (math.pi / 2, math.pi / 2), (1.2, 0.4), (math.pi / 2, 0.0), (1.5, 1.5)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=st.sampled_from(MODELS),
+       picks=st.lists(st.integers(0, len(_LOCKSTEP_PAIRS) - 1), min_size=1, max_size=40))
+def test_lockstep_rotations_evaluate_each_pair_once_with_its_own_gains_and_error(model, picks):
+    scene = link_scene(build_ula(4, 1.0), build_ula(4, 1.0), 1.0, 299792458.0 / 300e9)
+    pairs = np.array([_LOCKSTEP_PAIRS[i] for i in picks])
+    counts, gains = [], optimize._gains
+
+    def counted(scene, model, count, *args):
+        counts.append(count)
+        return gains(scene, model, count, *args)
+
+    def outcome(lockstep, errors):  # the gains' bits, or the error raised
+        try:
+            return optimize._rotated(scene, model, pairs[:, 0], pairs[:, 1], errors,
+                                     lockstep).tobytes()
+        except LosMimoError as exc:
+            return type(exc), str(exc)
+
+    def texts(errors):
+        return {i: (type(exc), str(exc)) for i, exc in errors.items()}
+
+    alone_errors, once_errors = {}, {}
+    alone = outcome(False, alone_errors)
+    with mock.patch.object(optimize, "_gains", counted):
+        once = outcome(True, once_errors)
+    # one evaluation of each distinct pair, by its bits; every index its own gains and error
+    assert counts == [len({(a.hex(), b.hex()) for a, b in pairs.tolist()})]
+    assert once == alone
+    assert texts(once_errors) == texts(alone_errors)
+    # with no errors kept, the first failing index in row order raises
+    first = min(alone_errors, default=None)
+    raised = outcome(True, None)
+    assert raised == outcome(False, None)
+    assert raised == (alone if first is None else texts(alone_errors)[first])
 
 
 # -- sweeps and schedules -----------------------------------------------------
