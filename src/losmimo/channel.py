@@ -117,8 +117,9 @@ def _pair_distances(tx: np.ndarray, rx: np.ndarray):
     tx[..., m, :], each (..., n_r, n_t), refusing intersecting arrays.  The lengths add
     (dx*dx + dy*dy) + dz*dz, as a sum over a 3-wide offset axis does, bit for bit."""
     dx, dy, dz = (rx[..., :, None, i] - tx[..., None, :, i] for i in range(3))
-    transverse = dx * dx + dy * dy
-    dist = np.sqrt(transverse + dz * dz)
+    transverse = np.square(dx, out=dx)  # in place: four (..., n_r, n_t) arrays in all
+    transverse += np.square(dy, out=dy)
+    dist = np.sqrt(np.add(transverse, dz * dz, out=dy), out=dy)
     if dist.min() <= _MIN_PAIR_DISTANCE_M:
         raise DegenerateGeometryError(
             f"arrays intersect: minimum pair distance {dist.min():.3e} m"

@@ -1,7 +1,7 @@
 """Command line surface: scene configs in, deterministic CSV/JSON tables out.
 
-Exit codes: 0 success, 2 config or argument error, 3 degenerate geometry,
-4 incompatible mode/archetype, 5 numerical validity failure.
+Exit codes: 0 success, 2 config or argument error (or an unwritable --out),
+3 degenerate geometry, 4 incompatible mode/archetype, 5 numerical validity failure.
 """
 
 from __future__ import annotations
@@ -69,12 +69,16 @@ def _check_grid_size(count: int, what: str):
         )
 
 
-def _write(out_path, text: str):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(out_path, chunks):
+    """Write text chunks to ``out_path`` (stdout when empty) as they come."""
+    if not out_path:
+        sys.stdout.writelines(chunks)
+        return
+    try:  # a 1 MiB buffer, so a large document still goes out in few writes
+        with open(out_path, "w", encoding="utf-8", buffering=1 << 20) as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
 
 
 def _emit(args, result, to_csv, to_doc, sidecar=None) -> int:
@@ -82,9 +86,9 @@ def _emit(args, result, to_csv, to_doc, sidecar=None) -> int:
     with --format json as the JSON of ``to_doc(result)``.  A CSV written to
     --out also gets ``<out>.json`` holding the JSON of ``sidecar(result)``."""
     as_csv = args.format == "csv"
-    _write(args.out, to_csv(result) if as_csv else ser.json_dumps(to_doc(result)))
+    _write(args.out, to_csv.chunks(result) if as_csv else ser.json_dumps.chunks(to_doc(result)))
     if as_csv and args.out and sidecar is not None:
-        _write(args.out + ".json", ser.json_dumps(sidecar(result)))
+        _write(args.out + ".json", ser.json_dumps.chunks(sidecar(result)))
     return 0
 
 

@@ -18,10 +18,12 @@ class InvalidArgumentError(LosMimoError, ValueError):
 
 
 class ConfigError(InvalidArgumentError):
-    """A scene config file failed to parse or validate.
+    """A scene config file or a command's input failed to read, parse or
+    validate, or its output file could not be written.
 
     The message carries the offending key (and line/column for syntax
-    errors) so the CLI can surface a usable diagnostic.
+    errors), or the path and the system's reason, so the CLI can surface a
+    usable diagnostic.
     """
 
 

@@ -7,9 +7,10 @@ identical output.  JSON text is that of ``json.dumps(obj, indent=2, sort_keys=Tr
 
 from __future__ import annotations
 
+import functools
 import json
-from itertools import chain
-from json.encoder import encode_basestring_ascii
+from itertools import chain, islice
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -19,47 +20,103 @@ from .errors import InvalidArgumentError
 from .optimize import SweepPoint
 
 
-_SCALARS = {str, int, float, bool, type(None)}  # flat-dict values the C encoder writes alike
+_BLOCK = 4096  # list items per C-encoder call, and CSV rows per chunk
+_NUMBERS = {float, int}
+_SCALARS = _NUMBERS | {str, bool, type(None)}  # values the C encoder writes as the stdlib does
 
 
-def _indented(obj, depth: int) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` as written ``depth`` levels deep.
+def _joined(chunks):
+    """A writer of the whole text of the generator function ``chunks``, kept as ``.chunks``."""
+    text = functools.wraps(chunks)(lambda *args: "".join(chunks(*args)))
+    text.chunks = chunks
+    return text
 
-    The stdlib indents in pure Python, so dicts and lists of lists or of flat dicts
-    are laid out here; other values keep the stdlib text (no encoded string holds a newline).
+
+@functools.cache  # one per indent
+def _encoder(item_separator: str):
+    """The C encoder (sorted keys, no indent), its item separator carrying the indent."""
+    std = json.JSONEncoder(sort_keys=True, separators=(item_separator, ": "))
+    if c_make_encoder is None:
+        return std.encode
+    encode = c_make_encoder(None, std.default, encode_basestring_ascii, None, ": ",
+                            item_separator, True, False, True)
+    return lambda obj: "".join(encode(obj, 0))
+
+
+def _chunks(obj, depth: int):
+    """``json.dumps(obj, indent=2, sort_keys=True)`` as written ``depth`` levels deep, in chunks.
+
+    The stdlib indents in pure Python, so dicts and lists are laid out here, with blocks of
+    numbers and rows going to the C encoder (no encoded string holds a newline).
     """
     close = "\n" + "  " * depth
     pad = close + "  "
     if type(obj) is dict and obj and all(type(k) is str for k in obj):
-        items = (encode_basestring_ascii(k) + ": " + _indented(v, depth + 1)
-                 for k, v in sorted(obj.items()))
-        return "{" + pad + ("," + pad).join(items) + close + "}"
-    kinds = set(map(type, obj)) if type(obj) is list else set()
-    if kinds and kinds <= {float, int}:  # one C-encoder call; its item separator indents
-        body = json.JSONEncoder(separators=("," + pad, ": ")).encode(obj)[1:-1]
-    elif kinds == {dict} and all(obj) and set(map(type, chain.from_iterable(obj))) == {str} \
-            and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _SCALARS:
-        inner = pad + "  "  # one C-encoder call; "}," + inner + "{" only sits between rows
-        rows = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).encode(obj)
-        body = "{" + inner + rows[2:-2].replace(
+        opening, ending = "{", "}"
+        items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
+    elif type(obj) is list and obj:
+        opening, ending = "[", "]"
+        block = _block_text(obj, pad)
+        if block:
+            for i in range(0, len(obj), _BLOCK):
+                yield ("," if i else "[") + pad + block(obj[i:i + _BLOCK])
+            yield close + "]"
+            return
+        items = [("", x) for x in obj]
+    elif type(obj) in (dict, tuple) and obj:  # other keys, or a tuple: the stdlib's text
+        yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", close)
+        return
+    else:  # a scalar or an empty container: nothing to indent
+        yield _encoder(",")(obj)
+        return
+    for i, (key, value) in enumerate(items):
+        yield ("," if i else opening) + pad + key
+        yield from _chunks(value, depth + 1)
+    yield close + ending
+
+
+def _block_text(items: list, pad: str):
+    """The text of a block of ``items`` laid out as list items at ``pad``, for numbers and
+    for rows of scalars and number lists; None for other items."""
+    kinds, inner = set(map(type, items)), pad + "  "
+    if kinds <= _NUMBERS:
+        encode = _encoder("," + pad)
+        return lambda block: encode(block)[1:-1]
+    if kinds != {dict} or not all(items) or set(map(type, chain.from_iterable(items))) != {str}:
+        return None
+    values = set(map(type, chain.from_iterable(map(dict.values, items))))
+    if values <= _SCALARS:  # one call a block; "}," + inner + "{" only sits between rows
+        encode = _encoder("," + inner)
+        return lambda block: "{" + inner + encode(block)[2:-2].replace(
             "}," + inner + "{", pad + "}," + pad + "{" + inner) + pad + "}"
-    elif kinds == {list}:
-        body = ("," + pad).join(_indented(x, depth + 1) for x in obj)
-    else:
-        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", close)
-    return "[" + pad + body + close + "]"
+    lists = chain.from_iterable(v for row in items for v in row.values() if type(v) is list)
+    if not (values <= _SCALARS | {list} and set(map(type, lists)) <= _NUMBERS):
+        return None
+    deeper = inner + "  "  # one row at a time, one call a value
+    encode = _encoder("," + deeper)
+    return lambda block: ("," + pad).join(["{" + inner + ("," + inner).join([
+        encode_basestring_ascii(k) + ": " + ("[" + deeper + encode(v)[1:-1] + inner + "]"
+                                             if type(v) is list and v else encode(v))
+        for k, v in sorted(row.items())]) + pad + "}" for row in block])
 
 
-def json_dumps(obj) -> str:
-    return _indented(obj, 0) + "\n"
+@_joined
+def json_dumps(obj):
+    yield from _chunks(obj, 0)
+    yield "\n"
 
 
-def _table(header: str, row_template: str, rows) -> str:
-    """CSV text: the header, then ``row_template % row`` for each row tuple."""
-    return header + "\n" + "".join(map(row_template.__mod__, rows))
+def _table(header: str, row_template: str, rows):
+    """CSV text, ``_BLOCK`` lines a chunk: the header, then ``row_template % row`` per row tuple."""
+    lines = map(row_template.__mod__, rows)
+    block = header + "\n" + "".join(islice(lines, _BLOCK))
+    while block:
+        yield block
+        block = "".join(islice(lines, _BLOCK))
 
 
-def channel_csv(h: ChannelMatrix) -> str:
+@_joined
+def channel_csv(h: ChannelMatrix):
     n, m = (np.indices(h.entries.shape).reshape(2, -1) + 1).tolist()  # 1-based, row-major
     rows = zip(n, m, h.entries.real.ravel().tolist(), h.entries.imag.ravel().tolist())
     return _table("n,m,re,im", "%d,%d,%.17g,%.17g\n", rows)
@@ -106,7 +163,8 @@ def _phase_columns(profile: PhaseProfile) -> dict:
     }
 
 
-def phase_profile_csv(profile: PhaseProfile) -> str:
+@_joined
+def phase_profile_csv(profile: PhaseProfile):
     cols = _phase_columns(profile)
     return _table(",".join(cols), "%.17g,%.17g,%.17g,%.17g\n", zip(*cols.values()))
 
@@ -138,7 +196,8 @@ def rate_reports_json(reports) -> list:
     return [rate_report_dict(r) for r in reports]
 
 
-def rate_reports_csv(reports) -> str:
+@_joined
+def rate_reports_csv(reports):
     rows = ((r.snr_db, r.spectral_efficiency_bpshz, r.upper_bound_bpshz, r.active_rank,
              ";".join(map("%.17g".__mod__, r.allocation.fractions.tolist()))) for r in reports)
     header = "snr_db,se_bpshz,ub_bpshz,active_rank,allocation"
@@ -161,7 +220,8 @@ def _sweep_row(p: SweepPoint) -> tuple:
             r.active_rank, _sanitize(p.config_descriptor))
 
 
-def sweep_points_csv(points) -> str:
+@_joined
+def sweep_points_csv(points):
     return _table(_SWEEP_HEADER, "%.17g,%.17g,%.17g,%.17g,%s,%s\n", map(_sweep_row, points))
 
 
@@ -201,5 +261,6 @@ def validity_json(rows) -> list:
     return [{"freq_hz": f, "dist_m": d, "regime": r} for f, d, r in rows]
 
 
-def validity_csv(rows) -> str:
+@_joined
+def validity_csv(rows):
     return _table("freq_hz,dist_m,regime", "%.17g,%.17g,%s\n", rows)

@@ -836,6 +836,50 @@ def test_every_command_writes_one_output_by_the_same_rule(command, fmt, tmp_path
     assert (tmp_path / "result").read_text() == printed
 
 
+def test_every_output_keeps_its_bytes_without_the_pure_python_json_encoder(
+        tmp_path, monkeypatch):
+    calls = {f"{command}-{fmt}": _EVERY_COMMAND[command] + ["--format", fmt]
+             for command in _EVERY_COMMAND for fmt in ("csv", "json")}
+
+    def run_all(directory):
+        directory.mkdir()
+        for name, argv in calls.items():
+            argv = [str(GOLDEN_CONFIGS / a) if a.endswith(".json") else a for a in argv]
+            assert main(argv + ["--out", str(directory / name)]) == 0
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    want = run_all(tmp_path / "want")
+    assert len(want) == len(calls) + len(_WITH_SIDECAR)  # the CSV sidecars too
+    for name, text in want.items():  # JSON as the stdlib lays it out itself
+        if name.endswith("json"):
+            assert text.decode() == json.dumps(json.loads(text), indent=2,
+                                               sort_keys=True) + "\n", name
+
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("the pure-Python indenting encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    assert run_all(tmp_path / "got") == want
+
+
+@pytest.mark.parametrize("command", ["validity", "channel"])
+@pytest.mark.parametrize("target", ["missing directory", "directory", "sidecar directory"])
+def test_an_unwritable_out_ends_in_one_error_line(command, target, tmp_path, capsys):
+    out = {"missing directory": tmp_path / "missing" / "x.csv", "directory": tmp_path,
+           "sidecar directory": tmp_path / "x.csv"}[target]
+    if target == "sidecar directory":
+        (tmp_path / "x.csv.json").mkdir()
+    argv = [str(GOLDEN_CONFIGS / a) if a.endswith(".json") else a
+            for a in _EVERY_COMMAND[command]]
+    code = main(argv + ["--out", str(out)])
+    printed, err = capsys.readouterr()
+    if target == "sidecar directory" and command not in _WITH_SIDECAR:
+        assert (code, err) == (0, "")  # no sidecar to write
+        return
+    assert code == 2 and printed == ""
+    assert err.startswith(f"error: cannot write output {out}") and err.count("\n") == 1
+
+
 # argv for main: the real subcommands, flags and choices (plus one invalid
 # choice each), each value either one a user would type for that flag or an
 # extreme, from the smallest subnormal to the largest float

@@ -20,6 +20,7 @@ from losmimo import (
     rate_report,
 )
 from losmimo.serialize import (
+    _BLOCK,
     channel_csv,
     channel_json_doc,
     json_dumps,
@@ -158,6 +159,53 @@ def test_json_dumps_of_a_validity_map_matches_the_stdlib():
     rows = [{"freq_hz": 1e9 * f, "dist_m": d / 3, "regime": "planar" if d % 2 else "spherical"}
             for f in range(1, 21) for d in range(1, 11)]
     assert json_dumps(rows) == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
+# documents whose lists sit at the block boundaries of the chunked writers
+_LENGTHS = st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+
+
+def _long(items):
+    """Lists of a block-boundary length, cycling through a few drawn items."""
+    return st.tuples(_LENGTHS, st.lists(items, min_size=1, max_size=4)).map(
+        lambda t: [t[1][i % len(t[1])] for i in range(t[0])])
+
+
+_report_rows = st.fixed_dictionaries({  # rate reports: scalars and a number list
+    "snr_db": _floats, "se_bpshz": _floats, "ub_bpshz": _floats,
+    "active_rank": st.integers(0, 64), "allocation": _numbers})
+_blocks = (_long(_floats | st.integers()) | _long(_report_rows)
+           | _long(st.dictionaries(_row_text, _row_value, min_size=1, max_size=3)))
+_block_documents = (_blocks | st.lists(_blocks, min_size=1, max_size=2)
+                    | st.dictionaries(_text, _blocks | _floats | _report_rows, max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_block_documents)
+def test_json_chunks_join_to_the_stdlib_layout_at_block_boundaries(doc):
+    chunks = list(json_dumps.chunks(doc))
+    assert "".join(chunks) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_chunks_hold_at_most_a_block_of_list_items():
+    count = 2 * _BLOCK + 1
+    for doc, lines in (([0.1] * count, 1), ([{"a": 1.5, "b": "x"}] * count, 4),
+                       ([{"a": 1, "b": [0.25, 0.5]}] * count, 7)):
+        chunks = list(json_dumps.chunks(doc))
+        assert "".join(chunks) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert len(chunks) >= 3
+        assert max(c.count("\n") for c in chunks) <= _BLOCK * lines + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(_long(st.tuples(_floats, _floats, st.sampled_from(["planar", "spherical"]))))
+def test_csv_chunks_join_to_the_one_string_table_at_block_boundaries(rows):
+    chunks = list(validity_csv.chunks(rows))
+    want = "freq_hz,dist_m,regime\n" + "".join(f"{_fmt(f)},{_fmt(d)},{r}\n"
+                                                for f, d, r in rows)
+    assert "".join(chunks) == validity_csv(rows) == want
+    assert len(chunks) == max(1, -(-len(rows) // _BLOCK))  # one block: one chunk
+    assert max(c.count("\n") for c in chunks) <= _BLOCK + 1
 
 
 def _fmt(x) -> str:
