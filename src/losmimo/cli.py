@@ -74,8 +74,8 @@ def _write(out_path, chunks):
     if not out_path:
         sys.stdout.writelines(chunks)
         return
-    try:  # a 1 MiB buffer, so a large document still goes out in few writes
-        with open(out_path, "w", encoding="utf-8", buffering=1 << 20) as fh:
+    try:  # a 64 KiB buffer: few writes for a large document, little memory for a small one
+        with open(out_path, "w", encoding="utf-8", buffering=1 << 16) as fh:
             fh.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write output {out_path}: {exc}") from exc

@@ -160,8 +160,14 @@ def _matches(name: str, got: bytes, want: bytes) -> bool:
     return False
 
 
+def _pure_python_encoder(*args, **kwargs):
+    raise AssertionError("the pure-Python indenting JSON encoder ran")
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_output_matches_golden(case, tmp_path):
+def test_cli_output_matches_golden(case, tmp_path, monkeypatch):
+    # every document goes through the C encoder: the stdlib's indenting one must not run
+    monkeypatch.setattr(json.encoder, "_make_iterencode", _pure_python_encoder)
     outputs = _run(case, tmp_path)
     want_names = sorted(p.name for p in GOLDEN.glob(f"{case}.*"))
     assert sorted(outputs) == want_names
