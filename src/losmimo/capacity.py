@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,12 +63,9 @@ class PowerAllocation:
 
     def __post_init__(self):
         p = np.asarray(self.fractions, dtype=float)
-        if p.ndim != 1 or not np.isfinite(p).all():
-            raise InvalidArgumentError("fractions must be a finite 1-D array")
-        if p.size and (p.min() < 0 or p.max() > 1):  # an empty split fails the sum below
-            raise InvalidArgumentError("fractions must lie in [0, 1]")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise InvalidArgumentError("fractions must sum to 1 within 1e-12")
+        if p.ndim != 1:
+            raise InvalidArgumentError(_ROW_CHECKS[0])
+        _check_rows(p[None])
         object.__setattr__(self, "fractions", _frozen_copy(p))
 
 
@@ -84,9 +82,7 @@ class RateReport:
     def __post_init__(self):
         _check_snr(self.snr_linear)
         if self.spectral_efficiency_bpshz > self.upper_bound_bpshz + 1e-9:
-            raise InvalidArgumentError(
-                "spectral efficiency exceeds the capacity upper bound"
-            )
+            raise InvalidArgumentError(_ROW_CHECKS[3])
         active = int(np.count_nonzero(self.allocation.fractions > 0))
         if self.active_rank != active:
             raise InvalidArgumentError(
@@ -96,6 +92,35 @@ class RateReport:
     @property
     def snr_db(self) -> float:
         return 10.0 * math.log10(self.snr_linear)
+
+
+class RateTable(NamedTuple):
+    """Rate reports as columns, row i at the linear SNR snrs[i]: SEs and bounds (S,), power
+    fractions (S, n) and active ranks (S,).  Built and checked by :func:`_rate_table`."""
+
+    snrs: np.ndarray
+    ses: np.ndarray
+    ubs: np.ndarray
+    fractions: np.ndarray
+    ranks: np.ndarray
+
+
+_ROW_CHECKS = ("fractions must be a finite 1-D array", "fractions must lie in [0, 1]",
+               "fractions must sum to 1 within 1e-12",
+               "spectral efficiency exceeds the capacity upper bound")
+
+
+def _check_rows(fractions: np.ndarray, ses=None, ubs=None):
+    """Raise the first failing check of the first failing row, as :class:`PowerAllocation`
+    and then :class:`RateReport` would: fractions[i] (S, n) finite, in [0, 1] and summing to
+    1 within 1e-12, then ses[i] <= ubs[i] + 1e-9 (when SEs are given)."""
+    with np.errstate(all="ignore"):
+        failed = np.array([~np.isfinite(fractions).all(axis=1),
+                           ((fractions < 0) | (fractions > 1)).any(axis=1),
+                           abs(fractions.sum(axis=1) - 1.0) > 1e-12]
+                          + ([] if ses is None else [ses > ubs + 1e-9]))
+    if failed.any():
+        raise InvalidArgumentError(_ROW_CHECKS[failed[:, failed.any(axis=0).argmax()].argmax()])
 
 
 def _check_snr(snr_linear: float, array_gain: int = 1) -> float:
@@ -136,6 +161,36 @@ def waterfilling(spectrum: GainSpectrum, snr_linear: float):
     return PowerAllocation(fractions[0]), float(se[0])
 
 
+def _prefix_table(a: np.ndarray, top: int) -> np.ndarray:
+    """(R, top + 1): column j holds a[:, :j].sum(axis=1) of the non-negative rows a (R, >= top),
+    bit for bit, in a few calls.  numpy sums a run of up to 128 numbers in 8 lanes (blocks of
+    8 added in turn, the lanes then added pairwise), then adds the rest one by one (all of a
+    run under 8), and splits a longer run in two at a multiple of 8 near its middle."""
+    r, g = len(a), min(top, 128) // 8 + 1  # runs of 0, 8, 16, ... numbers and the 7 that follow
+    if g == 1:  # under 8 numbers: one by one
+        table = np.zeros((r, top + 1))
+        np.cumsum(a[:, :top], axis=1, out=table[:, 1:])
+        return table
+    pad = np.zeros((r, 8 * g))
+    pad[:, :min(a.shape[1], 8 * g)] = a[:, :8 * g]
+    lanes = np.cumsum(pad[:, :-8].reshape(r, g - 1, 8), axis=1)
+    runs = np.zeros((r, g, 8))
+    runs[:, 1:, 0] = ((lanes[..., 0] + lanes[..., 1]) + (lanes[..., 2] + lanes[..., 3])) + (
+        (lanes[..., 4] + lanes[..., 5]) + (lanes[..., 6] + lanes[..., 7]))
+    runs[:, :, 1:] = pad.reshape(r, g, 8)[:, :, :7]
+    table = np.cumsum(runs, axis=2).reshape(r, -1)[:, :min(top, 128) + 1]
+    if top <= 128:
+        return table
+    out = np.empty((r, top + 1))
+    out[:, :129] = table
+    j = np.arange(129, top + 1)
+    half = j // 2 - j // 2 % 8
+    for h in np.unique(half).tolist():  # ascending: column h is filled before it is read
+        k = j[half == h]
+        out[:, k] = out[:, h, None] + _prefix_table(a[:, h:], k[-1] - h)[:, k - h]
+    return out
+
+
 def _prefix_sums(a: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """a[i, :lengths[i]].sum() per row i: rows of one length share a sum call."""
     sums = np.empty(len(a))
@@ -161,7 +216,7 @@ def _waterfill(g: np.ndarray, snr_linear: np.ndarray):
     low = np.flatnonzero(k == 0)
     if low.size and (m := n_active[low].max() - 1):
         sub, ks = inv[low], np.arange(1, m + 1)
-        level = (1.0 + np.column_stack([sub[:, :j].sum(axis=1) for j in ks])) / ks
+        level = (1.0 + _prefix_table(sub, m)[:, 1:]) / ks
         fits = (level - sub[:, :m] > 0) & (ks < n_active[low, None])
         k[low] = np.where(fits.any(axis=1), m - fits[:, ::-1].argmax(axis=1), 0)
         mu[low] = level[np.arange(low.size), np.maximum(k[low], 1) - 1]
@@ -237,13 +292,21 @@ def capacity_upper_bound_integer(n_t: int, n_r: int, snr_linear: float):
 def rate_report(h: ChannelMatrix, snr_linear: float) -> RateReport:
     """Waterfilling result plus the matching upper bound for one channel/SNR."""
     snrs = np.array([_check_snr(snr_linear, h.n_t * h.n_r)], dtype=float)
-    return _rate_reports(_squared_singular_values(h.entries), h.n_t, h.n_r, snrs)[0]
+    return _report(_rate_table(_squared_singular_values(h.entries), h.n_t, h.n_r, snrs), 0)
 
 
-def _rate_reports(gains: np.ndarray, n_t: int, n_r: int, snrs: np.ndarray) -> list[RateReport]:
-    """Reports of gains[i] (or of one (n,) row) at the checked linear SNRs snrs[i] (an
-    array), in one waterfill and one bound expression."""
+def _rate_table(gains: np.ndarray, n_t: int, n_r: int, snrs: np.ndarray) -> RateTable:
+    """The checked table of gains[i] (or of one (n,) row) at the checked linear SNRs snrs[i]
+    (an array): one waterfill, one bound expression and one check of every row."""
     fractions, ses = _waterfill(np.broadcast_to(gains, (snrs.size, gains.shape[-1])), snrs)
-    return [RateReport(snr, se, PowerAllocation(f), int(np.count_nonzero(f > 0)), ub)
-            for f, se, snr, ub in zip(fractions, ses.tolist(), snrs.tolist(),
-                                      _bound(n_t, n_r, snrs).tolist())]
+    table = RateTable(snrs, ses, _bound(n_t, n_r, snrs), fractions,
+                      np.count_nonzero(fractions > 0, axis=1))
+    _check_rows(fractions, ses, table.ubs)
+    return table
+
+
+def _report(table: RateTable, i: int) -> RateReport:
+    """Row i of the table as a :class:`RateReport`."""
+    return RateReport(float(table.snrs[i]), float(table.ses[i]),
+                      PowerAllocation(table.fractions[i]), int(table.ranks[i]),
+                      float(table.ubs[i]))

@@ -19,15 +19,15 @@ from .config import load_scene_config
 from .errors import ConfigError, IncompatibleModeError, LosMimoError
 from .geometry import Archetype, _check_positive
 from .optimize import (
-    SweepPoint,
     SweepSpec,
+    SweepTable,
     SweepVariable,
+    _aosa_plan,
+    _optimize_rotation,
     _scene_reports,
     _select_fixed_angles,
-    aosa_schedule,
-    optimize_rotation,
+    _sweep_table,
     snr_db_to_linear,
-    sweep,
 )
 from . import serialize as ser
 
@@ -81,12 +81,12 @@ def _write(out_path, chunks):
         raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
 
 
-def _emit(args, result, to_csv, to_doc, sidecar=None) -> int:
-    """Write ``result`` to --out (stdout when omitted) as ``to_csv(result)``, or
-    with --format json as the JSON of ``to_doc(result)``.  A CSV written to
-    --out also gets ``<out>.json`` holding the JSON of ``sidecar(result)``."""
+def _emit(args, result, to_csv, to_json, sidecar=None) -> int:
+    """Write ``result`` to --out (stdout when omitted) as the chunks of ``to_csv(result)``,
+    or with --format json of ``to_json(result)``.  A CSV written to --out also gets
+    ``<out>.json`` holding the JSON of the document ``sidecar(result)``."""
     as_csv = args.format == "csv"
-    _write(args.out, to_csv.chunks(result) if as_csv else ser.json_dumps.chunks(to_doc(result)))
+    _write(args.out, (to_csv if as_csv else to_json)(result))
     if as_csv and args.out and sidecar is not None:
         _write(args.out + ".json", ser.json_dumps.chunks(sidecar(result)))
     return 0
@@ -106,7 +106,8 @@ def _fixed_snr_db(args, cfg) -> float:
 def cmd_channel(args) -> int:
     cfg = load_scene_config(args.config)
     h = channel_matrix(cfg.scene, cfg.model)
-    return _emit(args, h, ser.channel_csv, ser.channel_json_doc, ser.channel_meta)
+    return _emit(args, h, ser.channel_csv.chunks,
+                 lambda h: ser.json_dumps.chunks(ser.channel_json_doc(h)), ser.channel_meta)
 
 
 def cmd_capacity(args) -> int:
@@ -117,8 +118,8 @@ def cmd_capacity(args) -> int:
         snrs = list(cfg.snr_db)
     else:
         raise ConfigError("no SNR given: pass --snr-db or set snr_db in the config")
-    return _emit(args, _scene_reports(cfg.scene, cfg.model, snrs), ser.rate_reports_csv,
-                 ser.rate_reports_json)
+    return _emit(args, _scene_reports(cfg.scene, cfg.model, snrs), ser.rate_table_csv.chunks,
+                 ser.rate_table_json.chunks)
 
 
 def cmd_sweep(args) -> int:
@@ -128,7 +129,8 @@ def cmd_sweep(args) -> int:
     snr_db = 0.0 if variable is SweepVariable.SNR_DB else _fixed_snr_db(args, cfg)
     spec = SweepSpec(variable=variable, grid=np.asarray(grid), base_scene=cfg.scene,
                      model=cfg.model, snr_db=snr_db)
-    return _emit(args, sweep(spec), ser.sweep_points_csv, ser.sweep_points_json)
+    return _emit(args, _sweep_table(spec), ser.sweep_table_csv.chunks,
+                 ser.sweep_table_json.chunks)
 
 
 def cmd_optimize(args) -> int:
@@ -137,9 +139,11 @@ def cmd_optimize(args) -> int:
 
     if args.mode == "rotation":
         snr_db = _fixed_snr_db(args, cfg)
-        angle, report = optimize_rotation(scene, snr_db_to_linear(snr_db), model)
-        plan = [SweepPoint(angle, snr_db, report, f"rotation_rad={angle:.12g}")]
-        return _emit(args, plan, ser.sweep_points_csv, ser.rotation_json_doc)
+        angle, rates = _optimize_rotation(scene, snr_db_to_linear(snr_db), model)
+        plan = SweepTable(np.array([angle]), np.array([snr_db], dtype=float),
+                          [f"rotation_rad={angle:.12g}"], rates, {})
+        return _emit(args, plan, ser.sweep_table_csv.chunks,
+                     lambda p: ser.rotation_json.chunks(angle, p.rates))
 
     if args.snr_grid is None:
         raise ConfigError(f"--snr-grid is required for mode '{args.mode}'")
@@ -154,12 +158,12 @@ def cmd_optimize(args) -> int:
                 and tx.element_count == rx.element_count and elem_t == elem_r):
             raise IncompatibleModeError("optimize --mode aosa needs 'aosa' tx and rx blocks "
                                         "with the same 'n' and element spacing")
-        plan = aosa_schedule(tx.element_count, scene, snr_grid, model, element_spacing_m=elem_t)
-        return _emit(args, plan, ser.sweep_points_csv, ser.sweep_points_json)
+        plan = _aosa_plan(tx.element_count, scene, snr_grid, model, element_spacing_m=elem_t)
+        return _emit(args, plan, ser.sweep_table_csv.chunks, ser.sweep_table_json.chunks)
 
     angles, plan, worst_gap = _select_fixed_angles(scene, args.k, snr_grid, model)
-    return _emit(args, plan, ser.sweep_points_csv,
-                 lambda p: ser.angles_json_doc(angles, worst_gap, p))
+    return _emit(args, plan, ser.sweep_table_csv.chunks,
+                 lambda p: ser.angles_json.chunks(angles, worst_gap, p))
 
 
 def cmd_validity(args) -> int:
@@ -180,7 +184,7 @@ def cmd_validity(args) -> int:
         _check_positive(lam, "wavelength_m")
         planar = _planar_ok(a_t, a_r, lam, dist_array)
         rows += zip([f] * len(dists), dists, np.where(planar, *regimes).tolist())
-    return _emit(args, rows, ser.validity_csv, ser.validity_json)
+    return _emit(args, rows, ser.validity_csv.chunks, ser.validity_json.chunks)
 
 
 def cmd_phase_profile(args) -> int:
@@ -202,8 +206,8 @@ def cmd_phase_profile(args) -> int:
     profile = phase_profile(
         (0.0, 0.0, 0.0), start, args.step_size, args.steps, direction, lam
     )
-    return _emit(args, profile, ser.phase_profile_csv,
-                 lambda p: ser.phase_profile_json_doc(p, c2_predicted),
+    return _emit(args, profile, ser.phase_profile_csv.chunks,
+                 lambda p: ser.json_dumps.chunks(ser.phase_profile_json_doc(p, c2_predicted)),
                  lambda p: ser.phase_summary_dict(p, c2_predicted))
 
 

@@ -11,15 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from ._search import golden_max
 from .capacity import (
-    PowerAllocation,
     RateReport,
+    RateTable,
+    _check_rows,
     _check_snr,
-    _rate_reports,
+    _rate_table,
+    _report,
     _squared_singular_values,
     _waterfill,
     capacity_upper_bound,
@@ -95,6 +98,26 @@ class SweepPoint:
     report: RateReport | None
     config_descriptor: str
     error: str | None = None
+
+
+class SweepTable(NamedTuple):
+    """Sweep or plan rows as columns: the grid values and SNRs in dB (S,), the config
+    descriptors, the rates of every row (an error row's SE and bound are NaN, its rank 0) and
+    the error text of each error row by row index."""
+
+    x: np.ndarray
+    snr_db: np.ndarray
+    descriptors: list
+    rates: RateTable
+    errors: dict
+
+
+def _sweep_points(t: SweepTable) -> list[SweepPoint]:
+    """The rows of ``t`` as :class:`SweepPoint` objects."""
+    return [SweepPoint(x, snr_db, None, d, t.errors[i]) if i in t.errors
+            else SweepPoint(x, snr_db, _report(t.rates, i), d)
+            for i, (x, snr_db, d) in enumerate(zip(t.x.tolist(), t.snr_db.tolist(),
+                                                   t.descriptors))]
 
 
 def snr_db_to_linear(snr_db: float) -> float:
@@ -272,6 +295,12 @@ def optimize_rotation(
     (so a flat landscape reports broadside).  The report comes from the gains
     the search evaluated at the winning angles.
     """
+    angle, rates = _optimize_rotation(scene, snr_linear, model, independent)
+    return angle, _report(rates, 0)
+
+
+def _optimize_rotation(scene: LinkScene, snr_linear: float, model, independent: bool = False):
+    """:func:`optimize_rotation` with its report as a one-row table."""
     _require_ula_pair(scene, "optimize_rotation")
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
     snrs = np.array([_check_snr(snr_linear, n_t * n_r)], dtype=float)
@@ -279,18 +308,17 @@ def optimize_rotation(
     won = _best_rotation(scene, snrs, model, independent, seen)[0]
     pairs, gains = (np.concatenate(v) for v in zip(*seen))
     at = (pairs.view(np.int64) == won.view(np.int64)).all(axis=1).argmax()  # first evaluation
-    report = _rate_reports(gains[at, None], n_t, n_r, snrs)[0]
     pair = won[0].tolist()
-    return (tuple(pair) if independent else pair[0]), report
+    return (tuple(pair) if independent else pair[0]), _rate_table(gains[at, None], n_t, n_r, snrs)
 
 
-def _best_per_snr(descriptors, gains, snr_grid_db, snrs, n_t: int, n_r: int) -> list[SweepPoint]:
-    """Row of the candidate (descriptors[i], gains[i]) with the highest SE at each SNR of
+def _best_per_snr(descriptors, gains, snr_grid_db, snrs, n_t: int, n_r: int) -> SweepTable:
+    """Rows of the candidate (descriptors[i], gains[i]) with the highest SE at each SNR of
     the grid, given in dB and as the checked linear ``snrs``; the earlier candidate wins ties."""
     best = _se_table(gains, snrs).argmax(axis=1)  # first of equal SEs
-    reports = _rate_reports(gains[best], n_t, n_r, snrs)
-    return [SweepPoint(snr_db, snr_db, report, descriptors[i])
-            for snr_db, report, i in zip(snr_grid_db, reports, best.tolist())]
+    grid = np.array(snr_grid_db, dtype=float)
+    return SweepTable(grid, grid, [descriptors[i] for i in best.tolist()],
+                      _rate_table(gains[best], n_t, n_r, snrs), {})
 
 
 def fixed_angle_plan(
@@ -308,8 +336,8 @@ def fixed_angle_plan(
     if not all(math.isfinite(a) for a in angles):
         raise InvalidArgumentError("angle_rad must be finite")
     gains = _rotated(scene, model, np.array(angles), np.array(angles))
-    return _best_per_snr([f"rotation_rad={a:.12g}" for a in angles], gains, snr_grid_db, snrs,
-                         n_t, n_r)
+    return _sweep_points(_best_per_snr([f"rotation_rad={a:.12g}" for a in angles], gains,
+                                       snr_grid_db, snrs, n_t, n_r))
 
 
 def select_fixed_angles(
@@ -397,8 +425,7 @@ def _select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model):
     angles = [float(candidates[c]) for c in chosen]
     plan = _best_per_snr([f"rotation_rad={a:.12g}" for a in angles], gains[chosen], snr_grid_db,
                          snrs, n_t, n_r)
-    gaps = [1.0 - row.report.spectral_efficiency_bpshz / r
-            for row, r in zip(plan, ref.tolist()) if r > 0]
+    gaps = [1.0 - se / r for se, r in zip(plan.rates.ses.tolist(), ref.tolist()) if r > 0]
     return angles, plan, max([0.0] + gaps)
 
 
@@ -420,6 +447,13 @@ def aosa_schedule(
     the first failing divisor, in increasing r, raises, whether its layout or
     its geometry failed.  Ties go to the smaller r (fewer, larger subarrays).
     """
+    return _sweep_points(_aosa_plan(n_total, scene_template, snr_grid_db, model,
+                                    element_spacing_m))
+
+
+def _aosa_plan(n_total: int, scene_template: LinkScene, snr_grid_db, model,
+               element_spacing_m=None) -> SweepTable:
+    """:func:`aosa_schedule` as a table."""
     _check_count(n_total, "n_total")
     n = int(n_total)
     snr_grid_db, snrs = _snr_grid(snr_grid_db, n * n)
@@ -446,15 +480,18 @@ def _eta_factors(scene: LinkScene, eta):
 
 def _point_outcome(scene: LinkScene, variable: SweepVariable, x: float, snr_linear: float):
     """Raise grid point x's own errors, found before any geometry is built; else None, or at
-    eta 0 (the aperture -> 0 limit) the report of a single beam with full array gain."""
+    eta 0 (the aperture -> 0 limit) the one-row table of a single beam with full array gain."""
     if variable is SweepVariable.FREQUENCY_HZ:
         _check_positive(x, "freq_hz")
         _check_positive(SPEED_OF_LIGHT_M_S / x, "wavelength_m")
     elif variable is SweepVariable.ETA and x == 0.0:
         n_t, n_r = scene.tx.element_count, scene.rx.element_count
-        se = float(np.log1p(snr_linear * n_t * n_r) / math.log(2.0))
-        return RateReport(snr_linear, se, PowerAllocation(np.eye(1, min(n_t, n_r))[0]), 1,
-                          capacity_upper_bound(n_t, n_r, snr_linear))
+        se = np.log1p(snr_linear * n_t * n_r) / math.log(2.0)
+        beam = RateTable(np.array([snr_linear]), np.array([se]),
+                         np.array([capacity_upper_bound(n_t, n_r, snr_linear)]),
+                         np.eye(1, min(n_t, n_r)), np.ones(1, dtype=int))
+        _check_rows(beam.fractions, beam.ses, beam.ubs)
+        return beam
     elif variable is SweepVariable.ETA:
         if x < 0:
             raise InvalidArgumentError("eta must be non-negative")
@@ -484,13 +521,13 @@ def _sweep_variants(scene: LinkScene, variable: SweepVariable, v: np.ndarray):
     return lambda s: _posed(scene, (base[0] if tilt else turned[s], turned[s]))
 
 
-def _scene_reports(scene: LinkScene, model: WavefrontModel, snr_db) -> list[RateReport]:
-    """Reports of the posed scene at each SNR (dB): SNRs checked first, then one spectrum."""
+def _scene_reports(scene: LinkScene, model: WavefrontModel, snr_db) -> RateTable:
+    """Rates of the posed scene at each SNR (dB): SNRs checked first, then one spectrum."""
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
     snrs = _linear_snrs(snr_db, n_t * n_r)
     gains = _gains(scene, model, 1, lambda s: (
         scene.tx_positions(), scene.rx_positions(), scene.wavelength_m))
-    return _rate_reports(gains, n_t, n_r, snrs)
+    return _rate_table(gains, n_t, n_r, snrs)
 
 
 def sweep(spec: SweepSpec):
@@ -500,42 +537,54 @@ def sweep(spec: SweepSpec):
     scene (see :func:`_gains`).  Grid points whose geometry is degenerate come back as error
     entries, with the error of the point alone, rather than failing the whole sweep.
     """
-    scene = spec.base_scene
-    model = spec.model
-    var = spec.variable
+    return _sweep_points(_sweep_table(spec))
+
+
+def _sweep_table(spec: SweepSpec) -> SweepTable:
+    """:func:`sweep` as a table."""
+    scene, model, var = spec.base_scene, spec.model, spec.variable
     if var is SweepVariable.ROTATION_RAD:
         _require_ula_pair(scene, "rotation sweep")
     label = _LABELS[var.value]
     grid = spec.grid.tolist()
+    descriptors = [f"{label}={x:.12g}" for x in grid]
+    if var is SweepVariable.SNR_DB:
+        return SweepTable(spec.grid, spec.grid, descriptors, _scene_reports(scene, model, grid),
+                          {})
 
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
-    if var is SweepVariable.SNR_DB:
-        return [SweepPoint(x, x, report, f"{label}={x:.12g}")
-                for x, report in zip(grid, _scene_reports(scene, model, grid))]
-
     snr_fixed = snr_db_to_linear(spec.snr_db)
-    rows = []  # per grid point: its report or error, None while its variant is pending
+    size = len(grid)
+    rates = RateTable(np.full(size, snr_fixed), np.full(size, np.nan), np.full(size, np.nan),
+                      np.full((size, min(n_t, n_r)), np.nan), np.zeros(size, dtype=int))
+    errors, kept = {}, []  # per error row its exception; the rows whose variants are pending
+
+    def fill(rows, table):
+        for column, values in zip(rates, table):
+            column[rows] = values
+
     # an overflowing geometry (say an offset of 1e300) ends in a typed error row
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in grid:
+        for i, x in enumerate(grid):
             try:
-                rows.append(_point_outcome(scene, var, x, snr_fixed))
+                beam = _point_outcome(scene, var, x, snr_fixed)
             except LosMimoError as exc:
-                rows.append(exc)
-        kept = [i for i, o in enumerate(rows) if o is None]
+                errors[i] = exc
+                continue
+            if beam is None:
+                kept.append(i)
+            else:
+                fill([i], beam)
         if kept:
-            outcomes = {}  # per variant: its error, then its report
+            failed = {}  # per variant: its error
             variants = _sweep_variants(scene, var, spec.grid[kept])
-            gains = _gains(scene, model, len(kept), variants, outcomes)
-            ok = [j for j in range(len(kept)) if j not in outcomes]
-            try:  # as the report of these gains would
+            gains = _gains(scene, model, len(kept), variants, failed)
+            ok = [j for j in range(len(kept)) if j not in failed]
+            try:  # as the report of these gains would; if it fails, each of them fails
                 snrs = np.full(len(ok), _check_snr(snr_fixed, n_t * n_r))
-                outcomes.update(zip(ok, _rate_reports(gains[ok], n_t, n_r, snrs)))
+                fill([kept[j] for j in ok], _rate_table(gains[ok], n_t, n_r, snrs))
             except LosMimoError as exc:
-                outcomes.update(dict.fromkeys(ok, exc))
-            for j, o in outcomes.items():
-                rows[kept[j]] = o
-    return [SweepPoint(x, spec.snr_db, o, f"{label}={x:.12g}") if isinstance(o, RateReport)
-            else SweepPoint(x, spec.snr_db, None, f"{label}={x:.12g}",
-                            error=f"{type(o).__name__}: {o}")
-            for x, o in zip(grid, rows)]
+                failed.update(dict.fromkeys(ok, exc))
+            errors.update((kept[j], exc) for j, exc in failed.items())
+    return SweepTable(spec.grid, np.full(size, float(spec.snr_db)), descriptors, rates,
+                      {i: f"{type(e).__name__}: {e}" for i, e in errors.items()})

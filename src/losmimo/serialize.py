@@ -3,26 +3,27 @@
 Every float prints with 17 significant digits so written values survive a
 round trip through text exactly; identical inputs always produce byte
 identical output.  JSON text is that of ``json.dumps(obj, indent=2, sort_keys=True)``.
+Rate reports and sweep rows are written from the columns of a table, a block
+of rows at a time; the object-taking writers turn their objects into one.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from itertools import chain, islice
+import math
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
 from .channel import ChannelMatrix, PhaseProfile, WavefrontModel
-from .capacity import RateReport
+from .capacity import RateTable
 from .errors import InvalidArgumentError
-from .optimize import SweepPoint
+from .optimize import SweepTable
 
 
-_BLOCK = 4096  # list items per C-encoder call, and CSV rows per chunk
+_BLOCK = 4096  # list items or rows per chunk, and per C-encoder call
 _NUMBERS = {float, int}
-_SCALARS = _NUMBERS | {str, bool, type(None)}  # values the C encoder writes as the stdlib does
 
 
 def _joined(chunks):
@@ -43,25 +44,47 @@ def _encoder(item_separator: str):
     return lambda obj: "".join(encode(obj, 0))
 
 
+def _list(values) -> list:
+    """``values``, an array or a list, as a list."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def _numbers(values) -> list[str]:
+    """The JSON text of each number of ``values`` (an array or a list), in one C-encoder call."""
+    values = _list(values)
+    return _encoder(",")(values)[1:-1].split(",") if values else []
+
+
+def _items(count: int, block_text, depth: int, step: int = _BLOCK):
+    """A JSON list of ``count`` items ``depth`` levels deep, a chunk a block of ``step`` items:
+    ``block_text(s, pad)`` is the text of the items in slice ``s``, laid out at ``pad``."""
+    if not count:
+        yield "[]"
+        return
+    close = "\n" + "  " * depth
+    pad = close + "  "
+    for i in range(0, count, step):
+        yield ("," if i else "[") + pad + block_text(slice(i, i + step), pad)
+    yield close + "]"
+
+
 def _chunks(obj, depth: int):
     """``json.dumps(obj, indent=2, sort_keys=True)`` as written ``depth`` levels deep, in chunks.
 
     The stdlib indents in pure Python, so dicts and lists are laid out here, with blocks of
-    numbers and rows going to the C encoder (no encoded string holds a newline).
+    numbers going to the C encoder (no encoded string holds a newline).  A 1-D float array is
+    written as the list of its numbers.
     """
     close = "\n" + "  " * depth
     pad = close + "  "
+    if type(obj) is np.ndarray or type(obj) is list and obj and set(map(type, obj)) <= _NUMBERS:
+        yield from _items(len(obj), lambda s, pad: _encoder("," + pad)(_list(obj[s]))[1:-1], depth)
+        return
     if type(obj) is dict and obj and all(type(k) is str for k in obj):
         opening, ending = "{", "}"
         items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
     elif type(obj) is list and obj:
         opening, ending = "[", "]"
-        block = _block_text(obj, pad)
-        if block:
-            for i in range(0, len(obj), _BLOCK):
-                yield ("," if i else "[") + pad + block(obj[i:i + _BLOCK])
-            yield close + "]"
-            return
         items = [("", x) for x in obj]
     elif type(obj) in (dict, tuple) and obj:  # other keys, or a tuple: the stdlib's text
         yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", close)
@@ -75,51 +98,33 @@ def _chunks(obj, depth: int):
     yield close + ending
 
 
-def _block_text(items: list, pad: str):
-    """The text of a block of ``items`` laid out as list items at ``pad``, for numbers and
-    for rows of scalars and number lists; None for other items."""
-    kinds, inner = set(map(type, items)), pad + "  "
-    if kinds <= _NUMBERS:
-        encode = _encoder("," + pad)
-        return lambda block: encode(block)[1:-1]
-    if kinds != {dict} or not all(items) or set(map(type, chain.from_iterable(items))) != {str}:
-        return None
-    values = set(map(type, chain.from_iterable(map(dict.values, items))))
-    if values <= _SCALARS:  # one call a block; "}," + inner + "{" only sits between rows
-        encode = _encoder("," + inner)
-        return lambda block: "{" + inner + encode(block)[2:-2].replace(
-            "}," + inner + "{", pad + "}," + pad + "{" + inner) + pad + "}"
-    lists = chain.from_iterable(v for row in items for v in row.values() if type(v) is list)
-    if not (values <= _SCALARS | {list} and set(map(type, lists)) <= _NUMBERS):
-        return None
-    deeper = inner + "  "  # one row at a time, one call a value
-    encode = _encoder("," + deeper)
-    return lambda block: ("," + pad).join(["{" + inner + ("," + inner).join([
-        encode_basestring_ascii(k) + ": " + ("[" + deeper + encode(v)[1:-1] + inner + "]"
-                                             if type(v) is list and v else encode(v))
-        for k, v in sorted(row.items())]) + pad + "}" for row in block])
-
-
 @_joined
 def json_dumps(obj):
     yield from _chunks(obj, 0)
     yield "\n"
 
 
-def _table(header: str, row_template: str, rows):
-    """CSV text, ``_BLOCK`` lines a chunk: the header, then ``row_template % row`` per row tuple."""
-    lines = map(row_template.__mod__, rows)
-    block = header + "\n" + "".join(islice(lines, _BLOCK))
-    while block:
-        yield block
-        block = "".join(islice(lines, _BLOCK))
+def _table(header: str, row_template: str, count: int, rows):
+    """CSV text, a chunk a block of ``_BLOCK`` rows: the header, then ``row_template % row``
+    for each of the ``count`` row tuples, ``rows(s)`` giving those in slice ``s``."""
+    text = header + "\n"
+    for i in range(0, count, _BLOCK):
+        yield text + "".join(map(row_template.__mod__, rows(slice(i, i + _BLOCK))))
+        text = ""
+    if text:
+        yield text
+
+
+def _columns(*columns):
+    """``rows`` for :func:`_table`: the row tuples of the columns (arrays or lists) in a slice."""
+    return lambda s: zip(*(_list(c[s]) for c in columns))
 
 
 @_joined
 def channel_csv(h: ChannelMatrix):
-    n, m = (np.indices(h.entries.shape).reshape(2, -1) + 1).tolist()  # 1-based, row-major
-    rows = zip(n, m, h.entries.real.ravel().tolist(), h.entries.imag.ravel().tolist())
-    return _table("n,m,re,im", "%d,%d,%.17g,%.17g\n", rows)
+    n, m = np.indices(h.entries.shape).reshape(2, -1) + 1  # 1-based, row-major
+    return _table("n,m,re,im", "%d,%d,%.17g,%.17g\n", n.size,
+                  _columns(n, m, h.entries.real.ravel(), h.entries.imag.ravel()))
 
 
 def channel_meta(h: ChannelMatrix) -> dict:
@@ -151,22 +156,23 @@ def parse_channel_json(doc: dict) -> ChannelMatrix:
 
 
 def _phase_columns(profile: PhaseProfile) -> dict:
-    """Scan samples with both fits evaluated at each displacement, as lists by column name."""
+    """Scan samples with both fits evaluated at each displacement, as arrays by column name."""
     x = profile.displacements_m
     c0, c1, c2 = profile.quadratic_fit
     b0, b1 = profile.linear_fit
     return {
-        "displacement_m": x.tolist(),
-        "phase_rad": profile.phase_rad.tolist(),
-        "quadratic_fit_rad": (c0 + c1 * x + c2 * x * x).tolist(),
-        "linear_fit_rad": (b0 + b1 * x).tolist(),
+        "displacement_m": x,
+        "phase_rad": profile.phase_rad,
+        "quadratic_fit_rad": c0 + c1 * x + c2 * x * x,
+        "linear_fit_rad": b0 + b1 * x,
     }
 
 
 @_joined
 def phase_profile_csv(profile: PhaseProfile):
     cols = _phase_columns(profile)
-    return _table(",".join(cols), "%.17g,%.17g,%.17g,%.17g\n", zip(*cols.values()))
+    return _table(",".join(cols), "%.17g,%.17g,%.17g,%.17g\n", len(profile.displacements_m),
+                  _columns(*cols.values()))
 
 
 def phase_profile_json_doc(profile: PhaseProfile, c2_predicted: float) -> dict:
@@ -182,85 +188,152 @@ def phase_summary_dict(profile: PhaseProfile, c2_predicted: float) -> dict:
     }
 
 
-def rate_report_dict(report: RateReport) -> dict:
-    return {
-        "snr_db": report.snr_db,
-        "se_bpshz": report.spectral_efficiency_bpshz,
-        "ub_bpshz": report.upper_bound_bpshz,
-        "active_rank": report.active_rank,
-        "allocation": report.allocation.fractions.tolist(),
-    }
+_RATE_KEYS = ("active_rank", "allocation", "se_bpshz", "snr_db", "ub_bpshz")
+_SWEEP_KEYS = ("active_rank", "config_descriptor", "se_bpshz", "snr_db", "ub_bpshz", "x_value")
 
 
-def rate_reports_json(reports) -> list:
-    return [rate_report_dict(r) for r in reports]
+def _rows_text(pad: str, keys, *columns) -> str:
+    """Flat JSON rows as list items at ``pad``, row i holding "keys[k]": columns[k][i] (text)."""
+    inner = pad + "  "
+    row = "{" + inner + ("," + inner).join(f'"{k}": %s' for k in keys) + pad + "}"
+    return ("," + pad).join(map(row.__mod__, zip(*columns)))
+
+
+def _snr_db(snrs: np.ndarray) -> np.ndarray:
+    """The linear SNRs in dB, each as :attr:`RateReport.snr_db` computes it."""
+    return 10.0 * np.fromiter(map(math.log10, snrs), float, snrs.size)
+
+
+def _report_table(reports):
+    """Report objects as their SNRs in dB and a table of lists (allocations of any length)."""
+    r = list(reports)
+    return [x.snr_db for x in r], RateTable(
+        None, [x.spectral_efficiency_bpshz for x in r], [x.upper_bound_bpshz for x in r],
+        [x.allocation.fractions.tolist() for x in r], [x.active_rank for x in r])
+
+
+def _rates_csv(snr_db, t: RateTable):
+    def rows(s):
+        allocation = (";".join(map("%.17g".__mod__, f)) for f in _list(t.fractions[s]))
+        return zip(_list(snr_db[s]), _list(t.ses[s]), _list(t.ubs[s]), _list(t.ranks[s]),
+                   allocation)
+    return _table("snr_db,se_bpshz,ub_bpshz,active_rank,allocation",
+                  "%.17g,%.17g,%.17g,%s,%s\n", len(t.ses), rows)
+
+
+def _rate_rows(snr_db, t: RateTable):
+    """The ``block_text`` (see :func:`_items`) of the rows of ``t`` as report objects."""
+    n = t.fractions.shape[1]
+
+    def block_text(s, pad):
+        inner, deeper = pad + "  ", pad + "    "
+        f = _numbers(t.fractions[s].ravel())  # one call a block
+        allocation = ["[" + deeper + ("," + deeper).join(f[i:i + n]) + inner + "]"
+                      for i in range(0, len(f), n)]
+        return _rows_text(pad, _RATE_KEYS, _numbers(t.ranks[s]), allocation,
+                          _numbers(t.ses[s]), _numbers(snr_db[s]), _numbers(t.ubs[s]))
+    return block_text
+
+
+@_joined
+def rate_table_csv(t: RateTable):
+    return _rates_csv(_snr_db(t.snrs), t)
+
+
+@_joined
+def rate_table_json(t: RateTable):  # a block holds about _BLOCK allocation numbers
+    step = max(1, _BLOCK // t.fractions.shape[1])
+    yield from _items(len(t.ses), _rate_rows(_snr_db(t.snrs), t), 0, step)
+    yield "\n"
 
 
 @_joined
 def rate_reports_csv(reports):
-    rows = ((r.snr_db, r.spectral_efficiency_bpshz, r.upper_bound_bpshz, r.active_rank,
-             ";".join(map("%.17g".__mod__, r.allocation.fractions.tolist()))) for r in reports)
-    header = "snr_db,se_bpshz,ub_bpshz,active_rank,allocation"
-    return _table(header, "%.17g,%.17g,%.17g,%s,%s\n", rows)
+    return _rates_csv(*_report_table(reports))
 
 
-_SWEEP_HEADER = "x_value,snr_db,se_bpshz,ub_bpshz,active_rank,config_descriptor"
+def _point_table(points) -> SweepTable:
+    """Sweep points as a table of lists: a point without a report is an error row."""
+    p = list(points)
+    r = [x.report for x in p]
+    return SweepTable([float(x.x_value) for x in p], [float(x.snr_db) for x in p],
+                      [x.config_descriptor for x in p], RateTable(
+                          None, [np.nan if x is None else x.spectral_efficiency_bpshz for x in r],
+                          [np.nan if x is None else x.upper_bound_bpshz for x in r], None,
+                          [0 if x is None else x.active_rank for x in r]),
+                      {i: x.error for i, x in enumerate(p) if x.report is None})
 
 
-def _sanitize(descriptor: str) -> str:
-    return descriptor.replace(",", ";").replace("\n", " ")
+@_joined
+def sweep_table_csv(t: SweepTable):
+    def rows(s):  # an error row: NaN SE and bound, rank 0, its text after the descriptor
+        text = (d if i not in t.errors else d + " " + (t.errors[i] or "error")
+                for i, d in enumerate(t.descriptors[s], s.start))
+        return zip(_list(t.x[s]), _list(t.snr_db[s]), _list(t.rates.ses[s]),
+                   _list(t.rates.ubs[s]), _list(t.rates.ranks[s]),
+                   (d.replace(",", ";").replace("\n", " ") for d in text))
+    return _table("x_value,snr_db,se_bpshz,ub_bpshz,active_rank,config_descriptor",
+                  "%.17g,%.17g,%.17g,%.17g,%s,%s\n", len(t.descriptors), rows)
 
 
-def _sweep_row(p: SweepPoint) -> tuple:
-    r = p.report
-    if r is None:  # nan bounds, rank 0, and the error text after the descriptor
-        return (p.x_value, p.snr_db, np.nan, np.nan, 0,
-                _sanitize(p.config_descriptor + " " + (p.error or "error")))
-    return (p.x_value, p.snr_db, r.spectral_efficiency_bpshz, r.upper_bound_bpshz,
-            r.active_rank, _sanitize(p.config_descriptor))
+def _sweep_rows(t: SweepTable):
+    """The ``block_text`` (see :func:`_items`) of the rows of ``t`` as sweep-point objects."""
+    def block_text(s, pad):
+        rank, ses, ubs = (_numbers(c[s]) for c in (t.rates.ranks, t.rates.ses, t.rates.ubs))
+        desc = list(map(encode_basestring_ascii, t.descriptors[s]))
+        for j, i in enumerate(range(s.start, s.start + len(desc)) if t.errors else ()):
+            if i in t.errors:  # null SE, bound and rank, and the text, if any, under "error"
+                rank[j] = ses[j] = ubs[j] = "null"
+                if t.errors[i] is not None:
+                    desc[j] += "," + pad + '  "error": ' + encode_basestring_ascii(t.errors[i])
+        return _rows_text(pad, _SWEEP_KEYS, rank, desc, ses, _numbers(t.snr_db[s]), ubs,
+                          _numbers(t.x[s]))
+    return block_text
+
+
+@_joined
+def sweep_table_json(t: SweepTable):
+    yield from _items(len(t.descriptors), _sweep_rows(t), 0)
+    yield "\n"
 
 
 @_joined
 def sweep_points_csv(points):
-    return _table(_SWEEP_HEADER, "%.17g,%.17g,%.17g,%.17g,%s,%s\n", map(_sweep_row, points))
+    return sweep_table_csv.chunks(_point_table(points))
 
 
-def sweep_point_dict(p: SweepPoint) -> dict:
-    rec = {
-        "x_value": float(p.x_value),
-        "snr_db": float(p.snr_db),
-        "se_bpshz": None,
-        "ub_bpshz": None,
-        "active_rank": None,
-        "config_descriptor": p.config_descriptor,
-    }
-    if p.report is not None:
-        rec["se_bpshz"] = p.report.spectral_efficiency_bpshz
-        rec["ub_bpshz"] = p.report.upper_bound_bpshz
-        rec["active_rank"] = p.report.active_rank
-    if p.error is not None:
-        rec["error"] = p.error
-    return rec
+@_joined
+def sweep_points_json(points):
+    return sweep_table_json.chunks(_point_table(points))
 
 
-def sweep_points_json(points) -> list:
-    return [sweep_point_dict(p) for p in points]
+@_joined
+def rotation_json(angle: float, rates: RateTable):
+    """The document of a rotation: its angle and the report of the one row of ``rates``."""
+    yield '{\n  "angle_rad": ' + _encoder(",")(angle) + ',\n  "report": '
+    yield _rate_rows(_snr_db(rates.snrs), rates)(slice(0, 1), "\n  ") + "\n}\n"
 
 
-def rotation_json_doc(plan) -> dict:
-    [row] = plan  # a rotation plan has one row
-    return {"angle_rad": row.x_value, "report": rate_report_dict(row.report)}
+@_joined
+def angles_json(angles, worst_case_gap: float, plan: SweepTable):
+    """The document of a fixed-angle selection: its angles, its plan and their worst gap."""
+    yield '{\n  "angles_rad": '
+    yield from _chunks(angles, 1)
+    yield ',\n  "plan": '
+    yield from _items(len(plan.descriptors), _sweep_rows(plan), 1)
+    yield ',\n  "worst_case_gap": ' + _encoder(",")(worst_case_gap) + "\n}\n"
 
 
-def angles_json_doc(angles, worst_case_gap: float, plan) -> dict:
-    return {"angles_rad": angles, "worst_case_gap": worst_case_gap,
-            "plan": sweep_points_json(plan)}
-
-
-def validity_json(rows) -> list:
-    return [{"freq_hz": f, "dist_m": d, "regime": r} for f, d, r in rows]
+@_joined
+def validity_json(rows):
+    def block_text(s, pad):
+        f, d, r = zip(*rows[s])
+        return _rows_text(pad, ("dist_m", "freq_hz", "regime"), _numbers(list(d)),
+                          _numbers(list(f)), map(encode_basestring_ascii, r))
+    yield from _items(len(rows), block_text, 0)
+    yield "\n"
 
 
 @_joined
 def validity_csv(rows):
-    return _table("freq_hz,dist_m,regime", "%.17g,%.17g,%s\n", rows)
+    return _table("freq_hz,dist_m,regime", "%.17g,%.17g,%s\n", len(rows), lambda s: rows[s])

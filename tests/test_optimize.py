@@ -291,7 +291,7 @@ def test_fixed_angle_reference_is_the_rotation_optimum(n, model, monkeypatch):
     _, plan, worst_gap = optimize._select_fixed_angles(sc, 1, grid, model)
     [(_, ref, _, _)] = searches  # one rotation search: its optima are the gaps' reference
     assert ref.tolist() == want
-    ses = [row.report.spectral_efficiency_bpshz for row in plan]
+    ses = plan.rates.ses.tolist()
     assert worst_gap == max([0.0] + [1.0 - se / r for se, r in zip(ses, want) if r > 0])
 
 

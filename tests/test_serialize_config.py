@@ -19,17 +19,28 @@ from losmimo import (
     parse_scene_config,
     rate_report,
 )
+from losmimo.capacity import RateTable
+from losmimo.optimize import SweepTable
 from losmimo.serialize import (
     _BLOCK,
+    _snr_db,
+    angles_json,
     channel_csv,
     channel_json_doc,
     json_dumps,
     parse_channel_json,
     phase_profile_csv,
+    phase_profile_json_doc,
     rate_reports_csv,
+    rate_table_csv,
+    rate_table_json,
+    rotation_json,
     sweep_points_csv,
     sweep_points_json,
+    sweep_table_csv,
+    sweep_table_json,
     validity_csv,
+    validity_json,
 )
 
 LAM = 1e-3
@@ -101,9 +112,21 @@ def test_sweep_points_csv_sanitizes_and_marks_errors():
 
 def test_sweep_points_json_uses_null_for_failed_points():
     pt = SweepPoint(1.0, 0.0, None, "x", error="bad geometry")
-    (doc,) = sweep_points_json([pt])
+    (doc,) = json.loads(sweep_points_json([pt]))
     assert doc["se_bpshz"] is None
     assert doc["error"] == "bad geometry"
+
+
+def _stdlib(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_validity_json_is_the_stdlib_layout_of_its_rows():
+    rows = [(1e9 * f, d / 3, "planar" if d % 2 else "spherical")
+            for f in range(1, 3) for d in range(1, _BLOCK // 2 + 2)]
+    for some in (rows[:0], rows[:1], rows):
+        want = [{"freq_hz": f, "dist_m": d, "regime": r} for f, d, r in some]
+        assert validity_json(some) == _stdlib(want)
 
 
 def test_validity_csv_layout():
@@ -430,3 +453,128 @@ def test_plan_csv_uses_snr_as_x(tmp_path):
     assert lines[0] == "x_value,snr_db,se_bpshz,ub_bpshz,active_rank,config_descriptor"
     assert lines[1].startswith("0,0,")
     assert lines[2].startswith("5,5,")
+
+
+# -- the column writers against the documents of the old per-row objects -------
+
+def _rate_dict(snr_db, se, ub, rank, fractions):
+    """A rate report's document as written from report objects."""
+    return {"snr_db": snr_db, "se_bpshz": se, "ub_bpshz": ub, "active_rank": rank,
+            "allocation": fractions}
+
+
+def _point_dict(x, snr_db, descriptor, se, ub, rank, error, reported):
+    """A sweep point's document as written from point objects."""
+    rec = {"x_value": x, "snr_db": snr_db, "se_bpshz": None, "ub_bpshz": None,
+           "active_rank": None, "config_descriptor": descriptor}
+    if reported:
+        rec.update(se_bpshz=se, ub_bpshz=ub, active_rank=rank)
+    if error is not None:
+        rec["error"] = error
+    return rec
+
+
+# row counts at the block boundaries, with few modes; and 1 and 256 modes on few rows (a
+# rate-report JSON block holds _BLOCK // 256 = 16 rows of 256 modes)
+_SHAPES = st.sampled_from([(0, 2), (1, 1), (1, 256), (17, 256), (_BLOCK - 1, 2), (_BLOCK, 1),
+                           (_BLOCK + 1, 3), (7, 4)])
+_texts = st.text(st.characters() | st.sampled_from('"\\é€😀\n,'), max_size=12)
+
+
+@st.composite
+def _rate_tables(draw):
+    rows, n = draw(_SHAPES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = draw(st.lists(_floats, min_size=1, max_size=4))
+
+    def column(*shape):  # random floats, some of them drawn (NaN, inf, -0.0, ...)
+        c = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+        c.ravel()[rng.integers(0, max(c.size, 1), min(c.size, 3))] = rng.choice(special)
+        return c
+
+    snrs = 10.0 ** (rng.uniform(-200.0, 300.0, rows) / 10.0)
+    return RateTable(snrs, column(rows), column(rows), column(rows, n),
+                     rng.integers(0, n + 1, rows))
+
+
+def _rate_dicts(t):
+    return [_rate_dict(10.0 * math.log10(s), se, ub, rank, f) for s, se, ub, rank, f in zip(
+        t.snrs.tolist(), t.ses.tolist(), t.ubs.tolist(), t.ranks.tolist(), t.fractions.tolist())]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rate_tables())
+def test_rate_table_json_is_the_stdlib_layout_of_the_report_documents(t):
+    docs = _rate_dicts(t)
+    assert rate_table_json(t) == _stdlib(docs)
+    reports = [SimpleNamespace(snr_db=d["snr_db"], spectral_efficiency_bpshz=d["se_bpshz"],
+                               upper_bound_bpshz=d["ub_bpshz"], active_rank=d["active_rank"],
+                               allocation=SimpleNamespace(fractions=np.array(d["allocation"])))
+               for d in docs]
+    assert rate_table_csv(t) == rate_reports_csv(reports)
+    if len(docs) == 1:
+        angle = float(t.ses[0])
+        assert rotation_json(angle, t) == _stdlib({"angle_rad": angle, "report": docs[0]})
+
+
+@st.composite
+def _sweep_tables(draw):
+    t = draw(_rate_tables())
+    rows = len(t.ses)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    texts = draw(st.lists(_texts, min_size=1, max_size=4))
+    descriptors = [texts[i] for i in rng.integers(0, len(texts), rows)]
+    errors = {int(i): texts[int(i) % len(texts)] for i in
+              rng.choice(rows, rng.integers(0, min(rows, 5) + 1), replace=False)}
+    x, snr_db = t.ses * 3.0, t.ubs.copy()
+    for i in errors:  # an error row's rates, as the sweep leaves them
+        t.ses[i], t.ubs[i], t.ranks[i] = np.nan, np.nan, 0
+    return SweepTable(x, snr_db, descriptors, t, errors)
+
+
+def _point_dicts(t):
+    return [_point_dict(x, s, d, se, ub, rank, t.errors.get(i), i not in t.errors)
+            for i, (x, s, d, se, ub, rank) in enumerate(zip(
+                t.x.tolist(), t.snr_db.tolist(), t.descriptors, t.rates.ses.tolist(),
+                t.rates.ubs.tolist(), t.rates.ranks.tolist()))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sweep_tables(), st.lists(_floats, max_size=4), _floats)
+def test_sweep_table_json_is_the_stdlib_layout_of_the_point_documents(t, angles, gap):
+    docs = _point_dicts(t)
+    assert sweep_table_json(t) == _stdlib(docs)
+    assert angles_json(angles, gap, t) == _stdlib(
+        {"angles_rad": angles, "plan": docs, "worst_case_gap": gap})
+    # the object writers turn their points into the same table
+    points = [SweepPoint(d["x_value"], d["snr_db"], None if "error" in d else SimpleNamespace(
+        spectral_efficiency_bpshz=d["se_bpshz"], upper_bound_bpshz=d["ub_bpshz"],
+        active_rank=d["active_rank"]), d["config_descriptor"], d.get("error")) for d in docs]
+    assert sweep_points_json(points) == _stdlib(docs)
+    assert sweep_points_csv(points) == sweep_table_csv(t)
+
+
+def test_a_point_without_a_report_or_error_is_written_as_an_error_row():
+    point = SweepPoint(1.0, 2.0, None, "x=1")
+    assert json.loads(sweep_points_json([point])) == [_point_dict(1.0, 2.0, "x=1", 0, 0, 0,
+                                                                  None, False)]
+    assert sweep_points_csv([point]).splitlines()[1] == "1,2,nan,nan,0,x=1 error"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-200.0, 300.0), max_size=50))
+def test_table_snr_db_is_the_report_snr_db_bit_for_bit(snr_db):
+    snrs = np.array([10.0 ** (s / 10.0) for s in snr_db])
+    assert _snr_db(snrs).tolist() == [10.0 * math.log10(s) for s in snrs.tolist()]
+
+
+@pytest.mark.parametrize("steps", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_phase_profile_json_writes_its_array_columns_as_lists(steps):
+    x = np.linspace(-1e-3, 1e-3, steps)
+    profile = SimpleNamespace(displacements_m=x, phase_rad=np.sin(x * 1e3) * 7.0,
+                              quadratic_fit=(0.5, -1.5, 3e5), linear_fit=(0.25, 1e-2),
+                              r2_quadratic=0.9, r2_linear=0.1)
+    doc = phase_profile_json_doc(profile, -2.5)
+    want = {k: v for k, v in doc.items() if k != "samples"}
+    want["samples"] = {k: v.tolist() for k, v in doc["samples"].items()}
+    assert json_dumps(doc) == _stdlib(want)

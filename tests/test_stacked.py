@@ -12,12 +12,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from losmimo import (
     Archetype,
     DegenerateGeometryError,
+    NoSignalError,
     IncompatibleModeError,
     InvalidArgumentError,
     LosMimoError,
@@ -45,11 +46,16 @@ from losmimo import (
     transpose_scene,
 )
 from losmimo import _search, geometry, optimize
+from losmimo import capacity
 from losmimo.capacity import (
     _LN2,
     _ZERO_GAIN_RTOL,
     PowerAllocation,
     RateReport,
+    _bound,
+    _check_rows,
+    _prefix_table,
+    _rate_table,
     _squared_singular_values,
     _waterfill,
     capacity_upper_bound,
@@ -353,6 +359,187 @@ def test_waterfilling_meets_the_kkt_conditions(n, rows, seed, snr_db):
         assert np.all(p[~usable] == 0)
 
 
+def _sums_per_count(a, top):
+    """The prefix sums as the waterfill fallback took them before the table: one sum call per
+    count, column j holding a[:, :j].sum(axis=1)."""
+    return np.column_stack([np.zeros(len(a))] + [a[:, :j].sum(axis=1) for j in range(1, top + 1)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    rows=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    top=st.floats(0.0, 1.0),
+)
+@example(n=256, rows=2, seed=1, top=1.0)
+@example(n=129, rows=1, seed=2, top=1.0)
+def test_prefix_table_is_the_per_count_sums_bit_for_bit(n, rows, seed, top):
+    rng = np.random.default_rng(seed)
+    # non-negative rows of any spread, with exact zeros as in a rank-deficient 1/(snr g) row
+    a = rng.random((rows, n)) ** rng.uniform(0.5, 30.0, (rows, 1))
+    a *= 10.0 ** rng.uniform(-300.0, 300.0, (rows, 1))
+    a[rng.random((rows, n)) < 0.2] = 0.0
+    top = int(top * n)
+    want = _sums_per_count(a, top)
+    assert _prefix_table(a, top).tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 256),
+    rows=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    snr_db=st.lists(st.floats(-200.0, 300.0), min_size=1, max_size=6),
+)
+@example(n=64, rows=3, seed=0, snr_db=[-30.0, -10.0, 3.0])
+@example(n=256, rows=2, seed=3, snr_db=[-200.0, -20.0])
+def test_waterfill_fallback_is_the_per_count_loop_bit_for_bit(n, rows, seed, snr_db):
+    g = _gain_rows(np.random.default_rng(seed), rows, n)
+    snrs = 10.0 ** (np.resize(snr_db, rows) / 10.0)
+    got = _waterfill(g, snrs)
+    with mock.patch.object(capacity, "_prefix_table", _sums_per_count):
+        want = _waterfill(g, snrs)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+# -- the rate table -------------------------------------------------------------
+
+def _rate_reports_alone(gains, n_t, n_r, snrs):
+    """Reports as built before the rate table: one waterfill and one bound expression, then one
+    checked PowerAllocation and RateReport per row, in row order."""
+    fractions, ses = _waterfill(np.broadcast_to(gains, (snrs.size, gains.shape[-1])), snrs)
+    return [RateReport(snr, se, PowerAllocation(f), int(np.count_nonzero(f > 0)), ub)
+            for f, se, snr, ub in zip(fractions, ses.tolist(), snrs.tolist(),
+                                      capacity._bound(n_t, n_r, snrs).tolist())]
+
+
+def _first_error(fn, *args):
+    try:
+        fn(*args)
+    except LosMimoError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 256),
+    extra=st.sampled_from([0, 1, 7]),
+    rows=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    snr_db=st.lists(st.floats(-200.0, 300.0), min_size=1, max_size=6),
+)
+@example(n=1, extra=0, rows=1, seed=0, snr_db=[-200.0])
+@example(n=256, extra=0, rows=3, seed=4, snr_db=[-200.0, 0.0, 40.0])
+def test_table_rows_are_the_report_objects_bit_for_bit(n, extra, rows, seed, snr_db):
+    n_t, n_r = n, n + extra
+    rng = np.random.default_rng(seed)
+    g = _gain_rows(rng, rows, n)
+    g *= n_t * n_r / g.sum(axis=1, keepdims=True) * rng.uniform(0.3, 1.0, (rows, 1))
+    snrs = 10.0 ** (np.resize(snr_db, rows) / 10.0)
+    snrs = snrs[np.isfinite(snrs * n_t * n_r)]  # checked where they enter: no overflow
+    g = g[:snrs.size]
+    want = _first_error(_rate_reports_alone, g, n_t, n_r, snrs)
+    assert _first_error(_rate_table, g, n_t, n_r, snrs) == want
+    if want:
+        return
+    table = _rate_table(g, n_t, n_r, snrs)
+    reports = _rate_reports_alone(g, n_t, n_r, snrs)
+    assert [v.tolist() for v in table] == [
+        [r.snr_linear for r in reports], [r.spectral_efficiency_bpshz for r in reports],
+        [r.upper_bound_bpshz for r in reports], [r.allocation.fractions.tolist() for r in reports],
+        [r.active_rank for r in reports]]
+    assert table.ranks.dtype.kind == "i"
+    assert _bits([capacity._report(table, i) for i in range(snrs.size)]) == _bits(reports)
+
+
+def _row_error_alone(f, se, ub):
+    """The message of a row's first failing check, as PowerAllocation and then RateReport
+    wrote their checks before the table; None when the row passes."""
+    if not np.isfinite(f).all():
+        return "fractions must be a finite 1-D array"
+    if f.size and (f.min() < 0 or f.max() > 1):
+        return "fractions must lie in [0, 1]"
+    if abs(f.sum() - 1.0) > 1e-12:
+        return "fractions must sum to 1 within 1e-12"
+    if se > ub + 1e-9:
+        return "spectral efficiency exceeds the capacity upper bound"
+    return None
+
+
+_BAD_FRACTIONS = [
+    [0.5, np.nan], [np.inf, 0.0], [-1.0, np.nan], [1.25, -0.25], [-0.5, 1.5], [1.0 + 1e-11, 0.0],
+    [0.5, 0.5 + 1e-11], [0.5, 0.5 - 1e-11], [1e308, 1e308], [np.inf, -np.inf],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    bad=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(range(len(_BAD_FRACTIONS))),
+                           st.booleans()), max_size=4),
+    over=st.lists(st.tuples(st.integers(0, 5), st.floats(1e-12, 1e-6) | st.just(np.inf)),
+                  max_size=3),
+)
+@example(rows=3, bad=[(2, 0, False), (1, 3, True)], over=[(1, 1e-8)])
+def test_the_table_check_raises_as_the_per_row_loop(rows, bad, over):
+    fractions = np.tile([0.75, 0.25], (rows, 1))
+    ses, ubs, snrs = np.full(rows, 2.0), np.full(rows, 2.0), np.full(rows, 1.0)
+    for row, which, flip in bad:
+        if row < rows:
+            fractions[row] = _BAD_FRACTIONS[which][::-1] if flip else _BAD_FRACTIONS[which]
+    for row, excess in over:  # SE above its bound by excess (within 1e-9 is kept)
+        if row < rows:
+            ses[row] = ubs[row] + excess
+
+    def per_row():
+        for f, se, ub, snr in zip(fractions, ses.tolist(), ubs.tolist(), snrs.tolist()):
+            RateReport(snr, se, PowerAllocation(f), int(np.count_nonzero(f > 0)), ub)
+
+    with np.errstate(all="ignore"):
+        want = next(((InvalidArgumentError, e) for e in map(_row_error_alone, fractions, ses, ubs)
+                     if e), None)
+        assert _first_error(per_row) == want
+    assert _first_error(_check_rows, fractions, ses, ubs) == want
+
+
+@pytest.mark.parametrize("row", [0, 2, 4])
+def test_a_bound_below_row_k_raises_as_its_report_would(row, monkeypatch):
+    g = _gain_rows(np.random.default_rng(row), 5, 4)
+    snrs = np.full(5, 10.0)
+    low = _bound(4, 4, snrs)
+    low[row:] = 0.0  # row k is the first whose SE exceeds its bound
+    monkeypatch.setattr(capacity, "_bound", lambda n_t, n_r, s: low)
+    want = _first_error(_rate_reports_alone, g, 4, 4, snrs)
+    assert want == (InvalidArgumentError, "spectral efficiency exceeds the capacity upper bound")
+    assert _first_error(_rate_table, g, 4, 4, snrs) == want
+
+
+@pytest.mark.parametrize("variable, grid", [
+    (SweepVariable.ETA, [-1.0, 0.0, 0.5, 1.0, 1e300]),
+    (SweepVariable.OFFSET_M, [-1e300, 0.0, 0.5, 1e300]),
+])
+def test_a_failing_report_step_gives_every_pending_point_its_error(variable, grid, monkeypatch):
+    scene = _sweep_scene("ula", 4, 4, 1.0, 1.0, SPEED_OF_LIGHT_M_S / 300e9, (0.0, 0.0), 0.0)
+    spec = SweepSpec(variable, np.array(grid), scene, WavefrontModel.SPHERICAL, snr_db=10.0)
+    before = sweep(spec)
+
+    def fail(*args):
+        raise NoSignalError("all channel gains are zero")
+
+    monkeypatch.setattr(optimize, "_rate_table", fail)
+    after = sweep(spec)
+    pending = [b.error is None and not (variable is SweepVariable.ETA and b.x_value == 0.0)
+               for b in before]
+    assert any(pending) and not all(pending)
+    for b, a, waiting in zip(before, after, pending):
+        if waiting:  # every point that reached the report step
+            assert (a.report, a.error) == (None, "NoSignalError: all channel gains are zero")
+        else:  # its own error, or the eta-0 beam, as before
+            assert _sweep_rows([a]) == _sweep_rows([b])
+
+
 # -- golden section -----------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -508,6 +695,8 @@ def test_lookahead_raises_only_the_errors_of_the_probes_it_walks(peaks, widths, 
 
 def _bits(value):
     """Every float of a search result, reports included, as exact bits."""
+    if isinstance(value, optimize.SweepTable):  # a plan: its rows
+        return _bits(optimize._sweep_points(value))
     if isinstance(value, (list, tuple)):
         return [_bits(v) for v in value]
     if isinstance(value, np.ndarray):
