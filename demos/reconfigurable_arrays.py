@@ -45,14 +45,14 @@ def main():
     print(f"N = {N} antennas per end, {LAM * 1e3:.0f} mm carrier, D = {DIST} m")
     print()
     print("snr_db   bound    aosa se  (r)    rotation se  (deg)")
-    for snr_db, entry in zip(SNRS_DB, plan):
+    for snr_db, descriptor, se in zip(SNRS_DB, plan.descriptors, plan.rates.ses.tolist()):
         snr = snr_db_to_linear(snr_db)
         ub = capacity_upper_bound(N, N, snr)
-        angle, rep = optimize_rotation(ula, snr, model)
-        r = entry.config_descriptor.split("=")[1]
+        angle, rates = optimize_rotation(ula, snr, model)
+        r = descriptor.split("=")[1]
         print(
-            f"{snr_db:+6d} {ub:8.3f} {entry.report.spectral_efficiency_bpshz:9.3f}  ({r})"
-            f"  {rep.spectral_efficiency_bpshz:11.3f}  ({math.degrees(angle):5.1f})"
+            f"{snr_db:+6d} {ub:8.3f} {se:9.3f}  ({r})"
+            f"  {rates.ses[0]:11.3f}  ({math.degrees(angle):5.1f})"
         )
 
     print()

@@ -49,6 +49,7 @@ from .capacity import (
     GainSpectrum,
     PowerAllocation,
     RateReport,
+    RateTable,
     gain_spectrum,
     waterfilling,
     uniform_rate,
@@ -60,7 +61,7 @@ from .capacity import (
 from .optimize import (
     SweepVariable,
     SweepSpec,
-    SweepPoint,
+    SweepTable,
     snr_db_to_linear,
     optimize_rotation,
     fixed_angle_plan,

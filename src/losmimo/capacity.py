@@ -96,7 +96,9 @@ class RateReport:
 
 class RateTable(NamedTuple):
     """Rate reports as columns, row i at the linear SNR snrs[i]: SEs and bounds (S,), power
-    fractions (S, n) and active ranks (S,).  Built and checked by :func:`_rate_table`."""
+    fractions (S, n) and active ranks (S,).  Built and checked by :func:`_rate_table`.  As a
+    tuple of columns, ``len(t)`` is 5 and iterating walks the columns; the rows number
+    ``len(t.ses)``."""
 
     snrs: np.ndarray
     ses: np.ndarray
@@ -292,7 +294,9 @@ def capacity_upper_bound_integer(n_t: int, n_r: int, snr_linear: float):
 def rate_report(h: ChannelMatrix, snr_linear: float) -> RateReport:
     """Waterfilling result plus the matching upper bound for one channel/SNR."""
     snrs = np.array([_check_snr(snr_linear, h.n_t * h.n_r)], dtype=float)
-    return _report(_rate_table(_squared_singular_values(h.entries), h.n_t, h.n_r, snrs), 0)
+    t = _rate_table(_squared_singular_values(h.entries), h.n_t, h.n_r, snrs)
+    return RateReport(float(t.snrs[0]), float(t.ses[0]), PowerAllocation(t.fractions[0]),
+                      int(t.ranks[0]), float(t.ubs[0]))
 
 
 def _rate_table(gains: np.ndarray, n_t: int, n_r: int, snrs: np.ndarray) -> RateTable:
@@ -303,10 +307,3 @@ def _rate_table(gains: np.ndarray, n_t: int, n_r: int, snrs: np.ndarray) -> Rate
                       np.count_nonzero(fractions > 0, axis=1))
     _check_rows(fractions, ses, table.ubs)
     return table
-
-
-def _report(table: RateTable, i: int) -> RateReport:
-    """Row i of the table as a :class:`RateReport`."""
-    return RateReport(float(table.snrs[i]), float(table.ses[i]),
-                      PowerAllocation(table.fractions[i]), int(table.ranks[i]),
-                      float(table.ubs[i]))

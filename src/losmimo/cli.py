@@ -22,12 +22,12 @@ from .optimize import (
     SweepSpec,
     SweepTable,
     SweepVariable,
-    _aosa_plan,
-    _optimize_rotation,
     _scene_reports,
     _select_fixed_angles,
-    _sweep_table,
+    aosa_schedule,
+    optimize_rotation,
     snr_db_to_linear,
+    sweep,
 )
 from . import serialize as ser
 
@@ -129,7 +129,7 @@ def cmd_sweep(args) -> int:
     snr_db = 0.0 if variable is SweepVariable.SNR_DB else _fixed_snr_db(args, cfg)
     spec = SweepSpec(variable=variable, grid=np.asarray(grid), base_scene=cfg.scene,
                      model=cfg.model, snr_db=snr_db)
-    return _emit(args, _sweep_table(spec), ser.sweep_table_csv.chunks,
+    return _emit(args, sweep(spec), ser.sweep_table_csv.chunks,
                  ser.sweep_table_json.chunks)
 
 
@@ -139,7 +139,7 @@ def cmd_optimize(args) -> int:
 
     if args.mode == "rotation":
         snr_db = _fixed_snr_db(args, cfg)
-        angle, rates = _optimize_rotation(scene, snr_db_to_linear(snr_db), model)
+        angle, rates = optimize_rotation(scene, snr_db_to_linear(snr_db), model)
         plan = SweepTable(np.array([angle]), np.array([snr_db], dtype=float),
                           [f"rotation_rad={angle:.12g}"], rates, {})
         return _emit(args, plan, ser.sweep_table_csv.chunks,
@@ -158,7 +158,7 @@ def cmd_optimize(args) -> int:
                 and tx.element_count == rx.element_count and elem_t == elem_r):
             raise IncompatibleModeError("optimize --mode aosa needs 'aosa' tx and rx blocks "
                                         "with the same 'n' and element spacing")
-        plan = _aosa_plan(tx.element_count, scene, snr_grid, model, element_spacing_m=elem_t)
+        plan = aosa_schedule(tx.element_count, scene, snr_grid, model, element_spacing_m=elem_t)
         return _emit(args, plan, ser.sweep_table_csv.chunks, ser.sweep_table_json.chunks)
 
     angles, plan, worst_gap = _select_fixed_angles(scene, args.k, snr_grid, model)

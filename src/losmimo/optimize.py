@@ -17,12 +17,10 @@ import numpy as np
 
 from ._search import golden_max
 from .capacity import (
-    RateReport,
     RateTable,
     _check_rows,
     _check_snr,
     _rate_table,
-    _report,
     _squared_singular_values,
     _waterfill,
     capacity_upper_bound,
@@ -87,37 +85,17 @@ class SweepSpec:
             raise InvalidArgumentError(f"sweep snr_db must be finite, got {self.snr_db!r}")
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One evaluated grid point, or the best configuration at one SNR of a
-    plan (x_value = snr_db); ``error`` is set instead of ``report`` when the
-    geometry at that point was unusable."""
-
-    x_value: float
-    snr_db: float
-    report: RateReport | None
-    config_descriptor: str
-    error: str | None = None
-
-
 class SweepTable(NamedTuple):
     """Sweep or plan rows as columns: the grid values and SNRs in dB (S,), the config
     descriptors, the rates of every row (an error row's SE and bound are NaN, its rank 0) and
-    the error text of each error row by row index."""
+    the error text of each error row by row index.  As a tuple of columns, ``len(t)`` is 5 and
+    iterating walks the columns; the rows number ``len(t.descriptors)``."""
 
     x: np.ndarray
     snr_db: np.ndarray
     descriptors: list
     rates: RateTable
     errors: dict
-
-
-def _sweep_points(t: SweepTable) -> list[SweepPoint]:
-    """The rows of ``t`` as :class:`SweepPoint` objects."""
-    return [SweepPoint(x, snr_db, None, d, t.errors[i]) if i in t.errors
-            else SweepPoint(x, snr_db, _report(t.rates, i), d)
-            for i, (x, snr_db, d) in enumerate(zip(t.x.tolist(), t.snr_db.tolist(),
-                                                   t.descriptors))]
 
 
 def snr_db_to_linear(snr_db: float) -> float:
@@ -292,15 +270,10 @@ def optimize_rotation(
     brackets the optimum, golden section refines it (each angle in turn) to
     1e-4 rad, a few steps per evaluation on small arrays (with the bits and
     errors of one step at a time), and ties break toward the smaller angle
-    (so a flat landscape reports broadside).  The report comes from the gains
-    the search evaluated at the winning angles.
+    (so a flat landscape reports broadside).  The rates, a one-row
+    :class:`RateTable`, come from the gains the search evaluated at the
+    winning angles.
     """
-    angle, rates = _optimize_rotation(scene, snr_linear, model, independent)
-    return angle, _report(rates, 0)
-
-
-def _optimize_rotation(scene: LinkScene, snr_linear: float, model, independent: bool = False):
-    """:func:`optimize_rotation` with its report as a one-row table."""
     _require_ula_pair(scene, "optimize_rotation")
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
     snrs = np.array([_check_snr(snr_linear, n_t * n_r)], dtype=float)
@@ -326,7 +299,7 @@ def fixed_angle_plan(
     angles,
     snr_grid_db,
     model: WavefrontModel,
-) -> list[SweepPoint]:
+) -> SweepTable:
     """Best of a fixed set of rotation angles at each SNR on the grid."""
     angles = sorted(float(a) for a in angles)  # smaller angle wins ties
     if not angles:
@@ -336,8 +309,8 @@ def fixed_angle_plan(
     if not all(math.isfinite(a) for a in angles):
         raise InvalidArgumentError("angle_rad must be finite")
     gains = _rotated(scene, model, np.array(angles), np.array(angles))
-    return _sweep_points(_best_per_snr([f"rotation_rad={a:.12g}" for a in angles], gains,
-                                       snr_grid_db, snrs, n_t, n_r))
+    return _best_per_snr([f"rotation_rad={a:.12g}" for a in angles], gains, snr_grid_db, snrs,
+                         n_t, n_r)
 
 
 def select_fixed_angles(
@@ -435,7 +408,7 @@ def aosa_schedule(
     snr_grid_db,
     model: WavefrontModel,
     element_spacing_m: float | None = None,
-) -> list[SweepPoint]:
+) -> SweepTable:
     """Best subarray count per SNR for an n_total-antenna array of subarrays.
 
     For each divisor r of n_total the array splits into r clusters at the
@@ -447,13 +420,6 @@ def aosa_schedule(
     the first failing divisor, in increasing r, raises, whether its layout or
     its geometry failed.  Ties go to the smaller r (fewer, larger subarrays).
     """
-    return _sweep_points(_aosa_plan(n_total, scene_template, snr_grid_db, model,
-                                    element_spacing_m))
-
-
-def _aosa_plan(n_total: int, scene_template: LinkScene, snr_grid_db, model,
-               element_spacing_m=None) -> SweepTable:
-    """:func:`aosa_schedule` as a table."""
     _check_count(n_total, "n_total")
     n = int(n_total)
     snr_grid_db, snrs = _snr_grid(snr_grid_db, n * n)
@@ -530,18 +496,13 @@ def _scene_reports(scene: LinkScene, model: WavefrontModel, snr_db) -> RateTable
     return _rate_table(gains, n_t, n_r, snrs)
 
 
-def sweep(spec: SweepSpec):
-    """Evaluate a RateReport at every grid point, in grid order.
+def sweep(spec: SweepSpec) -> SweepTable:
+    """Evaluate the rates at every grid point, in grid order.
 
     The points that pass their own checks are evaluated as one stack of variants of the base
     scene (see :func:`_gains`).  Grid points whose geometry is degenerate come back as error
-    entries, with the error of the point alone, rather than failing the whole sweep.
+    rows, with the error of the point alone, rather than failing the whole sweep.
     """
-    return _sweep_points(_sweep_table(spec))
-
-
-def _sweep_table(spec: SweepSpec) -> SweepTable:
-    """:func:`sweep` as a table."""
     scene, model, var = spec.base_scene, spec.model, spec.variable
     if var is SweepVariable.ROTATION_RAD:
         _require_ula_pair(scene, "rotation sweep")

@@ -4,7 +4,7 @@ Every float prints with 17 significant digits so written values survive a
 round trip through text exactly; identical inputs always produce byte
 identical output.  JSON text is that of ``json.dumps(obj, indent=2, sort_keys=True)``.
 Rate reports and sweep rows are written from the columns of a table, a block
-of rows at a time; the object-taking writers turn their objects into one.
+of rows at a time.
 """
 
 from __future__ import annotations
@@ -204,23 +204,6 @@ def _snr_db(snrs: np.ndarray) -> np.ndarray:
     return 10.0 * np.fromiter(map(math.log10, snrs), float, snrs.size)
 
 
-def _report_table(reports):
-    """Report objects as their SNRs in dB and a table of lists (allocations of any length)."""
-    r = list(reports)
-    return [x.snr_db for x in r], RateTable(
-        None, [x.spectral_efficiency_bpshz for x in r], [x.upper_bound_bpshz for x in r],
-        [x.allocation.fractions.tolist() for x in r], [x.active_rank for x in r])
-
-
-def _rates_csv(snr_db, t: RateTable):
-    def rows(s):
-        allocation = (";".join(map("%.17g".__mod__, f)) for f in _list(t.fractions[s]))
-        return zip(_list(snr_db[s]), _list(t.ses[s]), _list(t.ubs[s]), _list(t.ranks[s]),
-                   allocation)
-    return _table("snr_db,se_bpshz,ub_bpshz,active_rank,allocation",
-                  "%.17g,%.17g,%.17g,%s,%s\n", len(t.ses), rows)
-
-
 def _rate_rows(snr_db, t: RateTable):
     """The ``block_text`` (see :func:`_items`) of the rows of ``t`` as report objects."""
     n = t.fractions.shape[1]
@@ -237,7 +220,14 @@ def _rate_rows(snr_db, t: RateTable):
 
 @_joined
 def rate_table_csv(t: RateTable):
-    return _rates_csv(_snr_db(t.snrs), t)
+    snr_db = _snr_db(t.snrs)
+
+    def rows(s):
+        allocation = (";".join(map("%.17g".__mod__, f)) for f in t.fractions[s].tolist())
+        return zip(snr_db[s].tolist(), t.ses[s].tolist(), t.ubs[s].tolist(),
+                   t.ranks[s].tolist(), allocation)
+    return _table("snr_db,se_bpshz,ub_bpshz,active_rank,allocation",
+                  "%.17g,%.17g,%.17g,%s,%s\n", len(t.ses), rows)
 
 
 @_joined
@@ -248,29 +238,12 @@ def rate_table_json(t: RateTable):  # a block holds about _BLOCK allocation numb
 
 
 @_joined
-def rate_reports_csv(reports):
-    return _rates_csv(*_report_table(reports))
-
-
-def _point_table(points) -> SweepTable:
-    """Sweep points as a table of lists: a point without a report is an error row."""
-    p = list(points)
-    r = [x.report for x in p]
-    return SweepTable([float(x.x_value) for x in p], [float(x.snr_db) for x in p],
-                      [x.config_descriptor for x in p], RateTable(
-                          None, [np.nan if x is None else x.spectral_efficiency_bpshz for x in r],
-                          [np.nan if x is None else x.upper_bound_bpshz for x in r], None,
-                          [0 if x is None else x.active_rank for x in r]),
-                      {i: x.error for i, x in enumerate(p) if x.report is None})
-
-
-@_joined
 def sweep_table_csv(t: SweepTable):
     def rows(s):  # an error row: NaN SE and bound, rank 0, its text after the descriptor
-        text = (d if i not in t.errors else d + " " + (t.errors[i] or "error")
+        text = (d if i not in t.errors else d + " " + t.errors[i]
                 for i, d in enumerate(t.descriptors[s], s.start))
-        return zip(_list(t.x[s]), _list(t.snr_db[s]), _list(t.rates.ses[s]),
-                   _list(t.rates.ubs[s]), _list(t.rates.ranks[s]),
+        return zip(t.x[s].tolist(), t.snr_db[s].tolist(), t.rates.ses[s].tolist(),
+                   t.rates.ubs[s].tolist(), t.rates.ranks[s].tolist(),
                    (d.replace(",", ";").replace("\n", " ") for d in text))
     return _table("x_value,snr_db,se_bpshz,ub_bpshz,active_rank,config_descriptor",
                   "%.17g,%.17g,%.17g,%.17g,%s,%s\n", len(t.descriptors), rows)
@@ -282,10 +255,9 @@ def _sweep_rows(t: SweepTable):
         rank, ses, ubs = (_numbers(c[s]) for c in (t.rates.ranks, t.rates.ses, t.rates.ubs))
         desc = list(map(encode_basestring_ascii, t.descriptors[s]))
         for j, i in enumerate(range(s.start, s.start + len(desc)) if t.errors else ()):
-            if i in t.errors:  # null SE, bound and rank, and the text, if any, under "error"
+            if i in t.errors:  # null SE, bound and rank, and the text under "error"
                 rank[j] = ses[j] = ubs[j] = "null"
-                if t.errors[i] is not None:
-                    desc[j] += "," + pad + '  "error": ' + encode_basestring_ascii(t.errors[i])
+                desc[j] += "," + pad + '  "error": ' + encode_basestring_ascii(t.errors[i])
         return _rows_text(pad, _SWEEP_KEYS, rank, desc, ses, _numbers(t.snr_db[s]), ubs,
                           _numbers(t.x[s]))
     return block_text
@@ -295,16 +267,6 @@ def _sweep_rows(t: SweepTable):
 def sweep_table_json(t: SweepTable):
     yield from _items(len(t.descriptors), _sweep_rows(t), 0)
     yield "\n"
-
-
-@_joined
-def sweep_points_csv(points):
-    return sweep_table_csv.chunks(_point_table(points))
-
-
-@_joined
-def sweep_points_json(points):
-    return sweep_table_json.chunks(_point_table(points))
 
 
 @_joined

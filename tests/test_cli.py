@@ -562,14 +562,15 @@ def test_each_snr_is_converted_once_and_checked_at_most_twice(job, monkeypatch, 
     path = str(GOLDEN_CONFIGS / job[1])
     if job[0] == "fixed_angle_plan":
         cfg = load_scene_config(path)
-        assert len(optimize.fixed_angle_plan(cfg.scene, [0.0, 0.5, 1.0],
-                                             np.arange(-10.0, 21.0), cfg.model)) == 31
+        plan = optimize.fixed_angle_plan(cfg.scene, [0.0, 0.5, 1.0], np.arange(-10.0, 21.0),
+                                         cfg.model)
+        assert len(plan.descriptors) == 31
     else:
         assert main([job[0], path] + job[2:]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 32
-    # once where it enters, once more in RateReport's own check; no bound per row
+    # converted and checked once, where it enters; no bound per row
     assert calls.get("snr_db_to_linear") == 31
-    assert calls.get("_check_snr", 0) <= 2 * 31
+    assert calls.get("_check_snr", 0) == 31
     assert calls.get("capacity_upper_bound", 0) == 0
 
 
@@ -611,10 +612,10 @@ _PUBLIC_NAMES = {
     "SPEED_OF_LIGHT_M_S", "WavefrontModel", "Validity", "DistanceMatrix", "ChannelMatrix",
     "PhaseProfile", "distance_matrix", "channel_matrix", "validity_from_apertures",
     "classify_validity", "phase_profile",
-    "GainSpectrum", "PowerAllocation", "RateReport", "gain_spectrum", "waterfilling",
+    "GainSpectrum", "PowerAllocation", "RateReport", "RateTable", "gain_spectrum", "waterfilling",
     "uniform_rate", "polarized_rate", "capacity_upper_bound", "capacity_upper_bound_integer",
     "rate_report",
-    "SweepVariable", "SweepSpec", "SweepPoint", "snr_db_to_linear", "optimize_rotation",
+    "SweepVariable", "SweepSpec", "SweepTable", "snr_db_to_linear", "optimize_rotation",
     "fixed_angle_plan", "select_fixed_angles", "aosa_schedule", "sweep",
     "SceneConfig", "parse_scene_config", "load_scene_config",
 }
@@ -624,7 +625,7 @@ def test_star_import_binds_exactly_the_public_names():
     namespace = {}
     exec("from losmimo import *", namespace)
     namespace.pop("__builtins__")
-    assert len(_PUBLIC_NAMES) == 59 and set(namespace) == _PUBLIC_NAMES
+    assert len(_PUBLIC_NAMES) == 60 and set(namespace) == _PUBLIC_NAMES
     assert len(losmimo.__all__) == len(set(losmimo.__all__))
     for module in ("errors", "geometry", "channel", "capacity", "optimize", "config"):
         assert hasattr(losmimo, module) and module not in namespace

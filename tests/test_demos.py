@@ -1,4 +1,5 @@
-"""Each demo prints exactly the output recorded in ``tests/golden/demos``.
+"""Each demo prints exactly the output recorded in ``tests/golden/demos``, and the
+README's library quickstart runs.
 
 The recordings were made from a ``git archive`` copy of commit 274f939 with
 ``PYTHONPATH=src python demos/<name>.py > tests/golden/demos/<name>.txt``;
@@ -29,3 +30,10 @@ def test_demo_prints_its_recorded_output(demo):
     assert res.returncode == 0, res.stderr.decode()
     assert res.stdout == (RECORDED / f"{demo}.txt").read_bytes()
 
+
+def test_readme_quickstart_runs(capsys):
+    # the first python block of README.md, so the public example cannot go stale silently
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 21  # report, rotation, plan rows

@@ -62,15 +62,15 @@ def test_snr_sweep_matches_direct_reports():
     )
     points = sweep(spec)
     h = channel_matrix(sc, WavefrontModel.FRESNEL)
-    for point, snr_db in zip(points, grid):
+    assert points.errors == {}
+    for i, snr_db in enumerate(grid):
         direct = rate_report(h, snr_db_to_linear(snr_db))
-        assert point.x_value == snr_db
-        assert point.snr_db == snr_db
-        assert point.error is None
-        assert point.report.spectral_efficiency_bpshz == pytest.approx(
+        assert points.x[i] == snr_db
+        assert points.snr_db[i] == snr_db
+        assert points.rates.ses[i] == pytest.approx(
             direct.spectral_efficiency_bpshz, rel=1e-12
         )
-        assert point.config_descriptor == f"snr_db={snr_db:.12g}"
+        assert points.descriptors[i] == f"snr_db={snr_db:.12g}"
 
 
 def test_eta_sweep_hits_beamforming_limit_at_zero():
@@ -82,16 +82,12 @@ def test_eta_sweep_hits_beamforming_limit_at_zero():
         model=WavefrontModel.FRESNEL,
         snr_db=10.0,
     )
-    p0, p1 = sweep(spec)
+    rates = sweep(spec).rates
     # eta -> 0: one coherent beam with the full N_t*N_r power gain
-    assert p0.report.spectral_efficiency_bpshz == pytest.approx(
-        math.log2(1 + 10.0 * 16), rel=1e-12
-    )
-    assert p0.report.active_rank == 1
+    assert rates.ses[0] == pytest.approx(math.log2(1 + 10.0 * 16), rel=1e-12)
+    assert rates.ranks[0] == 1
     # eta = 1: Rayleigh spacing attains the bound at full rank
-    assert p1.report.spectral_efficiency_bpshz == pytest.approx(
-        4 * math.log2(11), rel=1e-9
-    )
+    assert rates.ses[1] == pytest.approx(4 * math.log2(11), rel=1e-9)
 
 
 def test_sweep_records_errors_per_point_instead_of_raising():
@@ -103,10 +99,9 @@ def test_sweep_records_errors_per_point_instead_of_raising():
         model=WavefrontModel.FRESNEL,
         snr_db=10.0,
     )
-    bad, good = sweep(spec)
-    assert bad.report is None
-    assert bad.error is not None
-    assert good.report is not None
+    points = sweep(spec)
+    assert list(points.errors) == [0]  # the bad point's error; the good point has its rates
+    assert points.errors[0] and np.isfinite(points.rates.ses[1])
 
 
 def test_freq_sweep_rescales_wavelength():
@@ -119,13 +114,13 @@ def test_freq_sweep_rescales_wavelength():
         model=WavefrontModel.FRESNEL,
         snr_db=10.0,
     )
-    (point,) = sweep(spec)
+    (se,) = sweep(spec).rates.ses
     lam = 299792458.0 / freq
     direct = link_scene(sc.tx, sc.rx, DIST, lam)
     expected = rate_report(
         channel_matrix(direct, WavefrontModel.FRESNEL), snr_db_to_linear(10.0)
     )
-    assert point.report.spectral_efficiency_bpshz == pytest.approx(
+    assert se == pytest.approx(
         expected.spectral_efficiency_bpshz, rel=1e-12
     )
 
@@ -153,8 +148,8 @@ def test_offset_sweep_degrades_capacity_smoothly():
         snr_db=10.0,
     )
     points = sweep(spec)
-    ses = [p.report.spectral_efficiency_bpshz for p in points]
-    assert all(p.error is None for p in points)
+    ses = points.rates.ses.tolist()
+    assert points.errors == {}
     assert ses[0] > ses[-1]  # sliding off boresight costs capacity
 
 
@@ -168,7 +163,7 @@ def test_tilt_sweep_matches_manual_rotation():
         model=WavefrontModel.FRESNEL,
         snr_db=10.0,
     )
-    (point,) = sweep(spec)
+    (se,) = sweep(spec).rates.ses
     from losmimo import rotate_in_link_plane
 
     manual = link_scene(
@@ -177,7 +172,7 @@ def test_tilt_sweep_matches_manual_rotation():
     expected = rate_report(
         channel_matrix(manual, WavefrontModel.FRESNEL), snr_db_to_linear(10.0)
     )
-    assert point.report.spectral_efficiency_bpshz == pytest.approx(
+    assert se == pytest.approx(
         expected.spectral_efficiency_bpshz, rel=1e-12
     )
 
@@ -196,9 +191,9 @@ def test_sweep_grid_must_increase():
 
 def test_optimize_rotation_prefers_broadside_at_unit_eta_high_snr():
     sc = _ula_scene(eta=1.0)
-    angle, report = optimize_rotation(sc, 10.0, WavefrontModel.FRESNEL)
+    angle, rates = optimize_rotation(sc, 10.0, WavefrontModel.FRESNEL)
     assert angle == pytest.approx(0.0, abs=1e-3)
-    assert report.spectral_efficiency_bpshz == pytest.approx(
+    assert rates.ses[0] == pytest.approx(
         4 * math.log2(11), rel=1e-6
     )
 
@@ -209,19 +204,19 @@ def test_optimize_rotation_dilutes_oversized_aperture():
     # and the bound is attained at full rank
     sc = _ula_scene(eta=2.0)
     snr = 10.0
-    angle, report = optimize_rotation(sc, snr, WavefrontModel.FRESNEL)
+    angle, rates = optimize_rotation(sc, snr, WavefrontModel.FRESNEL)
     assert math.cos(angle) ** 2 == pytest.approx(0.5, abs=5e-3)
-    assert report.spectral_efficiency_bpshz == pytest.approx(
+    assert rates.ses[0] == pytest.approx(
         capacity_upper_bound(4, 4, snr), rel=1e-6
     )
 
 
 def test_optimize_rotation_goes_endfire_at_low_snr():
     sc = _ula_scene(eta=1.0)
-    angle, report = optimize_rotation(sc, 0.1, WavefrontModel.FRESNEL)
+    angle, rates = optimize_rotation(sc, 0.1, WavefrontModel.FRESNEL)
     assert angle == pytest.approx(math.pi / 2, abs=1e-3)
-    assert report.active_rank == 1
-    assert report.spectral_efficiency_bpshz == pytest.approx(
+    assert rates.ranks[0] == 1
+    assert rates.ses[0] == pytest.approx(
         math.log2(1 + 0.1 * 16), rel=1e-9
     )
 
@@ -232,7 +227,7 @@ def test_optimize_rotation_independent_matches_joint_for_symmetric_scene():
         sc, 10.0, WavefrontModel.FRESNEL, independent=True
     )
     angle, rep_joint = optimize_rotation(sc, 10.0, WavefrontModel.FRESNEL)
-    assert rep_pair.spectral_efficiency_bpshz >= rep_joint.spectral_efficiency_bpshz - 1e-6
+    assert rep_pair.ses[0] >= rep_joint.ses[0] - 1e-6
     # cos(at)*cos(ar) controls the effective eta; the product matters
     assert math.cos(at) * math.cos(ar) == pytest.approx(
         math.cos(angle) ** 2, abs=2e-2
@@ -244,20 +239,17 @@ def test_fixed_angle_plan_tracks_optimum_with_dense_angles():
     angles = np.linspace(0.0, math.pi / 2, 65)
     grid = list(range(-10, 21))
     plan = fixed_angle_plan(sc, angles, grid, WavefrontModel.FRESNEL)
-    assert len(plan) == len(grid)
-    for entry in plan:
-        _, ref = optimize_rotation(
-            sc, snr_db_to_linear(entry.snr_db), WavefrontModel.FRESNEL
-        )
-        assert entry.report.spectral_efficiency_bpshz >= ref.spectral_efficiency_bpshz - 1e-3
-        assert entry.report.spectral_efficiency_bpshz <= entry.report.upper_bound_bpshz + 1e-9
+    assert len(plan.descriptors) == len(grid)
+    for snr_db, se, ub in zip(plan.snr_db.tolist(), plan.rates.ses, plan.rates.ubs):
+        _, ref = optimize_rotation(sc, snr_db_to_linear(snr_db), WavefrontModel.FRESNEL)
+        assert se >= ref.ses[0] - 1e-3
+        assert se <= ub + 1e-9
 
 
 def test_fixed_angle_plan_descriptor_names_the_winning_angle():
     sc = _ula_scene(eta=1.0)
     plan = fixed_angle_plan(sc, [0.0, math.pi / 2], [-10.0, 10.0], WavefrontModel.FRESNEL)
-    assert plan[0].config_descriptor == f"rotation_rad={math.pi / 2:.12g}"
-    assert plan[1].config_descriptor == "rotation_rad=0"
+    assert plan.descriptors == [f"rotation_rad={math.pi / 2:.12g}", "rotation_rad=0"]
 
 
 def test_select_fixed_angles_includes_extremes():
@@ -283,8 +275,7 @@ def test_fixed_angle_candidates_are_every_other_rotation_grid_angle():
 def test_fixed_angle_reference_is_the_rotation_optimum(n, model, monkeypatch):
     sc = _ula_scene(eta=1.5, n=n)
     grid = list(range(-10, 21, 2))
-    want = [optimize_rotation(sc, snr_db_to_linear(s), model)[1].spectral_efficiency_bpshz
-            for s in grid]
+    want = [optimize_rotation(sc, snr_db_to_linear(s), model)[1].ses[0] for s in grid]
     searches, best_rotation = [], optimize._best_rotation
     monkeypatch.setattr(optimize, "_best_rotation",
                         lambda *args: searches.append(best_rotation(*args)) or searches[-1])
@@ -358,13 +349,12 @@ def test_aosa_schedule_rank_transitions():
     )
     grid = [x * 0.5 for x in range(-16, 17)]
     plan = aosa_schedule(4, template, grid, WavefrontModel.FRESNEL)
-    rs = [int(e.config_descriptor.split("=")[1]) for e in plan]
+    rs = [int(d.split("=")[1]) for d in plan.descriptors]
     assert set(rs) <= {1, 2, 4}
     # the chosen subarray count only ever grows with snr
     assert all(b >= a for a, b in zip(rs, rs[1:]))
     assert rs[0] == 1 and rs[-1] == 4
-    for entry in plan:
-        assert entry.report.spectral_efficiency_bpshz <= entry.report.upper_bound_bpshz + 1e-9
+    assert (plan.rates.ses <= plan.rates.ubs + 1e-9).all()
 
 
 def test_aosa_schedule_skips_ranks_whose_clusters_overlap():
@@ -374,13 +364,13 @@ def test_aosa_schedule_skips_ranks_whose_clusters_overlap():
     template = _ula_scene(n=12)
     grid = [2.0 * x for x in range(-10, 16)]
     plan = aosa_schedule(12, template, grid, WavefrontModel.FRESNEL, element_spacing_m=0.02)
-    ranks = {int(row.config_descriptor.split("=")[1]) for row in plan}
+    ranks = {int(d.split("=")[1]) for d in plan.descriptors}
     assert ranks and ranks <= {1, 4, 6, 12}
     # 100 elements 0.01 m apart fit as one cluster, or as 50 or 100 (spacing
     # 0.0141 m or 0.01 m); at r = 25 four of them span 0.03 m against 0.02 m
     plan = aosa_schedule(100, template, [-10.0, 30.0], WavefrontModel.FRESNEL,
                          element_spacing_m=0.01)
-    assert {row.config_descriptor for row in plan} <= {"aosa_r=1", "aosa_r=50", "aosa_r=100"}
+    assert set(plan.descriptors) <= {"aosa_r=1", "aosa_r=50", "aosa_r=100"}
 
 
 def test_aosa_schedule_rejects_non_increasing_grid():
@@ -417,8 +407,8 @@ def test_snr_whose_array_gain_overflows_gives_error_rows_or_raises():
     sc = _ula_scene()
     model = WavefrontModel.FRESNEL
     points = sweep(SweepSpec(SweepVariable.ETA, np.array([0.0, 1.0]), sc, model, snr_db=3079.0))
-    assert [p.report for p in points] == [None, None]
-    assert all("overflows" in p.error for p in points)
+    assert list(points.errors) == [0, 1]
+    assert all("overflows" in e for e in points.errors.values())
     with pytest.raises(InvalidArgumentError, match="overflows"):
         optimize_rotation(sc, snr_db_to_linear(3079.0), model)
     with pytest.raises(InvalidArgumentError, match="overflows"):
@@ -438,15 +428,15 @@ def test_snr_whose_array_gain_overflows_gives_error_rows_or_raises():
 )
 def test_every_row_is_finite_and_below_the_bound(n, eta, snr_db, model):
     sc = _ula_scene(eta=eta, n=n)
-    rows = sweep(SweepSpec(SweepVariable.SNR_DB, np.array([snr_db]), sc, model))
-    rows += sweep(SweepSpec(SweepVariable.ETA, np.array([0.0, eta]), sc, model, snr_db=snr_db))
-    rows += fixed_angle_plan(sc, [0.0, math.pi / 4, math.pi / 2], [snr_db], model)
-    rows += aosa_schedule(n, sc, [snr_db], model)
-    for row in rows:
-        r = row.report
-        assert math.isfinite(r.spectral_efficiency_bpshz)
-        assert r.spectral_efficiency_bpshz <= r.upper_bound_bpshz + 1e-9
-        assert r.active_rank == np.count_nonzero(r.allocation.fractions > 0)
+    plans = [sweep(SweepSpec(SweepVariable.SNR_DB, np.array([snr_db]), sc, model)),
+             sweep(SweepSpec(SweepVariable.ETA, np.array([0.0, eta]), sc, model, snr_db=snr_db)),
+             fixed_angle_plan(sc, [0.0, math.pi / 4, math.pi / 2], [snr_db], model),
+             aosa_schedule(n, sc, [snr_db], model)]
+    for plan in plans:
+        r = plan.rates
+        assert np.isfinite(r.ses).all()
+        assert (r.ses <= r.ubs + 1e-9).all()
+        assert (r.ranks == np.count_nonzero(r.fractions > 0, axis=1)).all()
 
 
 def _rotated_ula_pair(n, spacing, angle_t, angle_r):
@@ -487,11 +477,11 @@ def _joint_reaches_the_independent_rate(n, eta, snr_db):
     angle = math.acos(math.sqrt(math.cos(angle_t) * math.cos(angle_r)))
     same = rate_report(channel_matrix(_rotated_ula_pair(
         n, sc.tx.aperture_m / n, angle, angle), model), snr)
-    se = independent.spectral_efficiency_bpshz
+    se = independent.ses[0]
     assert same.spectral_efficiency_bpshz == pytest.approx(se, rel=1e-9, abs=1e-12)
     # and the two searches agree to what their 1e-4 rad golden-section step
     # resolves (measured at most 2e-9 relative)
-    assert joint.spectral_efficiency_bpshz == pytest.approx(se, rel=1e-7, abs=1e-12)
+    assert joint.ses[0] == pytest.approx(se, rel=1e-7, abs=1e-12)
 
 
 @settings(max_examples=4, deadline=None, derandomize=True)

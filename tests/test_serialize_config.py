@@ -10,17 +10,18 @@ from hypothesis import strategies as st
 from losmimo import (
     Archetype,
     ConfigError,
-    SweepPoint,
+    RateTable,
+    SweepSpec,
+    SweepTable,
+    SweepVariable,
     WavefrontModel,
     build_ula,
     channel_matrix,
     link_scene,
     load_scene_config,
     parse_scene_config,
-    rate_report,
+    sweep,
 )
-from losmimo.capacity import RateTable
-from losmimo.optimize import SweepTable
 from losmimo.serialize import (
     _BLOCK,
     _snr_db,
@@ -31,12 +32,9 @@ from losmimo.serialize import (
     parse_channel_json,
     phase_profile_csv,
     phase_profile_json_doc,
-    rate_reports_csv,
     rate_table_csv,
     rate_table_json,
     rotation_json,
-    sweep_points_csv,
-    sweep_points_json,
     sweep_table_csv,
     sweep_table_json,
     validity_csv,
@@ -89,9 +87,11 @@ def test_json_dumps_is_deterministic():
     assert text.index('"a"') < text.index('"b"')
 
 
-def test_rate_reports_csv_layout():
-    h = _channel()
-    text = rate_reports_csv([rate_report(h, 1.0), rate_report(h, 10.0)])
+def test_rate_table_csv_layout():
+    sc = link_scene(build_ula(3, 0.01), build_ula(2, 0.01), 5.0, LAM)
+    plan = sweep(SweepSpec(SweepVariable.SNR_DB, np.array([0.0, 10.0]), sc,
+                           WavefrontModel.SPHERICAL))
+    text = rate_table_csv(plan.rates)
     lines = text.strip().splitlines()
     assert lines[0] == "snr_db,se_bpshz,ub_bpshz,active_rank,allocation"
     assert len(lines) == 3
@@ -100,9 +100,15 @@ def test_rate_reports_csv_layout():
     assert ";" in fields[4] or fields[4].count(";") == 0
 
 
-def test_sweep_points_csv_sanitizes_and_marks_errors():
-    ok = SweepPoint(1.0, 0.0, None, "a,b", error="boom, really")
-    text = sweep_points_csv([ok])
+def _error_row(descriptor, error):
+    """A one-row sweep table whose row failed, with the rates a sweep leaves it."""
+    nan = np.full(1, np.nan)
+    return SweepTable(np.ones(1), np.zeros(1), [descriptor], RateTable(
+        np.ones(1), nan, nan, np.full((1, 1), np.nan), np.zeros(1, dtype=int)), {0: error})
+
+
+def test_sweep_table_csv_sanitizes_and_marks_errors():
+    text = sweep_table_csv(_error_row("a,b", "boom, really"))
     lines = text.strip().splitlines()
     assert lines[0] == "x_value,snr_db,se_bpshz,ub_bpshz,active_rank,config_descriptor"
     row = lines[1].split(",")
@@ -110,9 +116,8 @@ def test_sweep_points_csv_sanitizes_and_marks_errors():
     assert "," not in lines[1].split(",", 5)[5]
 
 
-def test_sweep_points_json_uses_null_for_failed_points():
-    pt = SweepPoint(1.0, 0.0, None, "x", error="bad geometry")
-    (doc,) = json.loads(sweep_points_json([pt]))
+def test_sweep_table_json_uses_null_for_failed_points():
+    (doc,) = json.loads(sweep_table_json(_error_row("x", "bad geometry")))
     assert doc["se_bpshz"] is None
     assert doc["error"] == "bad geometry"
 
@@ -274,43 +279,66 @@ def test_phase_profile_csv_matches_per_cell_formatting(samples, quadratic, linea
         assert phase_profile_csv(profile) == "\n".join(lines) + "\n"
 
 
-def _report(values, rank, fractions):
-    return SimpleNamespace(snr_db=values[0], spectral_efficiency_bpshz=values[1],
-                           upper_bound_bpshz=values[2], active_rank=rank,
-                           allocation=SimpleNamespace(fractions=np.array(fractions)))
-
-
-_reports = st.builds(_report, st.tuples(_floats, _floats, _floats), st.integers(0, 64),
-                     st.lists(_floats, min_size=1, max_size=4))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(_reports, max_size=4))
-def test_rate_reports_csv_matches_per_cell_formatting(reports):
+def _rate_csv(t):
+    """A rate table's CSV, cell by cell."""
     lines = ["snr_db,se_bpshz,ub_bpshz,active_rank,allocation"]
-    for r in reports:
-        alloc = ";".join(_fmt(p) for p in r.allocation.fractions)
-        lines.append(f"{_fmt(r.snr_db)},{_fmt(r.spectral_efficiency_bpshz)},"
-                     f"{_fmt(r.upper_bound_bpshz)},{r.active_rank},{alloc}")
-    assert rate_reports_csv(reports) == "\n".join(lines) + "\n"
+    for snr, se, ub, fractions, rank in zip(*(c.tolist() for c in t)):
+        alloc = ";".join(_fmt(p) for p in fractions)
+        lines.append(f"{_fmt(10.0 * math.log10(snr))},{_fmt(se)},{_fmt(ub)},{rank},{alloc}")
+    return "\n".join(lines) + "\n"
+
+
+def _sweep_csv(t):
+    """A sweep table's CSV, cell by cell: an error row has nan SE and bound, rank 0 and its
+    error text after the descriptor."""
+    lines = ["x_value,snr_db,se_bpshz,ub_bpshz,active_rank,config_descriptor"]
+    for i, (x, snr_db, desc, se, ub, rank) in enumerate(zip(
+            t.x.tolist(), t.snr_db.tolist(), t.descriptors, t.rates.ses.tolist(),
+            t.rates.ubs.tolist(), t.rates.ranks.tolist())):
+        if i in t.errors:
+            desc = (desc + " " + t.errors[i]).replace(",", ";").replace("\n", " ")
+            lines.append(f"{_fmt(x)},{_fmt(snr_db)},nan,nan,0,{desc}")
+        else:
+            desc = desc.replace(",", ";").replace("\n", " ")
+            lines.append(f"{_fmt(x)},{_fmt(snr_db)},{_fmt(se)},{_fmt(ub)},{rank},{desc}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _drawn_rate_tables(draw):
+    """Rate tables of up to 4 rows whose cells are drawn: positive SNRs, any SEs, bounds and
+    fractions (1 to 4 modes), ranks 0 to 64."""
+    rows, n = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    snrs = draw(st.lists(st.floats(min_value=5e-324, allow_infinity=False),
+                         min_size=rows, max_size=rows))
+    ranks = draw(st.lists(st.integers(0, 64), min_size=rows, max_size=rows))
+    return RateTable(np.array(snrs, dtype=float), draw(_columns(rows)), draw(_columns(rows)),
+                     draw(_columns(rows * n)).reshape(rows, n), np.array(ranks, dtype=int))
+
+
+@st.composite
+def _drawn_sweep_tables(draw):
+    """Sweep tables of drawn cells; an error row holds the rates a sweep leaves it."""
+    t = draw(_drawn_rate_tables())
+    rows = len(t.ses)
+    texts = draw(st.lists(st.none() | _text, min_size=rows, max_size=rows))
+    errors = {i: e for i, e in enumerate(texts) if e is not None}
+    for i in errors:
+        t.ses[i], t.ubs[i], t.ranks[i] = np.nan, np.nan, 0
+    return SweepTable(draw(_columns(rows)), draw(_columns(rows)),
+                      draw(st.lists(_text, min_size=rows, max_size=rows)), t, errors)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.builds(SweepPoint, _floats, _floats, st.none() | _reports, _text,
-                          st.none() | _text), max_size=4))
-def test_sweep_points_csv_matches_per_cell_formatting(points):
-    lines = ["x_value,snr_db,se_bpshz,ub_bpshz,active_rank,config_descriptor"]
-    for p in points:
-        desc = p.config_descriptor
-        if p.report is None:
-            desc = (desc + " " + (p.error or "error")).replace(",", ";").replace("\n", " ")
-            lines.append(f"{_fmt(p.x_value)},{_fmt(p.snr_db)},nan,nan,0,{desc}")
-        else:
-            r = p.report
-            desc = desc.replace(",", ";").replace("\n", " ")
-            lines.append(f"{_fmt(p.x_value)},{_fmt(p.snr_db)},{_fmt(r.spectral_efficiency_bpshz)},"
-                         f"{_fmt(r.upper_bound_bpshz)},{r.active_rank},{desc}")
-    assert sweep_points_csv(points) == "\n".join(lines) + "\n"
+@given(_drawn_rate_tables())
+def test_rate_table_csv_matches_per_cell_formatting(t):
+    assert rate_table_csv(t) == _rate_csv(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_drawn_sweep_tables())
+def test_sweep_table_csv_matches_per_cell_formatting(t):
+    assert sweep_table_csv(t) == _sweep_csv(t)
 
 
 @settings(max_examples=100, deadline=None)
@@ -449,13 +477,13 @@ def test_plan_csv_uses_snr_as_x(tmp_path):
     d = math.sqrt(lam * dist / 4)
     sc = link_scene(build_ula(4, d), build_ula(4, d), dist, lam)
     plan = losmimo.fixed_angle_plan(sc, [0.0], [0.0, 5.0], WavefrontModel.FRESNEL)
-    lines = sweep_points_csv(plan).strip().splitlines()
+    lines = sweep_table_csv(plan).strip().splitlines()
     assert lines[0] == "x_value,snr_db,se_bpshz,ub_bpshz,active_rank,config_descriptor"
     assert lines[1].startswith("0,0,")
     assert lines[2].startswith("5,5,")
 
 
-# -- the column writers against the documents of the old per-row objects -------
+# -- the column writers against the documents of per-row report and point objects
 
 def _rate_dict(snr_db, se, ub, rank, fractions):
     """A rate report's document as written from report objects."""
@@ -463,14 +491,12 @@ def _rate_dict(snr_db, se, ub, rank, fractions):
             "allocation": fractions}
 
 
-def _point_dict(x, snr_db, descriptor, se, ub, rank, error, reported):
-    """A sweep point's document as written from point objects."""
-    rec = {"x_value": x, "snr_db": snr_db, "se_bpshz": None, "ub_bpshz": None,
-           "active_rank": None, "config_descriptor": descriptor}
-    if reported:
-        rec.update(se_bpshz=se, ub_bpshz=ub, active_rank=rank)
+def _point_dict(x, snr_db, descriptor, se, ub, rank, error):
+    """A sweep point's document as written from point objects: an error row has null rates."""
+    rec = {"x_value": x, "snr_db": snr_db, "se_bpshz": se, "ub_bpshz": ub, "active_rank": rank,
+           "config_descriptor": descriptor}
     if error is not None:
-        rec["error"] = error
+        rec.update(se_bpshz=None, ub_bpshz=None, active_rank=None, error=error)
     return rec
 
 
@@ -507,11 +533,7 @@ def _rate_dicts(t):
 def test_rate_table_json_is_the_stdlib_layout_of_the_report_documents(t):
     docs = _rate_dicts(t)
     assert rate_table_json(t) == _stdlib(docs)
-    reports = [SimpleNamespace(snr_db=d["snr_db"], spectral_efficiency_bpshz=d["se_bpshz"],
-                               upper_bound_bpshz=d["ub_bpshz"], active_rank=d["active_rank"],
-                               allocation=SimpleNamespace(fractions=np.array(d["allocation"])))
-               for d in docs]
-    assert rate_table_csv(t) == rate_reports_csv(reports)
+    assert rate_table_csv(t) == _rate_csv(t)
     if len(docs) == 1:
         angle = float(t.ses[0])
         assert rotation_json(angle, t) == _stdlib({"angle_rad": angle, "report": docs[0]})
@@ -526,14 +548,15 @@ def _sweep_tables(draw):
     descriptors = [texts[i] for i in rng.integers(0, len(texts), rows)]
     errors = {int(i): texts[int(i) % len(texts)] for i in
               rng.choice(rows, rng.integers(0, min(rows, 5) + 1), replace=False)}
-    x, snr_db = t.ses * 3.0, t.ubs.copy()
+    with np.errstate(over="ignore"):  # a drawn value near the float limit overflows to inf
+        x, snr_db = t.ses * 3.0, t.ubs.copy()
     for i in errors:  # an error row's rates, as the sweep leaves them
         t.ses[i], t.ubs[i], t.ranks[i] = np.nan, np.nan, 0
     return SweepTable(x, snr_db, descriptors, t, errors)
 
 
 def _point_dicts(t):
-    return [_point_dict(x, s, d, se, ub, rank, t.errors.get(i), i not in t.errors)
+    return [_point_dict(x, s, d, se, ub, rank, t.errors.get(i))
             for i, (x, s, d, se, ub, rank) in enumerate(zip(
                 t.x.tolist(), t.snr_db.tolist(), t.descriptors, t.rates.ses.tolist(),
                 t.rates.ubs.tolist(), t.rates.ranks.tolist()))]
@@ -546,19 +569,7 @@ def test_sweep_table_json_is_the_stdlib_layout_of_the_point_documents(t, angles,
     assert sweep_table_json(t) == _stdlib(docs)
     assert angles_json(angles, gap, t) == _stdlib(
         {"angles_rad": angles, "plan": docs, "worst_case_gap": gap})
-    # the object writers turn their points into the same table
-    points = [SweepPoint(d["x_value"], d["snr_db"], None if "error" in d else SimpleNamespace(
-        spectral_efficiency_bpshz=d["se_bpshz"], upper_bound_bpshz=d["ub_bpshz"],
-        active_rank=d["active_rank"]), d["config_descriptor"], d.get("error")) for d in docs]
-    assert sweep_points_json(points) == _stdlib(docs)
-    assert sweep_points_csv(points) == sweep_table_csv(t)
-
-
-def test_a_point_without_a_report_or_error_is_written_as_an_error_row():
-    point = SweepPoint(1.0, 2.0, None, "x=1")
-    assert json.loads(sweep_points_json([point])) == [_point_dict(1.0, 2.0, "x=1", 0, 0, 0,
-                                                                  None, False)]
-    assert sweep_points_csv([point]).splitlines()[1] == "1,2,nan,nan,0,x=1 error"
+    assert sweep_table_csv(t) == _sweep_csv(t)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,6 +8,7 @@ golden-section lookahead is held to the scalar search's steps, results and error
 import math
 from itertools import combinations
 from types import SimpleNamespace
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,6 @@ from losmimo import (
     LosMimoError,
     RigidPose,
     SPEED_OF_LIGHT_M_S,
-    SweepPoint,
     SweepSpec,
     SweepVariable,
     UnsupportedArchetypeError,
@@ -255,6 +255,17 @@ def _sweep_gains_alone(scene, model, variable, x):
     return _gains_alone(scene, model, base, rx_offset_m=x)
 
 
+class _Row(NamedTuple):
+    """One row of a sweep or plan, as the per-point reference loops build it: the report, or
+    the error text when the point failed."""
+
+    x_value: float
+    snr_db: float
+    report: RateReport | None
+    config_descriptor: str
+    error: str | None = None
+
+
 def _sweep_alone(spec):
     """A non-SNR sweep as the per-point loop ran it: each grid point evaluated alone."""
     scene, model, var = spec.base_scene, spec.model, spec.variable
@@ -284,18 +295,35 @@ def _sweep_alone(spec):
                 else:
                     report = _report_alone(_sweep_gains_alone(scene, model, var, x), n_t, n_r, snr)
             except LosMimoError as exc:
-                points.append(SweepPoint(x, spec.snr_db, None, descriptor,
-                                         error=f"{type(exc).__name__}: {exc}"))
+                points.append(_Row(x, spec.snr_db, None, descriptor,
+                                   error=f"{type(exc).__name__}: {exc}"))
                 continue
-            points.append(SweepPoint(x, spec.snr_db, report, descriptor))
+            points.append(_Row(x, spec.snr_db, report, descriptor))
     return points
 
 
-def _sweep_rows(points):
-    """Every field of sweep points, floats by repr (so -0.0 differs from 0.0)."""
-    return [repr((p.x_value, p.snr_db, p.config_descriptor, p.error, p.report and (
-        p.report.snr_linear, p.report.spectral_efficiency_bpshz, p.report.upper_bound_bpshz,
-        p.report.active_rank, p.report.allocation.fractions.tolist()))) for p in points]
+def _report_fields(r):
+    """The fields of a rate report, in the order of the rate table's columns."""
+    return (r.snr_linear, r.spectral_efficiency_bpshz, r.upper_bound_bpshz,
+            r.allocation.fractions.tolist(), r.active_rank)
+
+
+def _rows(value):
+    """The fields of each row of a sweep or plan: x, SNR (dB), descriptor, error text and the
+    report's fields (None for an error row), read column by column from a table or from the
+    reference loops' records."""
+    if isinstance(value, optimize.SweepTable):
+        rates = zip(*(c.tolist() for c in value.rates))
+        return [(x, snr_db, d, value.errors.get(i), None if i in value.errors else r)
+                for i, (x, snr_db, d, r) in enumerate(zip(
+                    value.x.tolist(), value.snr_db.tolist(), value.descriptors, rates))]
+    return [(p.x_value, p.snr_db, p.config_descriptor, p.error,
+             p.report and _report_fields(p.report)) for p in value]
+
+
+def _sweep_rows(value):
+    """Every field of sweep rows, floats by repr (so -0.0 differs from 0.0)."""
+    return list(map(repr, _rows(value)))
 
 
 def _sweep_outcome(fn, spec):
@@ -451,7 +479,7 @@ def test_table_rows_are_the_report_objects_bit_for_bit(n, extra, rows, seed, snr
         [r.upper_bound_bpshz for r in reports], [r.allocation.fractions.tolist() for r in reports],
         [r.active_rank for r in reports]]
     assert table.ranks.dtype.kind == "i"
-    assert _bits([capacity._report(table, i) for i in range(snrs.size)]) == _bits(reports)
+    assert _bits(list(zip(*(c.tolist() for c in table)))) == _bits(reports)
 
 
 def _row_error_alone(f, se, ub):
@@ -530,14 +558,14 @@ def test_a_failing_report_step_gives_every_pending_point_its_error(variable, gri
 
     monkeypatch.setattr(optimize, "_rate_table", fail)
     after = sweep(spec)
-    pending = [b.error is None and not (variable is SweepVariable.ETA and b.x_value == 0.0)
-               for b in before]
+    pending = [i not in before.errors and not (variable is SweepVariable.ETA and x == 0.0)
+               for i, x in enumerate(before.x.tolist())]
     assert any(pending) and not all(pending)
-    for b, a, waiting in zip(before, after, pending):
+    for b, a, waiting in zip(_sweep_rows(before), _rows(after), pending):
         if waiting:  # every point that reached the report step
-            assert (a.report, a.error) == (None, "NoSignalError: all channel gains are zero")
+            assert a[3:] == ("NoSignalError: all channel gains are zero", None)
         else:  # its own error, or the eta-0 beam, as before
-            assert _sweep_rows([a]) == _sweep_rows([b])
+            assert repr(a) == b
 
 
 # -- golden section -----------------------------------------------------------
@@ -694,20 +722,17 @@ def test_lookahead_raises_only_the_errors_of_the_probes_it_walks(peaks, widths, 
 
 
 def _bits(value):
-    """Every float of a search result, reports included, as exact bits."""
-    if isinstance(value, optimize.SweepTable):  # a plan: its rows
-        return _bits(optimize._sweep_points(value))
+    """Every float of a search result, tables and reports included, as exact bits."""
+    if isinstance(value, optimize.SweepTable):  # a plan: its rows, field by field
+        return _bits(_rows(value))
+    if isinstance(value, RateReport):  # in the order of the rate table's columns
+        return _bits(_report_fields(value))
     if isinstance(value, (list, tuple)):
         return [_bits(v) for v in value]
     if isinstance(value, np.ndarray):
         return value.shape, value.tobytes()
-    if isinstance(value, SweepPoint):  # a plan row
-        return (value.x_value.hex(), value.snr_db.hex(), value.config_descriptor, value.error,
-                _bits(value.report))
-    if hasattr(value, "allocation"):  # a RateReport
-        return (value.snr_linear.hex(), value.spectral_efficiency_bpshz.hex(),
-                _bits(value.allocation.fractions), value.active_rank,
-                value.upper_bound_bpshz.hex())
+    if value is None or isinstance(value, str):  # an error text, or its absence; a descriptor
+        return value
     return float(value).hex()
 
 
@@ -778,7 +803,7 @@ def test_angles_mode_plan_is_the_fixed_angle_plan_of_its_angles(n, model, snr_po
         # the reference: the plan re-evaluated from the angles, and the gap formula that the
         # CLI applied to it, against the rotation optima of the search
         want = fixed_angle_plan(scene, angles, grid, model)
-        ses = [row.report.spectral_efficiency_bpshz for row in want]
+        ses = want.rates.ses.tolist()
         ref = found[0][1].tolist()
         gap = max([0.0] + [1.0 - se / r for se, r in zip(ses, ref) if r > 0])
         assert _bits([plan, worst_gap]) == _bits([want, gap])
@@ -1085,7 +1110,7 @@ def test_mixed_grids_keep_each_points_own_row(variable, model):
     scene = _sweep_scene(arch, 4, 4, 1.0, 1.0, SPEED_OF_LIGHT_M_S / 300e9, (0.0, 0.0), 0.0)
     spec = SweepSpec(variable, np.array(grid), scene, model, snr_db=10.0)
     points = sweep(spec)
-    assert {p.error is None for p in points} == {True, False}
+    assert 0 < len(points.errors) < len(points.descriptors)
     assert _sweep_rows(points) == _sweep_rows(_sweep_alone(spec))
 
 
@@ -1215,7 +1240,7 @@ def _aosa_alone(n_total, scene, snr_grid_db, model, element_spacing_m, build=bui
         snr = 10.0 ** (snr_db / 10.0)
         best = int(np.argmax([_waterfill_alone(g, snr)[1] for g in gains]))
         report = _report_alone(gains[best], n_total, n_total, snr)
-        points.append(SweepPoint(snr_db, snr_db, report, descriptors[best]))
+        points.append(_Row(snr_db, snr_db, report, descriptors[best]))
     return points
 
 
