@@ -23,6 +23,7 @@ _LN2 = math.log(2.0)
 _ZERO_GAIN_RTOL = 1e-12  # gains this far below the top one count as exact zeros
 # root of ln(1 + x) = 2x / (1 + x): r * log2(1 + a / r**2) peaks where a / r**2 = x
 _POLARIZED_PEAK_X = 3.921553634567504
+_STACK_ENTRIES = 1 << 14  # most channel (or gain) entries that one stacked evaluation holds
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,8 +302,11 @@ def rate_report(h: ChannelMatrix, snr_linear: float) -> RateReport:
 
 def _rate_table(gains: np.ndarray, n_t: int, n_r: int, snrs: np.ndarray) -> RateTable:
     """The checked table of gains[i] (or of one (n,) row) at the checked linear SNRs snrs[i]
-    (an array): one waterfill, one bound expression and one check of every row."""
-    fractions, ses = _waterfill(np.broadcast_to(gains, (snrs.size, gains.shape[-1])), snrs)
+    (an array), waterfilled _STACK_ENTRIES gains at a time (no rows: one empty block)."""
+    g = np.broadcast_to(gains, (snrs.size, gains.shape[-1]))
+    step = max(1, _STACK_ENTRIES // max(1, g.shape[1]))
+    fractions, ses = (np.concatenate(c) for c in zip(*(
+        _waterfill(g[i:i + step], snrs[i:i + step]) for i in range(0, max(1, snrs.size), step))))
     table = RateTable(snrs, ses, _bound(n_t, n_r, snrs), fractions,
                       np.count_nonzero(fractions > 0, axis=1))
     _check_rows(fractions, ses, table.ubs)

@@ -23,9 +23,9 @@ from .optimize import (
     SweepTable,
     SweepVariable,
     _scene_reports,
-    _select_fixed_angles,
     aosa_schedule,
     optimize_rotation,
+    select_fixed_angles,
     snr_db_to_linear,
     sweep,
 )
@@ -81,14 +81,14 @@ def _write(out_path, chunks):
         raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
 
 
-def _emit(args, result, to_csv, to_json, sidecar=None) -> int:
-    """Write ``result`` to --out (stdout when omitted) as the chunks of ``to_csv(result)``,
-    or with --format json of ``to_json(result)``.  A CSV written to --out also gets
-    ``<out>.json`` holding the JSON of the document ``sidecar(result)``."""
+def _emit(args, to_csv, to_json, *result, sidecar=None) -> int:
+    """Write ``result`` to --out (stdout when omitted) as the chunks of ``to_csv(*result)``,
+    or with --format json of ``to_json(*result)``.  A CSV written to --out also gets
+    ``<out>.json`` holding the JSON of the document ``sidecar(*result)``."""
     as_csv = args.format == "csv"
-    _write(args.out, (to_csv if as_csv else to_json)(result))
+    _write(args.out, (to_csv if as_csv else to_json)(*result))
     if as_csv and args.out and sidecar is not None:
-        _write(args.out + ".json", ser.json_dumps.chunks(sidecar(result)))
+        _write(args.out + ".json", ser.json_dumps(sidecar(*result)))
     return 0
 
 
@@ -106,8 +106,8 @@ def _fixed_snr_db(args, cfg) -> float:
 def cmd_channel(args) -> int:
     cfg = load_scene_config(args.config)
     h = channel_matrix(cfg.scene, cfg.model)
-    return _emit(args, h, ser.channel_csv.chunks,
-                 lambda h: ser.json_dumps.chunks(ser.channel_json_doc(h)), ser.channel_meta)
+    return _emit(args, ser.channel_csv, lambda h: ser.json_dumps(ser.channel_json_doc(h)), h,
+                 sidecar=ser.channel_meta)
 
 
 def cmd_capacity(args) -> int:
@@ -118,8 +118,8 @@ def cmd_capacity(args) -> int:
         snrs = list(cfg.snr_db)
     else:
         raise ConfigError("no SNR given: pass --snr-db or set snr_db in the config")
-    return _emit(args, _scene_reports(cfg.scene, cfg.model, snrs), ser.rate_table_csv.chunks,
-                 ser.rate_table_json.chunks)
+    return _emit(args, ser.rate_table_csv, ser.rate_table_json,
+                 _scene_reports(cfg.scene, cfg.model, snrs))
 
 
 def cmd_sweep(args) -> int:
@@ -129,8 +129,7 @@ def cmd_sweep(args) -> int:
     snr_db = 0.0 if variable is SweepVariable.SNR_DB else _fixed_snr_db(args, cfg)
     spec = SweepSpec(variable=variable, grid=np.asarray(grid), base_scene=cfg.scene,
                      model=cfg.model, snr_db=snr_db)
-    return _emit(args, sweep(spec), ser.sweep_table_csv.chunks,
-                 ser.sweep_table_json.chunks)
+    return _emit(args, ser.sweep_table_csv, ser.sweep_table_json, sweep(spec))
 
 
 def cmd_optimize(args) -> int:
@@ -142,8 +141,7 @@ def cmd_optimize(args) -> int:
         angle, rates = optimize_rotation(scene, snr_db_to_linear(snr_db), model)
         plan = SweepTable(np.array([angle]), np.array([snr_db], dtype=float),
                           [f"rotation_rad={angle:.12g}"], rates, {})
-        return _emit(args, plan, ser.sweep_table_csv.chunks,
-                     lambda p: ser.rotation_json.chunks(angle, p.rates))
+        return _emit(args, ser.sweep_table_csv, lambda p: ser.rotation_json(angle, p.rates), plan)
 
     if args.snr_grid is None:
         raise ConfigError(f"--snr-grid is required for mode '{args.mode}'")
@@ -159,11 +157,10 @@ def cmd_optimize(args) -> int:
             raise IncompatibleModeError("optimize --mode aosa needs 'aosa' tx and rx blocks "
                                         "with the same 'n' and element spacing")
         plan = aosa_schedule(tx.element_count, scene, snr_grid, model, element_spacing_m=elem_t)
-        return _emit(args, plan, ser.sweep_table_csv.chunks, ser.sweep_table_json.chunks)
+        return _emit(args, ser.sweep_table_csv, ser.sweep_table_json, plan)
 
-    angles, plan, worst_gap = _select_fixed_angles(scene, args.k, snr_grid, model)
-    return _emit(args, plan, ser.sweep_table_csv.chunks,
-                 lambda p: ser.angles_json.chunks(angles, worst_gap, p))
+    angles, plan, worst_gap = select_fixed_angles(scene, args.k, snr_grid, model)
+    return _emit(args, ser.sweep_table_csv, lambda p: ser.angles_json(angles, worst_gap, p), plan)
 
 
 def cmd_validity(args) -> int:
@@ -175,16 +172,14 @@ def cmd_validity(args) -> int:
     for d in dists:
         _check_positive(d, "--dist-grid value")
     _check_grid_size(len(freqs) * len(dists), "validity map")
-    dist_array = np.asarray(dists)
-    regimes = (Validity.PLANAR_OK.value, Validity.SPHERICAL_REQUIRED.value)
-    rows = []
-    for f in freqs:  # each argument checked once, then one check-free rule per row
+    for f in freqs:  # each argument checked once, then one check-free rule over every cell
         _check_positive(f, "--freq-grid value")
-        lam = SPEED_OF_LIGHT_M_S / f
-        _check_positive(lam, "wavelength_m")
-        planar = _planar_ok(a_t, a_r, lam, dist_array)
-        rows += zip([f] * len(dists), dists, np.where(planar, *regimes).tolist())
-    return _emit(args, rows, ser.validity_csv.chunks, ser.validity_json.chunks)
+        _check_positive(SPEED_OF_LIGHT_M_S / f, "wavelength_m")
+    freqs, dists = np.repeat(freqs, len(dists)), np.tile(dists, len(freqs))
+    planar = _planar_ok(a_t, a_r, SPEED_OF_LIGHT_M_S / freqs, dists)
+    regimes = np.array([Validity.SPHERICAL_REQUIRED.value, Validity.PLANAR_OK.value], object)
+    return _emit(args, ser.validity_csv, ser.validity_json, freqs, dists,
+                 regimes[planar.astype(np.intp)])  # one reference per cell, to one of two texts
 
 
 def cmd_phase_profile(args) -> int:
@@ -206,9 +201,9 @@ def cmd_phase_profile(args) -> int:
     profile = phase_profile(
         (0.0, 0.0, 0.0), start, args.step_size, args.steps, direction, lam
     )
-    return _emit(args, profile, ser.phase_profile_csv.chunks,
-                 lambda p: ser.json_dumps.chunks(ser.phase_profile_json_doc(p, c2_predicted)),
-                 lambda p: ser.phase_summary_dict(p, c2_predicted))
+    return _emit(args, ser.phase_profile_csv,
+                 lambda p: ser.json_dumps(ser.phase_profile_json_doc(p, c2_predicted)), profile,
+                 sidecar=lambda p: ser.phase_summary_dict(p, c2_predicted))
 
 
 @functools.cache  # built on first use, then shared by every main() call

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._search import golden_max
 from .capacity import (
+    _STACK_ENTRIES,
     RateTable,
     _check_rows,
     _check_snr,
@@ -49,7 +50,6 @@ _ANGLE_CANDIDATES = 33
 # every other rotation-grid angle is a fixed-angle candidate
 _ROTATION_GRID_POINTS = 2 * _ANGLE_CANDIDATES - 1
 _ANGLE_TOL_RAD = 1e-4
-_STACK_ENTRIES = 1 << 14  # most channel (or gain) entries that one stacked evaluation holds
 _LOOKAHEAD_DEPTH, _LOOKAHEAD_ENTRIES = 4, 1024  # golden-section steps per call: _best_rotation
 _LABELS = {"snr": "snr_db", "eta": "eta", "freq": "freq_hz", "rotation": "rotation_rad",
            "tilt": "tilt_rad", "offset": "offset_m"}
@@ -313,21 +313,6 @@ def fixed_angle_plan(
                          n_t, n_r)
 
 
-def select_fixed_angles(
-    scene: LinkScene,
-    k: int,
-    snr_grid_db,
-    model: WavefrontModel,
-):
-    """Pick k <= 33 rotation angles minimizing the worst-case SE gap to the optimum.
-
-    Candidates come from a 33-point grid on [0, pi/2]; the search is
-    exhaustive for k <= 3 and augments the best triple greedily beyond
-    that.  The gap at each SNR is measured against optimize_rotation.
-    """
-    return _select_fixed_angles(scene, k, snr_grid_db, model)[0]
-
-
 def _combinations(n: int, k: int) -> np.ndarray:
     """The rows of ``combinations(range(n), k)``, in its order, as an array (C, k)."""
     rows = np.arange(n)[:, None]
@@ -381,9 +366,16 @@ def _least_gap_candidates(table: np.ndarray, ref: np.ndarray, k: int) -> list[in
     return chosen
 
 
-def _select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model):
-    """:func:`select_fixed_angles`, the :func:`fixed_angle_plan` of its angles and their worst
-    SE gap to the optimum, all from one rotation search (its grid holds every candidate)."""
+def select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model: WavefrontModel):
+    """Pick k <= 33 rotation angles minimizing the worst-case SE gap to the optimum.
+
+    Candidates come from a 33-point grid on [0, pi/2]; the search is
+    exhaustive for k <= 3 and augments the best triple greedily beyond
+    that.  The gap at each SNR is measured against optimize_rotation.
+    Returns ``(angles, plan, worst_case_gap)``: the sorted angles, their
+    :func:`fixed_angle_plan` over the grid and its worst gap, all from one
+    rotation search (its grid holds every candidate).
+    """
     _check_count(k, "k")
     if k > _ANGLE_CANDIDATES:
         raise InvalidArgumentError(f"k must be at most {_ANGLE_CANDIDATES}, got {k}")

@@ -3,8 +3,8 @@
 Every float prints with 17 significant digits so written values survive a
 round trip through text exactly; identical inputs always produce byte
 identical output.  JSON text is that of ``json.dumps(obj, indent=2, sort_keys=True)``.
-Rate reports and sweep rows are written from the columns of a table, a block
-of rows at a time.
+Rate reports, sweep rows and validity maps are written from table columns, a block of
+rows at a time.  Each writer is a generator function of text chunks: join them for the text.
 """
 
 from __future__ import annotations
@@ -24,13 +24,6 @@ from .optimize import SweepTable
 
 _BLOCK = 4096  # list items or rows per chunk, and per C-encoder call
 _NUMBERS = {float, int}
-
-
-def _joined(chunks):
-    """A writer of the whole text of the generator function ``chunks``, kept as ``.chunks``."""
-    text = functools.wraps(chunks)(lambda *args: "".join(chunks(*args)))
-    text.chunks = chunks
-    return text
 
 
 @functools.cache  # one per indent
@@ -98,7 +91,6 @@ def _chunks(obj, depth: int):
     yield close + ending
 
 
-@_joined
 def json_dumps(obj):
     yield from _chunks(obj, 0)
     yield "\n"
@@ -120,7 +112,6 @@ def _columns(*columns):
     return lambda s: zip(*(_list(c[s]) for c in columns))
 
 
-@_joined
 def channel_csv(h: ChannelMatrix):
     n, m = np.indices(h.entries.shape).reshape(2, -1) + 1  # 1-based, row-major
     return _table("n,m,re,im", "%d,%d,%.17g,%.17g\n", n.size,
@@ -168,7 +159,6 @@ def _phase_columns(profile: PhaseProfile) -> dict:
     }
 
 
-@_joined
 def phase_profile_csv(profile: PhaseProfile):
     cols = _phase_columns(profile)
     return _table(",".join(cols), "%.17g,%.17g,%.17g,%.17g\n", len(profile.displacements_m),
@@ -218,7 +208,6 @@ def _rate_rows(snr_db, t: RateTable):
     return block_text
 
 
-@_joined
 def rate_table_csv(t: RateTable):
     snr_db = _snr_db(t.snrs)
 
@@ -230,14 +219,12 @@ def rate_table_csv(t: RateTable):
                   "%.17g,%.17g,%.17g,%s,%s\n", len(t.ses), rows)
 
 
-@_joined
 def rate_table_json(t: RateTable):  # a block holds about _BLOCK allocation numbers
     step = max(1, _BLOCK // t.fractions.shape[1])
     yield from _items(len(t.ses), _rate_rows(_snr_db(t.snrs), t), 0, step)
     yield "\n"
 
 
-@_joined
 def sweep_table_csv(t: SweepTable):
     def rows(s):  # an error row: NaN SE and bound, rank 0, its text after the descriptor
         text = (d if i not in t.errors else d + " " + t.errors[i]
@@ -263,20 +250,17 @@ def _sweep_rows(t: SweepTable):
     return block_text
 
 
-@_joined
 def sweep_table_json(t: SweepTable):
     yield from _items(len(t.descriptors), _sweep_rows(t), 0)
     yield "\n"
 
 
-@_joined
 def rotation_json(angle: float, rates: RateTable):
     """The document of a rotation: its angle and the report of the one row of ``rates``."""
     yield '{\n  "angle_rad": ' + _encoder(",")(angle) + ',\n  "report": '
     yield _rate_rows(_snr_db(rates.snrs), rates)(slice(0, 1), "\n  ") + "\n}\n"
 
 
-@_joined
 def angles_json(angles, worst_case_gap: float, plan: SweepTable):
     """The document of a fixed-angle selection: its angles, its plan and their worst gap."""
     yield '{\n  "angles_rad": '
@@ -286,16 +270,14 @@ def angles_json(angles, worst_case_gap: float, plan: SweepTable):
     yield ',\n  "worst_case_gap": ' + _encoder(",")(worst_case_gap) + "\n}\n"
 
 
-@_joined
-def validity_json(rows):
+def validity_json(freqs, dists, regimes):
     def block_text(s, pad):
-        f, d, r = zip(*rows[s])
-        return _rows_text(pad, ("dist_m", "freq_hz", "regime"), _numbers(list(d)),
-                          _numbers(list(f)), map(encode_basestring_ascii, r))
-    yield from _items(len(rows), block_text, 0)
+        return _rows_text(pad, ("dist_m", "freq_hz", "regime"), _numbers(dists[s]),
+                          _numbers(freqs[s]), map(encode_basestring_ascii, _list(regimes[s])))
+    yield from _items(len(freqs), block_text, 0)
     yield "\n"
 
 
-@_joined
-def validity_csv(rows):
-    return _table("freq_hz,dist_m,regime", "%.17g,%.17g,%s\n", len(rows), lambda s: rows[s])
+def validity_csv(freqs, dists, regimes):
+    return _table("freq_hz,dist_m,regime", "%.17g,%.17g,%s\n", len(freqs),
+                  _columns(freqs, dists, regimes))

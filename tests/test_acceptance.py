@@ -371,7 +371,7 @@ def test_criterion_8_rotation_endpoints(acceptance):
     high_ok = se_at(0.0, 10.0) > se_at(math.pi / 2, 10.0)
 
     grid = list(range(-10, 21))
-    angles = select_fixed_angles(sc, 3, grid, FRESNEL)
+    angles, _, _ = select_fixed_angles(sc, 3, grid, FRESNEL)
     plan = fixed_angle_plan(sc, angles, grid, FRESNEL)
     worst_gap = 0.0
     for snr_db, se in zip(plan.snr_db.tolist(), plan.rates.ses.tolist()):

@@ -24,6 +24,7 @@ from losmimo import (
     uniform_rate,
     waterfilling,
 )
+from losmimo import capacity
 from losmimo.capacity import _bound
 
 
@@ -335,3 +336,35 @@ def test_integer_bound_rejects_an_overflowing_array_gain():
     with pytest.raises(InvalidArgumentError, match="overflows"):
         capacity_upper_bound_integer(4, 4, 1e308)
     assert math.isfinite(capacity_upper_bound_integer(1, 1, 1e308)[1])
+
+
+def test_rate_table_waterfills_blocks_of_rows_each_as_if_alone(monkeypatch):
+    # 2 blocks + 1 row of 4 modes (a few of rank 2, each summing to n_t * n_r as a 4 x 4
+    # channel's do), and the empty table
+    n = 4
+    step = capacity._STACK_ENTRIES // n
+    rng = np.random.default_rng(2024)
+    gains = -np.sort(-rng.exponential(size=(2 * step + 1, n)) ** 3, axis=1)
+    gains[::7, 2:] = 0.0
+    gains *= n * n / gains.sum(axis=1, keepdims=True)
+    snrs = 10.0 ** rng.uniform(-4.0, 4.0, len(gains))
+    waterfill, calls = capacity._waterfill, []
+    alone = [waterfill(g[None], s[None]) for g, s in zip(gains, snrs)]
+    monkeypatch.setattr(capacity, "_waterfill",
+                        lambda g, s: calls.append(len(g)) or waterfill(g, s))
+    t = capacity._rate_table(gains, n, n, snrs)
+    assert calls == [step, step, 1]
+    assert t.fractions.tobytes() == np.concatenate([f for f, _ in alone]).tobytes()
+    assert t.ses.tobytes() == np.concatenate([se for _, se in alone]).tobytes()
+    assert t.ranks.tolist() == [int((f > 0).sum()) for f, _ in alone]
+    # one spectrum at every SNR (as `capacity` writes it): the same blocks
+    calls.clear()
+    one = capacity._rate_table(gains[0], n, n, snrs)
+    assert calls == [step, step, 1]
+    assert one.ses.tobytes() == np.concatenate(
+        [waterfill(gains[:1], s[None])[1] for s in snrs]).tobytes()
+    calls.clear()
+    empty = capacity._rate_table(gains[:0], n, n, snrs[:0])
+    assert calls == [0]
+    assert empty.fractions.shape == (0, n)
+    assert empty.ses.shape == empty.ubs.shape == empty.ranks.shape == (0,)

@@ -255,7 +255,7 @@ def test_fixed_angle_plan_descriptor_names_the_winning_angle():
 def test_select_fixed_angles_includes_extremes():
     sc = _ula_scene(eta=1.0)
     grid = list(range(-10, 21, 3))
-    angles = select_fixed_angles(sc, 2, grid, WavefrontModel.FRESNEL)
+    angles, _, _ = select_fixed_angles(sc, 2, grid, WavefrontModel.FRESNEL)
     assert len(angles) == 2
     assert angles == sorted(angles)
     assert angles[0] == pytest.approx(0.0, abs=1e-9)
@@ -263,7 +263,7 @@ def test_select_fixed_angles_includes_extremes():
 
 
 def test_fixed_angle_candidates_are_every_other_rotation_grid_angle():
-    # _select_fixed_angles takes its candidates' SEs from the rotation grid
+    # select_fixed_angles takes its candidates' SEs from the rotation grid
     candidates = np.linspace(0.0, math.pi / 2, optimize._ANGLE_CANDIDATES)
     grid = np.linspace(0.0, math.pi / 2, optimize._ROTATION_GRID_POINTS)
     assert (optimize._ANGLE_CANDIDATES, optimize._ROTATION_GRID_POINTS) == (33, 65)
@@ -279,7 +279,7 @@ def test_fixed_angle_reference_is_the_rotation_optimum(n, model, monkeypatch):
     searches, best_rotation = [], optimize._best_rotation
     monkeypatch.setattr(optimize, "_best_rotation",
                         lambda *args: searches.append(best_rotation(*args)) or searches[-1])
-    _, plan, worst_gap = optimize._select_fixed_angles(sc, 1, grid, model)
+    _, plan, worst_gap = select_fixed_angles(sc, 1, grid, model)
     [(_, ref, _, _)] = searches  # one rotation search: its optima are the gaps' reference
     assert ref.tolist() == want
     ses = plan.rates.ses.tolist()
@@ -383,7 +383,7 @@ def test_select_fixed_angles_rejects_more_than_the_candidates():
     sc = _ula_scene(eta=1.0)
     with pytest.raises(InvalidArgumentError, match="at most"):
         select_fixed_angles(sc, 34, [0.0], WavefrontModel.FRESNEL)
-    angles = select_fixed_angles(sc, 33, [0.0], WavefrontModel.FRESNEL)
+    angles, _, _ = select_fixed_angles(sc, 33, [0.0], WavefrontModel.FRESNEL)
     assert angles == np.linspace(0.0, math.pi / 2, 33).tolist()
 
 

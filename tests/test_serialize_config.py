@@ -44,6 +44,17 @@ from losmimo.serialize import (
 LAM = 1e-3
 
 
+def _written(writer, *args) -> str:
+    """The whole text of a writer: its chunks, joined."""
+    return "".join(writer(*args))
+
+
+def _validity_columns(rows):
+    """The (freqs, dists, regimes) columns of validity-map rows (freq, dist, regime)."""
+    f, d, r = zip(*rows) if rows else ((), (), ())
+    return np.array(f, dtype=float), np.array(d, dtype=float), np.array(r, dtype=object)
+
+
 def _channel():
     sc = link_scene(build_ula(3, 0.01), build_ula(2, 0.01), 5.0, LAM)
     return channel_matrix(sc, WavefrontModel.SPHERICAL)
@@ -51,7 +62,7 @@ def _channel():
 
 def test_channel_csv_round_trips_exactly():
     h = _channel()
-    lines = channel_csv(h).strip().splitlines()
+    lines = _written(channel_csv, h).strip().splitlines()
     assert lines[0] == "n,m,re,im"
     assert len(lines) == 1 + h.n_r * h.n_t
     for line in lines[1:]:
@@ -64,15 +75,15 @@ def test_channel_csv_round_trips_exactly():
 
 def test_channel_csv_is_row_major_one_based():
     h = _channel()
-    first = channel_csv(h).splitlines()[1]
+    first = _written(channel_csv, h).splitlines()[1]
     assert first.startswith("1,1,")
-    last = channel_csv(h).strip().splitlines()[-1]
+    last = _written(channel_csv, h).strip().splitlines()[-1]
     assert last.startswith(f"{h.n_r},{h.n_t},")
 
 
 def test_channel_json_round_trip():
     h = _channel()
-    doc = json.loads(json_dumps(channel_json_doc(h)))
+    doc = json.loads(_written(json_dumps, channel_json_doc(h)))
     back = parse_channel_json(doc)
     assert np.array_equal(back.entries, h.entries)
     assert back.wavelength_m == h.wavelength_m
@@ -81,8 +92,8 @@ def test_channel_json_round_trip():
 
 def test_json_dumps_is_deterministic():
     doc = {"b": 1.0, "a": [1, 2]}
-    text = json_dumps(doc)
-    assert text == json_dumps({"a": [1, 2], "b": 1.0})
+    text = _written(json_dumps, doc)
+    assert text == _written(json_dumps, {"a": [1, 2], "b": 1.0})
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
 
@@ -91,7 +102,7 @@ def test_rate_table_csv_layout():
     sc = link_scene(build_ula(3, 0.01), build_ula(2, 0.01), 5.0, LAM)
     plan = sweep(SweepSpec(SweepVariable.SNR_DB, np.array([0.0, 10.0]), sc,
                            WavefrontModel.SPHERICAL))
-    text = rate_table_csv(plan.rates)
+    text = _written(rate_table_csv, plan.rates)
     lines = text.strip().splitlines()
     assert lines[0] == "snr_db,se_bpshz,ub_bpshz,active_rank,allocation"
     assert len(lines) == 3
@@ -108,7 +119,7 @@ def _error_row(descriptor, error):
 
 
 def test_sweep_table_csv_sanitizes_and_marks_errors():
-    text = sweep_table_csv(_error_row("a,b", "boom, really"))
+    text = _written(sweep_table_csv, _error_row("a,b", "boom, really"))
     lines = text.strip().splitlines()
     assert lines[0] == "x_value,snr_db,se_bpshz,ub_bpshz,active_rank,config_descriptor"
     row = lines[1].split(",")
@@ -117,7 +128,7 @@ def test_sweep_table_csv_sanitizes_and_marks_errors():
 
 
 def test_sweep_table_json_uses_null_for_failed_points():
-    (doc,) = json.loads(sweep_table_json(_error_row("x", "bad geometry")))
+    (doc,) = json.loads(_written(sweep_table_json, _error_row("x", "bad geometry")))
     assert doc["se_bpshz"] is None
     assert doc["error"] == "bad geometry"
 
@@ -131,11 +142,12 @@ def test_validity_json_is_the_stdlib_layout_of_its_rows():
             for f in range(1, 3) for d in range(1, _BLOCK // 2 + 2)]
     for some in (rows[:0], rows[:1], rows):
         want = [{"freq_hz": f, "dist_m": d, "regime": r} for f, d, r in some]
-        assert validity_json(some) == _stdlib(want)
+        assert _written(validity_json, *_validity_columns(some)) == _stdlib(want)
 
 
 def test_validity_csv_layout():
-    text = validity_csv([(1e9, 2.0, "planar"), (3e9, 5.0, "spherical")])
+    rows = [(1e9, 2.0, "planar"), (3e9, 5.0, "spherical")]
+    text = _written(validity_csv, *_validity_columns(rows))
     lines = text.strip().splitlines()
     assert lines[0] == "freq_hz,dist_m,regime"
     assert lines[1].endswith(",planar")
@@ -160,7 +172,7 @@ _documents = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(_documents)
 def test_json_dumps_matches_the_stdlib_layout(doc):
-    assert json_dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert _written(json_dumps, doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # rows as the writers make them (validity maps, sweep and plan rows), with text
@@ -180,13 +192,13 @@ def test_json_dumps_lays_out_lists_of_flat_dicts_as_the_stdlib(rows, depth):
     doc = rows
     for _ in range(depth):
         doc = {"rows": doc, "n": len(rows)}
-    assert json_dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert _written(json_dumps, doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_json_dumps_of_a_validity_map_matches_the_stdlib():
     rows = [{"freq_hz": 1e9 * f, "dist_m": d / 3, "regime": "planar" if d % 2 else "spherical"}
             for f in range(1, 21) for d in range(1, 11)]
-    assert json_dumps(rows) == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    assert _written(json_dumps, rows) == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
 # documents whose lists sit at the block boundaries of the chunked writers
@@ -211,7 +223,7 @@ _block_documents = (_blocks | st.lists(_blocks, min_size=1, max_size=2)
 @settings(max_examples=40, deadline=None)
 @given(_block_documents)
 def test_json_chunks_join_to_the_stdlib_layout_at_block_boundaries(doc):
-    chunks = list(json_dumps.chunks(doc))
+    chunks = list(json_dumps(doc))
     assert "".join(chunks) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -219,7 +231,7 @@ def test_json_chunks_hold_at_most_a_block_of_list_items():
     count = 2 * _BLOCK + 1
     for doc, lines in (([0.1] * count, 1), ([{"a": 1.5, "b": "x"}] * count, 4),
                        ([{"a": 1, "b": [0.25, 0.5]}] * count, 7)):
-        chunks = list(json_dumps.chunks(doc))
+        chunks = list(json_dumps(doc))
         assert "".join(chunks) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert len(chunks) >= 3
         assert max(c.count("\n") for c in chunks) <= _BLOCK * lines + 1
@@ -228,10 +240,10 @@ def test_json_chunks_hold_at_most_a_block_of_list_items():
 @settings(max_examples=30, deadline=None)
 @given(_long(st.tuples(_floats, _floats, st.sampled_from(["planar", "spherical"]))))
 def test_csv_chunks_join_to_the_one_string_table_at_block_boundaries(rows):
-    chunks = list(validity_csv.chunks(rows))
+    chunks = list(validity_csv(*_validity_columns(rows)))
     want = "freq_hz,dist_m,regime\n" + "".join(f"{_fmt(f)},{_fmt(d)},{r}\n"
                                                 for f, d, r in rows)
-    assert "".join(chunks) == validity_csv(rows) == want
+    assert "".join(chunks) == _written(validity_csv, *_validity_columns(rows)) == want
     assert len(chunks) == max(1, -(-len(rows) // _BLOCK))  # one block: one chunk
     assert max(c.count("\n") for c in chunks) <= _BLOCK + 1
 
@@ -261,7 +273,7 @@ def test_channel_csv_matches_per_cell_formatting(e):
     for n in range(e.shape[0]):
         for m in range(e.shape[1]):
             lines.append(f"{n + 1},{m + 1},{_fmt(e[n, m].real)},{_fmt(e[n, m].imag)}")
-    assert channel_csv(SimpleNamespace(entries=e)) == "\n".join(lines) + "\n"
+    assert _written(channel_csv, SimpleNamespace(entries=e)) == "\n".join(lines) + "\n"
 
 
 @settings(max_examples=100, deadline=None)
@@ -276,7 +288,7 @@ def test_phase_profile_csv_matches_per_cell_formatting(samples, quadratic, linea
     with np.errstate(all="ignore"):
         for row in zip(x, phase, c0 + c1 * x + c2 * x * x, b0 + b1 * x):
             lines.append(",".join(map(_fmt, row)))
-        assert phase_profile_csv(profile) == "\n".join(lines) + "\n"
+        assert _written(phase_profile_csv, profile) == "\n".join(lines) + "\n"
 
 
 def _rate_csv(t):
@@ -332,13 +344,13 @@ def _drawn_sweep_tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(_drawn_rate_tables())
 def test_rate_table_csv_matches_per_cell_formatting(t):
-    assert rate_table_csv(t) == _rate_csv(t)
+    assert _written(rate_table_csv, t) == _rate_csv(t)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_drawn_sweep_tables())
 def test_sweep_table_csv_matches_per_cell_formatting(t):
-    assert sweep_table_csv(t) == _sweep_csv(t)
+    assert _written(sweep_table_csv, t) == _sweep_csv(t)
 
 
 @settings(max_examples=100, deadline=None)
@@ -346,7 +358,7 @@ def test_sweep_table_csv_matches_per_cell_formatting(t):
                 max_size=6))
 def test_validity_csv_matches_per_cell_formatting(rows):
     lines = ["freq_hz,dist_m,regime"] + [f"{_fmt(f)},{_fmt(d)},{r}" for f, d, r in rows]
-    assert validity_csv(rows) == "\n".join(lines) + "\n"
+    assert _written(validity_csv, *_validity_columns(rows)) == "\n".join(lines) + "\n"
 
 
 CONFIG = {
@@ -477,7 +489,7 @@ def test_plan_csv_uses_snr_as_x(tmp_path):
     d = math.sqrt(lam * dist / 4)
     sc = link_scene(build_ula(4, d), build_ula(4, d), dist, lam)
     plan = losmimo.fixed_angle_plan(sc, [0.0], [0.0, 5.0], WavefrontModel.FRESNEL)
-    lines = sweep_table_csv(plan).strip().splitlines()
+    lines = _written(sweep_table_csv, plan).strip().splitlines()
     assert lines[0] == "x_value,snr_db,se_bpshz,ub_bpshz,active_rank,config_descriptor"
     assert lines[1].startswith("0,0,")
     assert lines[2].startswith("5,5,")
@@ -532,11 +544,12 @@ def _rate_dicts(t):
 @given(_rate_tables())
 def test_rate_table_json_is_the_stdlib_layout_of_the_report_documents(t):
     docs = _rate_dicts(t)
-    assert rate_table_json(t) == _stdlib(docs)
-    assert rate_table_csv(t) == _rate_csv(t)
+    assert _written(rate_table_json, t) == _stdlib(docs)
+    assert _written(rate_table_csv, t) == _rate_csv(t)
     if len(docs) == 1:
         angle = float(t.ses[0])
-        assert rotation_json(angle, t) == _stdlib({"angle_rad": angle, "report": docs[0]})
+        assert _written(rotation_json, angle, t) == _stdlib(
+            {"angle_rad": angle, "report": docs[0]})
 
 
 @st.composite
@@ -566,10 +579,10 @@ def _point_dicts(t):
 @given(_sweep_tables(), st.lists(_floats, max_size=4), _floats)
 def test_sweep_table_json_is_the_stdlib_layout_of_the_point_documents(t, angles, gap):
     docs = _point_dicts(t)
-    assert sweep_table_json(t) == _stdlib(docs)
-    assert angles_json(angles, gap, t) == _stdlib(
+    assert _written(sweep_table_json, t) == _stdlib(docs)
+    assert _written(angles_json, angles, gap, t) == _stdlib(
         {"angles_rad": angles, "plan": docs, "worst_case_gap": gap})
-    assert sweep_table_csv(t) == _sweep_csv(t)
+    assert _written(sweep_table_csv, t) == _sweep_csv(t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -588,4 +601,4 @@ def test_phase_profile_json_writes_its_array_columns_as_lists(steps):
     doc = phase_profile_json_doc(profile, -2.5)
     want = {k: v for k, v in doc.items() if k != "samples"}
     want["samples"] = {k: v.tolist() for k, v in doc["samples"].items()}
-    assert json_dumps(doc) == _stdlib(want)
+    assert _written(json_dumps, doc) == _stdlib(want)

@@ -765,7 +765,7 @@ def test_rotation_searches_give_the_same_bits_at_every_lookahead_depth(n, model,
         if snr_points == 1:
             out += [optimize_rotation(scene, float(snrs[0]), model),
                     optimize_rotation(scene, float(snrs[0]), model, independent=True)]
-        return _bits(out + [optimize._select_fixed_angles(scene, 3, snr_db.tolist(), model)])
+        return _bits(out + [select_fixed_angles(scene, 3, snr_db.tolist(), model)])
 
     with mock.patch.object(optimize, "golden_max", spy):
         picked = searches()
@@ -796,7 +796,7 @@ def test_angles_mode_plan_is_the_fixed_angle_plan_of_its_angles(n, model, snr_po
 
     for searched, k in enumerate((1, 3, 4), 1):
         with mock.patch.object(optimize, "_best_rotation", search):
-            angles, plan, worst_gap = optimize._select_fixed_angles(scene, k, grid, model)
+            angles, plan, worst_gap = select_fixed_angles(scene, k, grid, model)
         assert len(calls) == searched  # one search per selection
         assert len(set(angles)) == k and angles == sorted(angles)
         assert set(angles) <= set(candidates)
