@@ -22,6 +22,7 @@ from .optimize import (
     SweepSpec,
     SweepTable,
     SweepVariable,
+    _descriptors,
     _scene_reports,
     aosa_schedule,
     optimize_rotation,
@@ -69,26 +70,14 @@ def _check_grid_size(count: int, what: str):
         )
 
 
-def _write(out_path, chunks):
-    """Write text chunks to ``out_path`` (stdout when empty) as they come."""
-    if not out_path:
-        sys.stdout.writelines(chunks)
-        return
-    try:  # a 64 KiB buffer: few writes for a large document, little memory for a small one
-        with open(out_path, "w", encoding="utf-8", buffering=1 << 16) as fh:
-            fh.writelines(chunks)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
-
-
 def _emit(args, to_csv, to_json, *result, sidecar=None) -> int:
     """Write ``result`` to --out (stdout when omitted) as the chunks of ``to_csv(*result)``,
     or with --format json of ``to_json(*result)``.  A CSV written to --out also gets
     ``<out>.json`` holding the JSON of the document ``sidecar(*result)``."""
     as_csv = args.format == "csv"
-    _write(args.out, (to_csv if as_csv else to_json)(*result))
+    ser.write(args.out, (to_csv if as_csv else to_json)(*result))
     if as_csv and args.out and sidecar is not None:
-        _write(args.out + ".json", ser.json_dumps(sidecar(*result)))
+        ser.write(args.out + ".json", ser.json_dumps(sidecar(*result)))
     return 0
 
 
@@ -140,7 +129,7 @@ def cmd_optimize(args) -> int:
         snr_db = _fixed_snr_db(args, cfg)
         angle, rates = optimize_rotation(scene, snr_db_to_linear(snr_db), model)
         plan = SweepTable(np.array([angle]), np.array([snr_db], dtype=float),
-                          [f"rotation_rad={angle:.12g}"], rates, {})
+                          _descriptors("rotation_rad", [angle]), rates, {})
         return _emit(args, ser.sweep_table_csv, lambda p: ser.rotation_json(angle, p.rates), plan)
 
     if args.snr_grid is None:

@@ -21,6 +21,7 @@ from .capacity import (
     RateTable,
     _check_rows,
     _check_snr,
+    _bound,
     _rate_table,
     _squared_singular_values,
     _waterfill,
@@ -98,6 +99,11 @@ class SweepTable(NamedTuple):
     errors: dict
 
 
+def _descriptors(label: str, values) -> list[str]:
+    """The config descriptor of each value: ``label=value`` to 12 significant digits."""
+    return [f"{label}={x:.12g}" for x in values]
+
+
 def snr_db_to_linear(snr_db: float) -> float:
     try:
         return 10.0 ** (float(snr_db) / 10.0)
@@ -136,7 +142,7 @@ def _gains(scene: LinkScene, model, count: int, variants, errors=None, sizes=Non
     with nothing stacked the gains are (n,).  Variants (of ``sizes`` = (n_t, n_r) elements,
     the scene's by default) are evaluated _STACK_ENTRIES channel entries at a time, and a
     failing chunk re-runs its variants alone: the first failing one raises, or goes into
-    ``errors`` under its index, with NaN gains.
+    ``errors`` under its index, with NaN gains.  A count of 0 gives an empty (0, n) block.
     """
     n_t, n_r = sizes or (scene.tx.element_count, scene.rx.element_count)
 
@@ -160,7 +166,7 @@ def _gains(scene: LinkScene, model, count: int, variants, errors=None, sizes=Non
                         raise
                     errors[k] = exc
                     parts.append(np.full((1, min(n_t, n_r)), np.nan))
-    return np.concatenate(parts)
+    return np.concatenate(parts) if parts else np.empty((0, min(n_t, n_r)))
 
 
 def _posed(scene: LinkScene, rotations, local=None, anchor=None):
@@ -309,8 +315,7 @@ def fixed_angle_plan(
     if not all(math.isfinite(a) for a in angles):
         raise InvalidArgumentError("angle_rad must be finite")
     gains = _rotated(scene, model, np.array(angles), np.array(angles))
-    return _best_per_snr([f"rotation_rad={a:.12g}" for a in angles], gains, snr_grid_db, snrs,
-                         n_t, n_r)
+    return _best_per_snr(_descriptors("rotation_rad", angles), gains, snr_grid_db, snrs, n_t, n_r)
 
 
 def _combinations(n: int, k: int) -> np.ndarray:
@@ -388,8 +393,8 @@ def select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model: WavefrontM
 
     chosen = sorted(_least_gap_candidates(table, ref, k))  # as fixed_angle_plan sorts them
     angles = [float(candidates[c]) for c in chosen]
-    plan = _best_per_snr([f"rotation_rad={a:.12g}" for a in angles], gains[chosen], snr_grid_db,
-                         snrs, n_t, n_r)
+    plan = _best_per_snr(_descriptors("rotation_rad", angles), gains[chosen], snr_grid_db, snrs,
+                         n_t, n_r)
     gaps = [1.0 - se / r for se, r in zip(plan.rates.ses.tolist(), ref.tolist()) if r > 0]
     return angles, plan, max([0.0] + gaps)
 
@@ -429,48 +434,39 @@ def aosa_schedule(
     return _best_per_snr([f"aosa_r={r}" for r in fits], gains, snr_grid_db, snrs, n, n)
 
 
-def _eta_factors(scene: LinkScene, eta):
-    """Position scale factors of tx and rx at channel parameter(s) eta: both broadside
-    apertures become sqrt(eta*lam*D*N), positions scaling as in scale_layout."""
-    target = np.sqrt(eta * scene.wavelength_m * scene.separation_m * scene.n_min)
-    return target / scene.tx.aperture_m, target / scene.rx.aperture_m
-
-
-def _point_outcome(scene: LinkScene, variable: SweepVariable, x: float, snr_linear: float):
-    """Raise grid point x's own errors, found before any geometry is built; else None, or at
-    eta 0 (the aperture -> 0 limit) the one-row table of a single beam with full array gain."""
-    if variable is SweepVariable.FREQUENCY_HZ:
-        _check_positive(x, "freq_hz")
-        _check_positive(SPEED_OF_LIGHT_M_S / x, "wavelength_m")
-    elif variable is SweepVariable.ETA and x == 0.0:
-        n_t, n_r = scene.tx.element_count, scene.rx.element_count
-        se = np.log1p(snr_linear * n_t * n_r) / math.log(2.0)
-        beam = RateTable(np.array([snr_linear]), np.array([se]),
-                         np.array([capacity_upper_bound(n_t, n_r, snr_linear)]),
-                         np.eye(1, min(n_t, n_r)), np.ones(1, dtype=int))
-        _check_rows(beam.fractions, beam.ses, beam.ubs)
-        return beam
-    elif variable is SweepVariable.ETA:
-        if x < 0:
-            raise InvalidArgumentError("eta must be non-negative")
-        if min(scene.tx.aperture_m, scene.rx.aperture_m) <= 0:
-            raise IncompatibleModeError("eta sweep needs layouts with positive aperture")
-        for factor in _eta_factors(scene, x):
-            _check_positive(float(factor), "factor")
-    return None
+def _check_positives(s, *columns):
+    """:func:`_check_positive` of the first failing value in slice ``s`` of each column."""
+    for values, name in columns:
+        bad = ~((0 < values[s]) & (values[s] < np.inf))
+        if bad.any():
+            _check_positive(float(values[s][bad.argmax()]), name)
 
 
 def _sweep_variants(scene: LinkScene, variable: SweepVariable, v: np.ndarray):
-    """The :func:`_gains` variants at the grid values ``v``.  Eta, tilt (rx alone) and offset
-    re-pose the arrays from the scene's rotations with no other offset."""
+    """The :func:`_gains` variants at the grid values ``v`` (eta 0 aside), a slice's points'
+    own checks (frequency, eta) first.  Eta, tilt (rx alone) and offset re-pose the arrays
+    from the scene's rotations with no other offset."""
     if variable is SweepVariable.FREQUENCY_HZ:
         tx, rx, lam = scene.tx_positions(), scene.rx_positions(), SPEED_OF_LIGHT_M_S / v
-        return lambda s: (tx, rx, lam[s, None, None])
+
+        def variants(s):
+            _check_positives(s, (v, "freq_hz"), (lam, "wavelength_m"))
+            return tx, rx, lam[s, None, None]
+        return variants
     base = (scene.tx_pose.rotation, scene.rx_pose.rotation)
-    if variable is SweepVariable.ETA:  # scaled per chunk: a grid of points can be large
-        f_t, f_r = _eta_factors(scene, v)
-        return lambda s: _posed(scene, base, (scene.tx.positions * f_t[s, None, None],
-                                              scene.rx.positions * f_r[s, None, None]))
+    if variable is SweepVariable.ETA:  # both broadside apertures become sqrt(eta*lam*D*N)
+        target = np.sqrt(v * scene.wavelength_m * scene.separation_m * scene.n_min)
+        f_t, f_r = target / scene.tx.aperture_m, target / scene.rx.aperture_m
+
+        def variants(s):  # scaled per chunk: a grid of points can be large
+            if (v[s] < 0).any():
+                raise InvalidArgumentError("eta must be non-negative")
+            if min(scene.tx.aperture_m, scene.rx.aperture_m) <= 0:
+                raise IncompatibleModeError("eta sweep needs layouts with positive aperture")
+            _check_positives(s, (f_t, "factor"), (f_r, "factor"))
+            return _posed(scene, base, (scene.tx.positions * f_t[s, None, None],
+                                        scene.rx.positions * f_r[s, None, None]))
+        return variants
     if variable is SweepVariable.OFFSET_M:
         anchor = np.column_stack([v, np.zeros_like(v), np.full_like(v, scene.separation_m)])
         return lambda s: _posed(scene, base, anchor=anchor[s])
@@ -491,53 +487,41 @@ def _scene_reports(scene: LinkScene, model: WavefrontModel, snr_db) -> RateTable
 def sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the rates at every grid point, in grid order.
 
-    The points that pass their own checks are evaluated as one stack of variants of the base
-    scene (see :func:`_gains`).  Grid points whose geometry is degenerate come back as error
-    rows, with the error of the point alone, rather than failing the whole sweep.
+    The fixed SNR is checked once, before any geometry.  The points are evaluated as one
+    stack of variants of the base scene (see :func:`_gains`), each chunk's points checked
+    first; a point whose checks or geometry fail comes back as an error row, with the error
+    of the point alone, rather than failing the whole sweep.
     """
     scene, model, var = spec.base_scene, spec.model, spec.variable
     if var is SweepVariable.ROTATION_RAD:
         _require_ula_pair(scene, "rotation sweep")
-    label = _LABELS[var.value]
     grid = spec.grid.tolist()
-    descriptors = [f"{label}={x:.12g}" for x in grid]
+    descriptors = _descriptors(_LABELS[var.value], grid)
     if var is SweepVariable.SNR_DB:
         return SweepTable(spec.grid, spec.grid, descriptors, _scene_reports(scene, model, grid),
                           {})
 
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
-    snr_fixed = snr_db_to_linear(spec.snr_db)
-    size = len(grid)
-    rates = RateTable(np.full(size, snr_fixed), np.full(size, np.nan), np.full(size, np.nan),
-                      np.full((size, min(n_t, n_r)), np.nan), np.zeros(size, dtype=int))
-    errors, kept = {}, []  # per error row its exception; the rows whose variants are pending
+    snr = _linear_snrs([spec.snr_db], n_t * n_r)[0]
+    size, n = len(grid), min(n_t, n_r)
+    # eta 0 (the aperture -> 0 limit): a single beam with the full array gain
+    beam = spec.grid == 0.0 if var is SweepVariable.ETA else np.zeros(size, dtype=bool)
+    se, ub = np.log1p(snr * n_t * n_r) / math.log(2.0), _bound(n_t, n_r, snr)
+    rates = RateTable(np.full(size, snr), np.where(beam, se, np.nan), np.where(beam, ub, np.nan),
+                      np.where(beam[:, None], np.eye(1, n), np.nan), beam.astype(int))
+    _check_rows(rates.fractions[beam], rates.ses[beam], rates.ubs[beam])
 
-    def fill(rows, table):
-        for column, values in zip(rates, table):
-            column[rows] = values
-
+    rows, failed = np.flatnonzero(~beam), {}  # per variant: its grid row; its error
     # an overflowing geometry (say an offset of 1e300) ends in a typed error row
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, x in enumerate(grid):
-            try:
-                beam = _point_outcome(scene, var, x, snr_fixed)
-            except LosMimoError as exc:
-                errors[i] = exc
-                continue
-            if beam is None:
-                kept.append(i)
-            else:
-                fill([i], beam)
-        if kept:
-            failed = {}  # per variant: its error
-            variants = _sweep_variants(scene, var, spec.grid[kept])
-            gains = _gains(scene, model, len(kept), variants, failed)
-            ok = [j for j in range(len(kept)) if j not in failed]
-            try:  # as the report of these gains would; if it fails, each of them fails
-                snrs = np.full(len(ok), _check_snr(snr_fixed, n_t * n_r))
-                fill([kept[j] for j in ok], _rate_table(gains[ok], n_t, n_r, snrs))
-            except LosMimoError as exc:
-                failed.update(dict.fromkeys(ok, exc))
-            errors.update((kept[j], exc) for j, exc in failed.items())
-    return SweepTable(spec.grid, np.full(size, float(spec.snr_db)), descriptors, rates,
-                      {i: f"{type(e).__name__}: {e}" for i, e in errors.items()})
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gains = _gains(scene, model, rows.size, _sweep_variants(scene, var, spec.grid[rows]),
+                       failed)
+        ok = np.delete(np.arange(rows.size), list(failed))
+        try:  # as the report of these gains would; if it fails, each of them fails
+            table = _rate_table(gains[ok], n_t, n_r, rates.snrs[rows[ok]])
+            for column, values in zip(rates, table):
+                column[rows[ok]] = values
+        except LosMimoError as exc:
+            failed.update(dict.fromkeys(ok.tolist(), exc))
+    errors = {int(rows[j]): f"{type(e).__name__}: {e}" for j, e in sorted(failed.items())}
+    return SweepTable(spec.grid, np.full(size, float(spec.snr_db)), descriptors, rates, errors)

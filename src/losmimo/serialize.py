@@ -4,7 +4,7 @@ Every float prints with 17 significant digits so written values survive a
 round trip through text exactly; identical inputs always produce byte
 identical output.  JSON text is that of ``json.dumps(obj, indent=2, sort_keys=True)``.
 Rate reports, sweep rows and validity maps are written from table columns, a block of
-rows at a time.  Each writer is a generator function of text chunks: join them for the text.
+rows at a time.  Each writer is a generator function of the text chunks that :func:`write` writes.
 """
 
 from __future__ import annotations
@@ -12,13 +12,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
 from .channel import ChannelMatrix, PhaseProfile, WavefrontModel
 from .capacity import RateTable
-from .errors import InvalidArgumentError
+from .errors import ConfigError, InvalidArgumentError
 from .optimize import SweepTable
 
 
@@ -89,6 +90,18 @@ def _chunks(obj, depth: int):
         yield ("," if i else opening) + pad + key
         yield from _chunks(value, depth + 1)
     yield close + ending
+
+
+def write(out_path, chunks):
+    """Write the text ``chunks`` of a writer to ``out_path`` (stdout when empty) as they come."""
+    if not out_path:
+        sys.stdout.writelines(chunks)
+        return
+    try:  # a 64 KiB buffer: few writes for a large document, little memory for a small one
+        with open(out_path, "w", encoding="utf-8", buffering=1 << 16) as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
 
 
 def json_dumps(obj):

@@ -8,6 +8,8 @@ bytes of an untraced one, and the spans must see the layers it calls.
 
 from __future__ import annotations
 
+import functools
+import types
 from pathlib import Path
 
 import losmimo
@@ -66,3 +68,40 @@ def test_traced_commands_write_the_untraced_bytes(tmp_path, monkeypatch):
     # uninstalled: the modules hold their own functions again
     assert losmimo.cli.select_fixed_angles is losmimo.optimize.select_fixed_angles
     assert losmimo.cli.ser is losmimo.serialize
+
+
+def test_writers_yield_their_chunks_inside_a_serialize_span(tmp_path, monkeypatch):
+    # formatting happens as the chunks are drawn, so it is timed where they are written
+    monkeypatch.syspath_prepend(str(_ROOT / "bench"))
+    import layers
+
+    tracer = layers.Tracer()
+    open_spans = []  # per chunk yielded, the innermost open span
+
+    def drawn(chunks):
+        for chunk in chunks:
+            innermost = tracer._stack[-1]
+            open_spans.append(innermost >= 0 and tracer.span_names[tracer.name[innermost]])
+            yield chunk
+
+    def watched(writer):
+        @functools.wraps(writer)
+        def call(*args, **kwargs):
+            result = writer(*args, **kwargs)
+            return drawn(result) if isinstance(result, types.GeneratorType) else result
+        return call
+
+    for name, fn in vars(losmimo.serialize).items():
+        if isinstance(fn, types.FunctionType) and fn.__module__ == "losmimo.serialize" \
+                and not name.startswith("_") and name != "write":
+            monkeypatch.setattr(losmimo.serialize, name, watched(fn))
+    seen = {}
+    tracer.install(losmimo)
+    try:
+        for name in _COMMANDS:
+            open_spans.clear()
+            _run(name, tmp_path / name, tracer.wrap(main, "cli.main"))
+            seen[name] = set(open_spans)
+    finally:
+        tracer.uninstall()
+    assert seen == {name: {"serialize.write"} for name in _COMMANDS}

@@ -516,14 +516,37 @@ def test_snr_whose_array_gain_overflows_exits_2(scene_path, capsys):
         ["capacity", scene_path, "--snr-db", "4000"],
         ["capacity", scene_path, "--snr-db", "3079"],
         ["sweep", scene_path, "--var", "snr", "--grid", "3000:100:4000"],
+        ["sweep", scene_path, "--var", "eta", "--grid", "0,1", "--snr-db", "3079"],
+        ["sweep", scene_path, "--var", "tilt", "--grid", "0,1", "--snr-db", "3079"],
         ["optimize", scene_path, "--mode", "rotation", "--snr-db", "3079"],
     ):
-        assert main(argv) == 2
-        assert "overflows" in capsys.readouterr().err
-    argv = ["sweep", scene_path, "--var", "eta", "--grid", "0,1", "--snr-db", "3079"]
-    assert main(argv + ["--format", "json"]) == 0
-    docs = json.loads(capsys.readouterr().out)
-    assert all(d["se_bpshz"] is None and "overflows" in d["error"] for d in docs)
+        assert main(argv + ["--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "overflows" in err
+
+
+def test_edge_eta_grids_end_in_a_beam_row_and_error_rows(tmp_path, capsys, monkeypatch):
+    # a one-point custom tx has aperture 0: only eta 0, the beam, has rates
+    config = tmp_path / "point.json"
+    config.write_text(json.dumps({
+        "carrier_hz": 300e9, "distance_m": 5.0, "model": "spherical",
+        "tx": {"type": "custom", "positions": [[0.0, 0.0, 0.0]]},
+        "rx": {"type": "ula", "n": 4, "spacing_m": 0.035}}))
+    calls = []
+    monkeypatch.setattr(optimize, "_channel_entries", lambda *args: calls.append(args))
+    for path in (GOLDEN_CONFIGS / "ula4.json", config):
+        assert main(["sweep", str(path), "--var", "eta", "--grid=0", "--snr-db=10",
+                     "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["active_rank"] == 1 and row["config_descriptor"] == "eta=0"
+        assert "error" not in row and math.isfinite(row["se_bpshz"])
+    assert main(["sweep", str(config), "--var", "eta", "--grid=0:0.5:1.5", "--snr-db=10"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert lines[0].startswith("0,10,") and lines[0].endswith(",1,eta=0")
+    assert lines[1:] == [
+        f"{x},10,nan,nan,0,eta={x} IncompatibleModeError: eta sweep needs layouts with "
+        "positive aperture" for x in ("0.5", "1", "1.5")]
+    assert calls == []
 
 
 def test_angles_and_capacity_report_the_first_overflowing_snr_alike(scene_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from losmimo import (
     build_ula,
     capacity_upper_bound,
     channel_matrix,
+    custom_layout,
     fixed_angle_plan,
     gain_spectrum,
     link_scene,
@@ -35,6 +37,7 @@ from losmimo.cli import main
 
 LAM = 1e-3
 DIST = 10.0
+GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
 
 
 def _ula_scene(eta=1.0, n=4, dist=DIST, lam=LAM):
@@ -406,9 +409,8 @@ def test_an_overflowing_snr_raises_before_a_failing_geometry(plan):
 def test_snr_whose_array_gain_overflows_gives_error_rows_or_raises():
     sc = _ula_scene()
     model = WavefrontModel.FRESNEL
-    points = sweep(SweepSpec(SweepVariable.ETA, np.array([0.0, 1.0]), sc, model, snr_db=3079.0))
-    assert list(points.errors) == [0, 1]
-    assert all("overflows" in e for e in points.errors.values())
+    with pytest.raises(InvalidArgumentError, match="times the array gain 16 overflows"):
+        sweep(SweepSpec(SweepVariable.ETA, np.array([0.0, 1.0]), sc, model, snr_db=3079.0))
     with pytest.raises(InvalidArgumentError, match="overflows"):
         optimize_rotation(sc, snr_db_to_linear(3079.0), model)
     with pytest.raises(InvalidArgumentError, match="overflows"):
@@ -417,6 +419,62 @@ def test_snr_whose_array_gain_overflows_gives_error_rows_or_raises():
         aosa_schedule(4, sc, [3079.0], model)
     with pytest.raises(InvalidArgumentError, match="overflows"):
         sweep(SweepSpec(SweepVariable.SNR_DB, np.array([3000.0, 4000.0]), sc, model))
+
+
+_NON_SNR_GRIDS = {
+    SweepVariable.ETA: [0.0, 0.5, 1.0],
+    SweepVariable.FREQUENCY_HZ: [-1.0, 100e9, 300e9],
+    SweepVariable.ROTATION_RAD: [0.0, 0.5],
+    SweepVariable.TILT_RAD: [0.0, 0.1],
+    SweepVariable.OFFSET_M: [0.0, 0.01],
+}
+
+
+@pytest.mark.parametrize("variable", list(_NON_SNR_GRIDS))
+def test_sweep_checks_its_fixed_snr_before_any_geometry(variable, monkeypatch):
+    # 3079 dB overflows times the array gain 16; -3300 dB rounds to 0 in linear scale
+    cfg = load_scene_config(GOLDEN_CONFIGS / "ula4.json")
+    calls = []
+    monkeypatch.setattr(optimize, "_channel_entries", lambda *args: calls.append(args))
+    grid = np.array(_NON_SNR_GRIDS[variable])
+    for snr_db, text in ((3079.0, "times the array gain 16 overflows"),
+                         (-3300.0, "snr_linear must be positive, got 0.0")):
+        spec = SweepSpec(variable, grid, cfg.scene, cfg.model, snr_db=snr_db)
+        with pytest.raises(InvalidArgumentError, match=text):
+            sweep(spec)
+    assert calls == []
+
+
+def _zero_aperture_scene():  # one tx element: a point set of diameter 0
+    return link_scene(custom_layout([[0.0, 0.0, 0.0]]), build_ula(4, 0.01), DIST, LAM)
+
+
+def test_an_eta_grid_of_zero_alone_is_one_beam_row_with_no_evaluation(monkeypatch):
+    calls = []
+    monkeypatch.setattr(optimize, "_channel_entries", lambda *args: calls.append(args))
+    for sc in (_ula_scene(), _zero_aperture_scene()):
+        t = sweep(SweepSpec(SweepVariable.ETA, np.array([0.0]), sc, WavefrontModel.SPHERICAL,
+                            snr_db=10.0))
+        n = sc.tx.element_count * sc.rx.element_count
+        assert t.errors == {} and t.descriptors == ["eta=0"]
+        assert t.rates.ses.tolist() == [pytest.approx(math.log2(1 + 10.0 * n), rel=1e-15)]
+        assert t.rates.ubs.tolist() == [capacity_upper_bound(sc.tx.element_count,
+                                                             sc.rx.element_count, 10.0)]
+        assert t.rates.ranks.tolist() == [1]
+        assert t.rates.fractions.tolist() == [[1.0] + [0.0] * (t.rates.fractions.shape[1] - 1)]
+    assert calls == []
+
+
+def test_an_eta_grid_on_a_zero_aperture_layout_fails_every_point_above_zero():
+    sc = _zero_aperture_scene()
+    t = sweep(SweepSpec(SweepVariable.ETA, np.array([-1.0, 0.0, 0.5, 1.0]), sc,
+                        WavefrontModel.SPHERICAL, snr_db=10.0))
+    assert t.errors == {
+        0: "InvalidArgumentError: eta must be non-negative",
+        2: "IncompatibleModeError: eta sweep needs layouts with positive aperture",
+        3: "IncompatibleModeError: eta sweep needs layouts with positive aperture"}
+    assert t.rates.ranks.tolist() == [0, 1, 0, 0]
+    assert np.isfinite(t.rates.ses[1]) and np.isnan(t.rates.ses[[0, 2, 3]]).all()
 
 
 @settings(max_examples=100, deadline=None)

@@ -280,6 +280,7 @@ def _sweep_alone(spec):
     except OverflowError:
         raise InvalidArgumentError(
             f"snr_db {spec.snr_db!r} overflows a float in linear scale") from None
+    capacity._check_snr(snr, n_t * n_r)  # once, before any point
     label = optimize._LABELS[var.value]
     points = []
     with np.errstate(over="ignore", invalid="ignore"):
