@@ -47,8 +47,6 @@ from .channel import (
 )
 from .capacity import (
     GainSpectrum,
-    PowerAllocation,
-    RateReport,
     RateTable,
     gain_spectrum,
     waterfilling,

@@ -56,50 +56,11 @@ class GainSpectrum:
         return float(self.gains.sum())
 
 
-@dataclass(frozen=True, eq=False)
-class PowerAllocation:
-    """Fractions of the total transmit power per spatial mode (sums to 1)."""
-
-    fractions: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        p = np.asarray(self.fractions, dtype=float)
-        if p.ndim != 1:
-            raise InvalidArgumentError(_ROW_CHECKS[0])
-        _check_rows(p[None])
-        object.__setattr__(self, "fractions", _frozen_copy(p))
-
-
-@dataclass(frozen=True, eq=False)
-class RateReport:
-    """Waterfilling spectral efficiency bundled with the matching upper bound."""
-
-    snr_linear: float
-    spectral_efficiency_bpshz: float
-    allocation: PowerAllocation
-    active_rank: int
-    upper_bound_bpshz: float
-
-    def __post_init__(self):
-        _check_snr(self.snr_linear)
-        if self.spectral_efficiency_bpshz > self.upper_bound_bpshz + 1e-9:
-            raise InvalidArgumentError(_ROW_CHECKS[3])
-        active = int(np.count_nonzero(self.allocation.fractions > 0))
-        if self.active_rank != active:
-            raise InvalidArgumentError(
-                f"active_rank {self.active_rank} != {active} positive fractions"
-            )
-
-    @property
-    def snr_db(self) -> float:
-        return 10.0 * math.log10(self.snr_linear)
-
-
 class RateTable(NamedTuple):
-    """Rate reports as columns, row i at the linear SNR snrs[i]: SEs and bounds (S,), power
-    fractions (S, n) and active ranks (S,).  Built and checked by :func:`_rate_table`.  As a
-    tuple of columns, ``len(t)`` is 5 and iterating walks the columns; the rows number
-    ``len(t.ses)``."""
+    """The rate result, row i at the linear SNR snrs[i]: SEs and bounds (S,), power
+    fractions (S, n) and active ranks (S,).  Built and checked by :func:`_rate_table`
+    (:func:`rate_report` returns one row).  As a tuple of columns, ``len(t)`` is 5 and
+    iterating walks the columns; the rows number ``len(t.ses)``."""
 
     snrs: np.ndarray
     ses: np.ndarray
@@ -114,9 +75,9 @@ _ROW_CHECKS = ("fractions must be a finite 1-D array", "fractions must lie in [0
 
 
 def _check_rows(fractions: np.ndarray, ses=None, ubs=None):
-    """Raise the first failing check of the first failing row, as :class:`PowerAllocation`
-    and then :class:`RateReport` would: fractions[i] (S, n) finite, in [0, 1] and summing to
-    1 within 1e-12, then ses[i] <= ubs[i] + 1e-9 (when SEs are given)."""
+    """Raise the first failing check of the first failing row: fractions[i] (S, n) finite,
+    in [0, 1] and summing to 1 within 1e-12, then ses[i] <= ubs[i] + 1e-9 (when SEs are
+    given)."""
     with np.errstate(all="ignore"):
         failed = np.array([~np.isfinite(fractions).all(axis=1),
                            ((fractions < 0) | (fractions > 1)).any(axis=1),
@@ -152,7 +113,8 @@ def _squared_singular_values(entries: np.ndarray) -> np.ndarray:
 def waterfilling(spectrum: GainSpectrum, snr_linear: float):
     """KKT-optimal power split over the gains at the given SNR.
 
-    Returns (PowerAllocation, spectral_efficiency_bpshz).  Water level mu
+    Returns (fractions, spectral_efficiency_bpshz): the (n,) power fractions,
+    checked as a rate table's row, and a float.  Water level mu
     satisfies p_i = max(0, mu - 1/(snr*g_i)) with the fractions summing
     to one; gains more than twelve decades below the strongest count as
     zero so numerical noise never receives power.  When the SNR is so low
@@ -161,7 +123,8 @@ def waterfilling(spectrum: GainSpectrum, snr_linear: float):
     """
     _check_snr(snr_linear)
     fractions, se = _waterfill(spectrum.gains[None], np.array([snr_linear]))
-    return PowerAllocation(fractions[0]), float(se[0])
+    _check_rows(fractions)
+    return fractions[0], float(se[0])
 
 
 def _prefix_table(a: np.ndarray, top: int) -> np.ndarray:
@@ -292,12 +255,10 @@ def capacity_upper_bound_integer(n_t: int, n_r: int, snr_linear: float):
     return (hi, v_hi) if v_hi > v_lo else (lo, v_lo)
 
 
-def rate_report(h: ChannelMatrix, snr_linear: float) -> RateReport:
-    """Waterfilling result plus the matching upper bound for one channel/SNR."""
+def rate_report(h: ChannelMatrix, snr_linear: float) -> RateTable:
+    """The one-row rate table of one channel at one SNR: waterfilling plus the bound."""
     snrs = np.array([_check_snr(snr_linear, h.n_t * h.n_r)], dtype=float)
-    t = _rate_table(_squared_singular_values(h.entries), h.n_t, h.n_r, snrs)
-    return RateReport(float(t.snrs[0]), float(t.ses[0]), PowerAllocation(t.fractions[0]),
-                      int(t.ranks[0]), float(t.ubs[0]))
+    return _rate_table(_squared_singular_values(h.entries), h.n_t, h.n_r, snrs)
 
 
 def _rate_table(gains: np.ndarray, n_t: int, n_r: int, snrs: np.ndarray) -> RateTable:

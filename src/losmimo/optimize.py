@@ -25,7 +25,6 @@ from .capacity import (
     _rate_table,
     _squared_singular_values,
     _waterfill,
-    capacity_upper_bound,
 )
 from .channel import SPEED_OF_LIGHT_M_S, WavefrontModel, _channel_entries
 from .errors import (

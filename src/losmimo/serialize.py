@@ -203,7 +203,7 @@ def _rows_text(pad: str, keys, *columns) -> str:
 
 
 def _snr_db(snrs: np.ndarray) -> np.ndarray:
-    """The linear SNRs in dB, each as :attr:`RateReport.snr_db` computes it."""
+    """The linear SNRs in dB, each as the scalar ``10.0 * math.log10(snr)`` computes it."""
     return 10.0 * np.fromiter(map(math.log10, snrs), float, snrs.size)
 
 

@@ -148,9 +148,9 @@ def test_criterion_3_large_array_architectures(acceptance):
                 lay = build_uca(64, aperture)
             sc = link_scene(lay, lay, dist, lam)
             spec = gain_spectrum(channel_matrix(sc, FRESNEL))
-            alloc, se = waterfilling(spec, snr)
+            fractions, se = waterfilling(spec, snr)
             ses.append(se)
-            allocs.append((alloc, spec))
+            allocs.append((fractions, spec))
         results[name] = (np.array(ses), allocs)
 
     ula_gap = 1.0 - results["ula"][0].max() / ub
@@ -162,13 +162,13 @@ def test_criterion_3_large_array_architectures(acceptance):
     uca_ses, uca_allocs = results["uca"]
     strictly_below = bool(np.all(uca_ses < ub))
     i_best = int(np.argmax(uca_ses))
-    fr = uca_allocs[i_best][0].fractions
+    fr = uca_allocs[i_best][0]
     active = fr[fr > 0]
     ratio = float(active.max() / active.min())
     c_ok = strictly_below and ratio > 1.01
 
     d_ok = True
-    for (alloc, spec), se in zip(uca_allocs, uca_ses):
+    for (_, spec), se in zip(uca_allocs, uca_ses):
         if se < uniform_rate(spec, snr, spec.gains.size) - 1e-12:
             d_ok = False
 

@@ -126,6 +126,33 @@ def test_main_refuses_trees_at_paths_of_different_lengths_before_any_run(tmp_pat
     assert not (trees[0] / "ran").exists() and not out.exists()
 
 
+@pytest.mark.parametrize("side", ["parent", "change"])
+@pytest.mark.parametrize("cached", ["src/losmimo/__pycache__", "src/losmimo/old.pyc"])
+def test_main_refuses_a_tree_with_bytecode_under_src_before_any_run(tmp_path, side, cached):
+    trees = {}
+    for name in ("parent", "change"):
+        (tmp_path / name).mkdir()
+        trees[name] = _fake_tree(tmp_path / name, True)
+        (trees[name] / "src" / "losmimo").mkdir(parents=True)
+        (trees[name] / "src" / "losmimo" / "__init__.py").write_text("")
+        run_py = trees[name] / "bench" / "run.py"  # a run would leave this file behind
+        run_py.write_text("open('ran', 'w').close()\n" + run_py.read_text())
+    bytecode = trees[side] / cached
+    if bytecode.suffix == ".pyc":
+        bytecode.write_bytes(b"")
+    else:
+        bytecode.mkdir()
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [], "per_layer": []}))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+            "--workload", "export", "--pairs", "1", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(argv)
+    assert exc.value.code != 0
+    assert str(bytecode.resolve()) in str(exc.value.code)
+    assert not any((tree / "ran").exists() for tree in trees.values()) and not out.exists()
+
+
 def test_record_keeps_both_resolved_tree_paths(tmp_path):
     trees = []
     for side in ("parent", "change"):

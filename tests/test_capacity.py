@@ -10,8 +10,6 @@ from losmimo import (
     GainSpectrum,
     InvalidArgumentError,
     NoSignalError,
-    PowerAllocation,
-    RateReport,
     WavefrontModel,
     build_ula,
     capacity_upper_bound,
@@ -25,7 +23,7 @@ from losmimo import (
     waterfilling,
 )
 from losmimo import capacity
-from losmimo.capacity import _bound
+from losmimo.capacity import _bound, _check_rows
 
 
 def _spec(gains, n=None):
@@ -57,28 +55,28 @@ def test_gain_spectrum_validation():
 def test_waterfilling_two_gain_oracle():
     # gains (4, 1) at snr 1: mu = (1 + 1/4 + 1)/2, p = (7/8, 1/8),
     # SE = log2(1 + 7/2) + log2(1 + 1/8) = log2(81/16)
-    alloc, se = waterfilling(_spec([4.0, 1.0]), 1.0)
-    np.testing.assert_allclose(alloc.fractions, [0.875, 0.125], atol=1e-15)
+    fractions, se = waterfilling(_spec([4.0, 1.0]), 1.0)
+    np.testing.assert_allclose(fractions, [0.875, 0.125], atol=1e-15)
     assert se == pytest.approx(math.log2(81 / 16), abs=1e-12)
 
 
 def test_waterfilling_drops_weak_mode_at_low_snr():
     # at snr 0.1 the weak mode would get negative power, so k drops to 1
-    alloc, se = waterfilling(_spec([4.0, 1.0]), 0.1)
-    np.testing.assert_allclose(alloc.fractions, [1.0, 0.0], atol=1e-15)
+    fractions, se = waterfilling(_spec([4.0, 1.0]), 0.1)
+    np.testing.assert_allclose(fractions, [1.0, 0.0], atol=1e-15)
     assert se == pytest.approx(math.log2(1.4), abs=1e-12)
 
 
 def test_waterfilling_equal_gains_is_uniform():
     spec = _spec([3.0, 3.0, 3.0])
-    alloc, se = waterfilling(spec, 2.0)
-    np.testing.assert_allclose(alloc.fractions, 1 / 3, atol=1e-15)
+    fractions, se = waterfilling(spec, 2.0)
+    np.testing.assert_allclose(fractions, 1 / 3, atol=1e-15)
     assert se == pytest.approx(uniform_rate(spec, 2.0, 3), abs=1e-12)
 
 
 def test_waterfilling_ignores_numerical_noise_gains():
-    alloc, se = waterfilling(_spec([4.0, 4e-13]), 100.0)
-    np.testing.assert_allclose(alloc.fractions, [1.0, 0.0], atol=1e-15)
+    fractions, se = waterfilling(_spec([4.0, 4e-13]), 100.0)
+    np.testing.assert_allclose(fractions, [1.0, 0.0], atol=1e-15)
 
 
 def test_waterfilling_zero_spectrum_raises():
@@ -94,8 +92,8 @@ def test_waterfilling_at_minus_200_db_puts_all_power_on_rank_one():
         link_scene(build_ula(4, 0.035), build_ula(4, 0.035), 5.0, 1e-3),
         WavefrontModel.SPHERICAL,
     )
-    alloc, se = waterfilling(gain_spectrum(h), 1e-20)
-    assert alloc.fractions.tolist() == [1.0, 0.0, 0.0, 0.0]
+    fractions, se = waterfilling(gain_spectrum(h), 1e-20)
+    assert fractions.tolist() == [1.0, 0.0, 0.0, 0.0]
     assert math.isfinite(se) and se > 0.0
     assert se <= capacity_upper_bound(4, 4, 1e-20)
 
@@ -234,9 +232,9 @@ def test_waterfilling_attains_bound_on_polarized_spectrum():
 
 def test_power_allocation_validation():
     with pytest.raises(InvalidArgumentError):
-        PowerAllocation(np.array([0.7, 0.2]))
+        _check_rows(np.array([[0.7, 0.2]]))
     with pytest.raises(InvalidArgumentError):
-        PowerAllocation(np.array([1.2, -0.2]))
+        _check_rows(np.array([[1.2, -0.2]]))
 
 
 _NOT_FINITE_1D = "fractions must be a finite 1-D array"
@@ -249,8 +247,6 @@ _OFF_SUM = "fractions must sum to 1 within 1e-12"
     ([-1.0, math.nan], _NOT_FINITE_1D),  # the first failing check names the error
     ([math.inf, 0.0], _NOT_FINITE_1D),
     ([0.5, -math.inf], _NOT_FINITE_1D),
-    ([[0.5, 0.5]], _NOT_FINITE_1D),
-    (1.0, _NOT_FINITE_1D),
     ([1.25, -0.25], _OUT_OF_RANGE),
     ([-0.5, 0.25], _OUT_OF_RANGE),
     ([1.0 + 1e-11], _OUT_OF_RANGE),
@@ -261,36 +257,34 @@ _OFF_SUM = "fractions must sum to 1 within 1e-12"
 ])
 def test_power_allocation_names_the_first_failing_check(fractions, message):
     with pytest.raises(InvalidArgumentError) as err:
-        PowerAllocation(np.array(fractions))
+        _check_rows(np.array(fractions, dtype=float)[None])
     assert (type(err.value), str(err.value)) == (InvalidArgumentError, message)
 
 
 def test_power_allocation_keeps_a_split_within_1e_12_of_one():
-    kept = PowerAllocation([0.5, 0.5 + 1e-13, 0.0])
-    assert kept.fractions.tolist() == [0.5, 0.5 + 1e-13, 0.0]
-    assert PowerAllocation(np.array([0.0, 1.0])).fractions.tolist() == [0.0, 1.0]
+    _check_rows(np.array([[0.5, 0.5 + 1e-13, 0.0], [0.0, 1.0, 0.0]]))
 
 
-def test_rate_report_consistency_checks():
-    alloc = PowerAllocation(np.array([1.0, 0.0]))
-    with pytest.raises(InvalidArgumentError):
-        RateReport(1.0, 5.0, alloc, 1, 4.0)  # se above bound
-    with pytest.raises(InvalidArgumentError):
-        RateReport(1.0, 2.0, alloc, 2, 4.0)  # wrong active rank
-    rep = RateReport(10.0, 2.0, alloc, 1, 4.0)
-    assert rep.snr_db == pytest.approx(10.0)
+def test_waterfilling_checks_its_row(monkeypatch):
+    off = np.array([[0.5, 0.5 + 1e-11]])
+    monkeypatch.setattr(capacity, "_waterfill", lambda g, snrs: (off, np.array([1.0])))
+    with pytest.raises(InvalidArgumentError) as err:
+        waterfilling(_spec([4.0, 1.0]), 1.0)
+    assert (type(err.value), str(err.value)) == (InvalidArgumentError, _OFF_SUM)
 
 
 def test_rate_report_from_channel():
     h = ChannelMatrix(
         np.array([[1, 1], [1, -1]], dtype=complex), 1e-3, WavefrontModel.SPHERICAL
     )
-    rep = rate_report(h, 3.0)
+    rates = rate_report(h, 3.0)
     # two equal gains of 2: uniform split, se = 2 log2(1 + 3)
-    assert rep.spectral_efficiency_bpshz == pytest.approx(4.0, abs=1e-12)
-    assert rep.active_rank == 2
-    assert rep.upper_bound_bpshz >= rep.spectral_efficiency_bpshz
-    np.testing.assert_allclose(rep.allocation.fractions, 0.5, atol=1e-15)
+    assert rates.snrs.tolist() == [3.0]
+    assert rates.ses[0] == pytest.approx(4.0, abs=1e-12)
+    assert rates.ranks.tolist() == [2]
+    assert rates.ubs[0] >= rates.ses[0]
+    assert rates.fractions.shape == (1, 2)
+    np.testing.assert_allclose(rates.fractions[0], 0.5, atol=1e-15)
 
 
 _SIZES = [1, 4, 8, 64, 256]

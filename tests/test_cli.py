@@ -160,10 +160,10 @@ def test_capacity_takes_one_svd_per_scene(tmp_path, monkeypatch, capsys):
     assert len(docs) == 31
     for i, doc in enumerate(docs):
         want = rate_report(h, snr_db_to_linear(-10.0 + i))
-        assert doc["se_bpshz"] == want.spectral_efficiency_bpshz
-        assert doc["allocation"] == want.allocation.fractions.tolist()
-        assert doc["active_rank"] == want.active_rank
-        assert doc["ub_bpshz"] == want.upper_bound_bpshz
+        assert doc["se_bpshz"] == want.ses[0]
+        assert doc["allocation"] == want.fractions[0].tolist()
+        assert doc["active_rank"] == want.ranks[0]
+        assert doc["ub_bpshz"] == want.ubs[0]
 
 
 def test_sweep_grid_syntax(scene_path, capsys):
@@ -580,7 +580,7 @@ def test_each_snr_is_converted_once_and_checked_at_most_twice(job, monkeypatch, 
 
     for module, name in ((optimize, "snr_db_to_linear"), (optimize, "_check_snr"),
                          (capacity, "_check_snr"), (capacity, "capacity_upper_bound"),
-                         (optimize, "capacity_upper_bound")):
+                         (capacity, "_bound"), (optimize, "_bound")):
         count(module, name)
     path = str(GOLDEN_CONFIGS / job[1])
     if job[0] == "fixed_angle_plan":
@@ -591,10 +591,11 @@ def test_each_snr_is_converted_once_and_checked_at_most_twice(job, monkeypatch, 
     else:
         assert main([job[0], path] + job[2:]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 32
-    # converted and checked once, where it enters; no bound per row
+    # converted and checked once, where it enters; one bound over the whole SNR column
     assert calls.get("snr_db_to_linear") == 31
     assert calls.get("_check_snr", 0) == 31
     assert calls.get("capacity_upper_bound", 0) == 0
+    assert calls.get("_bound", 0) == 1
 
 
 @pytest.mark.parametrize("error, code", [
@@ -635,7 +636,7 @@ _PUBLIC_NAMES = {
     "SPEED_OF_LIGHT_M_S", "WavefrontModel", "Validity", "DistanceMatrix", "ChannelMatrix",
     "PhaseProfile", "distance_matrix", "channel_matrix", "validity_from_apertures",
     "classify_validity", "phase_profile",
-    "GainSpectrum", "PowerAllocation", "RateReport", "RateTable", "gain_spectrum", "waterfilling",
+    "GainSpectrum", "RateTable", "gain_spectrum", "waterfilling",
     "uniform_rate", "polarized_rate", "capacity_upper_bound", "capacity_upper_bound_integer",
     "rate_report",
     "SweepVariable", "SweepSpec", "SweepTable", "snr_db_to_linear", "optimize_rotation",
@@ -648,7 +649,7 @@ def test_star_import_binds_exactly_the_public_names():
     namespace = {}
     exec("from losmimo import *", namespace)
     namespace.pop("__builtins__")
-    assert len(_PUBLIC_NAMES) == 60 and set(namespace) == _PUBLIC_NAMES
+    assert len(_PUBLIC_NAMES) == 58 and set(namespace) == _PUBLIC_NAMES
     assert len(losmimo.__all__) == len(set(losmimo.__all__))
     for module in ("errors", "geometry", "channel", "capacity", "optimize", "config"):
         assert hasattr(losmimo, module) and module not in namespace

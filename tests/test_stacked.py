@@ -50,8 +50,6 @@ from losmimo import capacity
 from losmimo.capacity import (
     _LN2,
     _ZERO_GAIN_RTOL,
-    PowerAllocation,
-    RateReport,
     _bound,
     _check_rows,
     _prefix_table,
@@ -91,12 +89,20 @@ def _waterfill_alone(g, snr_linear):
 
 
 def _report_alone(g, n_t, n_r, snr_linear):
-    """The report of one row of gains at one SNR, field by field: the bound checks the SNR
-    first, then the row is waterfilled alone."""
+    """The rate row of one row of gains at one SNR: the bound checks the SNR first, then the
+    row is waterfilled alone."""
     ub = capacity_upper_bound(n_t, n_r, snr_linear)
     fractions, se = _waterfill_alone(g, snr_linear)
-    return RateReport(snr_linear, se, PowerAllocation(fractions),
-                      int(np.count_nonzero(fractions > 0)), ub)
+    return _checked_row(snr_linear, se, ub, fractions)
+
+
+def _checked_row(snr, se, ub, f):
+    """One rate row as a tuple in the order of the rate table's columns (the fractions as a
+    list, the active rank counted), or the first failing check of :func:`_row_error_alone`
+    raised."""
+    if error := _row_error_alone(f, se, ub):
+        raise InvalidArgumentError(error)
+    return snr, se, ub, f.tolist(), int(np.count_nonzero(f > 0))
 
 
 def _pair_offsets_alone(tx, rx):
@@ -256,12 +262,12 @@ def _sweep_gains_alone(scene, model, variable, x):
 
 
 class _Row(NamedTuple):
-    """One row of a sweep or plan, as the per-point reference loops build it: the report, or
-    the error text when the point failed."""
+    """One row of a sweep or plan, as the per-point reference loops build it: the rate row
+    (see :func:`_checked_row`), or the error text when the point failed."""
 
     x_value: float
     snr_db: float
-    report: RateReport | None
+    report: tuple | None
     config_descriptor: str
     error: str | None = None
 
@@ -291,8 +297,8 @@ def _sweep_alone(spec):
                     fractions = np.zeros(min(n_t, n_r))
                     fractions[0] = 1.0
                     se = float(np.log1p(snr * n_t * n_r) / math.log(2.0))
-                    report = RateReport(snr, se, PowerAllocation(fractions), 1,
-                                        capacity_upper_bound(n_t, n_r, snr))
+                    report = _checked_row(snr, se, capacity_upper_bound(n_t, n_r, snr),
+                                          fractions)
                 else:
                     report = _report_alone(_sweep_gains_alone(scene, model, var, x), n_t, n_r, snr)
             except LosMimoError as exc:
@@ -303,15 +309,9 @@ def _sweep_alone(spec):
     return points
 
 
-def _report_fields(r):
-    """The fields of a rate report, in the order of the rate table's columns."""
-    return (r.snr_linear, r.spectral_efficiency_bpshz, r.upper_bound_bpshz,
-            r.allocation.fractions.tolist(), r.active_rank)
-
-
 def _rows(value):
     """The fields of each row of a sweep or plan: x, SNR (dB), descriptor, error text and the
-    report's fields (None for an error row), read column by column from a table or from the
+    rate row (None for an error row), read column by column from a table or from the
     reference loops' records."""
     if isinstance(value, optimize.SweepTable):
         rates = zip(*(c.tolist() for c in value.rates))
@@ -319,7 +319,7 @@ def _rows(value):
                 for i, (x, snr_db, d, r) in enumerate(zip(
                     value.x.tolist(), value.snr_db.tolist(), value.descriptors, rates))]
     return [(p.x_value, p.snr_db, p.config_descriptor, p.error,
-             p.report and _report_fields(p.report)) for p in value]
+             p.report) for p in value]
 
 
 def _sweep_rows(value):
@@ -435,10 +435,10 @@ def test_waterfill_fallback_is_the_per_count_loop_bit_for_bit(n, rows, seed, snr
 # -- the rate table -------------------------------------------------------------
 
 def _rate_reports_alone(gains, n_t, n_r, snrs):
-    """Reports as built before the rate table: one waterfill and one bound expression, then one
-    checked PowerAllocation and RateReport per row, in row order."""
+    """Rate rows as built before the rate table: one waterfill and one bound expression, then
+    one checked row per SNR, in row order."""
     fractions, ses = _waterfill(np.broadcast_to(gains, (snrs.size, gains.shape[-1])), snrs)
-    return [RateReport(snr, se, PowerAllocation(f), int(np.count_nonzero(f > 0)), ub)
+    return [_checked_row(snr, se, ub, f)
             for f, se, snr, ub in zip(fractions, ses.tolist(), snrs.tolist(),
                                       capacity._bound(n_t, n_r, snrs).tolist())]
 
@@ -475,17 +475,14 @@ def test_table_rows_are_the_report_objects_bit_for_bit(n, extra, rows, seed, snr
         return
     table = _rate_table(g, n_t, n_r, snrs)
     reports = _rate_reports_alone(g, n_t, n_r, snrs)
-    assert [v.tolist() for v in table] == [
-        [r.snr_linear for r in reports], [r.spectral_efficiency_bpshz for r in reports],
-        [r.upper_bound_bpshz for r in reports], [r.allocation.fractions.tolist() for r in reports],
-        [r.active_rank for r in reports]]
+    assert [v.tolist() for v in table] == [[r[j] for r in reports] for j in range(5)]
     assert table.ranks.dtype.kind == "i"
     assert _bits(list(zip(*(c.tolist() for c in table)))) == _bits(reports)
 
 
 def _row_error_alone(f, se, ub):
-    """The message of a row's first failing check, as PowerAllocation and then RateReport
-    wrote their checks before the table; None when the row passes."""
+    """The message of a row's first failing check, as the per-row report objects wrote their
+    checks before the table; None when the row passes."""
     if not np.isfinite(f).all():
         return "fractions must be a finite 1-D array"
     if f.size and (f.min() < 0 or f.max() > 1):
@@ -524,7 +521,7 @@ def test_the_table_check_raises_as_the_per_row_loop(rows, bad, over):
 
     def per_row():
         for f, se, ub, snr in zip(fractions, ses.tolist(), ubs.tolist(), snrs.tolist()):
-            RateReport(snr, se, PowerAllocation(f), int(np.count_nonzero(f > 0)), ub)
+            _checked_row(snr, se, ub, f)
 
     with np.errstate(all="ignore"):
         want = next(((InvalidArgumentError, e) for e in map(_row_error_alone, fractions, ses, ubs)
@@ -723,11 +720,9 @@ def test_lookahead_raises_only_the_errors_of_the_probes_it_walks(peaks, widths, 
 
 
 def _bits(value):
-    """Every float of a search result, tables and reports included, as exact bits."""
+    """Every float of a search result, tables and rate rows included, as exact bits."""
     if isinstance(value, optimize.SweepTable):  # a plan: its rows, field by field
         return _bits(_rows(value))
-    if isinstance(value, RateReport):  # in the order of the rate table's columns
-        return _bits(_report_fields(value))
     if isinstance(value, (list, tuple)):
         return [_bits(v) for v in value]
     if isinstance(value, np.ndarray):

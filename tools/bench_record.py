@@ -20,9 +20,10 @@ so one file keeps every comparison run.  Then each metric of the record that
 ``--trace 1`` record) is printed to stderr as one line: parent and change
 medians, relative change, parent IQR and wins.  A run whose outputs fail the
 benchmark's checks (``"correct": false``) stops the script with a non-zero
-exit that names the tree and the workload.  So does a pair of trees whose
-resolved paths differ in length, before the first run; the record keeps both
-paths.  Neither tree's benchmark is modified.
+exit that names the tree and the workload.  So does, before the first run, a
+pair of trees whose resolved paths differ in length, or a tree that holds
+bytecode (a ``__pycache__`` directory or a ``*.pyc`` file) under ``src/``;
+the record keeps both paths.  Neither tree's benchmark is modified.
 """
 
 from __future__ import annotations
@@ -55,15 +56,22 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     }
 
 
-def check_path_lengths(trees: dict):
-    """Stop unless both trees sit at paths of equal length: the harness's
-    ``peak_rss_mb`` settles on one of two levels a megabyte or two apart, and
-    the level follows the length of the checkout's path, not the code."""
+def check_trees(trees: dict):
+    """Stop unless both trees sit at paths of equal length and hold no bytecode under
+    ``src/``.  The harness's ``peak_rss_mb`` settles on one of two levels a megabyte or
+    two apart, and the level follows the length of the checkout's path, not the code.
+    A tree with cached bytecode imports its unchanged modules without compiling them,
+    which moves ``setup_s``."""
     parent, change = str(trees["parent"]), str(trees["change"])
     if len(parent) != len(change):
         raise SystemExit(f"the trees' paths differ in length ({len(parent)} vs {len(change)} "
                          f"characters), which moves peak_rss_mb: parent {parent}, "
                          f"change {change}; put both at paths of equal length")
+    for side, tree in trees.items():
+        for path in sorted((tree / "src").rglob("*")):
+            if path.name == "__pycache__" or path.suffix == ".pyc":
+                raise SystemExit(f"the {side} tree holds bytecode at {path}, which moves "
+                                 f"setup_s; remove it")
 
 
 def spread(values: list[float]) -> dict:
@@ -117,7 +125,7 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    check_path_lengths(trees)
+    check_trees(trees)
     runs = []
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
