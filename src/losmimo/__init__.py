@@ -36,7 +36,6 @@ from .channel import (
     SPEED_OF_LIGHT_M_S,
     WavefrontModel,
     Validity,
-    DistanceMatrix,
     ChannelMatrix,
     PhaseProfile,
     distance_matrix,
@@ -58,7 +57,6 @@ from .capacity import (
 )
 from .optimize import (
     SweepVariable,
-    SweepSpec,
     SweepTable,
     snr_db_to_linear,
     optimize_rotation,

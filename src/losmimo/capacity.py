@@ -51,10 +51,6 @@ class GainSpectrum:
             raise InvalidArgumentError("gains must be sorted descending")
         object.__setattr__(self, "gains", _frozen_copy(g))
 
-    @property
-    def frobenius_total(self) -> float:
-        return float(self.gains.sum())
-
 
 class RateTable(NamedTuple):
     """The rate result, row i at the linear SNR snrs[i]: SEs and bounds (S,), power

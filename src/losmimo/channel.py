@@ -41,20 +41,6 @@ class Validity(Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """Pairwise distances D[n, m] from transmit antenna m to receive antenna n."""
-
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2:
-            raise InvalidArgumentError("distance matrix must be 2-D")
-        _check_distances(e)
-        object.__setattr__(self, "entries", _frozen_copy(e))
-
-
-@dataclass(frozen=True, eq=False)
 class ChannelMatrix:
     """Unit-modulus complex channel; entry (n, m) carries phase -2*pi*D[n,m]/lambda."""
 
@@ -127,9 +113,12 @@ def _pair_distances(tx: np.ndarray, rx: np.ndarray):
     return transverse, dz, dist
 
 
-def distance_matrix(scene: LinkScene) -> DistanceMatrix:
-    """Exact Euclidean distances between every posed rx/tx antenna pair."""
-    return DistanceMatrix(_pair_distances(scene.tx_positions(), scene.rx_positions())[2])
+def distance_matrix(scene: LinkScene) -> np.ndarray:
+    """Exact Euclidean distances D[n, m] from posed transmit antenna m to receive antenna n,
+    a read-only (n_r, n_t) array."""
+    dist = _pair_distances(scene.tx_positions(), scene.rx_positions())[2]
+    _check_distances(dist)
+    return _frozen_copy(dist)
 
 
 def channel_matrix(scene: LinkScene, model: WavefrontModel) -> ChannelMatrix:

@@ -19,7 +19,6 @@ from .config import load_scene_config
 from .errors import ConfigError, IncompatibleModeError, LosMimoError
 from .geometry import Archetype, _check_positive
 from .optimize import (
-    SweepSpec,
     SweepTable,
     SweepVariable,
     _descriptors,
@@ -116,9 +115,8 @@ def cmd_sweep(args) -> int:
     variable = SweepVariable(args.var)
     grid = _parse_values(args.grid, "--grid")
     snr_db = 0.0 if variable is SweepVariable.SNR_DB else _fixed_snr_db(args, cfg)
-    spec = SweepSpec(variable=variable, grid=np.asarray(grid), base_scene=cfg.scene,
-                     model=cfg.model, snr_db=snr_db)
-    return _emit(args, ser.sweep_table_csv, ser.sweep_table_json, sweep(spec))
+    return _emit(args, ser.sweep_table_csv, ser.sweep_table_json,
+                 sweep(cfg.scene, variable, grid, cfg.model, snr_db))
 
 
 def cmd_optimize(args) -> int:
@@ -139,7 +137,7 @@ def cmd_optimize(args) -> int:
     if args.mode == "aosa":
         # the blocks fix n and the element spacing; the schedule picks r and the subarray spacing
         tx, rx = scene.tx, scene.rx
-        elem_t, elem_r = (b.get("element_spacing_m", cfg.wavelength_m / 4)
+        elem_t, elem_r = (b.get("element_spacing_m", scene.wavelength_m / 4)
                           for b in (cfg.tx_block, cfg.rx_block))
         if not (tx.archetype is rx.archetype is Archetype.AOSA
                 and tx.element_count == rx.element_count and elem_t == elem_r):

@@ -65,9 +65,6 @@ _BLOCK_KEYS = {
 class SceneConfig:
     """Parsed and validated scene description, with the scene already built."""
 
-    carrier_hz: float
-    distance_m: float
-    wavelength_m: float
     model: WavefrontModel
     snr_db: tuple[float, ...] | None
     scene: LinkScene
@@ -211,9 +208,6 @@ def parse_scene_config(doc) -> SceneConfig:
     rx, rx_pose = _build_block(rx_block, "rx block", wavelength)
     scene = link_scene(tx, rx, distance, wavelength, tx_pose=tx_pose, rx_pose=rx_pose)
     return SceneConfig(
-        carrier_hz=carrier,
-        distance_m=distance,
-        wavelength_m=wavelength,
         model=model,
         snr_db=snr_db,
         scene=scene,

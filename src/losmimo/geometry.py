@@ -333,20 +333,9 @@ class LinkScene:
     def rx_positions(self) -> np.ndarray:
         return self.rx_pose.apply(self.rx.positions)
 
-    def tx_centroid(self) -> np.ndarray:
-        return self.tx_positions().mean(axis=0)
-
-    def rx_centroid(self) -> np.ndarray:
-        return self.rx_positions().mean(axis=0)
-
     @property
     def n_min(self) -> int:
         return min(self.tx.element_count, self.rx.element_count)
-
-    @property
-    def link_sign(self) -> float:
-        """+1 when the receiver sits at larger z than the transmitter."""
-        return 1.0 if self.rx_centroid()[2] >= self.tx_centroid()[2] else -1.0
 
 
 def link_scene(

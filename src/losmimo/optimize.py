@@ -9,7 +9,6 @@ misalignment (tilt and transverse offset).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -62,27 +61,6 @@ class SweepVariable(Enum):
     ROTATION_RAD = "rotation"
     TILT_RAD = "tilt"
     OFFSET_M = "offset"
-
-
-@dataclass(frozen=True, eq=False)
-class SweepSpec:
-    """One swept variable over a grid, everything else held fixed."""
-
-    variable: SweepVariable
-    grid: np.ndarray = field(repr=False)
-    base_scene: LinkScene
-    model: WavefrontModel
-    snr_db: float = 0.0
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 1 or g.size == 0 or not np.all(np.isfinite(g)):
-            raise InvalidArgumentError("sweep grid must be a non-empty finite 1-D array")
-        if g.size > 1 and np.any(np.diff(g) <= 0):
-            raise InvalidArgumentError("sweep grid must be strictly increasing")
-        object.__setattr__(self, "grid", _frozen_copy(g))
-        if not -math.inf < self.snr_db < math.inf:  # NaN fails both comparisons
-            raise InvalidArgumentError(f"sweep snr_db must be finite, got {self.snr_db!r}")
 
 
 class SweepTable(NamedTuple):
@@ -483,28 +461,35 @@ def _scene_reports(scene: LinkScene, model: WavefrontModel, snr_db) -> RateTable
     return _rate_table(gains, n_t, n_r, snrs)
 
 
-def sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the rates at every grid point, in grid order.
+def sweep(scene: LinkScene, variable: SweepVariable, grid, model: WavefrontModel,
+          snr_db: float = 0.0) -> SweepTable:
+    """Evaluate the rates at every point of ``grid`` (strictly increasing) of ``variable``,
+    everything else held fixed, in grid order; ``snr_db`` is the fixed SNR of a non-SNR sweep.
 
-    The fixed SNR is checked once, before any geometry.  The points are evaluated as one
-    stack of variants of the base scene (see :func:`_gains`), each chunk's points checked
-    first; a point whose checks or geometry fail comes back as an error row, with the error
-    of the point alone, rather than failing the whole sweep.
+    The grid and the fixed SNR are checked once, before any geometry.  The points are
+    evaluated as one stack of variants of the scene (see :func:`_gains`), each chunk's points
+    checked first; a point whose checks or geometry fail comes back as an error row, with the
+    error of the point alone, rather than failing the whole sweep.
     """
-    scene, model, var = spec.base_scene, spec.model, spec.variable
-    if var is SweepVariable.ROTATION_RAD:
+    x = _frozen_copy(np.asarray(grid, dtype=float))
+    if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
+        raise InvalidArgumentError("sweep grid must be a non-empty finite 1-D array")
+    if x.size > 1 and np.any(np.diff(x) <= 0):
+        raise InvalidArgumentError("sweep grid must be strictly increasing")
+    if not -math.inf < snr_db < math.inf:  # NaN fails both comparisons
+        raise InvalidArgumentError(f"sweep snr_db must be finite, got {snr_db!r}")
+    if variable is SweepVariable.ROTATION_RAD:
         _require_ula_pair(scene, "rotation sweep")
-    grid = spec.grid.tolist()
-    descriptors = _descriptors(_LABELS[var.value], grid)
-    if var is SweepVariable.SNR_DB:
-        return SweepTable(spec.grid, spec.grid, descriptors, _scene_reports(scene, model, grid),
-                          {})
+    grid = x.tolist()
+    descriptors = _descriptors(_LABELS[variable.value], grid)
+    if variable is SweepVariable.SNR_DB:
+        return SweepTable(x, x, descriptors, _scene_reports(scene, model, grid), {})
 
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
-    snr = _linear_snrs([spec.snr_db], n_t * n_r)[0]
+    snr = _linear_snrs([snr_db], n_t * n_r)[0]
     size, n = len(grid), min(n_t, n_r)
     # eta 0 (the aperture -> 0 limit): a single beam with the full array gain
-    beam = spec.grid == 0.0 if var is SweepVariable.ETA else np.zeros(size, dtype=bool)
+    beam = x == 0.0 if variable is SweepVariable.ETA else np.zeros(size, dtype=bool)
     se, ub = np.log1p(snr * n_t * n_r) / math.log(2.0), _bound(n_t, n_r, snr)
     rates = RateTable(np.full(size, snr), np.where(beam, se, np.nan), np.where(beam, ub, np.nan),
                       np.where(beam[:, None], np.eye(1, n), np.nan), beam.astype(int))
@@ -513,7 +498,7 @@ def sweep(spec: SweepSpec) -> SweepTable:
     rows, failed = np.flatnonzero(~beam), {}  # per variant: its grid row; its error
     # an overflowing geometry (say an offset of 1e300) ends in a typed error row
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        gains = _gains(scene, model, rows.size, _sweep_variants(scene, var, spec.grid[rows]),
+        gains = _gains(scene, model, rows.size, _sweep_variants(scene, variable, x[rows]),
                        failed)
         ok = np.delete(np.arange(rows.size), list(failed))
         try:  # as the report of these gains would; if it fails, each of them fails
@@ -523,4 +508,4 @@ def sweep(spec: SweepSpec) -> SweepTable:
         except LosMimoError as exc:
             failed.update(dict.fromkeys(ok.tolist(), exc))
     errors = {int(rows[j]): f"{type(e).__name__}: {e}" for j, e in sorted(failed.items())}
-    return SweepTable(spec.grid, np.full(size, float(spec.snr_db)), descriptors, rates, errors)
+    return SweepTable(x, np.full(size, float(snr_db)), descriptors, rates, errors)

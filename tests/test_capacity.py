@@ -38,7 +38,7 @@ def test_gain_spectrum_of_dft_matrix():
     )
     gs = gain_spectrum(h)
     np.testing.assert_allclose(gs.gains, [2.0, 2.0], rtol=1e-12)
-    assert gs.frobenius_total == pytest.approx(4.0)
+    assert gs.gains.sum() == pytest.approx(4.0)
 
 
 def test_gain_spectrum_validation():

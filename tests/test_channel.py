@@ -10,6 +10,7 @@ from losmimo import (
     DegenerateGeometryError,
     InvalidArgumentError,
     NyquistViolationError,
+    RigidPose,
     Validity,
     WavefrontModel,
     build_uca,
@@ -35,16 +36,26 @@ def _scene(n=4, spacing=0.01, dist=DIST, lam=LAM):
 
 def test_distance_matrix_hand_case():
     sc = link_scene(build_ula(2, 2.0), build_ula(2, 2.0), 3.0, LAM)
-    d = distance_matrix(sc).entries
+    d = distance_matrix(sc)
+    assert type(d) is np.ndarray and d.shape == (2, 2) and d.dtype == float
+    assert not d.flags.writeable
     # aligned pairs: 3 m; crossed pairs: hypot(2, 3)
     np.testing.assert_allclose(np.diag(d), 3.0)
     np.testing.assert_allclose(d[0, 1], math.hypot(2.0, 3.0))
     np.testing.assert_allclose(d[1, 0], math.hypot(2.0, 3.0))
 
 
+def test_distance_matrix_refuses_distances_past_the_float_range():
+    far = RigidPose(np.eye(3), np.array([1e300, 0.0, 0.0]))
+    sc = link_scene(build_ula(2, 2.0), build_ula(2, 2.0), 3.0, LAM, rx_pose=far)
+    with np.errstate(over="ignore"):  # the squared offsets overflow to inf
+        with pytest.raises(InvalidArgumentError, match="^distances must be finite and positive$"):
+            distance_matrix(sc)
+
+
 def test_spherical_phase_matches_distances():
     sc = _scene()
-    d = distance_matrix(sc).entries
+    d = distance_matrix(sc)
     h = channel_matrix(sc, WavefrontModel.SPHERICAL).entries
     np.testing.assert_allclose(h, np.exp(-2j * np.pi * d / LAM), atol=1e-12)
     np.testing.assert_allclose(np.abs(h), 1.0, atol=1e-12)

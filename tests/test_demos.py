@@ -36,4 +36,6 @@ def test_readme_quickstart_runs(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
-    assert len(capsys.readouterr().out.splitlines()) == 2 + 21  # report, rotation, plan rows
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + 21  # report, rotation, plan rows
+    assert lines[0] == "13.837726402667101 4"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ from losmimo import (
     DegenerateGeometryError,
     IncompatibleModeError,
     InvalidArgumentError,
-    SweepSpec,
     SweepVariable,
     WavefrontModel,
     aosa_schedule,
@@ -56,14 +56,7 @@ def test_snr_db_to_linear():
 def test_snr_sweep_matches_direct_reports():
     sc = _ula_scene()
     grid = np.array([-5.0, 0.0, 5.0])
-    spec = SweepSpec(
-        variable=SweepVariable.SNR_DB,
-        grid=grid,
-        base_scene=sc,
-        model=WavefrontModel.FRESNEL,
-        snr_db=0.0,
-    )
-    points = sweep(spec)
+    points = sweep(sc, SweepVariable.SNR_DB, grid, WavefrontModel.FRESNEL, snr_db=0.0)
     h = channel_matrix(sc, WavefrontModel.FRESNEL)
     assert points.errors == {}
     for i, snr_db in enumerate(grid):
@@ -78,14 +71,8 @@ def test_snr_sweep_matches_direct_reports():
 
 def test_eta_sweep_hits_beamforming_limit_at_zero():
     sc = _ula_scene()
-    spec = SweepSpec(
-        variable=SweepVariable.ETA,
-        grid=np.array([0.0, 1.0]),
-        base_scene=sc,
-        model=WavefrontModel.FRESNEL,
-        snr_db=10.0,
-    )
-    rates = sweep(spec).rates
+    rates = sweep(sc, SweepVariable.ETA, np.array([0.0, 1.0]), WavefrontModel.FRESNEL,
+                  snr_db=10.0).rates
     # eta -> 0: one coherent beam with the full N_t*N_r power gain
     assert rates.ses[0] == pytest.approx(math.log2(1 + 10.0 * 16), rel=1e-12)
     assert rates.ranks[0] == 1
@@ -95,14 +82,8 @@ def test_eta_sweep_hits_beamforming_limit_at_zero():
 
 def test_sweep_records_errors_per_point_instead_of_raising():
     sc = _ula_scene()
-    spec = SweepSpec(
-        variable=SweepVariable.ETA,
-        grid=np.array([-1.0, 1.0]),
-        base_scene=sc,
-        model=WavefrontModel.FRESNEL,
-        snr_db=10.0,
-    )
-    points = sweep(spec)
+    points = sweep(sc, SweepVariable.ETA, np.array([-1.0, 1.0]), WavefrontModel.FRESNEL,
+                   snr_db=10.0)
     assert list(points.errors) == [0]  # the bad point's error; the good point has its rates
     assert points.errors[0] and np.isfinite(points.rates.ses[1])
 
@@ -110,14 +91,8 @@ def test_sweep_records_errors_per_point_instead_of_raising():
 def test_freq_sweep_rescales_wavelength():
     sc = _ula_scene()
     freq = 300e9
-    spec = SweepSpec(
-        variable=SweepVariable.FREQUENCY_HZ,
-        grid=np.array([freq]),
-        base_scene=sc,
-        model=WavefrontModel.FRESNEL,
-        snr_db=10.0,
-    )
-    (se,) = sweep(spec).rates.ses
+    (se,) = sweep(sc, SweepVariable.FREQUENCY_HZ, np.array([freq]), WavefrontModel.FRESNEL,
+                  snr_db=10.0).rates.ses
     lam = 299792458.0 / freq
     direct = link_scene(sc.tx, sc.rx, DIST, lam)
     expected = rate_report(
@@ -130,27 +105,18 @@ def test_freq_sweep_rescales_wavelength():
 
 def test_rotation_sweep_needs_ulas():
     sc = link_scene(build_uca(4, 0.1), build_uca(4, 0.1), DIST, LAM)
-    spec = SweepSpec(
-        variable=SweepVariable.ROTATION_RAD,
-        grid=np.array([0.0, 0.5]),
-        base_scene=sc,
-        model=WavefrontModel.FRESNEL,
-        snr_db=10.0,
-    )
     with pytest.raises(IncompatibleModeError):
-        sweep(spec)
+        sweep(sc, SweepVariable.ROTATION_RAD, np.array([0.0, 0.5]), WavefrontModel.FRESNEL,
+              snr_db=10.0)
+    # the grid is checked before the archetypes
+    with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+        sweep(sc, SweepVariable.ROTATION_RAD, np.array([0.5, 0.0]), WavefrontModel.FRESNEL)
 
 
 def test_offset_sweep_degrades_capacity_smoothly():
     sc = _ula_scene()
-    spec = SweepSpec(
-        variable=SweepVariable.OFFSET_M,
-        grid=np.array([0.0, 0.5, 1.0]),
-        base_scene=sc,
-        model=WavefrontModel.SPHERICAL,
-        snr_db=10.0,
-    )
-    points = sweep(spec)
+    points = sweep(sc, SweepVariable.OFFSET_M, np.array([0.0, 0.5, 1.0]), WavefrontModel.SPHERICAL,
+                   snr_db=10.0)
     ses = points.rates.ses.tolist()
     assert points.errors == {}
     assert ses[0] > ses[-1]  # sliding off boresight costs capacity
@@ -159,14 +125,8 @@ def test_offset_sweep_degrades_capacity_smoothly():
 def test_tilt_sweep_matches_manual_rotation():
     sc = _ula_scene()
     ang = 0.6
-    spec = SweepSpec(
-        variable=SweepVariable.TILT_RAD,
-        grid=np.array([ang]),
-        base_scene=sc,
-        model=WavefrontModel.FRESNEL,
-        snr_db=10.0,
-    )
-    (se,) = sweep(spec).rates.ses
+    (se,) = sweep(sc, SweepVariable.TILT_RAD, np.array([ang]), WavefrontModel.FRESNEL,
+                  snr_db=10.0).rates.ses
     from losmimo import rotate_in_link_plane
 
     manual = link_scene(
@@ -183,13 +143,7 @@ def test_tilt_sweep_matches_manual_rotation():
 def test_sweep_grid_must_increase():
     sc = _ula_scene()
     with pytest.raises(InvalidArgumentError):
-        SweepSpec(
-            variable=SweepVariable.SNR_DB,
-            grid=np.array([1.0, 1.0]),
-            base_scene=sc,
-            model=WavefrontModel.FRESNEL,
-            snr_db=0.0,
-        )
+        sweep(sc, SweepVariable.SNR_DB, np.array([1.0, 1.0]), WavefrontModel.FRESNEL, snr_db=0.0)
 
 
 def test_optimize_rotation_prefers_broadside_at_unit_eta_high_snr():
@@ -394,7 +348,7 @@ def test_select_fixed_angles_rejects_more_than_the_candidates():
     lambda sc, m, snr: aosa_schedule(8, sc, [snr], m, element_spacing_m=1e-30),
     lambda sc, m, snr: fixed_angle_plan(sc, [0.0], [snr], m),
     lambda sc, m, snr: select_fixed_angles(sc, 2, [snr], m),
-    lambda sc, m, snr: sweep(SweepSpec(SweepVariable.SNR_DB, np.array([snr]), sc, m)),
+    lambda sc, m, snr: sweep(sc, SweepVariable.SNR_DB, np.array([snr]), m),
 ], ids=["aosa", "fixed_angles", "select_angles", "sweep_snr"])
 def test_an_overflowing_snr_raises_before_a_failing_geometry(plan):
     # arrays 1e-10 m apart intersect; 3079 dB overflows times the array gain
@@ -410,7 +364,7 @@ def test_snr_whose_array_gain_overflows_gives_error_rows_or_raises():
     sc = _ula_scene()
     model = WavefrontModel.FRESNEL
     with pytest.raises(InvalidArgumentError, match="times the array gain 16 overflows"):
-        sweep(SweepSpec(SweepVariable.ETA, np.array([0.0, 1.0]), sc, model, snr_db=3079.0))
+        sweep(sc, SweepVariable.ETA, np.array([0.0, 1.0]), model, snr_db=3079.0)
     with pytest.raises(InvalidArgumentError, match="overflows"):
         optimize_rotation(sc, snr_db_to_linear(3079.0), model)
     with pytest.raises(InvalidArgumentError, match="overflows"):
@@ -418,7 +372,7 @@ def test_snr_whose_array_gain_overflows_gives_error_rows_or_raises():
     with pytest.raises(InvalidArgumentError, match="overflows"):
         aosa_schedule(4, sc, [3079.0], model)
     with pytest.raises(InvalidArgumentError, match="overflows"):
-        sweep(SweepSpec(SweepVariable.SNR_DB, np.array([3000.0, 4000.0]), sc, model))
+        sweep(sc, SweepVariable.SNR_DB, np.array([3000.0, 4000.0]), model)
 
 
 _NON_SNR_GRIDS = {
@@ -439,9 +393,37 @@ def test_sweep_checks_its_fixed_snr_before_any_geometry(variable, monkeypatch):
     grid = np.array(_NON_SNR_GRIDS[variable])
     for snr_db, text in ((3079.0, "times the array gain 16 overflows"),
                          (-3300.0, "snr_linear must be positive, got 0.0")):
-        spec = SweepSpec(variable, grid, cfg.scene, cfg.model, snr_db=snr_db)
         with pytest.raises(InvalidArgumentError, match=text):
-            sweep(spec)
+            sweep(cfg.scene, variable, grid, cfg.model, snr_db=snr_db)
+    assert calls == []
+
+
+_GRID_ERROR = "sweep grid must be a non-empty finite 1-D array"
+_ORDER_ERROR = "sweep grid must be strictly increasing"
+_BAD_SWEEP_INPUTS = {
+    "2d_grid": ([[0.0, 1.0]], 0.0, _GRID_ERROR),
+    "empty_grid": ([], 0.0, _GRID_ERROR),
+    "nan_in_grid": ([0.0, math.nan], 0.0, _GRID_ERROR),
+    "inf_in_grid": ([0.0, math.inf], 0.0, _GRID_ERROR),
+    "minus_inf_in_grid": ([-math.inf, 0.0], 0.0, _GRID_ERROR),
+    "repeated_value": ([0.5, 0.5], 0.0, _ORDER_ERROR),
+    "decreasing_grid": ([1.0, 0.5], 0.0, _ORDER_ERROR),
+    "nan_snr": ([0.0, 1.0], math.nan, "sweep snr_db must be finite, got nan"),
+    "inf_snr": ([0.0, 1.0], math.inf, "sweep snr_db must be finite, got inf"),
+    "minus_inf_snr": ([0.0, 1.0], -math.inf, "sweep snr_db must be finite, got -inf"),
+    "grid_before_snr": ([1.0, 0.5], math.nan, _ORDER_ERROR),
+}
+
+
+@pytest.mark.parametrize("variable", [SweepVariable.SNR_DB, SweepVariable.ETA])
+@pytest.mark.parametrize("grid, snr_db, text", _BAD_SWEEP_INPUTS.values(),
+                         ids=list(_BAD_SWEEP_INPUTS))
+def test_sweep_checks_its_grid_and_snr_before_any_geometry(variable, grid, snr_db, text,
+                                                           monkeypatch):
+    calls = []
+    monkeypatch.setattr(optimize, "_channel_entries", lambda *args: calls.append(args))
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(text)}$"):
+        sweep(_ula_scene(), variable, grid, WavefrontModel.FRESNEL, snr_db=snr_db)
     assert calls == []
 
 
@@ -453,8 +435,7 @@ def test_an_eta_grid_of_zero_alone_is_one_beam_row_with_no_evaluation(monkeypatc
     calls = []
     monkeypatch.setattr(optimize, "_channel_entries", lambda *args: calls.append(args))
     for sc in (_ula_scene(), _zero_aperture_scene()):
-        t = sweep(SweepSpec(SweepVariable.ETA, np.array([0.0]), sc, WavefrontModel.SPHERICAL,
-                            snr_db=10.0))
+        t = sweep(sc, SweepVariable.ETA, np.array([0.0]), WavefrontModel.SPHERICAL, snr_db=10.0)
         n = sc.tx.element_count * sc.rx.element_count
         assert t.errors == {} and t.descriptors == ["eta=0"]
         assert t.rates.ses.tolist() == [pytest.approx(math.log2(1 + 10.0 * n), rel=1e-15)]
@@ -467,8 +448,8 @@ def test_an_eta_grid_of_zero_alone_is_one_beam_row_with_no_evaluation(monkeypatc
 
 def test_an_eta_grid_on_a_zero_aperture_layout_fails_every_point_above_zero():
     sc = _zero_aperture_scene()
-    t = sweep(SweepSpec(SweepVariable.ETA, np.array([-1.0, 0.0, 0.5, 1.0]), sc,
-                        WavefrontModel.SPHERICAL, snr_db=10.0))
+    t = sweep(sc, SweepVariable.ETA, np.array([-1.0, 0.0, 0.5, 1.0]), WavefrontModel.SPHERICAL,
+              snr_db=10.0)
     assert t.errors == {
         0: "InvalidArgumentError: eta must be non-negative",
         2: "IncompatibleModeError: eta sweep needs layouts with positive aperture",
@@ -486,8 +467,8 @@ def test_an_eta_grid_on_a_zero_aperture_layout_fails_every_point_above_zero():
 )
 def test_every_row_is_finite_and_below_the_bound(n, eta, snr_db, model):
     sc = _ula_scene(eta=eta, n=n)
-    plans = [sweep(SweepSpec(SweepVariable.SNR_DB, np.array([snr_db]), sc, model)),
-             sweep(SweepSpec(SweepVariable.ETA, np.array([0.0, eta]), sc, model, snr_db=snr_db)),
+    plans = [sweep(sc, SweepVariable.SNR_DB, np.array([snr_db]), model),
+             sweep(sc, SweepVariable.ETA, np.array([0.0, eta]), model, snr_db=snr_db),
              fixed_angle_plan(sc, [0.0, math.pi / 4, math.pi / 2], [snr_db], model),
              aosa_schedule(n, sc, [snr_db], model)]
     for plan in plans:

@@ -11,7 +11,6 @@ from losmimo import (
     Archetype,
     ConfigError,
     RateTable,
-    SweepSpec,
     SweepTable,
     SweepVariable,
     WavefrontModel,
@@ -100,8 +99,7 @@ def test_json_dumps_is_deterministic():
 
 def test_rate_table_csv_layout():
     sc = link_scene(build_ula(3, 0.01), build_ula(2, 0.01), 5.0, LAM)
-    plan = sweep(SweepSpec(SweepVariable.SNR_DB, np.array([0.0, 10.0]), sc,
-                           WavefrontModel.SPHERICAL))
+    plan = sweep(sc, SweepVariable.SNR_DB, np.array([0.0, 10.0]), WavefrontModel.SPHERICAL)
     text = _written(rate_table_csv, plan.rates)
     lines = text.strip().splitlines()
     assert lines[0] == "snr_db,se_bpshz,ub_bpshz,active_rank,allocation"
@@ -378,7 +376,7 @@ def test_parse_scene_config_basics():
     assert cfg.scene.tx.archetype is Archetype.ULA
     assert cfg.scene.rx.archetype is Archetype.URA
     assert cfg.scene.rx.element_count == 4  # n is the per-side count
-    assert cfg.wavelength_m == pytest.approx(299792458.0 / 300e9)
+    assert cfg.scene.wavelength_m == pytest.approx(299792458.0 / 300e9)
 
 
 def test_parse_scene_config_scalar_snr_and_aperture_sizing():
@@ -478,7 +476,6 @@ def test_load_scene_config_round_trip(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(CONFIG))
     cfg = load_scene_config(path)
-    assert cfg.distance_m == 5.0
     assert cfg.scene.separation_m == 5.0
 
 

@@ -25,7 +25,6 @@ from losmimo import (
     LosMimoError,
     RigidPose,
     SPEED_OF_LIGHT_M_S,
-    SweepSpec,
     SweepVariable,
     UnsupportedArchetypeError,
     WavefrontModel,
@@ -272,9 +271,8 @@ class _Row(NamedTuple):
     error: str | None = None
 
 
-def _sweep_alone(spec):
+def _sweep_alone(scene, var, grid, model, snr_db=0.0):
     """A non-SNR sweep as the per-point loop ran it: each grid point evaluated alone."""
-    scene, model, var = spec.base_scene, spec.model, spec.variable
     if var is SweepVariable.ROTATION_RAD and not (
             scene.tx.archetype is scene.rx.archetype is Archetype.ULA):
         raise UnsupportedArchetypeError(
@@ -282,15 +280,15 @@ def _sweep_alone(spec):
             f"{scene.tx.archetype.value}/{scene.rx.archetype.value}")
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
     try:
-        snr = 10.0 ** (float(spec.snr_db) / 10.0)
+        snr = 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:
         raise InvalidArgumentError(
-            f"snr_db {spec.snr_db!r} overflows a float in linear scale") from None
+            f"snr_db {snr_db!r} overflows a float in linear scale") from None
     capacity._check_snr(snr, n_t * n_r)  # once, before any point
     label = optimize._LABELS[var.value]
     points = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in spec.grid.tolist():
+        for x in np.asarray(grid, dtype=float).tolist():
             descriptor = f"{label}={x:.12g}"
             try:
                 if var is SweepVariable.ETA and x == 0.0:  # a single beam, full array gain
@@ -302,10 +300,10 @@ def _sweep_alone(spec):
                 else:
                     report = _report_alone(_sweep_gains_alone(scene, model, var, x), n_t, n_r, snr)
             except LosMimoError as exc:
-                points.append(_Row(x, spec.snr_db, None, descriptor,
+                points.append(_Row(x, snr_db, None, descriptor,
                                    error=f"{type(exc).__name__}: {exc}"))
                 continue
-            points.append(_Row(x, spec.snr_db, report, descriptor))
+            points.append(_Row(x, snr_db, report, descriptor))
     return points
 
 
@@ -327,10 +325,10 @@ def _sweep_rows(value):
     return list(map(repr, _rows(value)))
 
 
-def _sweep_outcome(fn, spec):
-    """The rows of ``fn(spec)``, or the class and message of what it raises."""
+def _sweep_outcome(fn, *args):
+    """The rows of ``fn(*args)``, or the class and message of what it raises."""
     try:
-        return _sweep_rows(fn(spec))
+        return _sweep_rows(fn(*args))
     except LosMimoError as exc:
         return type(exc), str(exc)
 
@@ -511,22 +509,16 @@ _BAD_FRACTIONS = [
 @example(rows=3, bad=[(2, 0, False), (1, 3, True)], over=[(1, 1e-8)])
 def test_the_table_check_raises_as_the_per_row_loop(rows, bad, over):
     fractions = np.tile([0.75, 0.25], (rows, 1))
-    ses, ubs, snrs = np.full(rows, 2.0), np.full(rows, 2.0), np.full(rows, 1.0)
+    ses, ubs = np.full(rows, 2.0), np.full(rows, 2.0)
     for row, which, flip in bad:
         if row < rows:
             fractions[row] = _BAD_FRACTIONS[which][::-1] if flip else _BAD_FRACTIONS[which]
     for row, excess in over:  # SE above its bound by excess (within 1e-9 is kept)
         if row < rows:
             ses[row] = ubs[row] + excess
-
-    def per_row():
-        for f, se, ub, snr in zip(fractions, ses.tolist(), ubs.tolist(), snrs.tolist()):
-            _checked_row(snr, se, ub, f)
-
     with np.errstate(all="ignore"):
         want = next(((InvalidArgumentError, e) for e in map(_row_error_alone, fractions, ses, ubs)
                      if e), None)
-        assert _first_error(per_row) == want
     assert _first_error(_check_rows, fractions, ses, ubs) == want
 
 
@@ -548,14 +540,14 @@ def test_a_bound_below_row_k_raises_as_its_report_would(row, monkeypatch):
 ])
 def test_a_failing_report_step_gives_every_pending_point_its_error(variable, grid, monkeypatch):
     scene = _sweep_scene("ula", 4, 4, 1.0, 1.0, SPEED_OF_LIGHT_M_S / 300e9, (0.0, 0.0), 0.0)
-    spec = SweepSpec(variable, np.array(grid), scene, WavefrontModel.SPHERICAL, snr_db=10.0)
-    before = sweep(spec)
+    args = (scene, variable, np.array(grid), WavefrontModel.SPHERICAL, 10.0)
+    before = sweep(*args)
 
     def fail(*args):
         raise NoSignalError("all channel gains are zero")
 
     monkeypatch.setattr(optimize, "_rate_table", fail)
-    after = sweep(spec)
+    after = sweep(*args)
     pending = [i not in before.errors and not (variable is SweepVariable.ETA and x == 0.0)
                for i, x in enumerate(before.x.tolist())]
     assert any(pending) and not all(pending)
@@ -1082,10 +1074,10 @@ def test_stacked_sweep_matches_the_per_point_loop_bit_for_bit(
                                 max_size=10))
     scene = _sweep_scene(arch, n_t, n_r, spacing, dist, SPEED_OF_LIGHT_M_S / carrier_hz,
                          angles, offset)
-    spec = SweepSpec(variable, np.array(sorted(set(values))), scene, model, snr_db=snr_db)
+    args = (scene, variable, np.array(sorted(set(values))), model, snr_db)
     with mock.patch.object(optimize, "_STACK_ENTRIES", stack_entries):
-        got = _sweep_outcome(sweep, spec)
-    assert got == _sweep_outcome(_sweep_alone, spec)
+        got = _sweep_outcome(sweep, *args)
+    assert got == _sweep_outcome(_sweep_alone, *args)
 
 
 # grids on which some points evaluate and others fail, each with its own error
@@ -1104,10 +1096,10 @@ def test_mixed_grids_keep_each_points_own_row(variable, model):
     # 4 elements 1 m apart, 1 m apart at 300 GHz: endfire turns fail as in _PAIR_ERRORS
     arch, grid = _MIXED[variable]
     scene = _sweep_scene(arch, 4, 4, 1.0, 1.0, SPEED_OF_LIGHT_M_S / 300e9, (0.0, 0.0), 0.0)
-    spec = SweepSpec(variable, np.array(grid), scene, model, snr_db=10.0)
-    points = sweep(spec)
+    args = (scene, variable, np.array(grid), model, 10.0)
+    points = sweep(*args)
     assert 0 < len(points.errors) < len(points.descriptors)
-    assert _sweep_rows(points) == _sweep_rows(_sweep_alone(spec))
+    assert _sweep_rows(points) == _sweep_rows(_sweep_alone(*args))
 
 
 def _variant_outcome(fn, *args, **kwargs):
@@ -1197,8 +1189,8 @@ def test_stacks_hold_at_most_one_chunk_of_channel_entries():
     bound = max(optimize._STACK_ENTRIES, n * n)
     with mock.patch.object(optimize, "_channel_entries", spy), \
             mock.patch.object(optimize, "_posed_points", pose_spy):
-        sweep(SweepSpec(SweepVariable.ETA, np.arange(1, 49) / 16.0, scene,
-                        WavefrontModel.SPHERICAL, snr_db=10.0))
+        sweep(scene, SweepVariable.ETA, np.arange(1, 49) / 16.0, WavefrontModel.SPHERICAL,
+              snr_db=10.0)
         assert len(sizes) == 48 * n * n // bound and max(sizes) <= bound
         # positions are scaled a chunk at a time: each end, each chunk, one call
         assert len(posed) == 2 * len(sizes) and max(posed) <= bound // n * 3
@@ -1214,8 +1206,8 @@ def test_stacks_hold_at_most_one_chunk_of_channel_entries():
     big = link_scene(build_ula(128, spacing), build_ula(128, spacing), dist, lam)
     sizes.clear()
     with mock.patch.object(optimize, "_channel_entries", spy):
-        sweep(SweepSpec(SweepVariable.FREQUENCY_HZ, np.array([1e11, 2e11, 3e11]), big,
-                        WavefrontModel.PLANAR, snr_db=10.0))
+        sweep(big, SweepVariable.FREQUENCY_HZ, np.array([1e11, 2e11, 3e11]), WavefrontModel.PLANAR,
+              snr_db=10.0)
     assert sizes == [128 * 128] * 3
 
 
