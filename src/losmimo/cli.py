@@ -94,8 +94,7 @@ def _fixed_snr_db(args, cfg) -> float:
 def cmd_channel(args) -> int:
     cfg = load_scene_config(args.config)
     h = channel_matrix(cfg.scene, cfg.model)
-    return _emit(args, ser.channel_csv, lambda h: ser.json_dumps(ser.channel_json_doc(h)), h,
-                 sidecar=ser.channel_meta)
+    return _emit(args, ser.channel_csv, ser.channel_json, h, sidecar=ser.channel_meta)
 
 
 def cmd_capacity(args) -> int:

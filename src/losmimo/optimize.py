@@ -9,6 +9,7 @@ misalignment (tilt and transverse offset).
 from __future__ import annotations
 
 import math
+import numbers
 from enum import Enum
 from typing import NamedTuple
 
@@ -471,12 +472,15 @@ def sweep(scene: LinkScene, variable: SweepVariable, grid, model: WavefrontModel
     checked first; a point whose checks or geometry fail comes back as an error row, with the
     error of the point alone, rather than failing the whole sweep.
     """
-    x = _frozen_copy(np.asarray(grid, dtype=float))
+    try:  # a ragged or non-numeric grid fails as an empty one does
+        x = _frozen_copy(np.asarray(grid, dtype=float))
+    except (TypeError, ValueError):
+        x = np.empty(0)
     if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
         raise InvalidArgumentError("sweep grid must be a non-empty finite 1-D array")
     if x.size > 1 and np.any(np.diff(x) <= 0):
         raise InvalidArgumentError("sweep grid must be strictly increasing")
-    if not -math.inf < snr_db < math.inf:  # NaN fails both comparisons
+    if not isinstance(snr_db, numbers.Real) or not -math.inf < snr_db < math.inf:  # and NaN
         raise InvalidArgumentError(f"sweep snr_db must be finite, got {snr_db!r}")
     if variable is SweepVariable.ROTATION_RAD:
         _require_ula_pair(scene, "rotation sweep")

@@ -17,9 +17,9 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
-from .channel import ChannelMatrix, PhaseProfile, WavefrontModel
+from .channel import ChannelMatrix, PhaseProfile
 from .capacity import RateTable
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError
 from .optimize import SweepTable
 
 
@@ -49,6 +49,34 @@ def _numbers(values) -> list[str]:
     return _encoder(",")(values)[1:-1].split(",") if values else []
 
 
+def _by_value(values, encode):
+    """The texts of the 1-D float array ``values`` in a slice, ``encode`` (array to texts) run
+    once per distinct bit pattern, so -0.0 and NaN payloads keep theirs.  None for other dtypes,
+    or when over a third of the values are distinct: then the lookups cost more than they save."""
+    values = np.ascontiguousarray(values)
+    if values.dtype != np.float64:
+        return None
+    bits = values.view(np.int64)
+    keys = np.sort(bits)  # a sort and an adjacent compare: np.unique of 4,096 costs ~20 times more
+    new = keys[1:] != keys[:-1]
+    if 3 * (np.count_nonzero(new) + 1) > keys.size:
+        return None
+    distinct = np.concatenate((keys[:1], keys[1:][new]))
+    texts = np.array(encode(distinct.view(np.float64)), dtype=object)
+    return lambda s: texts[np.searchsorted(distinct, bits[s])].tolist()
+
+
+def _csv_column(values):
+    """(row-template field, cells in a slice) of a float column: texts if values repeat."""
+    texts = _by_value(values, lambda v: list(map("%.17g".__mod__, v.tolist())))
+    return ("%.17g", lambda s: _list(values[s])) if texts is None else ("%s", texts)
+
+
+def _json_column(values):
+    """The JSON texts of the numbers of the 1-D array ``values`` in a slice."""
+    return _by_value(values, _numbers) or (lambda s: _numbers(values[s]))
+
+
 def _items(count: int, block_text, depth: int, step: int = _BLOCK):
     """A JSON list of ``count`` items ``depth`` levels deep, a chunk a block of ``step`` items:
     ``block_text(s, pad)`` is the text of the items in slice ``s``, laid out at ``pad``."""
@@ -67,10 +95,19 @@ def _chunks(obj, depth: int):
 
     The stdlib indents in pure Python, so dicts and lists are laid out here, with blocks of
     numbers going to the C encoder (no encoded string holds a newline).  A 1-D float array is
-    written as the list of its numbers.
+    written as the list of its numbers, a 2-D one (with columns) as the list of its rows.
     """
     close = "\n" + "  " * depth
     pad = close + "  "
+    if type(obj) is np.ndarray and obj.ndim == 2 and obj.shape[1]:  # rows, ~a block a chunk
+        n, texts = obj.shape[1], _json_column(obj.ravel())
+
+        def block_text(s, pad):
+            t, inner = texts(slice(s.start * n, s.stop * n)), pad + "  "
+            return ("," + pad).join("[" + inner + ("," + inner).join(t[i:i + n]) + pad + "]"
+                                    for i in range(0, len(t), n))
+        yield from _items(len(obj), block_text, depth, max(1, _BLOCK // n))
+        return
     if type(obj) is np.ndarray or type(obj) is list and obj and set(map(type, obj)) <= _NUMBERS:
         yield from _items(len(obj), lambda s, pad: _encoder("," + pad)(_list(obj[s]))[1:-1], depth)
         return
@@ -120,15 +157,14 @@ def _table(header: str, row_template: str, count: int, rows):
         yield text
 
 
-def _columns(*columns):
-    """``rows`` for :func:`_table`: the row tuples of the columns (arrays or lists) in a slice."""
-    return lambda s: zip(*(_list(c[s]) for c in columns))
-
-
 def channel_csv(h: ChannelMatrix):
-    n, m = np.indices(h.entries.shape).reshape(2, -1) + 1  # 1-based, row-major
-    return _table("n,m,re,im", "%d,%d,%.17g,%.17g\n", n.size,
-                  _columns(n, m, h.entries.real.ravel(), h.entries.imag.ravel()))
+    n_t, re = h.entries.shape[1], h.entries.real.ravel()
+    (f_re, texts_re), (f_im, texts_im) = _csv_column(re), _csv_column(h.entries.imag.ravel())
+
+    def rows(s):
+        k = np.arange(s.start, min(s.stop, re.size))  # 1-based, row-major
+        return zip((k // n_t + 1).tolist(), (k % n_t + 1).tolist(), texts_re(s), texts_im(s))
+    return _table("n,m,re,im", f"%d,%d,{f_re},{f_im}\n", re.size, rows)
 
 
 def channel_meta(h: ChannelMatrix) -> dict:
@@ -140,23 +176,9 @@ def channel_meta(h: ChannelMatrix) -> dict:
     }
 
 
-def channel_json_doc(h: ChannelMatrix) -> dict:
-    doc = channel_meta(h)
-    doc["re"] = h.entries.real.tolist()
-    doc["im"] = h.entries.imag.tolist()
-    return doc
-
-
-def parse_channel_json(doc: dict) -> ChannelMatrix:
-    try:
-        entries = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(
-            doc["im"], dtype=float
-        )
-        return ChannelMatrix(
-            entries, float(doc["wavelength_m"]), WavefrontModel(doc["model"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"malformed channel document: {exc}") from exc
+def channel_json(h: ChannelMatrix):
+    """The channel document: its meta, and the rows of the entries' parts as "re" and "im"."""
+    return json_dumps({**channel_meta(h), "re": h.entries.real, "im": h.entries.imag})
 
 
 def _phase_columns(profile: PhaseProfile) -> dict:
@@ -175,7 +197,7 @@ def _phase_columns(profile: PhaseProfile) -> dict:
 def phase_profile_csv(profile: PhaseProfile):
     cols = _phase_columns(profile)
     return _table(",".join(cols), "%.17g,%.17g,%.17g,%.17g\n", len(profile.displacements_m),
-                  _columns(*cols.values()))
+                  lambda s: zip(*(c[s].tolist() for c in cols.values())))
 
 
 def phase_profile_json_doc(profile: PhaseProfile, c2_predicted: float) -> dict:
@@ -284,13 +306,16 @@ def angles_json(angles, worst_case_gap: float, plan: SweepTable):
 
 
 def validity_json(freqs, dists, regimes):
+    dist, freq = _json_column(dists), _json_column(freqs)
+
     def block_text(s, pad):
-        return _rows_text(pad, ("dist_m", "freq_hz", "regime"), _numbers(dists[s]),
-                          _numbers(freqs[s]), map(encode_basestring_ascii, _list(regimes[s])))
+        return _rows_text(pad, ("dist_m", "freq_hz", "regime"), dist(s), freq(s),
+                          map(encode_basestring_ascii, _list(regimes[s])))
     yield from _items(len(freqs), block_text, 0)
     yield "\n"
 
 
 def validity_csv(freqs, dists, regimes):
-    return _table("freq_hz,dist_m,regime", "%.17g,%.17g,%s\n", len(freqs),
-                  _columns(freqs, dists, regimes))
+    (f_freq, freq), (f_dist, dist) = _csv_column(freqs), _csv_column(dists)
+    return _table("freq_hz,dist_m,regime", f"{f_freq},{f_dist},%s\n", len(freqs),
+                  lambda s: zip(freq(s), dist(s), _list(regimes[s])))

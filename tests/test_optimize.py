@@ -412,6 +412,11 @@ _BAD_SWEEP_INPUTS = {
     "inf_snr": ([0.0, 1.0], math.inf, "sweep snr_db must be finite, got inf"),
     "minus_inf_snr": ([0.0, 1.0], -math.inf, "sweep snr_db must be finite, got -inf"),
     "grid_before_snr": ([1.0, 0.5], math.nan, _ORDER_ERROR),
+    # wrong-typed library input ends in the same typed errors
+    "ragged_grid": ([[0.0], [1.0, 2.0]], 0.0, _GRID_ERROR),
+    "non_numeric_grid": (["a"], 0.0, _GRID_ERROR),
+    "string_snr": ([0.0, 1.0], "10", "sweep snr_db must be finite, got '10'"),
+    "none_snr": ([0.0, 1.0], None, "sweep snr_db must be finite, got None"),
 }
 
 

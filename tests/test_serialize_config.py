@@ -23,12 +23,12 @@ from losmimo import (
 )
 from losmimo.serialize import (
     _BLOCK,
+    _by_value,
     _snr_db,
     angles_json,
     channel_csv,
-    channel_json_doc,
+    channel_json,
     json_dumps,
-    parse_channel_json,
     phase_profile_csv,
     phase_profile_json_doc,
     rate_table_csv,
@@ -82,11 +82,10 @@ def test_channel_csv_is_row_major_one_based():
 
 def test_channel_json_round_trip():
     h = _channel()
-    doc = json.loads(_written(json_dumps, channel_json_doc(h)))
-    back = parse_channel_json(doc)
-    assert np.array_equal(back.entries, h.entries)
-    assert back.wavelength_m == h.wavelength_m
-    assert back.model is h.model
+    doc = json.loads(_written(channel_json, h))
+    assert np.array_equal(np.array(doc["re"]) + 1j * np.array(doc["im"]), h.entries)
+    assert doc["wavelength_m"] == h.wavelength_m
+    assert WavefrontModel(doc["model"]) is h.model
 
 
 def test_json_dumps_is_deterministic():
@@ -599,3 +598,94 @@ def test_phase_profile_json_writes_its_array_columns_as_lists(steps):
     want = {k: v for k, v in doc.items() if k != "samples"}
     want["samples"] = {k: v.tolist() for k, v in doc["samples"].items()}
     assert _written(json_dumps, doc) == _stdlib(want)
+
+
+# -- the writers' distinct-value path: each bit pattern encoded once -----------
+
+def _assert_same_text(got: str, want: str):
+    """``got == want``, failing with the first differing line (pytest's diff of two long
+    texts takes minutes)."""
+    if got != want:
+        pairs = enumerate(zip(got.split("\n"), want.split("\n")), 1)
+        line = next((i for i, (a, b) in pairs if a != b), None)
+        pytest.fail(f"line {line} differs" if line else f"lengths {len(got)} and {len(want)}")
+
+
+def _float_of(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# -0.0 beside 0.0 and NaNs of three payloads (one negative): equal or unordered as floats,
+# distinct as bits; each must keep its own text
+_POOL = [0.0, -0.0, math.nan, _float_of(0x7FF8000000000001), _float_of(0xFFF8000000000002),
+         math.inf, -math.inf, 5e-324, -5e-324, 1.8e308, 0.1, -1.0 / 3.0, 1e16]
+_pooled = st.sampled_from(_POOL)
+_distinct = st.lists(_floats, unique_by=lambda x: np.float64(x).view(np.int64).item())
+# columns of block-boundary lengths from a few pool values, short ones with a few values
+# from anywhere, columns with no repeat, and empty ones
+_repeating = (_long(_pooled) | st.lists(_pooled | _floats, max_size=40)
+              | _distinct | st.just([]))
+
+
+def _pair(draw, count):
+    """Two columns of ``count`` values each, of ``_repeating``'s kinds."""
+    cols = []
+    for _ in range(2):
+        col = draw(_repeating)
+        cols.append(np.array([col[i % len(col)] for i in range(count)] if col else [0.0] * count,
+                             dtype=float))
+    return cols
+
+
+def test_a_column_takes_the_lookup_path_when_values_repeat():
+    values = np.array(_POOL * 3)
+    texts = _by_value(values, lambda v: list(map("%.17g".__mod__, v.tolist())))
+    assert texts(slice(1, None)) == [_fmt(x) for x in values[1:]]
+    assert _by_value(np.arange(4.0), str) is None  # no repeat: the per-cell path
+    assert _by_value(np.zeros(0), str) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_validity_writers_match_per_cell_texts_with_repeated_values(data):
+    count = data.draw(st.sampled_from([0, 1, 2, 7, 40, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
+    freqs, dists = _pair(data.draw, count)
+    regimes = np.array(["planar", "spherical"] * count, dtype=object)[:count]
+    rows = list(zip(freqs.tolist(), dists.tolist(), regimes.tolist()))
+    csv = ["freq_hz,dist_m,regime"] + [f"{_fmt(f)},{_fmt(d)},{r}" for f, d, r in rows]
+    _assert_same_text(_written(validity_csv, freqs, dists, regimes), "\n".join(csv) + "\n")
+    want = [{"freq_hz": f, "dist_m": d, "regime": r} for f, d, r in rows]
+    _assert_same_text(_written(validity_json, freqs, dists, regimes), _stdlib(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 5), st.sampled_from([0, 1, 3, 64, _BLOCK + 1]))
+def test_channel_writers_match_per_cell_texts_with_repeated_values(data, n_r, n_t):
+    re, im = _pair(data.draw, n_r * n_t)
+    e = np.empty((n_r, n_t), dtype=complex)
+    e.real, e.imag = re.reshape(n_r, n_t), im.reshape(n_r, n_t)
+    h = SimpleNamespace(entries=e, n_r=n_r, n_t=n_t, wavelength_m=1e-3,
+                        model=WavefrontModel.SPHERICAL)
+    lines = ["n,m,re,im"] + [f"{n + 1},{m + 1},{_fmt(e[n, m].real)},{_fmt(e[n, m].imag)}"
+                             for n in range(n_r) for m in range(n_t)]
+    _assert_same_text(_written(channel_csv, h), "\n".join(lines) + "\n")
+    want = {"n_r": n_r, "n_t": n_t, "wavelength_m": 1e-3, "model": "spherical",
+            "re": e.real.tolist(), "im": e.imag.tolist()}
+    _assert_same_text(_written(channel_json, h), _stdlib(want))
+
+
+@pytest.mark.parametrize("n_r, n_t", [(1, 1), (130, 100), (3, _BLOCK + 5), (2 * _BLOCK + 1, 2)])
+@pytest.mark.parametrize("repeating", [False, True])
+def test_channel_json_chunks_hold_about_a_block_of_numbers(n_r, n_t, repeating):
+    k = np.arange(n_r * n_t) % 7 if repeating else np.arange(n_r * n_t)
+    e = np.exp(1j * (0.1 + 1e-3 * k)).reshape(n_r, n_t)
+    h = SimpleNamespace(entries=e, n_r=n_r, n_t=n_t, wavelength_m=1e-3,
+                        model=WavefrontModel.SPHERICAL)
+    chunks = list(channel_json(h))
+    _assert_same_text("".join(chunks), _stdlib({"n_r": n_r, "n_t": n_t, "wavelength_m": 1e-3,
+                                                "model": "spherical", "re": e.real.tolist(),
+                                                "im": e.imag.tolist()}))
+    numbers = [sum(line.strip(" ,[]{}") != "" and '"' not in line
+                   for line in c.split("\n")) for c in chunks]
+    assert sum(numbers) == 2 * e.size + 3  # the entries' parts, n_r, n_t and wavelength_m
+    assert max(numbers) <= max(_BLOCK, n_t)  # whole rows, one when a row is longer
