@@ -3,8 +3,9 @@
 Every float prints with 17 significant digits so written values survive a
 round trip through text exactly; identical inputs always produce byte
 identical output.  JSON text is that of ``json.dumps(obj, indent=2, sort_keys=True)``.
-Rate reports, sweep rows and validity maps are written from table columns, a block of
-rows at a time.  Each writer is a generator function of the text chunks that :func:`write` writes.
+Rate reports, sweep rows and validity maps are written from table columns, a block of rows at a
+time: rows of texts alone in one join, rows with numbers to format by a ``%`` template.  Each
+writer is a generator function of the text chunks that :func:`write` writes.
 """
 
 from __future__ import annotations
@@ -63,18 +64,32 @@ def _by_value(values, encode):
         return None
     distinct = np.concatenate((keys[:1], keys[1:][new]))
     texts = np.array(encode(distinct.view(np.float64)), dtype=object)
-    return lambda s: texts[np.searchsorted(distinct, bits[s])].tolist()
+
+    def lookup(s):  # a slice's bits searched in sorted order hit the cache; random ones miss
+        order = bits[s].argsort()
+        at = np.empty_like(order)
+        at[order] = np.searchsorted(distinct, bits[s][order])
+        return texts[at]
+    return lookup
 
 
 def _csv_column(values):
     """(row-template field, cells in a slice) of a float column: texts if values repeat."""
     texts = _by_value(values, lambda v: list(map("%.17g".__mod__, v.tolist())))
-    return ("%.17g", lambda s: _list(values[s])) if texts is None else ("%s", texts)
+    return ("%.17g", lambda s: values[s]) if texts is None else ("%s", texts)
 
 
 def _json_column(values):
     """The JSON texts of the numbers of the 1-D array ``values`` in a slice."""
     return _by_value(values, _numbers) or (lambda s: _numbers(values[s]))
+
+
+def _joined(count: int, *fields) -> str:
+    """``count`` rows, each the texts of ``fields`` in turn (a field is one text, or one a row)."""
+    cells = np.empty((count, len(fields)), dtype=object)
+    for j, field in enumerate(fields):
+        cells[:, j] = field
+    return "".join(cells.ravel().tolist())
 
 
 def _items(count: int, block_text, depth: int, step: int = _BLOCK):
@@ -103,7 +118,7 @@ def _chunks(obj, depth: int):
         n, texts = obj.shape[1], _json_column(obj.ravel())
 
         def block_text(s, pad):
-            t, inner = texts(slice(s.start * n, s.stop * n)), pad + "  "
+            t, inner = _list(texts(slice(s.start * n, s.stop * n))), pad + "  "
             return ("," + pad).join("[" + inner + ("," + inner).join(t[i:i + n]) + pad + "]"
                                     for i in range(0, len(t), n))
         yield from _items(len(obj), block_text, depth, max(1, _BLOCK // n))
@@ -147,24 +162,28 @@ def json_dumps(obj):
 
 
 def _table(header: str, row_template: str, count: int, rows):
-    """CSV text, a chunk a block of ``_BLOCK`` rows: the header, then ``row_template % row``
-    for each of the ``count`` row tuples, ``rows(s)`` giving those in slice ``s``."""
-    text = header + "\n"
-    for i in range(0, count, _BLOCK):
-        yield text + "".join(map(row_template.__mod__, rows(slice(i, i + _BLOCK))))
+    """CSV text, a chunk a block of ``_BLOCK`` rows: the header, then ``row_template`` filled by
+    each of ``count`` rows, ``rows(s)`` giving the cells in slice ``s`` by column."""
+    between, text = row_template.split("%s"), header + "\n"
+    for i in range(0, max(count, 1), _BLOCK):  # no rows: one empty block, so the header alone
+        cells = rows(slice(i, i + _BLOCK))
+        if "%" in "".join(between):  # a %.17g cell formats faster so than joined
+            yield text + "".join(map(row_template.__mod__, zip(*map(_list, cells))))
+        else:  # texts alone, in one join (less the empty texts between fields)
+            fields = [f for pair in zip(between, cells) for f in pair if len(f)]
+            yield text + _joined(len(cells[0]), *fields, between[-1])
         text = ""
-    if text:
-        yield text
 
 
 def channel_csv(h: ChannelMatrix):
     n_t, re = h.entries.shape[1], h.entries.real.ravel()
     (f_re, texts_re), (f_im, texts_im) = _csv_column(re), _csv_column(h.entries.imag.ravel())
+    n, m = (np.array([f"{i}," for i in range(1, k + 1)], dtype=object) for k in h.entries.shape)
 
-    def rows(s):
-        k = np.arange(s.start, min(s.stop, re.size))  # 1-based, row-major
-        return zip((k // n_t + 1).tolist(), (k % n_t + 1).tolist(), texts_re(s), texts_im(s))
-    return _table("n,m,re,im", f"%d,%d,{f_re},{f_im}\n", re.size, rows)
+    def rows(s):  # "n," and "m," formatted once per matrix row and column, 1-based
+        k = np.arange(s.start, min(s.stop, re.size))  # row-major
+        return n[k // n_t], m[k % n_t], texts_re(s), texts_im(s)
+    return _table("n,m,re,im", f"%s%s{f_re},{f_im}\n", re.size, rows)
 
 
 def channel_meta(h: ChannelMatrix) -> dict:
@@ -197,7 +216,7 @@ def _phase_columns(profile: PhaseProfile) -> dict:
 def phase_profile_csv(profile: PhaseProfile):
     cols = _phase_columns(profile)
     return _table(",".join(cols), "%.17g,%.17g,%.17g,%.17g\n", len(profile.displacements_m),
-                  lambda s: zip(*(c[s].tolist() for c in cols.values())))
+                  lambda s: [c[s] for c in cols.values()])
 
 
 def phase_profile_json_doc(profile: PhaseProfile, c2_predicted: float) -> dict:
@@ -219,9 +238,9 @@ _SWEEP_KEYS = ("active_rank", "config_descriptor", "se_bpshz", "snr_db", "ub_bps
 
 def _rows_text(pad: str, keys, *columns) -> str:
     """Flat JSON rows as list items at ``pad``, row i holding "keys[k]": columns[k][i] (text)."""
-    inner = pad + "  "
-    row = "{" + inner + ("," + inner).join(f'"{k}": %s' for k in keys) + pad + "}"
-    return ("," + pad).join(map(row.__mod__, zip(*columns)))
+    inner, sep = pad + "  ", "," + pad
+    fields = [f for key, column in zip(keys, columns) for f in ("," + inner + f'"{key}": ', column)]
+    return _joined(len(columns[0]), sep + "{" + fields[0][1:], *fields[1:], pad + "}")[len(sep):]
 
 
 def _snr_db(snrs: np.ndarray) -> np.ndarray:
@@ -245,13 +264,9 @@ def _rate_rows(snr_db, t: RateTable):
 
 def rate_table_csv(t: RateTable):
     snr_db = _snr_db(t.snrs)
-
-    def rows(s):
-        allocation = (";".join(map("%.17g".__mod__, f)) for f in t.fractions[s].tolist())
-        return zip(snr_db[s].tolist(), t.ses[s].tolist(), t.ubs[s].tolist(),
-                   t.ranks[s].tolist(), allocation)
-    return _table("snr_db,se_bpshz,ub_bpshz,active_rank,allocation",
-                  "%.17g,%.17g,%.17g,%s,%s\n", len(t.ses), rows)
+    return _table("snr_db,se_bpshz,ub_bpshz,active_rank,allocation", "%.17g,%.17g,%.17g,%s,%s\n",
+                  len(t.ses), lambda s: (snr_db[s], t.ses[s], t.ubs[s], t.ranks[s], (
+                      ";".join(map("%.17g".__mod__, f)) for f in t.fractions[s].tolist())))
 
 
 def rate_table_json(t: RateTable):  # a block holds about _BLOCK allocation numbers
@@ -262,11 +277,9 @@ def rate_table_json(t: RateTable):  # a block holds about _BLOCK allocation numb
 
 def sweep_table_csv(t: SweepTable):
     def rows(s):  # an error row: NaN SE and bound, rank 0, its text after the descriptor
-        text = (d if i not in t.errors else d + " " + t.errors[i]
+        text = ((d + " " + t.errors[i] if i in t.errors else d).replace(",", ";").replace("\n", " ")
                 for i, d in enumerate(t.descriptors[s], s.start))
-        return zip(t.x[s].tolist(), t.snr_db[s].tolist(), t.rates.ses[s].tolist(),
-                   t.rates.ubs[s].tolist(), t.rates.ranks[s].tolist(),
-                   (d.replace(",", ";").replace("\n", " ") for d in text))
+        return t.x[s], t.snr_db[s], t.rates.ses[s], t.rates.ubs[s], t.rates.ranks[s], text
     return _table("x_value,snr_db,se_bpshz,ub_bpshz,active_rank,config_descriptor",
                   "%.17g,%.17g,%.17g,%.17g,%s,%s\n", len(t.descriptors), rows)
 
@@ -307,15 +320,13 @@ def angles_json(angles, worst_case_gap: float, plan: SweepTable):
 
 def validity_json(freqs, dists, regimes):
     dist, freq = _json_column(dists), _json_column(freqs)
-
-    def block_text(s, pad):
-        return _rows_text(pad, ("dist_m", "freq_hz", "regime"), dist(s), freq(s),
-                          map(encode_basestring_ascii, _list(regimes[s])))
-    yield from _items(len(freqs), block_text, 0)
+    yield from _items(len(freqs), lambda s, pad: _rows_text(
+        pad, ("dist_m", "freq_hz", "regime"), dist(s), freq(s),
+        list(map(encode_basestring_ascii, _list(regimes[s])))), 0)
     yield "\n"
 
 
 def validity_csv(freqs, dists, regimes):
     (f_freq, freq), (f_dist, dist) = _csv_column(freqs), _csv_column(dists)
     return _table("freq_hz,dist_m,regime", f"{f_freq},{f_dist},%s\n", len(freqs),
-                  lambda s: zip(freq(s), dist(s), _list(regimes[s])))
+                  lambda s: (freq(s), dist(s), regimes[s]))

@@ -1,9 +1,12 @@
 """``tools/grid_limit.py``: each row runs at its stated point count, and a run reports the
-child's exit code, wall time and peak resident set."""
+child's exit code, wall time and peak resident set, the medians of repeated runs."""
 
 import importlib.util
 import json
+import os
 from pathlib import Path
+
+import pytest
 
 from losmimo.cli import _parse_values
 from losmimo.config import load_scene_config
@@ -41,3 +44,15 @@ def test_a_run_reports_the_exit_code_time_and_peak_memory():
     code, seconds, rss_mb = grid_limit.run(src, ["--version"])
     assert code == 0 and seconds > 0 and rss_mb > 1
     assert grid_limit.run(src, ["validity"])[0] == 2  # argparse's usage error
+
+
+def test_repeated_runs_report_medians_of_that_many_processes(monkeypatch):
+    waits, wait4 = [], os.wait4
+    monkeypatch.setattr(grid_limit.os, "wait4", lambda *a: waits.append(a) or wait4(*a))
+    src = str(Path(grid_limit.ROOT) / "src")
+    code, seconds, rss_mb = grid_limit.run(src, ["--version"], 3)
+    assert len(waits) == 3  # three children, each waited for before the next starts
+    assert code == 0 and seconds > 0 and rss_mb > 1
+    assert grid_limit.run(src, ["validity"], 2)[0] == 2
+    with pytest.raises(SystemExit):
+        grid_limit.main(["--repeat", "0"])

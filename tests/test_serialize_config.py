@@ -23,7 +23,10 @@ from losmimo import (
 )
 from losmimo.serialize import (
     _BLOCK,
+    _RATE_KEYS,
+    _SWEEP_KEYS,
     _by_value,
+    _rows_text,
     _snr_db,
     angles_json,
     channel_csv,
@@ -46,6 +49,15 @@ LAM = 1e-3
 def _written(writer, *args) -> str:
     """The whole text of a writer: its chunks, joined."""
     return "".join(writer(*args))
+
+
+def _assert_same_text(got: str, want: str):
+    """``got == want``, failing with the first differing line (pytest's diff of two long
+    texts takes minutes)."""
+    if got != want:
+        pairs = enumerate(zip(got.split("\n"), want.split("\n")), 1)
+        line = next((i for i, (a, b) in pairs if a != b), None)
+        pytest.fail(f"line {line} differs" if line else f"lengths {len(got)} and {len(want)}")
 
 
 def _validity_columns(rows):
@@ -139,7 +151,7 @@ def test_validity_json_is_the_stdlib_layout_of_its_rows():
             for f in range(1, 3) for d in range(1, _BLOCK // 2 + 2)]
     for some in (rows[:0], rows[:1], rows):
         want = [{"freq_hz": f, "dist_m": d, "regime": r} for f, d, r in some]
-        assert _written(validity_json, *_validity_columns(some)) == _stdlib(want)
+        _assert_same_text(_written(validity_json, *_validity_columns(some)), _stdlib(want))
 
 
 def test_validity_csv_layout():
@@ -169,7 +181,7 @@ _documents = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(_documents)
 def test_json_dumps_matches_the_stdlib_layout(doc):
-    assert _written(json_dumps, doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _assert_same_text(_written(json_dumps, doc), json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # rows as the writers make them (validity maps, sweep and plan rows), with text
@@ -221,7 +233,7 @@ _block_documents = (_blocks | st.lists(_blocks, min_size=1, max_size=2)
 @given(_block_documents)
 def test_json_chunks_join_to_the_stdlib_layout_at_block_boundaries(doc):
     chunks = list(json_dumps(doc))
-    assert "".join(chunks) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _assert_same_text("".join(chunks), json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def test_json_chunks_hold_at_most_a_block_of_list_items():
@@ -240,7 +252,8 @@ def test_csv_chunks_join_to_the_one_string_table_at_block_boundaries(rows):
     chunks = list(validity_csv(*_validity_columns(rows)))
     want = "freq_hz,dist_m,regime\n" + "".join(f"{_fmt(f)},{_fmt(d)},{r}\n"
                                                 for f, d, r in rows)
-    assert "".join(chunks) == _written(validity_csv, *_validity_columns(rows)) == want
+    _assert_same_text("".join(chunks), want)
+    _assert_same_text(_written(validity_csv, *_validity_columns(rows)), want)
     assert len(chunks) == max(1, -(-len(rows) // _BLOCK))  # one block: one chunk
     assert max(c.count("\n") for c in chunks) <= _BLOCK + 1
 
@@ -270,7 +283,7 @@ def test_channel_csv_matches_per_cell_formatting(e):
     for n in range(e.shape[0]):
         for m in range(e.shape[1]):
             lines.append(f"{n + 1},{m + 1},{_fmt(e[n, m].real)},{_fmt(e[n, m].imag)}")
-    assert _written(channel_csv, SimpleNamespace(entries=e)) == "\n".join(lines) + "\n"
+    _assert_same_text(_written(channel_csv, SimpleNamespace(entries=e)), "\n".join(lines) + "\n")
 
 
 @settings(max_examples=100, deadline=None)
@@ -355,7 +368,7 @@ def test_sweep_table_csv_matches_per_cell_formatting(t):
                 max_size=6))
 def test_validity_csv_matches_per_cell_formatting(rows):
     lines = ["freq_hz,dist_m,regime"] + [f"{_fmt(f)},{_fmt(d)},{r}" for f, d, r in rows]
-    assert _written(validity_csv, *_validity_columns(rows)) == "\n".join(lines) + "\n"
+    _assert_same_text(_written(validity_csv, *_validity_columns(rows)), "\n".join(lines) + "\n")
 
 
 CONFIG = {
@@ -602,15 +615,6 @@ def test_phase_profile_json_writes_its_array_columns_as_lists(steps):
 
 # -- the writers' distinct-value path: each bit pattern encoded once -----------
 
-def _assert_same_text(got: str, want: str):
-    """``got == want``, failing with the first differing line (pytest's diff of two long
-    texts takes minutes)."""
-    if got != want:
-        pairs = enumerate(zip(got.split("\n"), want.split("\n")), 1)
-        line = next((i for i, (a, b) in pairs if a != b), None)
-        pytest.fail(f"line {line} differs" if line else f"lengths {len(got)} and {len(want)}")
-
-
 def _float_of(bits: int) -> float:
     return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
 
@@ -640,7 +644,7 @@ def _pair(draw, count):
 def test_a_column_takes_the_lookup_path_when_values_repeat():
     values = np.array(_POOL * 3)
     texts = _by_value(values, lambda v: list(map("%.17g".__mod__, v.tolist())))
-    assert texts(slice(1, None)) == [_fmt(x) for x in values[1:]]
+    assert texts(slice(1, None)).tolist() == [_fmt(x) for x in values[1:]]
     assert _by_value(np.arange(4.0), str) is None  # no repeat: the per-cell path
     assert _by_value(np.zeros(0), str) is None
 
@@ -689,3 +693,47 @@ def test_channel_json_chunks_hold_about_a_block_of_numbers(n_r, n_t, repeating):
                    for line in c.split("\n")) for c in chunks]
     assert sum(numbers) == 2 * e.size + 3  # the entries' parts, n_r, n_t and wavelength_m
     assert max(numbers) <= max(_BLOCK, n_t)  # whole rows, one when a row is longer
+
+
+@pytest.mark.parametrize("n_r, n_t", [(1, 1), (130, 100), (3, _BLOCK + 5), (2 * _BLOCK + 1, 2)])
+@pytest.mark.parametrize("repeating", [(True, True), (False, False), (True, False)])
+def test_channel_csv_chunks_hold_at_most_a_block_of_rows(n_r, n_t, repeating):
+    k = np.arange(n_r * n_t)
+    e = np.empty((n_r, n_t), dtype=complex)  # a part of 7 values (the lookup path) or all distinct
+    e.real, e.imag = (np.cos(0.1 + 1e-3 * (k % 7 if r else k)).reshape(n_r, n_t) for r in repeating)
+    chunks = list(channel_csv(SimpleNamespace(entries=e)))
+    lines = ["n,m,re,im"] + [f"{i // n_t + 1},{i % n_t + 1},{_fmt(re)},{_fmt(im)}" for i, (re, im)
+                             in enumerate(zip(e.real.ravel().tolist(), e.imag.ravel().tolist()))]
+    _assert_same_text("".join(chunks), "\n".join(lines) + "\n")
+    rows = [c.count("\n") for c in chunks]
+    rows[0] -= 1  # the header rides with the first block
+    assert sum(rows) == e.size and max(rows) <= _BLOCK
+
+
+def test_lookups_are_per_block_and_do_not_depend_on_their_order():
+    # -0.0 and NaNs of three payloads among values spread over many blocks, looked up by
+    # slices taken back to front, across block boundaries and over the whole column
+    special = [-0.0, 0.0, math.nan, _float_of(0x7FF8000000000001), _float_of(0xFFF8000000000002)]
+    values = np.array([special[i % 5] if i % 3 else (i % 97) / 7 for i in range(3 * _BLOCK + 11)])
+    slices = [slice(i, i + 1000) for i in range(0, values.size, 1000)]
+    slices += [slice(_BLOCK - 5, 2 * _BLOCK + 5), slice(0, None), slice(7, 8)]
+    for encode, each in ((lambda v: list(map("%.17g".__mod__, v.tolist())), _fmt),
+                         (lambda v: [json.dumps(x) for x in v.tolist()], json.dumps)):
+        texts = _by_value(values, encode)
+        for s in reversed(slices):
+            assert texts(s).tolist() == [each(x) for x in values[s].tolist()], s
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, _BLOCK + 1])
+def test_rows_text_is_a_per_row_template_of_its_columns(count):
+    # the one-row report of a rotation document (pad "\n  ") and the rows of sweep and rate
+    # tables, with texts that look like template fields and row separators
+    cells = ["0", "null", "%s", "%d", '"a,\\n"', "}", "[\n    1.5\n  ]"]
+    for pad in ("\n  ", "\n    "):
+        for keys in (_RATE_KEYS, _SWEEP_KEYS, ("dist_m", "freq_hz", "regime")):
+            columns = [[cells[(i + j) % len(cells)] for i in range(count)] for j in range(len(keys))]
+            columns[0] = np.array(columns[0], dtype=object)  # a column may be an array of texts
+            inner = pad + "  "
+            row = "{" + inner + ("," + inner).join(f'"{k}": %s' for k in keys) + pad + "}"
+            want = ("," + pad).join(row % tuple(c[i] for c in columns) for i in range(count))
+            _assert_same_text(_rows_text(pad, keys, *columns), want)

@@ -2,14 +2,15 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/grid_limit.py [--src DIR] [ROW ...]
+    python3 tools/grid_limit.py [--src DIR] [--repeat N] [ROW ...]
 
-Each row runs ``python3 -m losmimo ARGV`` once, one process at a time, with ``DIR``
-(default: this checkout's ``src/``) on ``PYTHONPATH`` and stdout going to the null
-device.  It prints one line per row: the row's name, its point count, its exit code, the
-wall time from start to exit (interpreter start and import included) and the peak
-resident set of the process (``ru_maxrss``).  ROW arguments pick rows whose name
-contains one of them (every row when none is given).
+Each row runs ``python3 -m losmimo ARGV`` N times (default 1), each in a fresh process,
+one process at a time, with ``DIR`` (default: this checkout's ``src/``) on ``PYTHONPATH``
+and stdout going to the null device.  It prints one line per row: the row's name, its
+point count, its exit code (the first non-zero one of its runs, else 0), the wall time
+from start to exit (interpreter start and import included) and the peak resident set of
+the process (``ru_maxrss``), each the median of the row's N runs.  ROW arguments pick
+rows whose name contains one of them (every row when none is given).
 
 Rows use the golden 4x4 ULA config, the golden ``aosa8`` config for aosa mode, and a
 broadside 32x32 URA pair (1,024 elements a side, so 2^20, about 10^6, channel entries)
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -63,23 +65,33 @@ def rows(ura32: str) -> list[tuple[str, int, list[str]]]:
     ]
 
 
-def run(src: str, argv: list[str]) -> tuple[int, float, float]:
-    """Exit code, wall seconds and ``ru_maxrss`` in MB of one ``python3 -m losmimo`` run."""
-    env = {**os.environ, "PYTHONPATH": src}
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "losmimo", *argv], env=env,
-                            stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
-    seconds = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, seconds, usage.ru_maxrss / 1024.0
+def run(src: str, argv: list[str], repeat: int = 1) -> tuple[int, float, float]:
+    """Exit code, wall seconds and ``ru_maxrss`` in MB of ``python3 -m losmimo ARGV`` run
+    ``repeat`` times, one process at a time: the first non-zero exit code (else 0) and the
+    median time and memory."""
+    env, runs = {**os.environ, "PYTHONPATH": src}, []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "losmimo", *argv], env=env,
+                                stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        runs.append((proc.returncode, seconds, usage.ru_maxrss / 1024.0))
+    codes, seconds, rss_mb = zip(*runs)
+    return (next((c for c in codes if c), 0), statistics.median(seconds),
+            statistics.median(rss_mb))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="source tree to import")
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="runs of each row, whose medians are printed (default 1)")
     parser.add_argument("row", nargs="*", help="run only rows whose name contains one of these")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     src, failed = str(Path(args.src).resolve()), 0
     with tempfile.TemporaryDirectory() as tmp:
         ura32 = str(Path(tmp) / "ura32.json")
@@ -87,7 +99,7 @@ def main(argv=None) -> int:
         for name, points, cli_argv in rows(ura32):
             if args.row and not any(r in name for r in args.row):
                 continue
-            code, seconds, rss_mb = run(src, cli_argv)
+            code, seconds, rss_mb = run(src, cli_argv, args.repeat)
             failed += code != 0
             print(f"{name:30s} {points:>9,d} points  exit {code}  {seconds:6.2f} s  "
                   f"{rss_mb:6.1f} MB", flush=True)
