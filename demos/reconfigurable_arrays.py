@@ -16,10 +16,8 @@ from losmimo import (
     aosa_schedule,
     build_aosa,
     build_ula,
-    capacity_upper_bound,
     link_scene,
     optimize_rotation,
-    snr_db_to_linear,
 )
 
 N = 4
@@ -46,12 +44,10 @@ def main():
     print()
     print("snr_db   bound    aosa se  (r)    rotation se  (deg)")
     for snr_db, descriptor, se in zip(SNRS_DB, plan.descriptors, plan.rates.ses.tolist()):
-        snr = snr_db_to_linear(snr_db)
-        ub = capacity_upper_bound(N, N, snr)
-        angle, rates = optimize_rotation(ula, snr, model)
+        angle, rates = optimize_rotation(ula, snr_db, model)
         r = descriptor.split("=")[1]
         print(
-            f"{snr_db:+6d} {ub:8.3f} {se:9.3f}  ({r})"
+            f"{snr_db:+6d} {rates.ubs[0]:8.3f} {se:9.3f}  ({r})"
             f"  {rates.ses[0]:11.3f}  ({math.degrees(angle):5.1f})"
         )
 

@@ -26,7 +26,6 @@ from .optimize import (
     aosa_schedule,
     optimize_rotation,
     select_fixed_angles,
-    snr_db_to_linear,
     sweep,
 )
 from . import serialize as ser
@@ -124,7 +123,7 @@ def cmd_optimize(args) -> int:
 
     if args.mode == "rotation":
         snr_db = _fixed_snr_db(args, cfg)
-        angle, rates = optimize_rotation(scene, snr_db_to_linear(snr_db), model)
+        angle, rates = optimize_rotation(scene, snr_db, model)
         plan = SweepTable(np.array([angle]), np.array([snr_db], dtype=float),
                           _descriptors("rotation_rad", [angle]), rates, {})
         return _emit(args, ser.sweep_table_csv, lambda p: ser.rotation_json(angle, p.rates), plan)

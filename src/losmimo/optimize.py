@@ -242,11 +242,11 @@ def _best_rotation(scene: LinkScene, snrs, model, independent: bool, seen=None):
 
 def optimize_rotation(
     scene: LinkScene,
-    snr_linear: float,
+    snr_db: float,
     model: WavefrontModel,
     independent: bool = False,
 ):
-    """Best in-plane rotation of the arrays in [0, pi/2] at one SNR.
+    """Best in-plane rotation of the arrays in [0, pi/2] at one SNR, given in dB.
 
     By default both arrays turn by the same angle; with ``independent``
     each end gets its own angle and the result's first element is the
@@ -260,7 +260,7 @@ def optimize_rotation(
     """
     _require_ula_pair(scene, "optimize_rotation")
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
-    snrs = np.array([_check_snr(snr_linear, n_t * n_r)], dtype=float)
+    snrs = _linear_snrs([snr_db], n_t * n_r)
     seen = []
     won = _best_rotation(scene, snrs, model, independent, seen)[0]
     pairs, gains = (np.concatenate(v) for v in zip(*seen))

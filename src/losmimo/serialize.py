@@ -320,9 +320,9 @@ def angles_json(angles, worst_case_gap: float, plan: SweepTable):
 
 def validity_json(freqs, dists, regimes):
     dist, freq = _json_column(dists), _json_column(freqs)
-    yield from _items(len(freqs), lambda s, pad: _rows_text(
-        pad, ("dist_m", "freq_hz", "regime"), dist(s), freq(s),
-        list(map(encode_basestring_ascii, _list(regimes[s])))), 0)
+    texts = {r: encode_basestring_ascii(r) for r in set(regimes)}  # each distinct regime once
+    yield from _items(len(freqs), lambda s, pad: _rows_text(pad, ("dist_m", "freq_hz", "regime"),
+                      dist(s), freq(s), list(map(texts.__getitem__, _list(regimes[s])))), 0)
     yield "\n"
 
 

@@ -115,7 +115,7 @@ def test_criterion_2_bound_tracking(acceptance):
         ub = capacity_upper_bound(n, n, snr)
         best = max(waterfilling(sp, snr)[1] for sp in spectra)
         worst_aosa = max(worst_aosa, 1.0 - best / ub)
-        _, rates = optimize_rotation(rot_scene, snr, FRESNEL)
+        _, rates = optimize_rotation(rot_scene, sdb, FRESNEL)
         worst_rot = max(worst_rot, 1.0 - float(rates.ses[0]) / ub)
 
     aosa_ok = worst_aosa <= 0.05
@@ -375,7 +375,7 @@ def test_criterion_8_rotation_endpoints(acceptance):
     plan = fixed_angle_plan(sc, angles, grid, FRESNEL)
     worst_gap = 0.0
     for snr_db, se in zip(plan.snr_db.tolist(), plan.rates.ses.tolist()):
-        _, ref = optimize_rotation(sc, snr_db_to_linear(snr_db), FRESNEL)
+        _, ref = optimize_rotation(sc, snr_db, FRESNEL)
         worst_gap = max(worst_gap, 1.0 - se / float(ref.ses[0]))
     gap_ok = worst_gap <= 0.03
 

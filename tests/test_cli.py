@@ -26,12 +26,16 @@ from losmimo import (
     SweepVariable,
     UnsupportedArchetypeError,
     WavefrontModel,
+    build_uca,
     build_ula,
     capacity_upper_bound_integer,
     channel_matrix,
+    custom_layout,
     link_scene,
     load_scene_config,
     rate_report,
+    rotate_in_link_plane,
+    scale_layout,
     snr_db_to_linear,
     sweep,
     validity_from_apertures,
@@ -672,6 +676,15 @@ _CLOSED_HOLES = {
     "bound_integer_negative_count": lambda: capacity_upper_bound_integer(-3, 4, 1.0),
     **{f"validity_nan_argument_{i}": _validity_with_nan(i) for i in range(4)},
     "ula_bool_count": lambda: build_ula(True, 0.1),
+    # wrong-typed geometry arguments: TypeError or ValueError, or a text read as a number
+    "ula_text_spacing": lambda: build_ula(4, "a"),
+    "ula_none_spacing": lambda: build_ula(4, None),
+    "uca_none_diameter": lambda: build_uca(4, None),
+    "scale_text_factor": lambda: scale_layout(build_ula(4, 0.01), "2"),
+    "custom_text_positions": lambda: custom_layout("abc"),
+    "rotate_text_angle": lambda: rotate_in_link_plane(build_ula(4, 0.01), "x"),
+    **{f"link_scene_text_wavelength_{t}": lambda t=t: link_scene(
+        build_ula(4, 0.01), build_ula(4, 0.01), 5.0, t) for t in ("abc", "0.001")},
     **{f"sweep_spec_{v}_snr": _sweep_with_snr(float(v)) for v in ("nan", "inf", "-inf")},
     "cli_validity_nan_aperture": ["validity", "--freq-grid=100e9", "--dist-grid=1",
                                   "--tx-aperture", "nan", "--rx-aperture", "0.5"],

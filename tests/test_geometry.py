@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from losmimo import geometry
 from losmimo import (
     Archetype,
     ArrayLayout,
@@ -104,14 +105,35 @@ def test_aosa_single_element_or_single_cluster_always_fits():
 
 
 def test_builders_store_recomputed_aperture_bitwise():
+    pts = np.random.default_rng(5).normal(size=(7, 3))
     for lay in (
         build_ula(5, 0.013),
         build_ura(4, 0.07),
         build_uca(9, 0.31),
         build_aosa(12, 3, 0.5, 0.01),
+        scale_layout(build_ula(5, 0.013), 2.7),
+        scale_layout(build_aosa(12, 3, 0.5, 0.01), 0.3),
+        custom_layout(pts - pts.mean(axis=0)),
     ):
         rebuilt = recompute_aperture(lay.positions, lay.archetype, lay.subarray_count)
         assert rebuilt == lay.aperture_m  # exact, not approximate
+    # where the positions do not determine it, the given spacing is the aperture
+    for lay, given in ((build_ula(1, 0.013), 0.013), (build_ura(1, 0.07), 0.07),
+                       (build_aosa(6, 1, 0.5, 0.01), 0.5)):
+        assert recompute_aperture(lay.positions, lay.archetype, lay.subarray_count) is None
+        assert lay.aperture_m == given
+    assert scale_layout(build_ula(1, 0.013), 2.0).aperture_m == 0.026
+
+
+def test_custom_layout_computes_one_diameter(monkeypatch):
+    calls = []
+    recompute = geometry.recompute_aperture
+    monkeypatch.setattr(geometry, "recompute_aperture",
+                        lambda *args: calls.append(args[1]) or recompute(*args))
+    pts = np.random.default_rng(4).normal(size=(64, 3))
+    lay = custom_layout(pts - pts.mean(axis=0))
+    assert calls == [Archetype.CUSTOM]
+    assert lay.aperture_m == recompute(lay.positions, Archetype.CUSTOM)
 
 
 def test_custom_layout_diameter_aperture():
@@ -130,10 +152,21 @@ def test_centroid_must_be_at_origin():
         custom_layout([[0.0, 0, 0], [1.0, 0, 0]])
 
 
-def test_layout_validates_aperture_against_positions():
+def test_layout_stores_the_aperture_of_its_positions():
     lay = build_ula(4, 0.01)
-    with pytest.raises(InvalidArgumentError):
-        ArrayLayout(lay.positions, Archetype.ULA, 0.05, 4)
+    given = ArrayLayout(lay.positions, Archetype.ULA, 0.05)
+    assert given.aperture_m == lay.aperture_m == recompute_aperture(lay.positions, Archetype.ULA)
+    assert given.element_count == 4
+
+
+def test_subarray_count_is_for_aosa_layouts_only():
+    lay = build_ula(4, 0.01)
+    with pytest.raises(InvalidArgumentError, match="for AOSA layouts only"):
+        ArrayLayout(lay.positions, Archetype.ULA, lay.aperture_m, 4)  # a count, misplaced
+    for arch in (Archetype.URA, Archetype.UCA, Archetype.CUSTOM):
+        with pytest.raises(InvalidArgumentError, match="for AOSA layouts only"):
+            ArrayLayout(lay.positions, arch, lay.aperture_m, 1)
+    assert ArrayLayout(lay.positions, Archetype.AOSA, 0.02, 2).subarray_count == 2
 
 
 def test_scale_layout():
@@ -330,13 +363,12 @@ def test_projected_aperture_matches_per_archetype_reference_bit_for_bit():
             assert projected_aperture(lay, rot) == _reference_projected_aperture(lay, rot)
 
 
-def test_ura_aperture_is_checked_against_the_larger_side():
+def test_ura_aperture_is_the_larger_side():
     c = np.array([-1.0, 1.0]) * 0.01
     gy, gx = np.meshgrid(2 * c, c, indexing="ij")  # x step 0.02, y step 0.04
     pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(4)])
-    assert ArrayLayout(pts, Archetype.URA, 0.08, 4).aperture_m == 0.08
-    with pytest.raises(InvalidArgumentError, match="inconsistent"):
-        ArrayLayout(pts, Archetype.URA, 0.04, 4)
+    for given in (0.08, 0.04):
+        assert ArrayLayout(pts, Archetype.URA, given).aperture_m == 0.08
 
 
 def test_custom_layout_diameter_memory_stays_small():

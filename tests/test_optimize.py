@@ -160,17 +160,16 @@ def test_optimize_rotation_dilutes_oversized_aperture():
     # eta shrinks by cos^2 per end, so cos^2(angle) = 1/2 restores eta = 1
     # and the bound is attained at full rank
     sc = _ula_scene(eta=2.0)
-    snr = 10.0
-    angle, rates = optimize_rotation(sc, snr, WavefrontModel.FRESNEL)
+    angle, rates = optimize_rotation(sc, 10.0, WavefrontModel.FRESNEL)
     assert math.cos(angle) ** 2 == pytest.approx(0.5, abs=5e-3)
     assert rates.ses[0] == pytest.approx(
-        capacity_upper_bound(4, 4, snr), rel=1e-6
+        capacity_upper_bound(4, 4, snr_db_to_linear(10.0)), rel=1e-6
     )
 
 
 def test_optimize_rotation_goes_endfire_at_low_snr():
     sc = _ula_scene(eta=1.0)
-    angle, rates = optimize_rotation(sc, 0.1, WavefrontModel.FRESNEL)
+    angle, rates = optimize_rotation(sc, -10.0, WavefrontModel.FRESNEL)
     assert angle == pytest.approx(math.pi / 2, abs=1e-3)
     assert rates.ranks[0] == 1
     assert rates.ses[0] == pytest.approx(
@@ -198,7 +197,7 @@ def test_fixed_angle_plan_tracks_optimum_with_dense_angles():
     plan = fixed_angle_plan(sc, angles, grid, WavefrontModel.FRESNEL)
     assert len(plan.descriptors) == len(grid)
     for snr_db, se, ub in zip(plan.snr_db.tolist(), plan.rates.ses, plan.rates.ubs):
-        _, ref = optimize_rotation(sc, snr_db_to_linear(snr_db), WavefrontModel.FRESNEL)
+        _, ref = optimize_rotation(sc, snr_db, WavefrontModel.FRESNEL)
         assert se >= ref.ses[0] - 1e-3
         assert se <= ub + 1e-9
 
@@ -232,7 +231,7 @@ def test_fixed_angle_candidates_are_every_other_rotation_grid_angle():
 def test_fixed_angle_reference_is_the_rotation_optimum(n, model, monkeypatch):
     sc = _ula_scene(eta=1.5, n=n)
     grid = list(range(-10, 21, 2))
-    want = [optimize_rotation(sc, snr_db_to_linear(s), model)[1].ses[0] for s in grid]
+    want = [optimize_rotation(sc, s, model)[1].ses[0] for s in grid]
     searches, best_rotation = [], optimize._best_rotation
     monkeypatch.setattr(optimize, "_best_rotation",
                         lambda *args: searches.append(best_rotation(*args)) or searches[-1])
@@ -366,7 +365,7 @@ def test_snr_whose_array_gain_overflows_gives_error_rows_or_raises():
     with pytest.raises(InvalidArgumentError, match="times the array gain 16 overflows"):
         sweep(sc, SweepVariable.ETA, np.array([0.0, 1.0]), model, snr_db=3079.0)
     with pytest.raises(InvalidArgumentError, match="overflows"):
-        optimize_rotation(sc, snr_db_to_linear(3079.0), model)
+        optimize_rotation(sc, 3079.0, model)
     with pytest.raises(InvalidArgumentError, match="overflows"):
         fixed_angle_plan(sc, [0.0], [3079.0], model)
     with pytest.raises(InvalidArgumentError, match="overflows"):
@@ -512,15 +511,14 @@ def test_fresnel_rotation_is_aperture_scaling(n, eta, angle_t, angle_r):
 
 def _joint_reaches_the_independent_rate(n, eta, snr_db):
     sc = _ula_scene(eta=eta, n=n)
-    snr = snr_db_to_linear(snr_db)
     model = WavefrontModel.FRESNEL
-    joint_angle, joint = optimize_rotation(sc, snr, model)
-    (angle_t, angle_r), independent = optimize_rotation(sc, snr, model, independent=True)
+    joint_angle, joint = optimize_rotation(sc, snr_db, model)
+    (angle_t, angle_r), independent = optimize_rotation(sc, snr_db, model, independent=True)
     # any (angle_t, angle_r) is the joint rotation by the angle whose cos^2 is
     # cos(angle_t) * cos(angle_r), so the joint search reaches the same rate
     angle = math.acos(math.sqrt(math.cos(angle_t) * math.cos(angle_r)))
     same = rate_report(channel_matrix(_rotated_ula_pair(
-        n, sc.tx.aperture_m / n, angle, angle), model), snr)
+        n, sc.tx.aperture_m / n, angle, angle), model), snr_db_to_linear(snr_db))
     se = independent.ses[0]
     assert same.ses[0] == pytest.approx(se, rel=1e-9, abs=1e-12)
     # and the two searches agree to what their 1e-4 rad golden-section step

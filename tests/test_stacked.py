@@ -751,8 +751,8 @@ def test_rotation_searches_give_the_same_bits_at_every_lookahead_depth(n, model,
         out = [optimize._best_rotation(scene, snrs, model, independent)
                for independent in (False, True)]
         if snr_points == 1:
-            out += [optimize_rotation(scene, float(snrs[0]), model),
-                    optimize_rotation(scene, float(snrs[0]), model, independent=True)]
+            out += [optimize_rotation(scene, float(snr_db[0]), model),
+                    optimize_rotation(scene, float(snr_db[0]), model, independent=True)]
         return _bits(out + [select_fixed_angles(scene, 3, snr_db.tolist(), model)])
 
     with mock.patch.object(optimize, "golden_max", spy):
