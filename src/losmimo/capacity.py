@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelMatrix
 from .errors import InvalidArgumentError, NoSignalError
-from .geometry import _check_count, _frozen_copy
+from .geometry import _array, _as_float, _count, _frozen_copy
 
 _LN2 = math.log(2.0)
 _ZERO_GAIN_RTOL = 1e-12  # gains this far below the top one count as exact zeros
@@ -35,9 +35,8 @@ class GainSpectrum:
     n_r: int
 
     def __post_init__(self):
-        _check_count(self.n_t, "n_t")
-        _check_count(self.n_r, "n_r")
-        g = np.asarray(self.gains, dtype=float)
+        _count(self.n_t, "n_t"), _count(self.n_r, "n_r")
+        g = _array(self.gains, "gains must be a finite 1-D array")
         if g.ndim != 1 or not np.all(np.isfinite(g)):
             raise InvalidArgumentError("gains must be a finite 1-D array")
         if np.any(g < 0):
@@ -84,15 +83,16 @@ def _check_rows(fractions: np.ndarray, ses=None, ubs=None):
 
 
 def _check_snr(snr_linear: float, array_gain: int = 1) -> float:
-    """``snr_linear``, or raise when it is not positive or its full array gain
-    snr * n_t * n_r (``array_gain`` = n_t * n_r) overflows a float."""
-    if not 0 < snr_linear < math.inf:  # NaN fails both comparisons
+    """``snr_linear`` as a float, or raise when it is not a positive real number or its full
+    array gain snr * n_t * n_r (``array_gain`` = n_t * n_r) overflows a float."""
+    x = snr_linear if type(snr_linear) is float else _as_float(snr_linear)
+    if not 0 < x < math.inf:  # and NaN
         raise InvalidArgumentError(f"snr_linear must be positive, got {snr_linear!r}")
-    if not math.isfinite(float(snr_linear) * array_gain):
+    if not math.isfinite(x * array_gain):
         raise InvalidArgumentError(
             f"snr_linear {snr_linear!r} times the array gain {array_gain} overflows"
         )
-    return snr_linear
+    return x
 
 
 def gain_spectrum(h: ChannelMatrix) -> GainSpectrum:
@@ -117,8 +117,7 @@ def waterfilling(spectrum: GainSpectrum, snr_linear: float):
     that the water level rounds away even for one mode, all power goes to
     the strongest mode (rank 1 is always feasible).
     """
-    _check_snr(snr_linear)
-    fractions, se = _waterfill(spectrum.gains[None], np.array([snr_linear]))
+    fractions, se = _waterfill(spectrum.gains[None], np.array([_check_snr(snr_linear)]))
     _check_rows(fractions)
     return fractions[0], float(se[0])
 
@@ -191,8 +190,8 @@ def _waterfill(g: np.ndarray, snr_linear: np.ndarray):
 
 def uniform_rate(spectrum: GainSpectrum, snr_linear: float, rank: int) -> float:
     """Spectral efficiency of an even power split over the top ``rank`` modes."""
-    _check_snr(snr_linear)
-    if not isinstance(rank, (int, np.integer)) or not 1 <= rank <= spectrum.gains.size:
+    snr_linear = _check_snr(snr_linear)
+    if _count(rank, "rank") > spectrum.gains.size:
         raise InvalidArgumentError(
             f"rank must be an integer in [1, {spectrum.gains.size}], got {rank!r}"
         )
@@ -211,10 +210,9 @@ def polarized_rate(n_t: int, n_r: int, rank, snr_linear: float) -> float:
     Closed form r*log2(1 + snr*n_t*n_r/r**2); accepts real ranks in
     [1, min(n_t, n_r)] since the capacity bound maximizes over them.
     """
-    _check_count(n_t, "n_t")
-    _check_count(n_r, "n_r")
-    _check_snr(snr_linear, n_t * n_r)
-    if not 1 <= rank <= min(n_t, n_r):
+    n_t, n_r = _count(n_t, "n_t"), _count(n_r, "n_r")
+    snr_linear = _check_snr(snr_linear, n_t * n_r)
+    if not 1 <= _as_float(rank) <= min(n_t, n_r):
         raise InvalidArgumentError(f"rank must lie in [1, {min(n_t, n_r)}], got {rank!r}")
     return float(_polarized_value(n_t, n_r, rank, snr_linear))
 
@@ -227,9 +225,8 @@ def capacity_upper_bound(n_t: int, n_r: int, snr_linear: float) -> float:
     maximum sits at r* = sqrt(a / x*), clipped to [1, min(n_t, n_r)].
     Raises when a is not finite.
     """
-    _check_count(n_t, "n_t")
-    _check_count(n_r, "n_r")
-    _check_snr(snr_linear, n_t * n_r)
+    n_t, n_r = _count(n_t, "n_t"), _count(n_r, "n_r")
+    snr_linear = _check_snr(snr_linear, n_t * n_r)
     return float(_bound(n_t, n_r, snr_linear))
 
 
@@ -242,9 +239,8 @@ def _bound(n_t: int, n_r: int, snr_linear):
 def capacity_upper_bound_integer(n_t: int, n_r: int, snr_linear: float):
     """Best integer rank and its polarized rate (ties go to the smaller rank): the
     rate is unimodal in r, so it is the floor or ceiling of the real peak, clipped."""
-    _check_count(n_t, "n_t")
-    _check_count(n_r, "n_r")
-    _check_snr(snr_linear, n_t * n_r)
+    n_t, n_r = _count(n_t, "n_t"), _count(n_r, "n_r")
+    snr_linear = _check_snr(snr_linear, n_t * n_r)
     peak = math.sqrt(snr_linear * n_t * n_r / _POLARIZED_PEAK_X)
     lo, hi = (min(max(f(peak), 1), n_t, n_r) for f in (math.floor, math.ceil))
     v_lo, v_hi = (float(_polarized_value(n_t, n_r, r, snr_linear)) for r in (lo, hi))

@@ -21,7 +21,8 @@ from .errors import (
     InvalidArgumentError,
     NyquistViolationError,
 )
-from .geometry import LinkScene, _check_positive, _frozen_copy, projected_aperture
+from .geometry import (LinkScene, _array, _as_float, _count, _frozen_copy, _member, _positive,
+                       _vector, projected_aperture)
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -49,7 +50,8 @@ class ChannelMatrix:
     model: WavefrontModel
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
+        e = _array(self.entries, "channel entries must be finite", complex)
+        _positive(self.wavelength_m, "wavelength_m")
         if e.ndim != 2:
             raise InvalidArgumentError("channel matrix must be 2-D")
         if not np.all(np.isfinite(e)):
@@ -83,11 +85,11 @@ class PhaseProfile:
     r2_linear: float
 
     def __post_init__(self):
-        x = np.asarray(self.displacements_m, dtype=float)
-        p = np.asarray(self.phase_rad, dtype=float)
+        x, p = (_array(a, "profile needs >= 3 matched samples")
+                for a in (self.displacements_m, self.phase_rad))
         if x.shape != p.shape or x.ndim != 1 or x.size < 3:
             raise InvalidArgumentError("profile needs >= 3 matched samples")
-        if not (0 <= self.r2_quadratic <= 1 and 0 <= self.r2_linear <= 1):
+        if not (0 <= _as_float(self.r2_quadratic) <= 1 and 0 <= _as_float(self.r2_linear) <= 1):
             raise InvalidArgumentError("r2 values must lie in [0, 1]")
         object.__setattr__(self, "displacements_m", _frozen_copy(x))
         object.__setattr__(self, "phase_rad", _frozen_copy(p))
@@ -123,7 +125,7 @@ def distance_matrix(scene: LinkScene) -> np.ndarray:
 
 def channel_matrix(scene: LinkScene, model: WavefrontModel) -> ChannelMatrix:
     """Unit-modulus channel for the scene under the requested wavefront model."""
-    lam = scene.wavelength_m
+    lam, model = scene.wavelength_m, _member(model, WavefrontModel, "wavefront model")
     entries = _channel_entries(scene.tx_positions(), scene.rx_positions(), lam, model)
     return ChannelMatrix(entries, lam, model)
 
@@ -133,12 +135,10 @@ def _channel_entries(
 ) -> np.ndarray:
     """Body of :func:`channel_matrix` on posed (..., n, 3) positions: (..., n_r, n_t).
 
-    Runs every check that the model or the geometry can fail, once for the whole stack
-    (its message may name any failing variant); the wavelength, one or a (..., 1, 1) stack
-    of one per variant, is the caller's to validate.
+    Runs every check that the geometry can fail, once for the whole stack (its message may
+    name any failing variant); the model and the wavelength, one or a (..., 1, 1) stack of
+    one per variant, are the caller's to validate.
     """
-    if not isinstance(model, WavefrontModel):
-        raise InvalidArgumentError(f"unknown wavefront model {model!r}")
     k = 2 * np.pi / wavelength_m
     transverse, dz, dist = _pair_distances(tx, rx)
     if model is WavefrontModel.SPHERICAL:
@@ -180,11 +180,11 @@ def validity_from_apertures(
     aperture_t_m: float, aperture_r_m: float, wavelength_m: float, distance_m: float
 ) -> Validity:
     """Planar model is adequate iff L_t * L_r < 4 * lambda * D."""
-    _check_positive(wavelength_m, "wavelength_m")
-    _check_positive(distance_m, "distance_m")
-    if not (0 <= aperture_t_m < math.inf and 0 <= aperture_r_m < math.inf):
+    _positive(wavelength_m, "wavelength_m"), _positive(distance_m, "distance_m")
+    a_t, a_r = _as_float(aperture_t_m), _as_float(aperture_r_m)
+    if not (0 <= a_t < math.inf and 0 <= a_r < math.inf):
         raise InvalidArgumentError("apertures must be finite and non-negative")
-    planar = _planar_ok(aperture_t_m, aperture_r_m, wavelength_m, distance_m)
+    planar = _planar_ok(a_t, a_r, wavelength_m, distance_m)
     return Validity.PLANAR_OK if planar else Validity.SPHERICAL_REQUIRED
 
 
@@ -228,15 +228,13 @@ def phase_profile(
     wavelength per step; a larger change aliases and raises
     :class:`NyquistViolationError` with the offending step index.
     """
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 3:
+    if _count(n_steps, "n_steps") < 3:
         raise InvalidArgumentError("n_steps must be an integer >= 3")
-    _check_positive(step_m, "step_m")
-    _check_positive(wavelength_m, "wavelength_m")
-    tx = np.asarray(tx_point, dtype=float).reshape(3)
-    start = np.asarray(rx_start, dtype=float).reshape(3)
-    direction = np.asarray(step_direction, dtype=float).reshape(3)
+    step_m, wavelength_m = _positive(step_m, "step_m"), _positive(wavelength_m, "wavelength_m")
+    tx, start = _vector(tx_point, "tx_point"), _vector(rx_start, "rx_start")
+    direction = _vector(step_direction, "step_direction")
     norm = np.linalg.norm(direction)
-    if not np.isfinite(norm) or abs(norm - 1.0) > 1e-6:
+    if abs(norm - 1.0) > 1e-6:
         raise InvalidArgumentError("step_direction must be a unit vector")
     direction = direction / norm
 
@@ -257,7 +255,7 @@ def phase_profile(
         idx = int(np.argmax(bad))
         raise NyquistViolationError(idx, float(step_delta[idx]), wavelength_m)
 
-    _check_positive(float(x4_sum), "sum of the fourth powers of the scan displacements")
+    _positive(float(x4_sum), "sum of the fourth powers of the scan displacements")
     phase = np.unwrap(np.angle(np.exp(1j * raw)))
 
     c2, c1, c0 = np.polyfit(x, phase, 2)

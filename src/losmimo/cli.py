@@ -17,7 +17,7 @@ from . import __version__
 from .channel import SPEED_OF_LIGHT_M_S, Validity, _planar_ok, channel_matrix, phase_profile
 from .config import load_scene_config
 from .errors import ConfigError, IncompatibleModeError, LosMimoError
-from .geometry import Archetype, _check_positive
+from .geometry import Archetype, _positive
 from .optimize import (
     SweepTable,
     SweepVariable,
@@ -150,16 +150,16 @@ def cmd_optimize(args) -> int:
 
 def cmd_validity(args) -> int:
     a_t, a_r = args.tx_aperture, args.rx_aperture
-    _check_positive(a_t, "--tx-aperture")
-    _check_positive(a_r, "--rx-aperture")
+    _positive(a_t, "--tx-aperture")
+    _positive(a_r, "--rx-aperture")
     freqs = _parse_values(args.freq_grid, "--freq-grid")
     dists = _parse_values(args.dist_grid, "--dist-grid")
     for d in dists:
-        _check_positive(d, "--dist-grid value")
+        _positive(d, "--dist-grid value")
     _check_grid_size(len(freqs) * len(dists), "validity map")
     for f in freqs:  # each argument checked once, then one check-free rule over every cell
-        _check_positive(f, "--freq-grid value")
-        _check_positive(SPEED_OF_LIGHT_M_S / f, "wavelength_m")
+        _positive(f, "--freq-grid value")
+        _positive(SPEED_OF_LIGHT_M_S / f, "wavelength_m")
     freqs, dists = np.repeat(freqs, len(dists)), np.tile(dists, len(freqs))
     planar = _planar_ok(a_t, a_r, SPEED_OF_LIGHT_M_S / freqs, dists)
     regimes = np.array([Validity.SPHERICAL_REQUIRED.value, Validity.PLANAR_OK.value], object)
@@ -169,8 +169,8 @@ def cmd_validity(args) -> int:
 
 def cmd_phase_profile(args) -> int:
     _check_grid_size(args.steps, "--steps")  # phase_profile checks the rest of its input
-    _check_positive(args.freq, "--freq")
-    _check_positive(args.distance, "--distance")
+    _positive(args.freq, "--freq")
+    _positive(args.distance, "--distance")
     lam = SPEED_OF_LIGHT_M_S / args.freq
     if args.direction == "transverse":
         # scan symmetric about broadside so the fitted curvature matches the
@@ -178,7 +178,7 @@ def cmd_phase_profile(args) -> int:
         start = (-(args.steps - 1) / 2 * args.step_size, 0.0, args.distance)
         direction = (1.0, 0.0, 0.0)
         c2_predicted = -math.pi / (lam * args.distance or math.inf)
-        _check_positive(-c2_predicted, "predicted curvature magnitude pi/(lambda*distance)")
+        _positive(-c2_predicted, "predicted curvature magnitude pi/(lambda*distance)")
     else:
         start = (0.0, 0.0, args.distance)
         direction = (0.0, 0.0, 1.0)

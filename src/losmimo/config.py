@@ -25,6 +25,7 @@ from __future__ import annotations
 import difflib
 import json
 import math
+import os
 from dataclasses import dataclass
 
 from .channel import SPEED_OF_LIGHT_M_S, WavefrontModel
@@ -33,6 +34,9 @@ from .geometry import (
     ArrayLayout,
     LinkScene,
     RigidPose,
+    _count,
+    _positive,
+    _real,
     build_aosa,
     build_uca,
     build_ula,
@@ -86,23 +90,8 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _number(value, key: str, where: str, positive=True) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key '{key}' in {where} must be a number")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(f"key '{key}' in {where} must be finite")
-    if positive and v <= 0:
-        raise ConfigError(f"key '{key}' in {where} must be positive")
-    return v
-
-
-def _integer(value, key: str, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"key '{key}' in {where} must be an integer")
-    if value < 1:
-        raise ConfigError(f"key '{key}' in {where} must be >= 1")
-    return value
+def _number(value, key: str, where: str, coerce=_positive):
+    return coerce(value, f"key '{key}' in {where}", ConfigError)  # a boundary coercer
 
 
 def _check_elements(count: int, where: str):
@@ -132,7 +121,7 @@ def _build_block(block, where: str, wavelength_m: float) -> tuple[ArrayLayout, R
     _reject_unknown(block, _BLOCK_KEYS[kind], where)
 
     if kind != "custom":
-        n = _integer(_require(block, "n", where), "n", where)
+        n = _number(_require(block, "n", where), "n", where, _count)
         _check_elements(n * n if kind == "ura" else n, where)
     if kind == "custom":
         positions = _require(block, "positions", where)
@@ -142,7 +131,7 @@ def _build_block(block, where: str, wavelength_m: float) -> tuple[ArrayLayout, R
             raise ConfigError(f"'positions' in {where} must be a list of [x, y, z]")
         _check_elements(len(positions), where)
         layout = custom_layout(positions)
-        if "n" in block and _integer(block["n"], "n", where) != layout.element_count:
+        if "n" in block and _number(block["n"], "n", where, _count) != layout.element_count:
             raise ConfigError(
                 f"'n' in {where} disagrees with the number of positions"
             )
@@ -155,7 +144,7 @@ def _build_block(block, where: str, wavelength_m: float) -> tuple[ArrayLayout, R
             spacing = size if sizing == "spacing_m" else size / n
             layout = (build_ula if kind == "ula" else build_ura)(n, spacing)
         else:  # aosa
-            n_sub = _integer(_require(block, "n_subarrays", where), "n_subarrays", where)
+            n_sub = _number(_require(block, "n_subarrays", where), "n_subarrays", where, _count)
             sub = size if sizing == "spacing_m" else size / n_sub
             elem = (
                 _number(block["element_spacing_m"], "element_spacing_m", where)
@@ -168,7 +157,7 @@ def _build_block(block, where: str, wavelength_m: float) -> tuple[ArrayLayout, R
 
     pose = None
     if "rotation_deg" in block:
-        deg = _number(block["rotation_deg"], "rotation_deg", where, positive=False)
+        deg = _number(block["rotation_deg"], "rotation_deg", where, _real)
         pose = rotate_in_link_plane(layout, math.radians(deg))
     return layout, pose
 
@@ -196,10 +185,10 @@ def parse_scene_config(doc) -> SceneConfig:
             if not raw:
                 raise ConfigError("'snr_db' list must be non-empty")
             snr_db = tuple(
-                _number(v, "snr_db", "config", positive=False) for v in raw
+                _number(v, "snr_db", "config", _real) for v in raw
             )
         else:
-            snr_db = (_number(raw, "snr_db", "config", positive=False),)
+            snr_db = (_number(raw, "snr_db", "config", _real),)
 
     wavelength = SPEED_OF_LIGHT_M_S / carrier
     tx_block = _require(doc, "tx", "config")
@@ -219,12 +208,12 @@ def parse_scene_config(doc) -> SceneConfig:
 def load_scene_config(path) -> SceneConfig:
     """Read and parse a JSON scene config, with line/column syntax diagnostics."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(os.fspath(path), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (OSError, TypeError, ValueError) as exc:  # no such file, or no path at all
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_scene_config(doc)

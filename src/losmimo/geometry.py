@@ -38,11 +38,74 @@ class Archetype(Enum):
     CUSTOM = "custom"
 
 
-def _as_points(positions) -> np.ndarray:
+# The boundary coercers: each returns an argument in the form the kernels use, or raises
+# InvalidArgumentError (or ``error``, such as ConfigError) naming it.  A bool is no number.
+def _as_float(x) -> float:
+    """A real number (not a bool) as a float, else NaN; so is an int past the float range."""
     try:
-        pts = np.asarray(positions, dtype=float)
-    except (TypeError, ValueError):  # text, None or a ragged nesting
-        raise InvalidArgumentError("positions must be an (n, 3) array") from None
+        return float(x) if isinstance(x, _REALS) and not isinstance(x, bool) else math.nan
+    except OverflowError:
+        return math.nan
+
+
+def _real(x, name, error=InvalidArgumentError) -> float:
+    v = _as_float(x)
+    if not -math.inf < v < math.inf:  # and NaN
+        raise error(f"{name} must be finite, got {x!r}")
+    return v
+
+
+def _positive(x, name, error=InvalidArgumentError) -> float:
+    v = _as_float(x)
+    if not 0 < v < math.inf:  # and NaN
+        raise error(f"{name} must be positive and finite, got {x!r}")
+    return v
+
+
+def _count(n, name="n", error=InvalidArgumentError) -> int:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 < n < 2**63:
+        raise error(f"{name} must be a positive integer, got {n!r}")
+    return int(n)
+
+
+def _array(x, message: str, dtype=float, shape=None) -> np.ndarray:
+    """``np.asarray(x, dtype)``, raising ``message`` for text, None, bools, ragged nestings,
+    ints past numpy's range, (but for a complex dtype) complex values and another shape."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nesting
+        raise InvalidArgumentError(message) from None
+    if a.dtype.kind not in ("iufc" if dtype is complex else "iuf") or shape not in (None, a.shape):
+        raise InvalidArgumentError(message)
+    return a.astype(dtype, copy=False)
+
+
+def _grid(x, name: str, increasing: bool = True) -> np.ndarray:
+    """A read-only non-empty finite 1-D float array, strictly increasing if ``increasing``."""
+    a = _array(x, f"{name} must be a non-empty finite 1-D array")
+    if a.ndim != 1 or not a.size or not np.isfinite(a).all():
+        raise InvalidArgumentError(f"{name} must be a non-empty finite 1-D array")
+    if increasing and (np.diff(a) <= 0).any():
+        raise InvalidArgumentError(f"{name} must be strictly increasing")
+    return _frozen_copy(a)
+
+
+def _vector(x, name: str) -> np.ndarray:
+    """``x`` as a finite float 3-vector (from any array of three values)."""
+    v = _array(x, f"{name} must be a finite 3-vector")
+    if v.size != 3 or not np.isfinite(v).all():
+        raise InvalidArgumentError(f"{name} must be a finite 3-vector")
+    return v.reshape(3)
+
+
+def _member(x, enum, what: str):
+    if not isinstance(x, enum):
+        raise InvalidArgumentError(f"unknown {what} {x!r}")
+    return x
+
+
+def _as_points(positions) -> np.ndarray:
+    pts = _array(positions, "positions must be an (n, 3) array")
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise InvalidArgumentError("positions must be an (n, 3) array")
     if pts.shape[0] < 1:
@@ -68,6 +131,9 @@ def recompute_aperture(
     aperture).  Works on (n, 2) projected points as well as (n, 3); a URA
     reports the larger of its two sides.
     """
+    positions = _array(positions, "positions must be an (n, 2) or (n, 3) array")
+    if positions.ndim != 2 or positions.shape[1] not in (2, 3) or not positions.size:
+        raise InvalidArgumentError("positions must be an (n, 2) or (n, 3) array")
     n = positions.shape[0]
     if archetype is Archetype.ULA:
         if n == 1:
@@ -86,7 +152,7 @@ def recompute_aperture(
         # circle center sits at the local origin by convention
         return 2.0 * float(np.max(np.linalg.norm(positions, axis=1)))
     if archetype is Archetype.AOSA:
-        if not subarray_count or n % subarray_count:
+        if subarray_count is None or n % _count(subarray_count, "subarray_count"):
             raise InvalidArgumentError("AOSA layouts need a subarray_count dividing n")
         if subarray_count == 1:
             return None
@@ -129,8 +195,8 @@ class ArrayLayout:
             # circle) are exempt; everything else must be centroid-centered
             raise InvalidArgumentError("layout centroid must sit at the local origin")
         aperture = recompute_aperture(self.positions, self.archetype, self.subarray_count)
-        if aperture is not None:
-            object.__setattr__(self, "aperture_m", aperture)
+        object.__setattr__(self, "aperture_m", _as_float(self.aperture_m) if aperture is None
+                           else aperture)
         if not 0 <= self.aperture_m < math.inf:
             raise InvalidArgumentError("aperture_m must be finite and non-negative")
 
@@ -139,33 +205,21 @@ class ArrayLayout:
         return self.positions.shape[0]
 
 
-def _check_count(n, name="n"):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidArgumentError(f"{name} must be a positive integer, got {n!r}")
-
-
-def _check_positive(x, name):
-    if not isinstance(x, _REALS) or not 0 < x < math.inf:  # NaN fails both comparisons
-        raise InvalidArgumentError(f"{name} must be positive and finite, got {x!r}")
-
-
 def build_ula(n: int, spacing_m: float) -> ArrayLayout:
     """Uniform linear array along local x, centroid at the origin."""
-    _check_count(n)
-    _check_positive(spacing_m, "spacing_m")
+    n, spacing_m = _count(n), _positive(spacing_m, "spacing_m")
     x = (np.arange(n) - (n - 1) / 2) * spacing_m
     pts = np.column_stack([x, np.zeros(n), np.zeros(n)])
-    return ArrayLayout(pts, Archetype.ULA, float(spacing_m))
+    return ArrayLayout(pts, Archetype.ULA, spacing_m)
 
 
 def build_ura(n_side: int, spacing_m: float) -> ArrayLayout:
     """Square grid in the local x-y plane (the cartesian product of two ULAs)."""
-    _check_count(n_side, "n_side")
-    _check_positive(spacing_m, "spacing_m")
+    n_side, spacing_m = _count(n_side, "n_side"), _positive(spacing_m, "spacing_m")
     c = (np.arange(n_side) - (n_side - 1) / 2) * spacing_m
     gy, gx = np.meshgrid(c, c, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n_side * n_side)])
-    return ArrayLayout(pts, Archetype.URA, float(spacing_m))
+    return ArrayLayout(pts, Archetype.URA, spacing_m)
 
 
 def build_uca(n: int, diameter_m: float, phase_offset_rad: float = 0.0) -> ArrayLayout:
@@ -174,12 +228,11 @@ def build_uca(n: int, diameter_m: float, phase_offset_rad: float = 0.0) -> Array
     The first antenna sits at angle ``phase_offset_rad``; a single-antenna
     circle keeps its point on the circle rather than at the center.
     """
-    _check_count(n)
-    _check_positive(diameter_m, "diameter_m")
-    ang = phase_offset_rad + 2 * np.pi * np.arange(n) / n
+    n, diameter_m = _count(n), _positive(diameter_m, "diameter_m")
+    ang = _real(phase_offset_rad, "phase_offset_rad") + 2 * np.pi * np.arange(n) / n
     r = diameter_m / 2
     pts = np.column_stack([r * np.cos(ang), r * np.sin(ang), np.zeros(n)])
-    return ArrayLayout(pts, Archetype.UCA, float(diameter_m))
+    return ArrayLayout(pts, Archetype.UCA, diameter_m)
 
 
 def build_aosa(
@@ -195,10 +248,9 @@ def build_aosa(
     ``element_spacing_m`` within each, so a cluster spans
     ``(n_total / n_subarrays - 1) * element_spacing_m``.
     """
-    _check_count(n_total, "n_total")
-    _check_count(n_subarrays, "n_subarrays")
-    _check_positive(subarray_spacing_m, "subarray_spacing_m")
-    _check_positive(element_spacing_m, "element_spacing_m")
+    n_total, n_subarrays = _count(n_total, "n_total"), _count(n_subarrays, "n_subarrays")
+    subarray_spacing_m = _positive(subarray_spacing_m, "subarray_spacing_m")
+    element_spacing_m = _positive(element_spacing_m, "element_spacing_m")
     if n_total % n_subarrays:
         raise InvalidArgumentError(
             f"n_subarrays {n_subarrays} must divide n_total {n_total}"
@@ -213,7 +265,7 @@ def build_aosa(
     within = (np.arange(k) - (k - 1) / 2) * element_spacing_m
     x = (centers[:, None] + within[None, :]).ravel()
     pts = np.column_stack([x, np.zeros(n_total), np.zeros(n_total)])
-    return ArrayLayout(pts, Archetype.AOSA, float(subarray_spacing_m), n_subarrays)
+    return ArrayLayout(pts, Archetype.AOSA, subarray_spacing_m, n_subarrays)
 
 
 def _clusters_apart(n: int, r: int, sub: float, elem: float) -> bool:
@@ -229,7 +281,7 @@ def custom_layout(positions) -> ArrayLayout:
 
 def scale_layout(layout: ArrayLayout, factor: float) -> ArrayLayout:
     """Uniformly scale a layout about its local origin (aperture scales along)."""
-    _check_positive(factor, "factor")
+    factor = _positive(factor, "factor")
     return ArrayLayout(layout.positions * factor, layout.archetype,
                        layout.aperture_m * factor, layout.subarray_count)
 
@@ -242,12 +294,10 @@ class RigidPose:
     translation: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=float)
-        tr = np.asarray(self.translation, dtype=float).reshape(3)
+        rot = _array(self.rotation, "rotation must be a finite 3x3 matrix")
         if rot.shape != (3, 3) or not np.all(np.isfinite(rot)):
             raise InvalidArgumentError("rotation must be a finite 3x3 matrix")
-        if not np.all(np.isfinite(tr)):
-            raise InvalidArgumentError("translation must be finite")
+        tr = _vector(self.translation, "translation")
         if np.abs(rot @ rot.T - np.eye(3)).max() > _POSE_ATOL:
             raise InvalidArgumentError("rotation must be orthonormal within 1e-12")
         if abs(np.linalg.det(rot) - 1.0) > _POSE_ATOL:
@@ -282,9 +332,7 @@ def rotate_in_link_plane(layout: ArrayLayout, angle_rad: float) -> RigidPose:
     """
     if not isinstance(layout, ArrayLayout):
         raise InvalidArgumentError("layout must be an ArrayLayout")
-    if not isinstance(angle_rad, _REALS) or not math.isfinite(angle_rad):
-        raise InvalidArgumentError("angle_rad must be finite")
-    return RigidPose(_link_plane_rotation(angle_rad), np.zeros(3))
+    return RigidPose(_link_plane_rotation(_real(angle_rad, "angle_rad")), np.zeros(3))
 
 
 def _link_plane_rotation(angle_rad) -> np.ndarray:
@@ -313,8 +361,7 @@ class LinkScene:
     wavelength_m: float
 
     def __post_init__(self):
-        _check_positive(self.separation_m, "separation_m")
-        _check_positive(self.wavelength_m, "wavelength_m")
+        _positive(self.separation_m, "separation_m"), _positive(self.wavelength_m, "wavelength_m")
         _check_axial(self.tx_positions(), self.rx_positions(), self.separation_m)
 
     def tx_positions(self) -> np.ndarray:
@@ -344,14 +391,14 @@ def link_scene(
     """
     tx_pose = tx_pose or RigidPose.identity()
     rx_pose = rx_pose or RigidPose.identity()
-    _check_positive(separation_m, "separation_m")
-    _check_positive(wavelength_m, "wavelength_m")
-    anchors = (np.zeros(3), np.array([0.0, 0.0, float(separation_m)]))
+    separation_m = _positive(separation_m, "separation_m")
+    wavelength_m = _positive(wavelength_m, "wavelength_m")
+    anchors = (np.zeros(3), np.array([0.0, 0.0, separation_m]))
     posed = []
     for layout, pose, anchor in ((tx, tx_pose, anchors[0]), (rx, rx_pose, anchors[1])):
         shift = _pose_shift(layout.positions, pose.rotation, anchor + pose.translation)
         posed.append(RigidPose(pose.rotation, shift))
-    return LinkScene(tx, rx, posed[0], posed[1], float(separation_m), float(wavelength_m))
+    return LinkScene(tx, rx, posed[0], posed[1], separation_m, wavelength_m)
 
 
 def _pose_shift(points: np.ndarray, rotation: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -394,7 +441,7 @@ def projected_aperture(layout: ArrayLayout, rotation: np.ndarray) -> float:
     do not determine it, the declared aperture shrinks with the projection
     of the local x axis.
     """
-    rot = np.asarray(rotation, dtype=float)
+    rot = _array(rotation, "rotation must be a 3x3 matrix", shape=(3, 3))
     proj = (layout.positions @ rot.T)[:, :2]
     aperture = recompute_aperture(proj, layout.archetype, layout.subarray_count)
     if aperture is None:

@@ -9,7 +9,6 @@ misalignment (tilt and transverse offset).
 from __future__ import annotations
 
 import math
-import numbers
 from enum import Enum
 from typing import NamedTuple
 
@@ -37,12 +36,14 @@ from .geometry import (
     Archetype,
     LinkScene,
     _check_axial,
-    _check_count,
-    _check_positive,
     _clusters_apart,
-    _frozen_copy,
+    _count,
+    _grid,
     _link_plane_rotation,
+    _member,
     _posed_points,
+    _positive,
+    _real,
     build_aosa,
 )
 
@@ -83,8 +84,9 @@ def _descriptors(label: str, values) -> list[str]:
 
 
 def snr_db_to_linear(snr_db: float) -> float:
+    x = snr_db if type(snr_db) is float and math.isfinite(snr_db) else _real(snr_db, "snr_db")
     try:
-        return 10.0 ** (float(snr_db) / 10.0)
+        return 10.0 ** (x / 10.0)
     except OverflowError:
         raise InvalidArgumentError(f"snr_db {snr_db!r} overflows a float in linear scale") from None
 
@@ -104,11 +106,9 @@ def _linear_snrs(snr_db, array_gain: int) -> np.ndarray:
 
 
 def _snr_grid(snr_grid_db, array_gain: int):
-    """A plan's SNR grid in dB (floats) and its checked linear SNRs, before any geometry."""
-    snr_grid_db = [float(s) for s in snr_grid_db]
-    if not snr_grid_db or any(b <= a for a, b in zip(snr_grid_db, snr_grid_db[1:])):
-        raise InvalidArgumentError("snr_grid_db must be non-empty and increasing")
-    return snr_grid_db, _linear_snrs(snr_grid_db, array_gain)
+    """A plan's SNR grid in dB (an array) and its checked linear SNRs, before any geometry."""
+    grid = _grid(snr_grid_db, "snr_grid_db")
+    return grid, _linear_snrs(grid.tolist(), array_gain)
 
 
 def _gains(scene: LinkScene, model, count: int, variants, errors=None, sizes=None) -> np.ndarray:
@@ -123,6 +123,7 @@ def _gains(scene: LinkScene, model, count: int, variants, errors=None, sizes=Non
     ``errors`` under its index, with NaN gains.  A count of 0 gives an empty (0, n) block.
     """
     n_t, n_r = sizes or (scene.tx.element_count, scene.rx.element_count)
+    _member(model, WavefrontModel, "wavefront model")
 
     def evaluate(i, j):  # gains of variants i to j
         tx, rx, lam = variants(slice(i, j))
@@ -259,6 +260,8 @@ def optimize_rotation(
     winning angles.
     """
     _require_ula_pair(scene, "optimize_rotation")
+    if not isinstance(independent, (bool, np.bool_)):
+        raise InvalidArgumentError(f"independent must be True or False, got {independent!r}")
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
     snrs = _linear_snrs([snr_db], n_t * n_r)
     seen = []
@@ -273,8 +276,7 @@ def _best_per_snr(descriptors, gains, snr_grid_db, snrs, n_t: int, n_r: int) -> 
     """Rows of the candidate (descriptors[i], gains[i]) with the highest SE at each SNR of
     the grid, given in dB and as the checked linear ``snrs``; the earlier candidate wins ties."""
     best = _se_table(gains, snrs).argmax(axis=1)  # first of equal SEs
-    grid = np.array(snr_grid_db, dtype=float)
-    return SweepTable(grid, grid, [descriptors[i] for i in best.tolist()],
+    return SweepTable(snr_grid_db, snr_grid_db, [descriptors[i] for i in best.tolist()],
                       _rate_table(gains[best], n_t, n_r, snrs), {})
 
 
@@ -285,13 +287,9 @@ def fixed_angle_plan(
     model: WavefrontModel,
 ) -> SweepTable:
     """Best of a fixed set of rotation angles at each SNR on the grid."""
-    angles = sorted(float(a) for a in angles)  # smaller angle wins ties
-    if not angles:
-        raise InvalidArgumentError("at least one angle is required")
+    angles = sorted(_grid(angles, "angles", increasing=False).tolist())  # smaller wins ties
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
     snr_grid_db, snrs = _snr_grid(snr_grid_db, n_t * n_r)
-    if not all(math.isfinite(a) for a in angles):
-        raise InvalidArgumentError("angle_rad must be finite")
     gains = _rotated(scene, model, np.array(angles), np.array(angles))
     return _best_per_snr(_descriptors("rotation_rad", angles), gains, snr_grid_db, snrs, n_t, n_r)
 
@@ -359,8 +357,7 @@ def select_fixed_angles(scene: LinkScene, k: int, snr_grid_db, model: WavefrontM
     :func:`fixed_angle_plan` over the grid and its worst gap, all from one
     rotation search (its grid holds every candidate).
     """
-    _check_count(k, "k")
-    if k > _ANGLE_CANDIDATES:
+    if _count(k, "k") > _ANGLE_CANDIDATES:
         raise InvalidArgumentError(f"k must be at most {_ANGLE_CANDIDATES}, got {k}")
     _require_ula_pair(scene, "select_fixed_angles")
     n_t, n_r = scene.tx.element_count, scene.rx.element_count
@@ -395,12 +392,12 @@ def aosa_schedule(
     the first failing divisor, in increasing r, raises, whether its layout or
     its geometry failed.  Ties go to the smaller r (fewer, larger subarrays).
     """
-    _check_count(n_total, "n_total")
-    n = int(n_total)
+    n = _count(n_total, "n_total")
     snr_grid_db, snrs = _snr_grid(snr_grid_db, n * n)
     lam = scene_template.wavelength_m
     dist = scene_template.separation_m
-    elem = lam / 4 if element_spacing_m is None else float(element_spacing_m)
+    elem = lam / 4 if element_spacing_m is None else _positive(element_spacing_m,
+                                                               "element_spacing_m")
     subs = {r: math.sqrt(lam * dist / r) for r in range(1, n + 1) if n % r == 0}
     fits = [r for r, sub in subs.items() if _clusters_apart(n, r, sub, elem)]
 
@@ -412,12 +409,12 @@ def aosa_schedule(
     return _best_per_snr([f"aosa_r={r}" for r in fits], gains, snr_grid_db, snrs, n, n)
 
 
-def _check_positives(s, *columns):
-    """:func:`_check_positive` of the first failing value in slice ``s`` of each column."""
+def _positives(s, *columns):
+    """:func:`_positive` of the first failing value in slice ``s`` of each column."""
     for values, name in columns:
         bad = ~((0 < values[s]) & (values[s] < np.inf))
         if bad.any():
-            _check_positive(float(values[s][bad.argmax()]), name)
+            _positive(float(values[s][bad.argmax()]), name)
 
 
 def _sweep_variants(scene: LinkScene, variable: SweepVariable, v: np.ndarray):
@@ -428,7 +425,7 @@ def _sweep_variants(scene: LinkScene, variable: SweepVariable, v: np.ndarray):
         tx, rx, lam = scene.tx_positions(), scene.rx_positions(), SPEED_OF_LIGHT_M_S / v
 
         def variants(s):
-            _check_positives(s, (v, "freq_hz"), (lam, "wavelength_m"))
+            _positives(s, (v, "freq_hz"), (lam, "wavelength_m"))
             return tx, rx, lam[s, None, None]
         return variants
     base = (scene.tx_pose.rotation, scene.rx_pose.rotation)
@@ -441,7 +438,7 @@ def _sweep_variants(scene: LinkScene, variable: SweepVariable, v: np.ndarray):
                 raise InvalidArgumentError("eta must be non-negative")
             if min(scene.tx.aperture_m, scene.rx.aperture_m) <= 0:
                 raise IncompatibleModeError("eta sweep needs layouts with positive aperture")
-            _check_positives(s, (f_t, "factor"), (f_r, "factor"))
+            _positives(s, (f_t, "factor"), (f_r, "factor"))
             return _posed(scene, base, (scene.tx.positions * f_t[s, None, None],
                                         scene.rx.positions * f_r[s, None, None]))
         return variants
@@ -472,16 +469,8 @@ def sweep(scene: LinkScene, variable: SweepVariable, grid, model: WavefrontModel
     checked first; a point whose checks or geometry fail comes back as an error row, with the
     error of the point alone, rather than failing the whole sweep.
     """
-    try:  # a ragged or non-numeric grid fails as an empty one does
-        x = _frozen_copy(np.asarray(grid, dtype=float))
-    except (TypeError, ValueError):
-        x = np.empty(0)
-    if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
-        raise InvalidArgumentError("sweep grid must be a non-empty finite 1-D array")
-    if x.size > 1 and np.any(np.diff(x) <= 0):
-        raise InvalidArgumentError("sweep grid must be strictly increasing")
-    if not isinstance(snr_db, numbers.Real) or not -math.inf < snr_db < math.inf:  # and NaN
-        raise InvalidArgumentError(f"sweep snr_db must be finite, got {snr_db!r}")
+    variable = _member(variable, SweepVariable, "sweep variable")
+    x, snr_db = _grid(grid, "sweep grid"), _real(snr_db, "sweep snr_db")
     if variable is SweepVariable.ROTATION_RAD:
         _require_ula_pair(scene, "rotation sweep")
     grid = x.tolist()
@@ -512,4 +501,4 @@ def sweep(scene: LinkScene, variable: SweepVariable, grid, model: WavefrontModel
         except LosMimoError as exc:
             failed.update(dict.fromkeys(ok.tolist(), exc))
     errors = {int(rows[j]): f"{type(e).__name__}: {e}" for j, e in sorted(failed.items())}
-    return SweepTable(x, np.full(size, float(snr_db)), descriptors, rates, errors)
+    return SweepTable(x, np.full(size, snr_db), descriptors, rates, errors)

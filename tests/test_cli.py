@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -664,9 +665,12 @@ def _validity_with_nan(index):
     return lambda: validity_from_apertures(*args)
 
 
+def _ula_pair():
+    return link_scene(build_ula(4, 0.035), build_ula(4, 0.035), 5.0, 1e-3)
+
+
 def _sweep_with_snr(snr_db):
-    scene = link_scene(build_ula(4, 0.035), build_ula(4, 0.035), 5.0, 1e-3)
-    return lambda: sweep(scene, SweepVariable.ETA, [0.5, 1.0], WavefrontModel.SPHERICAL,
+    return lambda: sweep(_ula_pair(), SweepVariable.ETA, [0.5, 1.0], WavefrontModel.SPHERICAL,
                          snr_db=snr_db)
 
 
@@ -686,6 +690,27 @@ _CLOSED_HOLES = {
     **{f"link_scene_text_wavelength_{t}": lambda t=t: link_scene(
         build_ula(4, 0.01), build_ula(4, 0.01), 5.0, t) for t in ("abc", "0.001")},
     **{f"sweep_spec_{v}_snr": _sweep_with_snr(float(v)) for v in ("nan", "inf", "-inf")},
+    # a text model gave a table of error rows, a text variable an AttributeError
+    "sweep_text_model": lambda: sweep(_ula_pair(), SweepVariable.ETA, [0.5, 1.0], "spherical"),
+    "sweep_text_variable": lambda: sweep(_ula_pair(), "eta", [0.5, 1.0],
+                                         WavefrontModel.SPHERICAL),
+    # wrong-typed value arguments of the capacity and optimize layers
+    "waterfilling_text_snr": lambda: losmimo.waterfilling(
+        losmimo.gain_spectrum(channel_matrix(_ula_pair(), WavefrontModel.SPHERICAL)), "10"),
+    "bound_none_snr": lambda: losmimo.capacity_upper_bound(4, 4, None),
+    "fixed_angle_plan_text_angles": lambda: losmimo.fixed_angle_plan(
+        _ula_pair(), "0,0.5", [0.0, 10.0], WavefrontModel.SPHERICAL),
+    "optimize_rotation_none_snr": lambda: losmimo.optimize_rotation(
+        _ula_pair(), None, WavefrontModel.SPHERICAL),
+    "snr_db_to_linear_none": lambda: snr_db_to_linear(None),
+    "snr_db_to_linear_text": lambda: snr_db_to_linear("10"),
+    # an int past the float range, a bool and a text aperture kept for a one-element layout
+    "ula_spacing_past_the_float_range": lambda: build_ula(4, 10**400),
+    "ula_bool_spacing": lambda: build_ula(4, True),
+    "rotate_angle_past_the_float_range": lambda: rotate_in_link_plane(build_ula(4, 0.01),
+                                                                      10**400),
+    "layout_text_kept_aperture": lambda: losmimo.ArrayLayout(np.zeros((1, 3)), Archetype.ULA,
+                                                             "a"),
     "cli_validity_nan_aperture": ["validity", "--freq-grid=100e9", "--dist-grid=1",
                                   "--tx-aperture", "nan", "--rx-aperture", "0.5"],
     "cli_validity_nan_freq": ["validity", "--freq-grid", "nan", "--dist-grid=1",
@@ -744,6 +769,122 @@ def test_bad_inputs_end_in_typed_errors(case, scene_path, tmp_path, capfd):
     out, err = capfd.readouterr()  # at the descriptors, where LAPACK writes
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+# the value boundary: one valid call of every public function and checked dataclass, as
+# positional arguments, and the names of its object-typed arguments (scenes, layouts, poses,
+# spectra and channels), which it leaves out; every other argument is a value argument
+def _valid_calls():
+    model = WavefrontModel.SPHERICAL
+    ula, aosa = build_ula(2, 0.01), losmimo.build_aosa(4, 2, 0.02, 1e-3)
+    scene = link_scene(ula, ula, 1.0, 1e-3)
+    h = channel_matrix(scene, model)
+    spectrum = losmimo.gain_spectrum(h)
+    snrs, scenes = [0.0, 10.0], {"scene", "scene_template", "layout", "tx", "rx"}
+    return {
+        "ArrayLayout": ((aosa.positions, Archetype.AOSA, 0.04, 2), ()),
+        "RigidPose": ((np.eye(3), np.zeros(3)), ()),
+        "LinkScene": ((ula, ula, scene.tx_pose, scene.rx_pose, 1.0, 1e-3),
+                      scenes | {"tx_pose", "rx_pose"}),
+        "recompute_aperture": ((aosa.positions, Archetype.AOSA, 2), ()),
+        "build_ula": ((2, 0.01), ()),
+        "build_ura": ((2, 0.01), ()),
+        "build_uca": ((4, 0.02, 0.1), ()),
+        "build_aosa": ((4, 2, 0.02, 1e-3), ()),
+        "custom_layout": ((ula.positions,), ()),
+        "scale_layout": ((ula, 2.0), scenes),
+        "rotate_in_link_plane": ((ula, 0.5), scenes),
+        "link_scene": ((ula, ula, 1.0, 1e-3, None, None), scenes | {"tx_pose", "rx_pose"}),
+        "transpose_scene": ((scene,), scenes),
+        "projected_aperture": ((ula, np.eye(3)), scenes),
+        "channel_parameter": ((scene,), scenes),
+        "ChannelMatrix": ((h.entries, 1e-3, model), ()),
+        "PhaseProfile": (([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], (0.0, 0.0, 1.0), (-1.0, 2.0), 1.0,
+                          0.9), ()),
+        "distance_matrix": ((scene,), scenes),
+        "channel_matrix": ((scene, model), scenes),
+        "validity_from_apertures": ((0.1, 0.1, 1e-3, 1.0), ()),
+        "classify_validity": ((scene,), scenes),
+        "phase_profile": (((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 1e-4, 5, (1.0, 0.0, 0.0), 1e-3), ()),
+        "GainSpectrum": ((spectrum.gains, 2, 2), ()),
+        "gain_spectrum": ((h,), {"h"}),
+        "waterfilling": ((spectrum, 10.0), {"spectrum"}),
+        "uniform_rate": ((spectrum, 10.0, 1), {"spectrum"}),
+        "polarized_rate": ((2, 2, 1.5, 10.0), ()),
+        "capacity_upper_bound": ((2, 2, 10.0), ()),
+        "capacity_upper_bound_integer": ((2, 2, 10.0), ()),
+        "rate_report": ((h, 10.0), {"h"}),
+        "snr_db_to_linear": ((10.0,), ()),
+        "optimize_rotation": ((scene, 10.0, model, False), scenes),
+        "fixed_angle_plan": ((scene, [0.0, 0.5], snrs, model), scenes),
+        "select_fixed_angles": ((scene, 1, snrs, model), scenes),
+        "aosa_schedule": ((4, scene, snrs, model, 1e-4), scenes),
+        "sweep": ((scene, SweepVariable.ETA, [0.5, 1.0], model, 10.0), scenes),
+        "parse_scene_config": ((json.loads(SCENE),), ()),
+        "load_scene_config": ((str(GOLDEN_CONFIGS / "ula4.json"),), ()),
+    }
+
+
+_VALID_CALLS = _valid_calls()
+# text, None, a bool, a complex, a ragged nesting, NaN, +-inf, an int past the float range,
+# and 0-d and 3-d arrays
+_MALFORMED = ("10", None, True, 1 + 2j, [[1.0], [1.0, 2.0]], math.nan, math.inf, -math.inf,
+              10**400, np.array(1.0), np.zeros((2, 2, 2)))
+
+
+def _value_positions(name):
+    """The indices of the value arguments of the valid call of public ``name``."""
+    args, objects = _VALID_CALLS[name]
+    params = list(inspect.signature(getattr(losmimo, name)).parameters)
+    return [i for i in range(len(args)) if params[i] not in objects]
+
+
+def _untyped_end(name, i, value):
+    """The exception that public ``name``'s valid call with argument i replaced by ``value``
+    ends in, unless it returns or raises a LosMimoError (pytest makes a RuntimeWarning one)."""
+    args = _VALID_CALLS[name][0]
+    try:
+        getattr(losmimo, name)(*args[:i], value, *args[i + 1:])
+    except LosMimoError:
+        pass
+    except Exception as exc:  # noqa: BLE001 - what the boundary let through
+        return f"{name} argument {i} = {value!r}: {type(exc).__name__}: {exc}"
+    return None
+
+
+def test_every_public_callable_has_a_valid_call_that_returns():
+    public = {name for name in losmimo.__all__ if inspect.isfunction(getattr(losmimo, name))
+              or hasattr(getattr(losmimo, name), "__post_init__")}
+    assert public == set(_VALID_CALLS)
+    for name, (args, _) in _VALID_CALLS.items():
+        getattr(losmimo, name)(*args)
+
+
+@pytest.mark.parametrize("name", sorted(_VALID_CALLS))
+def test_every_malformed_value_argument_ends_in_a_result_or_a_typed_error(name):
+    ends = [_untyped_end(name, i, value) for i in _value_positions(name) for value in _MALFORMED]
+    assert [end for end in ends if end] == []
+
+
+_ODD_VALUES = st.one_of(
+    st.sampled_from(_MALFORMED + (False, np.bool_(True), np.float64("nan"), -np.float64("inf"),
+                                  "", np.array([1.0, math.nan]), np.array([[1 + 1j] * 3]))),
+    st.text(max_size=4),
+    st.integers(2**64, 2**2000) | st.integers(-(2**2000), -(2**64)),
+    st.complex_numbers(max_magnitude=1e3).filter(lambda z: z.imag != 0),
+    st.lists(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3), min_size=2, max_size=3)
+      .filter(lambda rows: len({len(r) for r in rows}) > 1),
+    st.tuples(st.sampled_from(((), (1, 1, 1), (2, 3, 3), (1, 2, 3, 3))),
+              st.floats(-1.0, 1.0) | st.sampled_from((math.nan, math.inf))).map(
+        lambda t: np.full(*t)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.sampled_from([(name, i) for name in sorted(_VALID_CALLS)
+                             for i in _value_positions(name)]), value=_ODD_VALUES)
+def test_odd_value_arguments_end_in_a_result_or_a_typed_error(case, value):
+    assert _untyped_end(*case, value) is None
 
 
 @pytest.mark.parametrize("config, error", [

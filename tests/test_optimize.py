@@ -431,6 +431,21 @@ def test_sweep_checks_its_grid_and_snr_before_any_geometry(variable, grid, snr_d
     assert calls == []
 
 
+@pytest.mark.parametrize("variable, model, text", [
+    (SweepVariable.ETA, "spherical", "unknown wavefront model 'spherical'"),
+    (SweepVariable.SNR_DB, None, "unknown wavefront model None"),
+    ("eta", WavefrontModel.FRESNEL, "unknown sweep variable 'eta'"),
+])
+def test_sweep_checks_its_variable_and_model_once_before_any_geometry(variable, model, text,
+                                                                      monkeypatch):
+    # a text model used to fail each chunk of variants, and then each variant alone
+    calls = []
+    monkeypatch.setattr(optimize, "_channel_entries", lambda *args: calls.append(args))
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(text)}$"):
+        sweep(_ula_scene(), variable, [0.5, 1.0], model, snr_db=10.0)
+    assert calls == []
+
+
 def _zero_aperture_scene():  # one tx element: a point set of diameter 0
     return link_scene(custom_layout([[0.0, 0.0, 0.0]]), build_ula(4, 0.01), DIST, LAM)
 
