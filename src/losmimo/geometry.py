@@ -294,8 +294,8 @@ class RigidPose:
     translation: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        rot = _array(self.rotation, "rotation must be a finite 3x3 matrix")
-        if rot.shape != (3, 3) or not np.all(np.isfinite(rot)):
+        rot = _array(self.rotation, "rotation must be a finite 3x3 matrix", shape=(3, 3))
+        if not np.all(np.isfinite(rot)):
             raise InvalidArgumentError("rotation must be a finite 3x3 matrix")
         tr = _vector(self.translation, "translation")
         if np.abs(rot @ rot.T - np.eye(3)).max() > _POSE_ATOL:
