@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelMatrix
 from .errors import InvalidArgumentError, NoSignalError
-from .geometry import _array, _as_float, _count, _frozen_copy
+from .geometry import _array, _as_float, _count, _frozen_copy, _instance
 
 _LN2 = math.log(2.0)
 _ZERO_GAIN_RTOL = 1e-12  # gains this far below the top one count as exact zeros
@@ -97,6 +97,7 @@ def _check_snr(snr_linear: float, array_gain: int = 1) -> float:
 
 def gain_spectrum(h: ChannelMatrix) -> GainSpectrum:
     """Squared singular values of the channel, descending."""
+    h = _instance(h, ChannelMatrix, "h")
     return GainSpectrum(_squared_singular_values(h.entries), n_t=h.n_t, n_r=h.n_r)
 
 

@@ -16,13 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometryError,
-    InvalidArgumentError,
-    NyquistViolationError,
-)
-from .geometry import (LinkScene, _array, _as_float, _count, _frozen_copy, _member, _positive,
-                       _vector, projected_aperture)
+from .errors import DegenerateGeometryError, InvalidArgumentError, NyquistViolationError
+from .geometry import (LinkScene, _array, _as_float, _count, _frozen_copy, _instance, _member,
+                       _positive, _vector, projected_aperture)
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -95,19 +91,14 @@ class PhaseProfile:
         object.__setattr__(self, "phase_rad", _frozen_copy(p))
 
 
-def _check_distances(dist: np.ndarray):
-    if not np.all(np.isfinite(dist)) or np.any(dist <= 0):
-        raise InvalidArgumentError("distances must be finite and positive")
-
-
 def _pair_distances(tx: np.ndarray, rx: np.ndarray):
     """Squared transverse offset, axial offset and length of every pair rx[..., n, :] -
-    tx[..., m, :], each (..., n_r, n_t), refusing intersecting arrays.  The lengths add
-    (dx*dx + dy*dy) + dz*dz, as a sum over a 3-wide offset axis does, bit for bit."""
+    tx[..., m, :], each (..., n_r, n_t) and formed in place, refusing intersecting arrays.
+    The lengths add (dx*dx + dy*dy) + dz*dz, as a sum over a 3-wide offset axis does."""
     dx, dy, dz = (rx[..., :, None, i] - tx[..., None, :, i] for i in range(3))
-    transverse = np.square(dx, out=dx)  # in place: four (..., n_r, n_t) arrays in all
+    transverse = np.square(dx, out=dx)
     transverse += np.square(dy, out=dy)
-    dist = np.sqrt(np.add(transverse, dz * dz, out=dy), out=dy)
+    dist = np.sqrt(np.add(transverse, np.square(dz, out=dy), out=dy), out=dy)
     if dist.min() <= _MIN_PAIR_DISTANCE_M:
         raise DegenerateGeometryError(
             f"arrays intersect: minimum pair distance {dist.min():.3e} m"
@@ -115,65 +106,79 @@ def _pair_distances(tx: np.ndarray, rx: np.ndarray):
     return transverse, dz, dist
 
 
-def distance_matrix(scene: LinkScene) -> np.ndarray:
-    """Exact Euclidean distances D[n, m] from posed transmit antenna m to receive antenna n,
-    a read-only (n_r, n_t) array."""
-    dist = _pair_distances(scene.tx_positions(), scene.rx_positions())[2]
-    _check_distances(dist)
-    return _frozen_copy(dist)
-
-
-def channel_matrix(scene: LinkScene, model: WavefrontModel) -> ChannelMatrix:
-    """Unit-modulus channel for the scene under the requested wavefront model."""
-    lam, model = scene.wavelength_m, _member(model, WavefrontModel, "wavefront model")
-    entries = _channel_entries(scene.tx_positions(), scene.rx_positions(), lam, model)
-    return ChannelMatrix(entries, lam, model)
-
-
-def _channel_entries(
-    tx: np.ndarray, rx: np.ndarray, wavelength_m: float, model: WavefrontModel
-) -> np.ndarray:
-    """Body of :func:`channel_matrix` on posed (..., n, 3) positions: (..., n_r, n_t).
-
-    Runs every check that the geometry can fail, once for the whole stack (its message may
-    name any failing variant); the model and the wavelength, one or a (..., 1, 1) stack of
-    one per variant, are the caller's to validate.
-    """
-    k = 2 * np.pi / wavelength_m
-    transverse, dz, dist = _pair_distances(tx, rx)
+def _path_lengths(tx: np.ndarray, rx: np.ndarray, model: WavefrontModel):
+    """Path length of every pair of posed (..., n, 3) points under the model: the distances
+    (SPHERICAL) or zeta + rho**2 / (2 D) (FRESNEL), (..., n_r, n_t), or the PLANAR path
+    D + p_r[n] - p_t[m] as its terms (D, p_r, p_t).  Runs every check that the geometry can
+    fail, once for the whole stack (its message may name any failing variant)."""
     if model is WavefrontModel.SPHERICAL:
-        _check_distances(dist)
-        entries = np.exp(-1j * k * dist)
-    elif model is WavefrontModel.FRESNEL:
-        c_t, c_r = tx.mean(axis=-2), rx.mean(axis=-2)
+        dist = _pair_distances(tx, rx)[2]
+        if not np.isfinite(dist.max()):  # NaN propagates; no length is <= 1 nm (checked)
+            raise InvalidArgumentError("distances must be finite and positive")
+        return dist
+    transverse, dz = _pair_distances(tx, rx)[:2]  # the lengths were for the check alone
+    c_t, c_r = tx.mean(axis=-2), rx.mean(axis=-2)
+    if model is WavefrontModel.FRESNEL:
         sign = np.where(c_r[..., 2] >= c_t[..., 2], 1.0, -1.0)[..., None, None]
-        zeta = dz * sign
+        zeta = np.multiply(dz, sign, out=dz)
         if zeta.min() <= 0:
             raise DegenerateGeometryError(
                 "Fresnel expansion needs every pair separated along the link axis"
             )
         d_axial = (c_r[..., 2] - c_t[..., 2])[..., None, None] * sign
-        entries = np.exp(-1j * k * (zeta + transverse / (2 * d_axial)))
+        return np.add(zeta, np.divide(transverse, 2 * d_axial, out=transverse), out=transverse)
+    # PLANAR: first-order expansion about the centroid axis
+    axis = c_r - c_t
+    d_hat = np.sqrt((axis**2).sum(axis=-1))
+    if d_hat.min() <= _MIN_PAIR_DISTANCE_M:
+        raise DegenerateGeometryError("array centroids coincide")
+    u = (axis / d_hat[..., None])[..., :, None]
+    proj_r = ((rx - c_r[..., None, :]) @ u)[..., 0]
+    proj_t = ((tx - c_t[..., None, :]) @ u)[..., 0]
+    if ((d_hat + proj_r.min(axis=-1)) - proj_t.max(axis=-1)).min() <= 0:
+        raise DegenerateGeometryError(
+            "planar expansion needs every pair separated along the link axis"
+        )
+    return d_hat, proj_r, proj_t
+
+
+def distance_matrix(scene: LinkScene) -> np.ndarray:
+    """Exact Euclidean distances D[n, m] from posed transmit antenna m to receive antenna n,
+    a read-only (n_r, n_t) array."""
+    tx, rx = _instance(scene, LinkScene, "scene").tx_positions(), scene.rx_positions()
+    return _frozen_copy(_path_lengths(tx, rx, WavefrontModel.SPHERICAL))
+
+
+def channel_matrix(scene: LinkScene, model: WavefrontModel) -> ChannelMatrix:
+    """Unit-modulus channel for the scene under the requested wavefront model."""
+    lam = _instance(scene, LinkScene, "scene").wavelength_m
+    model = _member(model, WavefrontModel, "wavefront model")
+    entries = _channel_entries(scene.tx_positions(), scene.rx_positions(), lam, model)
+    return ChannelMatrix(entries, lam, model)
+
+
+def _channel_entries(tx: np.ndarray, rx: np.ndarray, wavelength_m: float,
+                     model: WavefrontModel, path=None) -> np.ndarray:
+    """Body of :func:`channel_matrix` on posed (..., n, 3) positions: (..., n_r, n_t).
+
+    ``path`` is the :func:`_path_lengths` of the points under the model, computed here (its
+    checks with it) when None; the model and the wavelength, one or a (..., 1, 1) stack of
+    one per variant, are the caller's to validate.  Entry (n, m) is exp(-1j * k * path[n, m])
+    for wavenumber k, the exponential taken in place in the one complex array of the phases.
+    """
+    k = 2 * np.pi / wavelength_m
+    path = _path_lengths(tx, rx, model) if path is None else path
+    if model is WavefrontModel.PLANAR:  # an exact outer product per matrix, hence rank-1
+        d_hat, proj_r, proj_t = path
+        entries = np.exp(-1j * k * proj_r[..., :, None]) * np.exp(1j * k * proj_t[..., None, :])
+        np.multiply(np.exp(-1j * k * d_hat[..., None, None]), entries, out=entries)
+        finite = np.isfinite(entries).all()
     else:
-        # PLANAR: first-order expansion about the centroid axis; each matrix
-        # is an exact outer product, hence rank-1
-        c_t, c_r = tx.mean(axis=-2), rx.mean(axis=-2)
-        axis = c_r - c_t
-        d_hat = np.sqrt((axis**2).sum(axis=-1))
-        if d_hat.min() <= _MIN_PAIR_DISTANCE_M:
-            raise DegenerateGeometryError("array centroids coincide")
-        u = (axis / d_hat[..., None])[..., :, None]
-        proj_r = ((rx - c_r[..., None, :]) @ u)[..., 0]
-        proj_t = ((tx - c_t[..., None, :]) @ u)[..., 0]
-        if ((d_hat + proj_r.min(axis=-1)) - proj_t.max(axis=-1)).min() <= 0:
-            raise DegenerateGeometryError(
-                "planar expansion needs every pair separated along the link axis"
-            )
-        outer = np.exp(-1j * k * proj_r[..., :, None]) * np.exp(1j * k * proj_t[..., None, :])
-        entries = np.exp(-1j * k * d_hat[..., None, None]) * outer
-    if not np.all(np.isfinite(entries)):
+        entries = -1j * k * path  # the phases, as imaginary parts: exp(0 + i*t) is finite iff t is
+        finite = np.isfinite([entries.imag.min(), entries.imag.max()]).all()  # NaN propagates
+    if not finite:
         raise InvalidArgumentError("channel entries must be finite")
-    return entries
+    return entries if model is WavefrontModel.PLANAR else np.exp(entries, out=entries)
 
 
 def validity_from_apertures(
@@ -200,7 +205,7 @@ def classify_validity(scene: LinkScene) -> Validity:
     Advisory only: any model may still be evaluated anywhere, which is what
     makes validity-region maps possible in the first place.
     """
-    a_t = projected_aperture(scene.tx, scene.tx_pose.rotation)
+    a_t = projected_aperture(_instance(scene, LinkScene, "scene").tx, scene.tx_pose.rotation)
     a_r = projected_aperture(scene.rx, scene.rx_pose.rotation)
     return validity_from_apertures(a_t, a_r, scene.wavelength_m, scene.separation_m)
 

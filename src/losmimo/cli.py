@@ -17,7 +17,7 @@ from . import __version__
 from .channel import SPEED_OF_LIGHT_M_S, Validity, _planar_ok, channel_matrix, phase_profile
 from .config import load_scene_config
 from .errors import ConfigError, IncompatibleModeError, LosMimoError
-from .geometry import Archetype, _positive
+from .geometry import Archetype, _count, _positive, _real
 from .optimize import (
     SweepTable,
     SweepVariable,
@@ -168,14 +168,15 @@ def cmd_validity(args) -> int:
 
 
 def cmd_phase_profile(args) -> int:
-    _check_grid_size(args.steps, "--steps")  # phase_profile checks the rest of its input
-    _positive(args.freq, "--freq")
-    _positive(args.distance, "--distance")
+    _check_grid_size(args.steps, "--steps")  # phase_profile checks that --steps is >= 3
+    _count(args.steps, "--steps"), _positive(args.step_size, "--step-size")
+    _positive(args.freq, "--freq"), _positive(args.distance, "--distance")
     lam = SPEED_OF_LIGHT_M_S / args.freq
     if args.direction == "transverse":
         # scan symmetric about broadside so the fitted curvature matches the
         # small-offset expansion about the boresight distance
-        start = (-(args.steps - 1) / 2 * args.step_size, 0.0, args.distance)
+        start = (_real(-(args.steps - 1) / 2 * args.step_size,
+                       "scan start -(--steps - 1) / 2 * --step-size"), 0.0, args.distance)
         direction = (1.0, 0.0, 0.0)
         c2_predicted = -math.pi / (lam * args.distance or math.inf)
         _positive(-c2_predicted, "predicted curvature magnitude pi/(lambda*distance)")

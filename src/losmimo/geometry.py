@@ -98,6 +98,13 @@ def _vector(x, name: str) -> np.ndarray:
     return v.reshape(3)
 
 
+def _instance(x, cls, name: str):
+    if not isinstance(x, cls):
+        raise InvalidArgumentError(f"{name} must be a{'n' * (cls.__name__[0] in 'AEIOU')} "
+                                   f"{cls.__name__}")
+    return x
+
+
 def _member(x, enum, what: str):
     if not isinstance(x, enum):
         raise InvalidArgumentError(f"unknown {what} {x!r}")
@@ -330,8 +337,7 @@ def rotate_in_link_plane(layout: ArrayLayout, angle_rad: float) -> RigidPose:
     axis: angle 0 keeps the array broadside, pi/2 maps local x onto the
     link axis (endfire).
     """
-    if not isinstance(layout, ArrayLayout):
-        raise InvalidArgumentError("layout must be an ArrayLayout")
+    _instance(layout, ArrayLayout, "layout")
     return RigidPose(_link_plane_rotation(_real(angle_rad, "angle_rad")), np.zeros(3))
 
 
@@ -456,6 +462,6 @@ def channel_parameter(scene: LinkScene) -> float:
     layouts onto the x-y plane), so rotating an array toward endfire
     shrinks its contribution.
     """
-    a_t = projected_aperture(scene.tx, scene.tx_pose.rotation)
+    a_t = projected_aperture(_instance(scene, LinkScene, "scene").tx, scene.tx_pose.rotation)
     a_r = projected_aperture(scene.rx, scene.rx_pose.rotation)
     return (a_t * a_r) / ((scene.wavelength_m * scene.separation_m) * scene.n_min)

@@ -25,13 +25,9 @@ from .capacity import (
     _squared_singular_values,
     _waterfill,
 )
-from .channel import SPEED_OF_LIGHT_M_S, WavefrontModel, _channel_entries
-from .errors import (
-    IncompatibleModeError,
-    InvalidArgumentError,
-    LosMimoError,
-    UnsupportedArchetypeError,
-)
+from .channel import SPEED_OF_LIGHT_M_S, WavefrontModel, _channel_entries, _path_lengths
+from .errors import (IncompatibleModeError, InvalidArgumentError, LosMimoError,
+                     UnsupportedArchetypeError)
 from .geometry import (
     Archetype,
     LinkScene,
@@ -124,11 +120,17 @@ def _gains(scene: LinkScene, model, count: int, variants, errors=None, sizes=Non
     """
     n_t, n_r = sizes or (scene.tx.element_count, scene.rx.element_count)
     _member(model, WavefrontModel, "wavefront model")
+    held = [None] * 3  # a chunk's posed tx and rx and their path lengths, for the next chunk
 
     def evaluate(i, j):  # gains of variants i to j
         tx, rx, lam = variants(slice(i, j))
         _check_axial(tx, rx, scene.separation_m)
-        return _squared_singular_values(_channel_entries(tx, rx, lam, model))
+        if held[0] is not tx or held[1] is not rx:  # the same arrays: the same path lengths
+            held[:] = tx, rx, _path_lengths(tx, rx, model)
+        entries = _channel_entries(tx, rx, lam, model, held[2])
+        if j == count:  # no chunk follows: the path goes before the SVD
+            held[2] = None
+        return _squared_singular_values(entries)
 
     step = max(1, _STACK_ENTRIES // (n_t * n_r))  # variants per channel stack
     parts = []  # a loop: an evaluate that called itself would be a reference cycle per call

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from losmimo import (
     build_ula,
     build_ura,
     channel_matrix,
+    channel_parameter,
     classify_validity,
     distance_matrix,
     gain_spectrum,
@@ -25,6 +27,7 @@ from losmimo import (
     rotate_in_link_plane,
     validity_from_apertures,
 )
+from losmimo.channel import _channel_entries
 
 LAM = 1e-3
 DIST = 5.0
@@ -51,6 +54,36 @@ def test_distance_matrix_refuses_distances_past_the_float_range():
     with np.errstate(over="ignore"):  # the squared offsets overflow to inf
         with pytest.raises(InvalidArgumentError, match="^distances must be finite and positive$"):
             distance_matrix(sc)
+
+
+@pytest.mark.parametrize("model", list(WavefrontModel))
+def test_the_kernel_holds_at_most_half_again_its_one_complex_array(model):
+    # a broadside 32x32 URA pair: 2**20 entries; the pair planes, path lengths and phases
+    # never hold more than 8 bytes an entry beside the 16 of the entries
+    ura = build_ura(32, 0.035)
+    sc = link_scene(ura, ura, DIST, LAM)
+    tx, rx = sc.tx_positions(), sc.rx_positions()
+    tracemalloc.start()
+    try:
+        entries = _channel_entries(tx, rx, LAM, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entries.shape == (1024, 1024)
+    assert peak <= 1.6 * entries.nbytes
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: channel_matrix(None, WavefrontModel.SPHERICAL), "scene must be a LinkScene"),
+    (lambda: distance_matrix("scene"), "scene must be a LinkScene"),
+    (lambda: classify_validity(build_ula(2, 0.01)), "scene must be a LinkScene"),
+    (lambda: channel_parameter(1.0), "scene must be a LinkScene"),
+    (lambda: gain_spectrum(np.ones((2, 2))), "h must be a ChannelMatrix"),
+    (lambda: rotate_in_link_plane(None, 0.0), "layout must be an ArrayLayout"),
+])
+def test_channel_layer_objects_are_typed_at_the_boundary(call, text):
+    with pytest.raises(InvalidArgumentError, match=f"^{text}$"):
+        call()
 
 
 def test_spherical_phase_matches_distances():

@@ -797,17 +797,17 @@ def _valid_calls():
         "link_scene": ((ula, ula, 1.0, 1e-3, None, None), scenes | {"tx_pose", "rx_pose"}),
         "transpose_scene": ((scene,), scenes),
         "projected_aperture": ((ula, np.eye(3)), scenes),
-        "channel_parameter": ((scene,), scenes),
+        "channel_parameter": ((scene,), ()),
         "ChannelMatrix": ((h.entries, 1e-3, model), ()),
         "PhaseProfile": (([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], (0.0, 0.0, 1.0), (-1.0, 2.0), 1.0,
                           0.9), ()),
-        "distance_matrix": ((scene,), scenes),
-        "channel_matrix": ((scene, model), scenes),
+        "distance_matrix": ((scene,), ()),
+        "channel_matrix": ((scene, model), ()),
         "validity_from_apertures": ((0.1, 0.1, 1e-3, 1.0), ()),
-        "classify_validity": ((scene,), scenes),
+        "classify_validity": ((scene,), ()),
         "phase_profile": (((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 1e-4, 5, (1.0, 0.0, 0.0), 1e-3), ()),
         "GainSpectrum": ((spectrum.gains, 2, 2), ()),
-        "gain_spectrum": ((h,), {"h"}),
+        "gain_spectrum": ((h,), ()),
         "waterfilling": ((spectrum, 10.0), {"spectrum"}),
         "uniform_rate": ((spectrum, 10.0, 1), {"spectrum"}),
         "polarized_rate": ((2, 2, 1.5, 10.0), ()),
@@ -951,6 +951,21 @@ def test_phase_profile_rejects_steps_over_the_limit_before_allocating(capsys):
     assert code == 2
     assert "--steps has 1000001 points, more than the limit" in capsys.readouterr().err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("flags, text", [
+    # the start of a 5-step scan, -2 * 1e308, overflows to -inf
+    (["--steps", "5", "--step-size", "1e308"],
+     "scan start -(--steps - 1) / 2 * --step-size must be finite, got -inf"),
+    # an int past the float range: halving it raised a bare OverflowError
+    ([f"--steps=-1{'0' * 400}", "--step-size", "1e-3"], "--steps must be a positive integer"),
+    (["--steps", "5", "--step-size", "nan"], "--step-size must be positive and finite, got nan"),
+])
+def test_phase_profile_names_the_flags_behind_its_scan_start(flags, text, capsys):
+    argv = ["phase-profile", "--freq", "300e9", "--distance", "1", *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {text}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("block", [

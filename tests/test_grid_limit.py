@@ -18,9 +18,10 @@ _SPEC.loader.exec_module(grid_limit)
 
 
 def _points(argv) -> int:
-    """The points of a row: its grid's, a validity map's cells or a channel's entries."""
+    """The points of a row: its grid's, a validity map's cells or, for the 32x32 URA pair,
+    its channel's entries."""
     values = dict(a.split("=", 1) for a in argv if a.startswith("--") and "=" in a)
-    if argv[0] == "channel":
+    if Path(argv[1]).name == "ura32.json":
         scene = load_scene_config(argv[1]).scene
         return scene.tx.element_count * scene.rx.element_count
     if argv[0] == "validity":
@@ -34,7 +35,7 @@ def test_each_row_holds_its_stated_points(tmp_path):
     ura32 = tmp_path / "ura32.json"
     ura32.write_text(json.dumps(grid_limit.URA32))
     rows = grid_limit.rows(str(ura32))
-    assert len(rows) == 8
+    assert len(rows) == 9
     for name, points, argv in rows:
         assert _points(argv) == points, name
 

@@ -44,7 +44,7 @@ from losmimo import (
     sweep,
     transpose_scene,
 )
-from losmimo import _search, geometry, optimize
+from losmimo import _search, channel, geometry, optimize
 from losmimo import capacity
 from losmimo.capacity import (
     _LN2,
@@ -57,7 +57,8 @@ from losmimo.capacity import (
     _waterfill,
     capacity_upper_bound,
 )
-from losmimo.channel import _MIN_PAIR_DISTANCE_M, _channel_entries, _pair_distances
+from losmimo.channel import (_MIN_PAIR_DISTANCE_M, _channel_entries, _pair_distances,
+                             _path_lengths)
 from losmimo.geometry import (
     _check_axial,
     _link_plane_rotation,
@@ -159,6 +160,79 @@ def _channel_entries_alone(tx, rx, wavelength_m, model):
     if not np.all(np.isfinite(entries)):
         raise InvalidArgumentError("channel entries must be finite")
     return entries
+
+
+# the channel kernel as one stage, kept verbatim: the complex product of the whole pair
+# tensor, then its exponential, from three offset planes
+def _check_distances_before(dist: np.ndarray):
+    if not np.all(np.isfinite(dist)) or np.any(dist <= 0):
+        raise InvalidArgumentError("distances must be finite and positive")
+
+
+def _pair_distances_before(tx: np.ndarray, rx: np.ndarray):
+    """Squared transverse offset, axial offset and length of every pair rx[..., n, :] -
+    tx[..., m, :], each (..., n_r, n_t), refusing intersecting arrays.  The lengths add
+    (dx*dx + dy*dy) + dz*dz, as a sum over a 3-wide offset axis does, bit for bit."""
+    dx, dy, dz = (rx[..., :, None, i] - tx[..., None, :, i] for i in range(3))
+    transverse = np.square(dx, out=dx)  # in place: four (..., n_r, n_t) arrays in all
+    transverse += np.square(dy, out=dy)
+    dist = np.sqrt(np.add(transverse, dz * dz, out=dy), out=dy)
+    if dist.min() <= _MIN_PAIR_DISTANCE_M:
+        raise DegenerateGeometryError(
+            f"arrays intersect: minimum pair distance {dist.min():.3e} m"
+        )
+    return transverse, dz, dist
+
+
+def _channel_entries_before(
+    tx: np.ndarray, rx: np.ndarray, wavelength_m: float, model: WavefrontModel
+) -> np.ndarray:
+    """Body of :func:`channel_matrix` on posed (..., n, 3) positions: (..., n_r, n_t).
+
+    Runs every check that the geometry can fail, once for the whole stack (its message may
+    name any failing variant); the model and the wavelength, one or a (..., 1, 1) stack of
+    one per variant, are the caller's to validate.
+    """
+    k = 2 * np.pi / wavelength_m
+    transverse, dz, dist = _pair_distances_before(tx, rx)
+    if model is WavefrontModel.SPHERICAL:
+        _check_distances_before(dist)
+        entries = np.exp(-1j * k * dist)
+    elif model is WavefrontModel.FRESNEL:
+        c_t, c_r = tx.mean(axis=-2), rx.mean(axis=-2)
+        sign = np.where(c_r[..., 2] >= c_t[..., 2], 1.0, -1.0)[..., None, None]
+        zeta = dz * sign
+        if zeta.min() <= 0:
+            raise DegenerateGeometryError(
+                "Fresnel expansion needs every pair separated along the link axis"
+            )
+        d_axial = (c_r[..., 2] - c_t[..., 2])[..., None, None] * sign
+        entries = np.exp(-1j * k * (zeta + transverse / (2 * d_axial)))
+    else:
+        # PLANAR: first-order expansion about the centroid axis; each matrix
+        # is an exact outer product, hence rank-1
+        c_t, c_r = tx.mean(axis=-2), rx.mean(axis=-2)
+        axis = c_r - c_t
+        d_hat = np.sqrt((axis**2).sum(axis=-1))
+        if d_hat.min() <= _MIN_PAIR_DISTANCE_M:
+            raise DegenerateGeometryError("array centroids coincide")
+        u = (axis / d_hat[..., None])[..., :, None]
+        proj_r = ((rx - c_r[..., None, :]) @ u)[..., 0]
+        proj_t = ((tx - c_t[..., None, :]) @ u)[..., 0]
+        if ((d_hat + proj_r.min(axis=-1)) - proj_t.max(axis=-1)).min() <= 0:
+            raise DegenerateGeometryError(
+                "planar expansion needs every pair separated along the link axis"
+            )
+        outer = np.exp(-1j * k * proj_r[..., :, None]) * np.exp(1j * k * proj_t[..., None, :])
+        entries = np.exp(-1j * k * d_hat[..., None, None]) * outer
+    if not np.all(np.isfinite(entries)):
+        raise InvalidArgumentError("channel entries must be finite")
+    return entries
+
+
+def _entries_from_path(tx, rx, wavelength_m, model):
+    """The two stages as a caller that keeps the path lengths runs them."""
+    return _channel_entries(tx, rx, wavelength_m, model, _path_lengths(tx, rx, model))
 
 
 def _diameter_alone(positions):
@@ -905,6 +979,49 @@ def test_per_axis_offsets_match_the_offset_tensor_bit_for_bit(
         _channel_entries_alone, tx, rx, lam, model)
 
 
+_KERNEL_CASES = ["none", "intersecting", "not_separated", "phase_overflow"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_t=st.integers(1, 24),
+    n_r=st.integers(1, 24),
+    shape=st.sampled_from(["alone", "stacked", "wavelengths"]),
+    model=st.sampled_from(MODELS),
+    case=st.sampled_from(_KERNEL_CASES),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-4.0, 0.0),
+    log_dist=st.floats(0.0, 3.0),
+)
+@example(n_t=4, n_r=4, shape="wavelengths", model=WavefrontModel.FRESNEL, case="none", seed=0,
+         log_scale=-2.0, log_dist=1.0)
+def test_two_stage_kernel_matches_the_one_stage_kernel_bit_for_bit(
+    n_t, n_r, shape, model, case, seed, log_scale, log_dist
+):
+    # "stacked": three variants of the points at one wavelength; "wavelengths": one variant
+    # at a (g, 1, 1) stack of 2 to 4 wavelengths, as a frequency chunk holds
+    rng = np.random.default_rng(seed)
+    scale, dist = 10.0**log_scale, 10.0**log_dist
+    stack = (3,) if shape == "stacked" else ()
+    tx = rng.normal(size=stack + (n_t, 3)) * scale
+    rx = rng.normal(size=stack + (n_r, 3)) * scale + [scale * rng.normal(), 0.0, dist]
+    m, n = rng.integers(n_t), rng.integers(n_r)
+    if case == "intersecting":
+        rx[..., n, :] = tx[..., m, :]
+    elif case == "not_separated":  # the pair shares its axial position
+        rx[..., n, 2] = tx[..., m, 2]
+        rx[..., n, 0] = tx[..., m, 0] + scale
+    lam = rng.uniform(1e-4, 1e-2, (int(rng.integers(2, 5)), 1, 1) if shape == "wavelengths"
+                      else ())
+    if case == "phase_overflow":  # k * path past the float range, or k itself
+        lam.flat[rng.integers(lam.size)] = 10.0 ** rng.uniform(-320.0, -305.0)
+    lam = lam if lam.ndim else float(lam)
+    want = _outcome(_channel_entries_before, tx, rx, lam, model)
+    assert _outcome(_channel_entries, tx, rx, lam, model) == want
+    assert _outcome(_entries_from_path, tx, rx, lam, model) == want
+    assert _outcome(_pair_distances, tx, rx) == _outcome(_pair_distances_before, tx, rx)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(1, 300),
@@ -1209,6 +1326,22 @@ def test_stacks_hold_at_most_one_chunk_of_channel_entries():
         sweep(big, SweepVariable.FREQUENCY_HZ, np.array([1e11, 2e11, 3e11]), WavefrontModel.PLANAR,
               snr_db=10.0)
     assert sizes == [128 * 128] * 3
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_frequency_sweep_forms_its_pair_geometry_once(model):
+    # a 16x16 URA pair: each 65,536-entry point is a chunk of its own, and every chunk hands
+    # back the same posed points, so one path-length stage serves the whole grid
+    ura = build_ura(16, 0.01)
+    scene = link_scene(ura, ura, 5.0, 1e-3)
+    grid = np.linspace(100e9, 300e9, 5)
+    calls, pair_distances = [], channel._pair_distances
+    with mock.patch.object(channel, "_pair_distances",
+                           lambda *args: calls.append(args) or pair_distances(*args)):
+        table = sweep(scene, SweepVariable.FREQUENCY_HZ, grid, model, snr_db=10.0)
+    assert len(calls) == 1 and table.errors == {}
+    alone = _sweep_alone(scene, SweepVariable.FREQUENCY_HZ, grid, model, snr_db=10.0)
+    assert _sweep_rows(table) == _sweep_rows(alone)
 
 
 def _aosa_alone(n_total, scene, snr_grid_db, model, element_spacing_m, build=build_aosa):
