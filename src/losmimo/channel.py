@@ -174,8 +174,8 @@ def _channel_entries(tx: np.ndarray, rx: np.ndarray, wavelength_m: float,
         np.multiply(np.exp(-1j * k * d_hat[..., None, None]), entries, out=entries)
         finite = np.isfinite(entries).all()
     else:
-        entries = -1j * k * path  # the phases, as imaginary parts: exp(0 + i*t) is finite iff t is
-        finite = np.isfinite([entries.imag.min(), entries.imag.max()]).all()  # NaN propagates
+        entries = -1j * k * path  # imaginary phases: exp(0 + i*t) is finite iff t is, and
+        finite = math.isfinite(entries.imag.min()) and math.isfinite(entries.imag.max())  # NaN
     if not finite:
         raise InvalidArgumentError("channel entries must be finite")
     return entries if model is WavefrontModel.PLANAR else np.exp(entries, out=entries)
