@@ -15,8 +15,8 @@ rows whose name contains one of them (every row when none is given).
 Rows use the golden 4x4 ULA config, the golden ``aosa8`` config for aosa mode, and a
 broadside 32x32 URA pair (1,024 elements a side, so 2^20, about 10^6, channel entries)
 written to a temporary directory: its ``channel`` rows write that matrix, and its
-``capacity`` row sends it through the singular values at one SNR.  Grid steps are powers of two, so each grid holds exactly its
-stated number of points.
+``capacity`` row sends it through the singular values at one SNR.  Grid steps are powers of
+two, so each grid holds exactly its stated number of points.
 """
 
 from __future__ import annotations
