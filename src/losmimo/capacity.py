@@ -21,6 +21,11 @@ from .geometry import _array, _as_float, _count, _frozen_copy, _instance
 
 _LN2 = math.log(2.0)
 _ZERO_GAIN_RTOL = 1e-12  # gains this far below the top one count as exact zeros
+# _waterfill's level test decides mode j within this much of s + k r_j (k = j + 1) of its
+# breakpoint: with u = 2**-53, the level's k + 3 roundings (k - 1 additions, 1 +, / k, two per
+# 1/(snr g)), 1/(snr g_j)'s two and s's and T_j's k + 4 move the test, times k s, from s - T_j
+# by at most (2k + 8) u (s + k r_j) while all are normal floats: under the guard to 4,499 modes
+_RANK_GUARD = 1e-12
 # root of ln(1 + x) = 2x / (1 + x): r * log2(1 + a / r**2) peaks where a / r**2 = x
 _POLARIZED_PEAK_X = 3.921553634567504
 _STACK_ENTRIES = 1 << 14  # most channel (or gain) entries that one stacked evaluation holds
@@ -110,47 +115,18 @@ def _squared_singular_values(entries: np.ndarray) -> np.ndarray:
 def waterfilling(spectrum: GainSpectrum, snr_linear: float):
     """KKT-optimal power split over the gains at the given SNR.
 
-    Returns (fractions, spectral_efficiency_bpshz): the (n,) power fractions,
-    checked as a rate table's row, and a float.  Water level mu
-    satisfies p_i = max(0, mu - 1/(snr*g_i)) with the fractions summing
-    to one; gains more than twelve decades below the strongest count as
-    zero so numerical noise never receives power.  When the SNR is so low
-    that the water level rounds away even for one mode, all power goes to
-    the strongest mode (rank 1 is always feasible).
+    Returns (fractions, spectral_efficiency_bpshz): the (n,) power fractions, checked as a
+    rate table's row, and a float.  Water level mu satisfies p_i = max(0, mu - 1/(snr*g_i))
+    with the fractions summing to one; gains more than twelve decades below the strongest
+    count as zero, so noise never receives power.  Mode j is wet when snr*g_0 tops its
+    breakpoint, the sum over i <= j of g_0/g_j - g_0/g_i, which the gains alone fix; within
+    a relative 1e-12 of it the KKT level test decides, as a per-row loop would.  Rank 1
+    takes all power, also where the SNR is so low that its water level rounds away.
     """
-    fractions, se = _waterfill(spectrum.gains[None], np.array([_check_snr(snr_linear)]))
+    g = _instance(spectrum, GainSpectrum, "spectrum").gains[None]
+    fractions, se = _waterfill(g, np.array([_check_snr(snr_linear)]))
     _check_rows(fractions)
     return fractions[0], float(se[0])
-
-
-def _prefix_table(a: np.ndarray, top: int) -> np.ndarray:
-    """(R, top + 1): column j holds a[:, :j].sum(axis=1) of the non-negative rows a (R, >= top),
-    bit for bit, in a few calls.  numpy sums a run of up to 128 numbers in 8 lanes (blocks of
-    8 added in turn, the lanes then added pairwise), then adds the rest one by one (all of a
-    run under 8), and splits a longer run in two at a multiple of 8 near its middle."""
-    r, g = len(a), min(top, 128) // 8 + 1  # runs of 0, 8, 16, ... numbers and the 7 that follow
-    if g == 1:  # under 8 numbers: one by one
-        table = np.zeros((r, top + 1))
-        np.cumsum(a[:, :top], axis=1, out=table[:, 1:])
-        return table
-    pad = np.zeros((r, 8 * g))
-    pad[:, :min(a.shape[1], 8 * g)] = a[:, :8 * g]
-    lanes = np.cumsum(pad[:, :-8].reshape(r, g - 1, 8), axis=1)
-    runs = np.zeros((r, g, 8))
-    runs[:, 1:, 0] = ((lanes[..., 0] + lanes[..., 1]) + (lanes[..., 2] + lanes[..., 3])) + (
-        (lanes[..., 4] + lanes[..., 5]) + (lanes[..., 6] + lanes[..., 7]))
-    runs[:, :, 1:] = pad.reshape(r, g, 8)[:, :, :7]
-    table = np.cumsum(runs, axis=2).reshape(r, -1)[:, :min(top, 128) + 1]
-    if top <= 128:
-        return table
-    out = np.empty((r, top + 1))
-    out[:, :129] = table
-    j = np.arange(129, top + 1)
-    half = j // 2 - j // 2 % 8
-    for h in np.unique(half).tolist():  # ascending: column h is filled before it is read
-        k = j[half == h]
-        out[:, k] = out[:, h, None] + _prefix_table(a[:, h:], k[-1] - h)[:, k - h]
-    return out
 
 
 def _prefix_sums(a: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -168,22 +144,27 @@ def _waterfill(g: np.ndarray, snr_linear: np.ndarray):
     if g.shape[-1] == 0 or (g[:, 0] <= 0).any():
         raise NoSignalError("all channel gains are zero")
     active = g > _ZERO_GAIN_RTOL * g[:, :1]
-    n_active = np.count_nonzero(active, axis=1)
-    inv = np.divide(1.0, snr_linear[:, None] * g, out=np.zeros(g.shape), where=active)
-    # the largest k whose water level over the k strongest modes tops their weakest mode's
-    # 1/(snr g): the active rank if it fits, else every smaller k at once; k = 0 when the
-    # level rounds away even for one mode, and then rank 1 gets everything
-    mu = (1.0 + _prefix_sums(inv, n_active)) / n_active
-    k = np.where(mu - inv[np.arange(len(g)), n_active - 1] > 0, n_active, 0)
-    low = np.flatnonzero(k == 0)
-    if low.size and (m := n_active[low].max() - 1):
-        sub, ks = inv[low], np.arange(1, m + 1)
-        level = (1.0 + _prefix_table(sub, m)[:, 1:]) / ks
-        fits = (level - sub[:, :m] > 0) & (ks < n_active[low, None])
-        k[low] = np.where(fits.any(axis=1), m - fits[:, ::-1].argmax(axis=1), 0)
-        mu[low] = level[np.arange(low.size), np.maximum(k[low], 1) - 1]
-    fractions = np.where(np.arange(g.shape[1]) < k[:, None], mu[:, None] - inv, 0.0)
-    fractions[k == 0, 0] = 1.0
+    n_active, counts = np.count_nonzero(active, axis=1), np.arange(1, g.shape[1] + 1)
+    # mode j (from 0) is wet when the level over modes 0..j tops 1/(snr g_j): when s = snr g_0
+    # tops its breakpoint T_j = (j + 1) r_j - (r_0 + ... + r_j), r_i = g_0 / g_i < 1e12 (no
+    # 1/snr, so no overflow; T_0 = 0).  The rank is the last wet mode; rank 1 takes all power
+    ratios = np.divide(g[:, :1], g, out=np.zeros(g.shape), where=active)
+    s, scaled = snr_linear[:, None] * g[:, :1], counts * ratios
+    margin = np.subtract(s, scaled - np.cumsum(ratios, axis=1), out=ratios)
+    guard = np.multiply(s + scaled, _RANK_GUARD, out=scaled)
+    wet, near = active & (margin > guard), active & (abs(margin) <= guard)
+    wet[:, 0], near[:, 0] = True, False
+    del ratios, scaled, margin, guard  # (R, n) each: a search waterfills every SNR at once
+    # 1/(snr g) is inf only on dry modes (an inf level tests dry) and in rank-1 rows, set below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = np.divide(1.0, snr_linear[:, None] * g, out=np.zeros(g.shape), where=active)
+        for j in np.flatnonzero(near.any(axis=0)).tolist() if near.any() else ():
+            mu = (1.0 + inv[near[:, j], :j + 1].sum(axis=1)) / (j + 1)  # as the per-row loop
+            wet[near[:, j], j] = (inv[near[:, j], j] < mu) & (mu < np.inf)
+        k = g.shape[1] - wet[:, ::-1].argmax(axis=1)
+        mu = (1.0 + _prefix_sums(inv, k)) / k
+        fractions = np.where(counts <= k[:, None], mu[:, None] - inv, 0.0)
+    fractions[k == 1, 0] = 1.0
     fractions /= fractions.sum(axis=1, keepdims=True)
     terms = np.log1p(snr_linear[:, None] * fractions * g)
     return fractions, _prefix_sums(terms, n_active) / _LN2
@@ -191,13 +172,11 @@ def _waterfill(g: np.ndarray, snr_linear: np.ndarray):
 
 def uniform_rate(spectrum: GainSpectrum, snr_linear: float, rank: int) -> float:
     """Spectral efficiency of an even power split over the top ``rank`` modes."""
+    g = _instance(spectrum, GainSpectrum, "spectrum").gains
     snr_linear = _check_snr(snr_linear)
-    if _count(rank, "rank") > spectrum.gains.size:
-        raise InvalidArgumentError(
-            f"rank must be an integer in [1, {spectrum.gains.size}], got {rank!r}"
-        )
-    g = spectrum.gains[:rank]
-    return float(np.log1p(snr_linear * g / rank).sum() / _LN2)
+    if _count(rank, "rank") > g.size:
+        raise InvalidArgumentError(f"rank must be an integer in [1, {g.size}], got {rank!r}")
+    return float(np.log1p(snr_linear * g[:rank] / rank).sum() / _LN2)
 
 
 def _polarized_value(n_t, n_r, rank, snr_linear):
@@ -250,6 +229,7 @@ def capacity_upper_bound_integer(n_t: int, n_r: int, snr_linear: float):
 
 def rate_report(h: ChannelMatrix, snr_linear: float) -> RateTable:
     """The one-row rate table of one channel at one SNR: waterfilling plus the bound."""
+    h = _instance(h, ChannelMatrix, "h")
     snrs = np.array([_check_snr(snr_linear, h.n_t * h.n_r)], dtype=float)
     return _rate_table(_squared_singular_values(h.entries), h.n_t, h.n_r, snrs)
 

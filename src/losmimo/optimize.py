@@ -128,8 +128,8 @@ def _gains(scene: LinkScene, model, count: int, variants, errors=None, sizes=Non
         if held[0] is not tx or held[1] is not rx:  # the same arrays: the same path lengths
             held[:] = tx, rx, _path_lengths(tx, rx, model)
         entries = _channel_entries(tx, rx, lam, model, held[2])
-        if j == count:  # no chunk follows: the path goes before the SVD
-            held[2] = None
+        if j == count or tx.ndim + rx.ndim > 4:  # no chunk follows, or none shares stacked
+            held[2] = None  # points: the path goes before the SVD
         return _squared_singular_values(entries)
 
     step = max(1, _STACK_ENTRIES // (n_t * n_r))  # variants per channel stack

@@ -265,6 +265,22 @@ def test_power_allocation_keeps_a_split_within_1e_12_of_one():
     _check_rows(np.array([[0.5, 0.5 + 1e-13, 0.0], [0.0, 1.0, 0.0]]))
 
 
+def test_snrs_where_one_over_snr_g_overflows_put_all_power_on_rank_one():
+    # 1/(snr g) and the full-rank level overflow here (pytest makes the overflow warning an
+    # error); the rank comes from the breakpoints of the gains, so the row is rank 1
+    h = channel_matrix(
+        link_scene(build_ula(4, 0.035), build_ula(4, 0.035), 5.0, 1e-3),
+        WavefrontModel.SPHERICAL,
+    )
+    fractions, se = waterfilling(gain_spectrum(h), 5e-324)
+    assert fractions.tolist() == [1.0, 0.0, 0.0, 0.0] and 0.0 < se < 1e-320
+    rates = rate_report(h, 1e-320)
+    assert rates.fractions.tolist() == [[1.0, 0.0, 0.0, 0.0]] and rates.ranks.tolist() == [1]
+    assert 0.0 < rates.ses[0] <= rates.ubs[0]
+    # tied gains: the level test finds a level past the largest float and leaves mode 1 dry
+    assert waterfilling(_spec([1.0, 1.0]), 1e-308)[0].tolist() == [1.0, 0.0]
+
+
 def test_waterfilling_checks_its_row(monkeypatch):
     off = np.array([[0.5, 0.5 + 1e-11]])
     monkeypatch.setattr(capacity, "_waterfill", lambda g, snrs: (off, np.array([1.0])))

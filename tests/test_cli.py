@@ -808,12 +808,12 @@ def _valid_calls():
         "phase_profile": (((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 1e-4, 5, (1.0, 0.0, 0.0), 1e-3), ()),
         "GainSpectrum": ((spectrum.gains, 2, 2), ()),
         "gain_spectrum": ((h,), ()),
-        "waterfilling": ((spectrum, 10.0), {"spectrum"}),
-        "uniform_rate": ((spectrum, 10.0, 1), {"spectrum"}),
+        "waterfilling": ((spectrum, 10.0), ()),
+        "uniform_rate": ((spectrum, 10.0, 1), ()),
         "polarized_rate": ((2, 2, 1.5, 10.0), ()),
         "capacity_upper_bound": ((2, 2, 10.0), ()),
         "capacity_upper_bound_integer": ((2, 2, 10.0), ()),
-        "rate_report": ((h, 10.0), {"h"}),
+        "rate_report": ((h, 10.0), ()),
         "snr_db_to_linear": ((10.0,), ()),
         "optimize_rotation": ((scene, 10.0, model, False), scenes),
         "fixed_angle_plan": ((scene, [0.0, 0.5], snrs, model), scenes),
@@ -902,6 +902,17 @@ def test_overflowing_offset_ends_in_an_error_row_without_a_warning(config, error
     assert err == ""
     rows = json.loads(out)
     assert [row.get("error") for row in rows] == [None, None, f"InvalidArgumentError: {error}"]
+
+
+def test_an_snr_where_the_full_rank_level_overflows_is_rank_1(capsys):
+    # at -3085 dB, 1 + sum(1/(snr g)) overflows: every fraction used to be NaN (exit 2)
+    argv = ["capacity", str(GOLDEN_CONFIGS / "ula4.json"), "--snr-db=-3085", "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    out, err = capsys.readouterr()
+    [row] = json.loads(out)
+    assert err == "" and row["active_rank"] == 1 and row["allocation"] == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_error_rows_print_plain_floats(tmp_path, capsys):

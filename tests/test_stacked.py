@@ -6,6 +6,7 @@ tensor they replace, bit for bit, and stacked sweeps to the per-point loop.  The
 golden-section lookahead is held to the scalar search's steps, results and errors."""
 
 import math
+import weakref
 from itertools import combinations
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -51,7 +52,6 @@ from losmimo.capacity import (
     _ZERO_GAIN_RTOL,
     _bound,
     _check_rows,
-    _prefix_table,
     _rate_table,
     _squared_singular_values,
     _waterfill,
@@ -460,48 +460,46 @@ def test_waterfilling_meets_the_kkt_conditions(n, rows, seed, snr_db):
         assert np.all(p[~usable] == 0)
 
 
-def _sums_per_count(a, top):
-    """The prefix sums as the waterfill fallback took them before the table: one sum call per
-    count, column j holding a[:, :j].sum(axis=1)."""
-    return np.column_stack([np.zeros(len(a))] + [a[:, :j].sum(axis=1) for j in range(1, top + 1)])
+def _breakpoints(g):
+    """The breakpoint T_j = j/g_j - sum_{i<j} 1/g_i of each active mode of the gain row g: mode
+    j takes power at SNRs above it (T_0 = 0)."""
+    inv = 1.0 / g[g > _ZERO_GAIN_RTOL * g[0]]
+    return np.arange(inv.size) * inv - np.concatenate([[0.0], np.cumsum(inv)[:-1]])
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     n=st.integers(1, 300),
-    rows=st.integers(1, 5),
+    rows=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
-    top=st.floats(0.0, 1.0),
+    ties=st.sampled_from([0.0, 0.2, 0.9]),
+    snr_db=st.lists(st.floats(-200.0, 300.0), min_size=1, max_size=4),
+    offsets=st.lists(st.floats(-17.0, -6.0), min_size=1, max_size=3),
 )
-@example(n=256, rows=2, seed=1, top=1.0)
-@example(n=129, rows=1, seed=2, top=1.0)
-def test_prefix_table_is_the_per_count_sums_bit_for_bit(n, rows, seed, top):
+@example(n=256, rows=2, seed=3, ties=0.2, snr_db=[-200.0, -20.0], offsets=[-16.0, -9.0])
+@example(n=8, rows=1, seed=0, ties=0.9, snr_db=[-200.0], offsets=[-17.0])
+def test_waterfill_is_the_per_row_loop_bit_for_bit_about_each_breakpoint(
+        n, rows, seed, ties, snr_db, offsets):
+    # SNRs of up to 6 breakpoints of each row, at relative offsets of +-1e-17 to 1e-6 and 0,
+    # beside SNRs from -200 to 300 dB; some modes tie with the one before
     rng = np.random.default_rng(seed)
-    # non-negative rows of any spread, with exact zeros as in a rank-deficient 1/(snr g) row
-    a = rng.random((rows, n)) ** rng.uniform(0.5, 30.0, (rows, 1))
-    a *= 10.0 ** rng.uniform(-300.0, 300.0, (rows, 1))
-    a[rng.random((rows, n)) < 0.2] = 0.0
-    top = int(top * n)
-    want = _sums_per_count(a, top)
-    assert _prefix_table(a, top).tobytes() == want.tobytes()
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    n=st.integers(1, 256),
-    rows=st.integers(1, 6),
-    seed=st.integers(0, 2**32 - 1),
-    snr_db=st.lists(st.floats(-200.0, 300.0), min_size=1, max_size=6),
-)
-@example(n=64, rows=3, seed=0, snr_db=[-30.0, -10.0, 3.0])
-@example(n=256, rows=2, seed=3, snr_db=[-200.0, -20.0])
-def test_waterfill_fallback_is_the_per_count_loop_bit_for_bit(n, rows, seed, snr_db):
-    g = _gain_rows(np.random.default_rng(seed), rows, n)
-    snrs = 10.0 ** (np.resize(snr_db, rows) / 10.0)
-    got = _waterfill(g, snrs)
-    with mock.patch.object(capacity, "_prefix_table", _sums_per_count):
-        want = _waterfill(g, snrs)
-    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    gains, g, snrs = _gain_rows(rng, rows, n), [], []
+    for row in gains:
+        tied = np.flatnonzero(rng.random(n) < ties)
+        for j in tied[tied > 0]:
+            row[j] = row[j - 1]
+        t = _breakpoints(row)
+        near = [t[j] * (1.0 + side * 10.0 ** e)
+                for j in rng.permutation(np.flatnonzero(t > 0))[:6]
+                for e in [-math.inf] + offsets for side in (-1.0, 1.0)]
+        row_snrs = [x for x in near if 1e-20 <= x <= 1e30] + [10.0 ** (d / 10.0) for d in snr_db]
+        g += [row] * len(row_snrs)
+        snrs += row_snrs
+    fractions, ses = _waterfill(np.array(g), np.array(snrs))
+    for i, (row, snr) in enumerate(zip(g, snrs)):
+        want_fractions, want_se = _waterfill_alone(row, snr)
+        assert fractions[i].tobytes() == want_fractions.tobytes()
+        assert ses[i] == want_se
 
 
 # -- the rate table -------------------------------------------------------------
@@ -1342,6 +1340,30 @@ def test_a_frequency_sweep_forms_its_pair_geometry_once(model):
     assert len(calls) == 1 and table.errors == {}
     alone = _sweep_alone(scene, SweepVariable.FREQUENCY_HZ, grid, model, snr_db=10.0)
     assert _sweep_rows(table) == _sweep_rows(alone)
+
+
+@pytest.mark.parametrize("model", [WavefrontModel.SPHERICAL, WavefrontModel.FRESNEL])
+def test_a_stacked_sweep_drops_each_chunks_path_lengths_before_its_svd(model):
+    # a 32-element ULA pair: 16 eta points a chunk, each chunk posed anew, so no later chunk
+    # can take a chunk's path lengths; none may be alive while its channel is decomposed
+    ula = build_ula(32, 0.01)
+    scene = link_scene(ula, ula, 5.0, 1e-3)
+    paths, alive = [], []
+    path_lengths, svd = optimize._path_lengths, optimize._squared_singular_values
+
+    def kept(*args):
+        path = path_lengths(*args)
+        paths.append(weakref.ref(path))
+        return path
+
+    def counted(entries):
+        alive.append(sum(ref() is not None for ref in paths))
+        return svd(entries)
+
+    with mock.patch.object(optimize, "_path_lengths", kept), \
+            mock.patch.object(optimize, "_squared_singular_values", counted):
+        table = sweep(scene, SweepVariable.ETA, np.linspace(0.5, 2.0, 40), model, snr_db=10.0)
+    assert table.errors == {} and len(paths) == 3 and alive == [0, 0, 0]
 
 
 def _aosa_alone(n_total, scene, snr_grid_db, model, element_spacing_m, build=build_aosa):
